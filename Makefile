@@ -20,10 +20,11 @@ test:
 # (server), the cross-request caches it leans on (cq compiled tableaux,
 # cc p(Dm) memoization), and the interned storage layer (relation: the
 # shared dictionary, its sort-order cache, and the lazy posting-list
-# builds), including the interned-vs-legacy cross-validation suites,
-# and the approximation engine (approx: oracle calls fan out through
-# the same worker pool) plus the constraint miner (mine: its oracle
-# re-validation runs the parallel checker across evidence pairs).
+# builds), including the join engine's differential test against the
+# naive reference evaluator (cq), and the approximation engine (approx:
+# oracle calls fan out through the same worker pool) plus the
+# constraint miner (mine: its oracle re-validation runs the parallel
+# checker across evidence pairs).
 race:
 	$(GO) test -race ./internal/core/... ./internal/server/... ./internal/cq/... ./internal/cc/... ./internal/relation/... ./internal/approx/... ./internal/mine/...
 
@@ -67,15 +68,12 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # One iteration of every benchmark in every package: catches bit-rotted
-# benchmark code in CI without paying for real measurement runs. The
-# relbench smoke runs both storage engines — interned columnar (the
-# default) and the -nointern string-map ablation — so a regression in
-# either representation, or in their agreement, surfaces here.
+# benchmark code in CI without paying for real measurement runs, plus
+# one quick relbench sweep that must run to completion.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 	$(GO) build -o /tmp/relbench-smoke ./cmd/relbench
 	/tmp/relbench-smoke -quick -json > /dev/null
-	/tmp/relbench-smoke -quick -json -nointern > /dev/null
 	rm -f /tmp/relbench-smoke
 
 # Bench-regression gate: three quick single-worker relbench runs are

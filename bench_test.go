@@ -371,146 +371,6 @@ func BenchmarkAblationDeltaCC(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationIndexJoin compares the indexed, plan-aware join
-// engine against the pure nested-loop scan (-noindex) on the medium and
-// large CRM valuation-search workloads — the same instances as
-// BenchmarkRCDP_CQ_CQ_DataComplexity. The indexed engine must win by
-// ≥ 2× on these sizes (see EXPERIMENTS.md for the recorded series).
-func BenchmarkAblationIndexJoin(b *testing.B) {
-	defer cq.SetIndexJoin(cq.SetIndexJoin(true))
-	for _, n := range []int{200, 400} {
-		for _, mode := range []struct {
-			name string
-			on   bool
-		}{{"indexed", true}, {"noindex", false}} {
-			b.Run(fmt.Sprintf("customers=%d/%s", n, mode.name), func(b *testing.B) {
-				// Fresh scenario and query per mode: lazily built
-				// secondary indexes, sorted caches and compiled plans
-				// must not leak from one mode's iterations into the
-				// other's.
-				s, v := crmScenario(n)
-				q := mdm.Q0("908")
-				cq.SetIndexJoin(mode.on)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := core.RCDP(q, s.D, s.Dm, v); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkAblationIndexEvalJoin is the same ablation at the CQ
-// evaluation layer, without the valuation search on top.
-func BenchmarkAblationIndexEvalJoin(b *testing.B) {
-	defer cq.SetIndexJoin(cq.SetIndexJoin(true))
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"indexed", true}, {"noindex", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			// Fresh scenario and query per mode (see
-			// BenchmarkAblationIndexJoin).
-			s, _ := crmScenario(500)
-			q := qlang.Underlying(mdm.Q0("908")).(*cq.CQ)
-			cq.SetIndexJoin(mode.on)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q.Eval(s.D)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationIntern compares the interned columnar engine
-// (dictionary ids, posting-list joins) against the legacy string-map
-// oracle (-nointern) on the CRM valuation-search workloads. Storage
-// mode is fixed at instance construction, so each mode rebuilds its
-// scenario under its own toggle. The interned engine must win by ≥ 3×
-// at 400 customers (see EXPERIMENTS.md for the recorded series).
-func BenchmarkAblationIntern(b *testing.B) {
-	defer relation.SetInterning(relation.SetInterning(true))
-	for _, n := range []int{200, 400} {
-		for _, mode := range []struct {
-			name string
-			on   bool
-		}{{"interned", true}, {"nointern", false}} {
-			b.Run(fmt.Sprintf("customers=%d/%s", n, mode.name), func(b *testing.B) {
-				// The toggle must be set before Generate: it selects the
-				// storage representation of the instances being built.
-				relation.SetInterning(mode.on)
-				s, v := crmScenario(n)
-				q := mdm.Q0("908")
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := core.RCDP(q, s.D, s.Dm, v); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkAblationInternEval is the interning ablation at the pure CQ
-// evaluation layer — the allocs/op column is the headline: the interned
-// engine binds ids into slot arrays instead of allocating per-row
-// binding entries and per-leaf head strings.
-func BenchmarkAblationInternEval(b *testing.B) {
-	defer relation.SetInterning(relation.SetInterning(true))
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"interned", true}, {"nointern", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			relation.SetInterning(mode.on)
-			s, _ := crmScenario(500)
-			q := qlang.Underlying(mdm.Q0("908")).(*cq.CQ)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q.Eval(s.D)
-			}
-		})
-	}
-}
-
-// BenchmarkInternOverhead measures the one place interning pays rather
-// than gains: instance construction, where every value goes through the
-// shared dictionary. The legacy baseline clones tuples into a string
-// map instead. Regressions in dictionary construction show up here
-// before they show up anywhere else.
-func BenchmarkInternOverhead(b *testing.B) {
-	defer relation.SetInterning(relation.SetInterning(true))
-	const rows = 2000
-	tuples := make([]relation.Tuple, rows)
-	for i := range tuples {
-		tuples[i] = relation.T(fmt.Sprintf("c%d", i), fmt.Sprintf("name%d", i%97), fmt.Sprintf("a%d", i%13))
-	}
-	schema := relation.NewSchema("B", relation.Attr("id"), relation.Attr("name"), relation.Attr("area"))
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"interned", true}, {"nointern", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			relation.SetInterning(mode.on)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				in := relation.NewInstance(schema)
-				for _, t := range tuples {
-					in.MustAdd(t)
-				}
-			}
-		})
-	}
-}
-
 // ---------------------------------------------------------------------
 // Substrate micro-benchmarks
 // ---------------------------------------------------------------------

@@ -6,14 +6,9 @@
 // undecidable row it validates the executable reduction on bounded
 // instances. See EXPERIMENTS.md for the recorded results.
 //
-// Usage: relbench [-table 0|1|2|3] [-quick] [-workers N] [-json] [-noindex]
+// Usage: relbench [-table 0|1|2|3] [-quick] [-workers N] [-json]
 //
-//	[-nointern] [-timeout D] [-steps N] [-metrics addr] [-trace file]
-//
-// -nointern disables the interned columnar storage engine and runs every
-// sweep on the legacy string-map representation (the SetInterning
-// ablation); pair an interned and a -nointern run to measure what
-// dictionary encoding buys end to end.
+//	[-timeout D] [-steps N] [-metrics addr] [-trace file]
 //
 // -timeout and -steps govern every timed check (wall-clock deadline and
 // join-row step budget respectively); a check stopped by governance
@@ -35,7 +30,6 @@ import (
 	"repro/internal/automata"
 	"repro/internal/cc"
 	"repro/internal/core"
-	"repro/internal/cq"
 	"repro/internal/fo"
 	"repro/internal/mdm"
 	"repro/internal/obs"
@@ -51,8 +45,6 @@ var (
 	// sequential engine, >1 = parallel valuation search).
 	checker  core.Checker
 	jsonMode bool
-	noIndex  bool
-	noIntern bool
 	records  []benchRecord
 )
 
@@ -65,8 +57,6 @@ type benchRecord struct {
 	Name        string `json:"name"`
 	Param       int    `json:"param"`
 	Workers     int    `json:"workers"`
-	NoIndex     bool   `json:"no_index"`
-	Interning   bool   `json:"interning"`
 	DurationNS  int64  `json:"duration_ns"`
 	AllocsPerOp int64  `json:"allocs_per_op"`
 	Agree       *bool  `json:"agree,omitempty"`
@@ -76,8 +66,7 @@ type benchRecord struct {
 
 func record(table, name string, param int, dur time.Duration, allocs int64, agree *bool, verdict string, reason core.Reason) {
 	records = append(records, benchRecord{
-		Table: table, Name: name, Param: param,
-		Workers: checker.Workers, NoIndex: noIndex, Interning: !noIntern,
+		Table: table, Name: name, Param: param, Workers: checker.Workers,
 		DurationNS: dur.Nanoseconds(), AllocsPerOp: allocs, Agree: agree,
 		Verdict: verdict, Reason: reason.String(),
 	})
@@ -85,7 +74,7 @@ func record(table, name string, param int, dur time.Duration, allocs int64, agre
 
 // timed runs f once, returning its wall time and the heap allocation
 // count attributable to the run (total Mallocs delta across all
-// goroutines — comparable between -noindex runs at equal -workers).
+// goroutines — comparable between runs at equal -workers).
 func timed(f func() error) (time.Duration, int64, error) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -106,8 +95,6 @@ func main() {
 	metricsAddr := flag.String("metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090)")
 	tracePath := flag.String("trace", "", "append JSONL search-trace events to this file")
 	flag.BoolVar(&jsonMode, "json", false, "emit timed sweep results as JSON instead of tables")
-	flag.BoolVar(&noIndex, "noindex", false, "disable the indexed join engine (ablation baseline)")
-	flag.BoolVar(&noIntern, "nointern", false, "disable interned columnar storage (string-map ablation baseline)")
 	flag.Parse()
 	if *metricsAddr != "" {
 		addr, err := obs.Serve(*metricsAddr)
@@ -137,8 +124,6 @@ func main() {
 	}
 	checker = core.Checker{Workers: *workers,
 		Budget: core.Budget{Timeout: *timeout, MaxJoinRows: *steps}}
-	cq.SetIndexJoin(!noIndex)
-	relation.SetInterning(!noIntern)
 	if *table == 0 || *table == 1 {
 		if err := tableI(*quick); err != nil {
 			fail(err)

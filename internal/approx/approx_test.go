@@ -80,55 +80,16 @@ func genProblem(t *testing.T) *textq.Problem {
 	})
 }
 
-// rebuildProblem reconstructs the problem's databases in fresh storage
-// under the current SetInterning mode (storage representation is fixed
-// at construction; see the core intern ablation suite).
-func rebuildProblem(t *testing.T, p *textq.Problem) (*relation.Database, *relation.Database) {
-	t.Helper()
-	return rebuildDB(t, p.D), rebuildDB(t, p.Dm)
-}
-
-func rebuildDB(t *testing.T, db *relation.Database) *relation.Database {
-	t.Helper()
-	if db == nil {
-		return nil
-	}
-	names := db.Relations()
-	ss := make([]*relation.Schema, 0, len(names))
-	for _, name := range names {
-		ss = append(ss, db.Schema(name))
-	}
-	nd := relation.NewDatabase(ss...)
-	for _, name := range names {
-		for _, tup := range db.Instance(name).Tuples() {
-			if err := nd.Add(name, tup); err != nil {
-				t.Fatalf("rebuild %s: %v", name, err)
-			}
-		}
-	}
-	return nd
-}
-
-// forEachEngine runs fn across Workers 1/8 × interned/legacy storage —
-// the matrix the approximation properties must hold on.
+// forEachEngine runs fn at Workers 1 and 8 — the engine configurations
+// the approximation properties must hold on.
 func forEachEngine(t *testing.T, fn func(t *testing.T, workers int)) {
-	defer relation.SetInterning(relation.SetInterning(true))
-	for _, interned := range []bool{true, false} {
-		for _, workers := range []int{1, 8} {
-			name := "legacy"
-			if interned {
-				name = "interned"
-			}
-			if workers == 1 {
-				name += "/seq"
-			} else {
-				name += "/par8"
-			}
-			relation.SetInterning(interned)
-			t.Run(name, func(t *testing.T) { fn(t, workers) })
+	for _, workers := range []int{1, 8} {
+		name := "seq"
+		if workers != 1 {
+			name = "par8"
 		}
+		t.Run(name, func(t *testing.T) { fn(t, workers) })
 	}
-	relation.SetInterning(true)
 }
 
 // TestApproximateSpecializationsCertified pins the central contract:
@@ -138,7 +99,7 @@ func forEachEngine(t *testing.T, fn func(t *testing.T, workers int)) {
 func TestApproximateSpecializationsCertified(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, workers int) {
 		p := crmProblem(t)
-		d, dm := rebuildProblem(t, p)
+		d, dm := p.D, p.Dm
 		ck := &core.Checker{Workers: workers}
 		res, err := Approximate(context.Background(), p.Q, d, dm, p.V,
 			Options{Checker: ck, MaxSelections: 2, MaxCandidates: 48, MaxValuesPerVar: 4})
@@ -229,7 +190,7 @@ func TestApproximateSpecializationExpected(t *testing.T) {
 func TestApproximateGeneralizationsCertified(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, workers int) {
 		p := genProblem(t)
-		d, dm := rebuildProblem(t, p)
+		d, dm := p.D, p.Dm
 		ck := &core.Checker{Workers: workers}
 		res, err := Approximate(context.Background(), p.Q, d, dm, p.V, Options{Checker: ck})
 		if err != nil {
@@ -303,7 +264,7 @@ func TestAdviseFlipsVerdict(t *testing.T) {
 			Constraints:   crmConstraints,
 			Query:         `Q1(C) :- Supt(E, D, C), Cust(C, N, CC, A, P), E = e0, CC = 01, A = 908`,
 		})
-		d, dm := rebuildProblem(t, p)
+		d, dm := p.D, p.Dm
 		before := textq.FormatDatabase(d)
 		ck := &core.Checker{Workers: workers}
 		adv, err := Advise(context.Background(), p.Q, d, dm, p.V, Options{Checker: ck})

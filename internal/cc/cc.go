@@ -115,9 +115,7 @@ type projCache struct {
 	gen  uint64
 	rhs  map[string]bool
 	// rhsIDs keys the same set on fixed-width interned id-keys over the
-	// shared dictionary, for the integer delta path; nil when the
-	// projected instance uses legacy string storage, which sends the
-	// delta check back to the string engine.
+	// shared dictionary, for the integer delta path.
 	rhsIDs map[string]bool
 }
 
@@ -146,8 +144,8 @@ func (c *Constraint) masterCache(dm *relation.Database) *projCache {
 	if in == nil {
 		// Empty or absent master side: the id form is the empty set.
 		pc.rhsIDs = map[string]bool{}
-	} else if ids, ok := in.ProjectIDSet(c.P.Cols); ok {
-		pc.rhsIDs = ids
+	} else {
+		pc.rhsIDs = in.ProjectIDSet(c.P.Cols)
 	}
 	c.pcache.Store(pc)
 	return pc
@@ -284,45 +282,17 @@ func (c *Constraint) SatisfiedDeltaGate(d, delta, dm *relation.Database, g *quer
 	pc := c.masterCache(dm)
 	var kb []byte
 	for _, t := range c.Q.Tableaux() {
+		// Heads arrive as interned ids and membership is one
+		// fixed-width key probe — no Binding, HeadTuple or string Key
+		// per differential match.
 		violated := false
-		if pc.rhsIDs != nil {
-			// Integer fast path: heads arrive as interned ids and
-			// membership is one fixed-width key probe — no Binding,
-			// HeadTuple or string Key per differential match.
-			handled, err := t.EvalFuncDeltaIDsGate(d, delta, g, func(head []int32) bool {
-				kb = relation.AppendIDKey(kb[:0], head)
-				if !pc.rhsIDs[string(kb)] {
-					violated = true
-					return false
-				}
-				return true
-			})
-			if err != nil {
-				return false, err
-			}
-			if handled {
-				if violated {
-					return false, nil
-				}
-				continue
-			}
-		}
-		err := t.EvalFuncDeltaGate(d, delta, g, func(b query.Binding) bool {
-			h, ok := t.HeadTuple(b)
-			if !ok {
-				return true
-			}
-			if !pc.rhs[h.Key()] {
-				violated = true
-				return false
-			}
-			return true
+		err := t.EvalFuncDeltaIDsGate(d, delta, g, func(head []int32) bool {
+			kb = relation.AppendIDKey(kb[:0], head)
+			violated = !pc.rhsIDs[string(kb)]
+			return !violated
 		})
-		if err != nil {
+		if err != nil || violated {
 			return false, err
-		}
-		if violated {
-			return false, nil
 		}
 	}
 	return true, nil

@@ -75,12 +75,9 @@ func (c *Constraint) patchMaster(dm *relation.Database, patches map[string]Maste
 	for k := range old.rhs {
 		rhs[k] = true
 	}
-	var rhsIDs map[string]bool
-	if old.rhsIDs != nil {
-		rhsIDs = make(map[string]bool, len(old.rhsIDs)+len(patch.Inserted))
-		for k := range old.rhsIDs {
-			rhsIDs[k] = true
-		}
+	rhsIDs := make(map[string]bool, len(old.rhsIDs)+len(patch.Inserted))
+	for k := range old.rhsIDs {
+		rhsIDs[k] = true
 	}
 	dict := relation.Shared()
 	var ib []int32
@@ -88,9 +85,6 @@ func (c *Constraint) patchMaster(dm *relation.Database, patches map[string]Maste
 	for _, t := range patch.Inserted {
 		proj := t.Project(c.P.Cols)
 		rhs[proj.Key()] = true
-		if rhsIDs == nil {
-			continue
-		}
 		ib = ib[:0]
 		for _, v := range proj {
 			id, found := dict.ID(v)

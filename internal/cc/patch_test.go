@@ -57,17 +57,12 @@ func TestPatchMasterExtendsMemo(t *testing.T) {
 			t.Fatalf("patched rhs missing key %q", k)
 		}
 	}
-	if (warm.rhsIDs == nil) != (cold.rhsIDs == nil) {
-		t.Fatalf("rhsIDs presence diverges: patched %v cold %v", warm.rhsIDs != nil, cold.rhsIDs != nil)
+	if len(warm.rhsIDs) != len(cold.rhsIDs) {
+		t.Fatalf("patched rhsIDs size %d, cold %d", len(warm.rhsIDs), len(cold.rhsIDs))
 	}
-	if warm.rhsIDs != nil {
-		if len(warm.rhsIDs) != len(cold.rhsIDs) {
-			t.Fatalf("patched rhsIDs size %d, cold %d", len(warm.rhsIDs), len(cold.rhsIDs))
-		}
-		for k := range cold.rhsIDs {
-			if !warm.rhsIDs[k] {
-				t.Fatalf("patched rhsIDs missing a key")
-			}
+	for k := range cold.rhsIDs {
+		if !warm.rhsIDs[k] {
+			t.Fatalf("patched rhsIDs missing a key")
 		}
 	}
 }

@@ -23,6 +23,17 @@ import (
 // combinations; nil is returned (without error) when the witness would
 // exceed the cap.
 func CompleteDatabaseINDs(q qlang.Query, dm *relation.Database, v *cc.Set, schemas map[string]*relation.Schema, maxAnswers int) (*relation.Database, error) {
+	return completeDatabaseINDs(q, dm, v, schemas, maxAnswers, nil)
+}
+
+// completeDatabaseINDs is CompleteDatabaseINDs under gate governance:
+// every node of the candidate enumeration polls the gate and the
+// constraint checks evaluate through it, so a cancelled, expired or
+// exhausted check stops the construction with the gate's error. The
+// recursion counts only successful additions, so without the gate a
+// disjunct with few valid head combinations would enumerate the whole
+// candidate product unchecked. A nil gate is free.
+func completeDatabaseINDs(q qlang.Query, dm *relation.Database, v *cc.Set, schemas map[string]*relation.Schema, maxAnswers int, gate *query.Gate) (*relation.Database, error) {
 	if !v.AllINDs() {
 		return nil, fmt.Errorf("core: CompleteDatabaseINDs requires IND constraints")
 	}
@@ -69,6 +80,9 @@ func CompleteDatabaseINDs(q qlang.Query, dm *relation.Database, v *cc.Set, schem
 			if added >= maxAnswers {
 				return errStop
 			}
+			if err := gate.Poll(); err != nil {
+				return err
+			}
 			if i == len(t.Vars) {
 				if !t.DiseqsHold(b) {
 					return nil
@@ -77,7 +91,7 @@ func CompleteDatabaseINDs(q qlang.Query, dm *relation.Database, v *cc.Set, schem
 				if err != nil {
 					return err
 				}
-				if ok, err := v.Satisfied(delta, dm); err != nil || !ok {
+				if ok, err := v.SatisfiedGate(delta, dm, gate); err != nil || !ok {
 					return err
 				}
 				out.UnionInto(delta)
@@ -112,7 +126,7 @@ func CompleteDatabaseINDs(q qlang.Query, dm *relation.Database, v *cc.Set, schem
 			return nil, err
 		}
 	}
-	if ok, err := v.Satisfied(out, dm); err != nil {
+	if ok, err := v.SatisfiedGate(out, dm, gate); err != nil {
 		return nil, err
 	} else if !ok {
 		// Joint interaction between added fragments (possible only with

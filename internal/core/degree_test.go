@@ -75,53 +75,46 @@ func TestDegreeExactIncomplete(t *testing.T) {
 
 // TestDegreeCompleteIffLaw: on exact runs, degree = 1.0 exactly
 // characterizes the Complete RCDP verdict — across CRM scenarios of
-// varying completeness, the sequential and parallel checker, and both
-// storage engines.
+// varying completeness and the sequential and parallel checker.
 func TestDegreeCompleteIffLaw(t *testing.T) {
-	for _, intern := range []bool{true, false} {
-		prev := relation.SetInterning(intern)
-		func() {
-			defer relation.SetInterning(prev)
-			for _, completeness := range []float64{1.0, 0.6, 0.2} {
-				cfg := mdm.DefaultConfig()
-				cfg.Completeness = completeness
-				cfg.SaturateSupport = true
-				s := mdm.Generate(cfg)
-				vset := cc.NewSet(mdm.Phi0Cid(), mdm.CidIND(), mdm.ManageIND())
-				for _, workers := range []int{1, 8} {
-					for _, tc := range []struct {
-						name string
-					}{{"Q0"}, {"Q2"}} {
-						q := mdm.Q0("908")
-						if tc.name == "Q2" {
-							q = mdm.Q2("e00")
-						}
-						ck := &Checker{Workers: workers}
-						rc, err := ck.RCDPCtx(context.Background(), q, s.D, s.Dm, vset)
-						if err != nil {
-							t.Fatalf("intern=%v comp=%v %s: rcdp: %v", intern, completeness, tc.name, err)
-						}
-						dg, err := ck.DegreeCtx(context.Background(), q, s.D, s.Dm, vset)
-						if err != nil {
-							t.Fatalf("intern=%v comp=%v %s: degree: %v", intern, completeness, tc.name, err)
-						}
-						if !dg.Exact {
-							t.Fatalf("unbudgeted degree run must be exact")
-						}
-						if (dg.Degree == 1.0) != (rc.Verdict == VerdictComplete) {
-							t.Fatalf("intern=%v comp=%v %s workers=%d: degree=%v but verdict=%v",
-								intern, completeness, tc.name, workers, dg.Degree, rc.Verdict)
-						}
-						if dg.Verdict == VerdictComplete != (rc.Verdict == VerdictComplete) {
-							t.Fatalf("degree verdict %v disagrees with rcdp %v", dg.Verdict, rc.Verdict)
-						}
-						if dg.Degree < 0 || dg.Degree > 1 || dg.Lo > dg.Degree || dg.Hi < dg.Degree {
-							t.Fatalf("malformed degree %v [%v,%v]", dg.Degree, dg.Lo, dg.Hi)
-						}
-					}
+	for _, completeness := range []float64{1.0, 0.6, 0.2} {
+		cfg := mdm.DefaultConfig()
+		cfg.Completeness = completeness
+		cfg.SaturateSupport = true
+		s := mdm.Generate(cfg)
+		vset := cc.NewSet(mdm.Phi0Cid(), mdm.CidIND(), mdm.ManageIND())
+		for _, workers := range []int{1, 8} {
+			for _, tc := range []struct {
+				name string
+			}{{"Q0"}, {"Q2"}} {
+				q := mdm.Q0("908")
+				if tc.name == "Q2" {
+					q = mdm.Q2("e00")
+				}
+				ck := &Checker{Workers: workers}
+				rc, err := ck.RCDPCtx(context.Background(), q, s.D, s.Dm, vset)
+				if err != nil {
+					t.Fatalf("comp=%v %s: rcdp: %v", completeness, tc.name, err)
+				}
+				dg, err := ck.DegreeCtx(context.Background(), q, s.D, s.Dm, vset)
+				if err != nil {
+					t.Fatalf("comp=%v %s: degree: %v", completeness, tc.name, err)
+				}
+				if !dg.Exact {
+					t.Fatalf("unbudgeted degree run must be exact")
+				}
+				if (dg.Degree == 1.0) != (rc.Verdict == VerdictComplete) {
+					t.Fatalf("comp=%v %s workers=%d: degree=%v but verdict=%v",
+						completeness, tc.name, workers, dg.Degree, rc.Verdict)
+				}
+				if dg.Verdict == VerdictComplete != (rc.Verdict == VerdictComplete) {
+					t.Fatalf("degree verdict %v disagrees with rcdp %v", dg.Verdict, rc.Verdict)
+				}
+				if dg.Degree < 0 || dg.Degree > 1 || dg.Lo > dg.Degree || dg.Hi < dg.Degree {
+					t.Fatalf("malformed degree %v [%v,%v]", dg.Degree, dg.Lo, dg.Hi)
 				}
 			}
-		}()
+		}
 	}
 }
 

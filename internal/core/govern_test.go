@@ -11,7 +11,9 @@ import (
 	"repro/internal/cc"
 	"repro/internal/qlang"
 	"repro/internal/query"
+	"repro/internal/reductions"
 	"repro/internal/relation"
+	"repro/internal/sat"
 )
 
 // Governance tests: a governed check must stop for exactly the right
@@ -412,5 +414,66 @@ func TestBudgetClamp(t *testing.T) {
 	want := Budget{Timeout: time.Minute, MaxJoinRows: 10}
 	if got != want {
 		t.Errorf("partial ceiling: Clamp = %+v, want %+v", got, want)
+	}
+}
+
+// unsat3SAT returns an unsatisfiable 3-CNF over n ≥ 4 variables: all
+// eight sign patterns over x1, x2, x3, plus implication clauses
+// chaining x3 … xn so that every variable occurs.
+func unsat3SAT(n int) *sat.CNF {
+	phi := sat.NewCNF(n)
+	for mask := 0; mask < 8; mask++ {
+		cl := make(sat.Clause, 3)
+		for j := range cl {
+			cl[j] = sat.Literal(j + 1)
+			if mask&(1<<j) != 0 {
+				cl[j] = -cl[j]
+			}
+		}
+		phi.Clauses = append(phi.Clauses, cl)
+	}
+	for i := 3; i < n; i++ {
+		phi.Clauses = append(phi.Clauses, sat.Clause{sat.Literal(-i), sat.Literal(i + 1), sat.Literal(i + 1)})
+	}
+	return phi
+}
+
+// TestRCQPGuidanceHonorsCancellation pins that witness construction
+// after a decided Yes runs under the check's governance: on the
+// Theorem 4.5(1) reduction of an unsatisfiable 3SAT instance the
+// verdict is Yes, and building the complete database enumerates the
+// full 2^(2n) truth-value product — so a cancelled or 10 ms-deadline
+// context must still return promptly, without error, and never with a
+// wrong Status.
+func TestRCQPGuidanceHonorsCancellation(t *testing.T) {
+	phi := unsat3SAT(16)
+	if _, ok := phi.Solve(); ok {
+		t.Fatal("fixture formula is satisfiable")
+	}
+	inst, err := reductions.ThreeSATToRCQP(phi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"cancelled", "deadline"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		if name == "cancelled" {
+			cancel()
+		}
+		start := time.Now()
+		res, err := RCQPCtx(ctx, inst.Q, inst.Dm, inst.V, inst.Schemas)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Fatalf("%s: RCQPCtx took %v after its context ended", name, elapsed)
+		}
+		if res.Status == No {
+			t.Fatalf("%s: unsatisfiable formula answered %v", name, res.Status)
+		}
+		if res.Status == Unknown && res.Reason == ReasonNone {
+			t.Fatalf("%s: unknown without a governance reason", name)
+		}
+		t.Logf("%s: status %v reason %v witness %v after %v", name, res.Status, res.Reason, res.Witness != nil, time.Since(start))
 	}
 }

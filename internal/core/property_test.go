@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cc"
-	"repro/internal/cq"
 	"repro/internal/relation"
 )
 
@@ -20,24 +19,20 @@ import (
 //     on the database as a set of relations of sets of tuples, never on
 //     the order relations were declared or tuples inserted.
 //
-// Both properties are checked across indexed/noindex joins and
-// Workers ∈ {1, 8}, since each engine enumerates differently.
+// Both properties are checked at Workers ∈ {1, 8}, since the
+// sequential and parallel engines enumerate differently.
 
-// engineConfigs enumerates the four join-engine/worker combinations.
+// engineConfigs enumerates the worker configurations.
 func engineConfigs() []struct {
 	name    string
-	indexed bool
 	workers int
 } {
 	return []struct {
 		name    string
-		indexed bool
 		workers int
 	}{
-		{"indexed/seq", true, 1},
-		{"indexed/par", true, 8},
-		{"noindex/seq", false, 1},
-		{"noindex/par", false, 8},
+		{"seq", 1},
+		{"par", 8},
 	}
 }
 
@@ -60,7 +55,6 @@ func mergedConstraints(a, b struct {
 // (Dm, V ∪ V'), it must be complete w.r.t. (Dm, V ∪ V') too — under
 // every engine configuration.
 func TestRCDPCCMonotonicityProperty(t *testing.T) {
-	restoreIndexJoin(t)
 	rng := rand.New(rand.NewSource(47))
 	queries := microQueries()
 	sets := microConstraintSets()
@@ -79,7 +73,6 @@ func TestRCDPCCMonotonicityProperty(t *testing.T) {
 			continue
 		}
 		trials++
-		cq.SetIndexJoin(true)
 		br, err := (&Checker{Workers: 1}).RCDP(q, d, dm, base.v)
 		if err != nil {
 			t.Fatal(err)
@@ -89,7 +82,6 @@ func TestRCDPCCMonotonicityProperty(t *testing.T) {
 		}
 		completeHits++
 		for _, cfg := range engineConfigs() {
-			cq.SetIndexJoin(cfg.indexed)
 			mr, err := (&Checker{Workers: cfg.workers}).RCDP(q, d, dm, merged)
 			if err != nil {
 				t.Fatalf("trial %d (%s, %s+%s/%s): %v", trial, cfg.name, base.name, extra.name, q, err)
@@ -132,7 +124,6 @@ func shuffledCopy(rng *rand.Rand, d *relation.Database) *relation.Database {
 // shuffled relation/tuple enumeration order — under every engine
 // configuration.
 func TestRCDPShuffleInvariance(t *testing.T) {
-	restoreIndexJoin(t)
 	rng := rand.New(rand.NewSource(53))
 	queries := microQueries()
 	sets := microConstraintSets()
@@ -146,7 +137,6 @@ func TestRCDPShuffleInvariance(t *testing.T) {
 			continue
 		}
 		trials++
-		cq.SetIndexJoin(true)
 		want, err := (&Checker{Workers: 1}).RCDP(q, d, cs.dm, cs.v)
 		if err != nil {
 			t.Fatal(err)
@@ -157,7 +147,6 @@ func TestRCDPShuffleInvariance(t *testing.T) {
 				t.Fatalf("trial %d: shuffled copy not set-equal\n%v\nvs\n%v", trial, d, sd)
 			}
 			for _, cfg := range engineConfigs() {
-				cq.SetIndexJoin(cfg.indexed)
 				got, err := (&Checker{Workers: cfg.workers}).RCDP(q, sd, cs.dm, cs.v)
 				if err != nil {
 					t.Fatalf("trial %d (%s, %s/%s): %v", trial, cfg.name, cs.name, q, err)

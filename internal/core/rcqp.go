@@ -344,8 +344,10 @@ func (cfg QPChecker) rcqpINDs(q qlang.Query, dm *relation.Database, v *cc.Set, s
 			}
 		}
 	}
+	// The verdict is decided; the witness is a by-product. A governance
+	// stop during its construction drops the witness, not the Yes.
 	res := &RCQPResult{Status: Yes, Method: "E3/E4"}
-	if w, err := CompleteDatabaseINDs(q, dm, v, schemas, cfg.MaxCandidates); err == nil && w != nil {
+	if w, err := completeDatabaseINDs(q, dm, v, schemas, cfg.MaxCandidates, gate); err == nil && w != nil {
 		res.Witness = w
 	}
 	return res, nil

@@ -100,11 +100,10 @@ func (dl *Delta) WitnessReusable(q qlang.Query, d, dm *relation.Database, v *cc.
 }
 
 // adomProbe answers "is this value already in Adom(D, Dm, Q, V)?"
-// without mutating anything: interned databases are probed through
-// their id bitsets and non-mutating dictionary lookups (never Intern,
-// which would grow the dictionary as a side effect), with the Q/V
-// constants held as strings; legacy instances fall back to the string
-// active domain.
+// without mutating anything: the databases are probed through their id
+// bitsets and non-mutating dictionary lookups (never Intern, which
+// would grow the dictionary as a side effect), with the Q/V constants
+// held as strings.
 type adomProbe struct {
 	bits   []uint64
 	consts map[relation.Value]bool
@@ -122,28 +121,13 @@ func newAdomProbe(d, dm *relation.Database, q qlang.Query, v *cc.Set) *adomProbe
 			p.consts[val] = true
 		}
 	}
-	if set, ok := d.InternedIDs(nil); ok {
-		if set, ok = dm.InternedIDs(set); ok {
-			p.bits = set
-			return p
-		}
-	}
-	for _, db := range []*relation.Database{d, dm} {
-		if db != nil {
-			for _, val := range db.ActiveDomain() {
-				p.consts[val] = true
-			}
-		}
-	}
+	p.bits = dm.InternedIDs(d.InternedIDs(nil))
 	return p
 }
 
 func (p *adomProbe) has(val relation.Value) bool {
 	if p.consts[val] {
 		return true
-	}
-	if p.bits == nil {
-		return false
 	}
 	id, ok := relation.Shared().ID(val)
 	return ok && relation.HasIDBit(p.bits, id)

@@ -20,14 +20,12 @@ import (
 // bit-identical (verdict, reason, witness bytes, enumeration position,
 // and at Workers=1 the valuation count) to a cold RCDP run over freshly
 // rebuilt databases and a fresh constraint set. These tests pin that
-// contract on randomized mutation scripts across the storage-mode ×
-// join-engine × worker grid, and pin the gate itself: it must fire on
+// contract on randomized mutation scripts at Workers 1 and 8, and pin
+// the gate itself: it must fire on
 // invisible master inserts and refuse everything else.
 
 // The cold oracle rebuilds its inputs with the rebuildDB helper of
-// intern_ablation_test.go: fresh storage, live enumeration order
-// (Tuples() reflects insertion order with swap-deletes, and rebuilding
-// in that order reproduces it), no warm indexes, memos or caches.
+// helpers_test.go: fresh storage, no warm indexes, memos or caches.
 
 // sameRecheck extends sameRCDP with the three-valued fields.
 func sameRecheck(got, want *RCDPResult) bool {
@@ -76,72 +74,63 @@ func randomCRMDelta(rng *rand.Rand, d, dm *relation.Database) *Delta {
 
 // TestRecheckDeltaMatchesColdCRM runs randomized mutation scripts over
 // the generated CRM scenario and cross-validates every incremental
-// answer against a cold rerun, across indexed/noindex join engines,
-// interned/legacy storage and Workers 1/8.
+// answer against a cold rerun, at Workers 1 and 8.
 func TestRecheckDeltaMatchesColdCRM(t *testing.T) {
-	restoreIndexJoin(t)
-	defer relation.SetInterning(relation.SetInterning(true))
 	cfg := mdm.DefaultConfig()
 	cfg.DomesticCustomers = 14
 	cfg.Employees = 3
 	cfg.Completeness = 0.8
 
-	for _, interned := range []bool{true, false} {
-		for _, indexed := range []bool{true, false} {
-			for _, workers := range []int{1, 8} {
-				relation.SetInterning(interned)
-				cq.SetIndexJoin(indexed)
-				name := fmt.Sprintf("interned=%v indexed=%v workers=%d", interned, indexed, workers)
-				rng := rand.New(rand.NewSource(97))
-				s := mdm.Generate(cfg)
-				d, dm := s.D, s.Dm
-				v := mdmSet(cfg)
-				q := mdm.Q0("908")
-				ck := &Checker{Workers: workers}
+	for _, workers := range []int{1, 8} {
+		name := fmt.Sprintf("workers=%d", workers)
+		rng := rand.New(rand.NewSource(97))
+		s := mdm.Generate(cfg)
+		d, dm := s.D, s.Dm
+		v := mdmSet(cfg)
+		q := mdm.Q0("908")
+		ck := &Checker{Workers: workers}
 
-				prev, err := ck.RCDPCtx(context.Background(), q, d, dm, v)
-				if err != nil {
-					t.Fatalf("%s: initial check: %v", name, err)
-				}
-				reused, cold := 0, 0
-				for step := 0; step < 20; step++ {
-					dl := randomCRMDelta(rng, d, dm)
-					got, didReuse, gerr := ck.RecheckDeltaCtx(context.Background(), q, d, dm, v, prev, dl)
+		prev, err := ck.RCDPCtx(context.Background(), q, d, dm, v)
+		if err != nil {
+			t.Fatalf("%s: initial check: %v", name, err)
+		}
+		reused, cold := 0, 0
+		for step := 0; step < 20; step++ {
+			dl := randomCRMDelta(rng, d, dm)
+			got, didReuse, gerr := ck.RecheckDeltaCtx(context.Background(), q, d, dm, v, prev, dl)
 
-					// Cold oracle: fresh databases, fresh constraint set,
-					// nothing warm, over the post-batch state.
-					cd, cdm := rebuildDB(t, d), rebuildDB(t, dm)
-					want, werr := ck.RCDPCtx(context.Background(), q, cd, cdm, mdmSet(cfg))
+			// Cold oracle: fresh databases, fresh constraint set,
+			// nothing warm, over the post-batch state.
+			cd, cdm := rebuildDB(t, d), rebuildDB(t, dm)
+			want, werr := ck.RCDPCtx(context.Background(), q, cd, cdm, mdmSet(cfg))
 
-					if (gerr == nil) != (werr == nil) {
-						t.Fatalf("%s step %d: incremental err=%v cold err=%v\ndelta: %+v",
-							name, step, gerr, werr, dl)
-					}
-					if gerr != nil {
-						prev = nil // no valid result for the mutated state
-						continue
-					}
-					if !sameRecheck(got, want) {
-						t.Fatalf("%s step %d (reused=%v): incremental and cold disagree\ndelta: %+v\nincremental: %+v\ncold: %+v",
-							name, step, didReuse, dl, got, want)
-					}
-					if workers == 1 && got.Valuations != want.Valuations {
-						t.Fatalf("%s step %d (reused=%v): valuation counts diverge: incremental %d cold %d",
-							name, step, didReuse, got.Valuations, want.Valuations)
-					}
-					if didReuse {
-						reused++
-					} else {
-						cold++
-					}
-					prev = got
-				}
-				// The fixed seed makes the script deterministic: both paths
-				// must actually be exercised.
-				if reused == 0 || cold == 0 {
-					t.Fatalf("%s: script exercised reuse %d times, cold %d times", name, reused, cold)
-				}
+			if (gerr == nil) != (werr == nil) {
+				t.Fatalf("%s step %d: incremental err=%v cold err=%v\ndelta: %+v",
+					name, step, gerr, werr, dl)
 			}
+			if gerr != nil {
+				prev = nil // no valid result for the mutated state
+				continue
+			}
+			if !sameRecheck(got, want) {
+				t.Fatalf("%s step %d (reused=%v): incremental and cold disagree\ndelta: %+v\nincremental: %+v\ncold: %+v",
+					name, step, didReuse, dl, got, want)
+			}
+			if workers == 1 && got.Valuations != want.Valuations {
+				t.Fatalf("%s step %d (reused=%v): valuation counts diverge: incremental %d cold %d",
+					name, step, didReuse, got.Valuations, want.Valuations)
+			}
+			if didReuse {
+				reused++
+			} else {
+				cold++
+			}
+			prev = got
+		}
+		// The fixed seed makes the script deterministic: both paths
+		// must actually be exercised.
+		if reused == 0 || cold == 0 {
+			t.Fatalf("%s: script exercised reuse %d times, cold %d times", name, reused, cold)
 		}
 	}
 }
@@ -179,111 +168,105 @@ func recheckMicro(rng *rand.Rand) (qlang.Query, *relation.Database, *relation.Da
 // master deletes are mixed in to pin the other side — the gate refuses
 // them and the fallback still agrees with the oracle.
 func TestRecheckDeltaReuseProperty(t *testing.T) {
-	defer relation.SetInterning(relation.SetInterning(true))
-	for _, interned := range []bool{true, false} {
-		for _, workers := range []int{1, 8} {
-			relation.SetInterning(interned)
-			name := fmt.Sprintf("interned=%v workers=%d", interned, workers)
-			rng := rand.New(rand.NewSource(11))
-			q, d, dm, mkSet := recheckMicro(rng)
-			set := mkSet()
-			ck := &Checker{Workers: workers}
+	for _, workers := range []int{1, 8} {
+		name := fmt.Sprintf("workers=%d", workers)
+		rng := rand.New(rand.NewSource(11))
+		q, d, dm, mkSet := recheckMicro(rng)
+		set := mkSet()
+		ck := &Checker{Workers: workers}
 
-			prev, err := ck.RCDPCtx(context.Background(), q, d, dm, set)
-			if err != nil {
-				t.Fatalf("%s: initial check: %v", name, err)
-			}
-			reuses := 0
-			for step := 0; step < 40; step++ {
-				var dl *Delta
-				wantReuse := prev != nil && rng.Intn(5) > 0
-				ts := dm.Instance("M2").Tuples()
-				if !wantReuse {
-					// Pick a delete that keeps R[0] ⊆ π₀(M2), so the script
-					// never loses partial closure: either the projection
-					// value occurs on another row, or R never references it.
-					var cand relation.Tuple
-					for _, tu := range ts {
-						occurs, used := 0, false
-						for _, o := range ts {
-							if o[0] == tu[0] {
-								occurs++
-							}
+		prev, err := ck.RCDPCtx(context.Background(), q, d, dm, set)
+		if err != nil {
+			t.Fatalf("%s: initial check: %v", name, err)
+		}
+		reuses := 0
+		for step := 0; step < 40; step++ {
+			var dl *Delta
+			wantReuse := prev != nil && rng.Intn(5) > 0
+			ts := dm.Instance("M2").Tuples()
+			if !wantReuse {
+				// Pick a delete that keeps R[0] ⊆ π₀(M2), so the script
+				// never loses partial closure: either the projection
+				// value occurs on another row, or R never references it.
+				var cand relation.Tuple
+				for _, tu := range ts {
+					occurs, used := 0, false
+					for _, o := range ts {
+						if o[0] == tu[0] {
+							occurs++
 						}
-						for _, rt := range d.Instance("R").Tuples() {
-							if rt[0] == tu[0] {
-								used = true
-								break
-							}
-						}
-						if occurs > 1 || !used {
-							cand = tu.Clone()
+					}
+					for _, rt := range d.Instance("R").Tuples() {
+						if rt[0] == tu[0] {
+							used = true
 							break
 						}
 					}
-					if cand != nil {
-						dl = &Delta{Master: true, Deletes: map[string][]relation.Tuple{"M2": {cand}}}
-					} else {
-						wantReuse = prev != nil // no safe delete this round
+					if occurs > 1 || !used {
+						cand = tu.Clone()
+						break
 					}
 				}
-				if wantReuse {
-					// Projection-preserving, vocabulary-preserving master
-					// inserts: x from the live π₀(M2), y from the live active
-					// domain (earlier deletes may have evicted a value, so
-					// the static seed pool is not enough).
-					adom := append(d.ActiveDomain(), dm.ActiveDomain()...)
-					ins := make([]relation.Tuple, 1+rng.Intn(2))
-					for i := range ins {
-						x := ts[rng.Intn(len(ts))][0]
-						y := adom[rng.Intn(len(adom))]
-						ins[i] = relation.Tuple{x, y}
-					}
-					dl = &Delta{Master: true, Inserts: map[string][]relation.Tuple{"M2": ins}}
+				if cand != nil {
+					dl = &Delta{Master: true, Deletes: map[string][]relation.Tuple{"M2": {cand}}}
+				} else {
+					wantReuse = prev != nil // no safe delete this round
 				}
-				if dl == nil {
-					continue // no valid result and no safe delete this round
+			}
+			if wantReuse {
+				// Projection-preserving, vocabulary-preserving master
+				// inserts: x from the live π₀(M2), y from the live active
+				// domain (earlier deletes may have evicted a value, so
+				// the static seed pool is not enough).
+				adom := append(d.ActiveDomain(), dm.ActiveDomain()...)
+				ins := make([]relation.Tuple, 1+rng.Intn(2))
+				for i := range ins {
+					x := ts[rng.Intn(len(ts))][0]
+					y := adom[rng.Intn(len(adom))]
+					ins[i] = relation.Tuple{x, y}
 				}
+				dl = &Delta{Master: true, Inserts: map[string][]relation.Tuple{"M2": ins}}
+			}
+			if dl == nil {
+				continue // no valid result and no safe delete this round
+			}
 
-				if wantReuse && !dl.WitnessReusable(q, d, dm, set) {
-					t.Fatalf("%s step %d: constructed invisible delta rejected by gate: %+v", name, step, dl)
-				}
-				got, didReuse, gerr := ck.RecheckDeltaCtx(context.Background(), q, d, dm, set, prev, dl)
-				cd, cdm := rebuildDB(t, d), rebuildDB(t, dm)
-				want, werr := ck.RCDPCtx(context.Background(), q, cd, cdm, mkSet())
-				if (gerr == nil) != (werr == nil) {
-					t.Fatalf("%s step %d: incremental err=%v cold err=%v", name, step, gerr, werr)
-				}
-				if gerr != nil {
-					prev = nil
-					continue
-				}
-				if wantReuse != didReuse {
-					t.Fatalf("%s step %d: reuse=%v, want %v (delta %+v)", name, step, didReuse, wantReuse, dl)
-				}
-				if !sameRecheck(got, want) {
-					t.Fatalf("%s step %d (reused=%v): results diverge\nincremental: %+v\ncold: %+v",
-						name, step, didReuse, got, want)
-				}
-				if workers == 1 && got.Valuations != want.Valuations {
-					t.Fatalf("%s step %d: valuations diverge: %d vs %d", name, step, got.Valuations, want.Valuations)
-				}
-				if didReuse {
-					reuses++
-				}
-				prev = got
+			if wantReuse && !dl.WitnessReusable(q, d, dm, set) {
+				t.Fatalf("%s step %d: constructed invisible delta rejected by gate: %+v", name, step, dl)
 			}
-			if reuses < 10 {
-				t.Fatalf("%s: only %d reuses over the script", name, reuses)
+			got, didReuse, gerr := ck.RecheckDeltaCtx(context.Background(), q, d, dm, set, prev, dl)
+			cd, cdm := rebuildDB(t, d), rebuildDB(t, dm)
+			want, werr := ck.RCDPCtx(context.Background(), q, cd, cdm, mkSet())
+			if (gerr == nil) != (werr == nil) {
+				t.Fatalf("%s step %d: incremental err=%v cold err=%v", name, step, gerr, werr)
 			}
+			if gerr != nil {
+				prev = nil
+				continue
+			}
+			if wantReuse != didReuse {
+				t.Fatalf("%s step %d: reuse=%v, want %v (delta %+v)", name, step, didReuse, wantReuse, dl)
+			}
+			if !sameRecheck(got, want) {
+				t.Fatalf("%s step %d (reused=%v): results diverge\nincremental: %+v\ncold: %+v",
+					name, step, didReuse, got, want)
+			}
+			if workers == 1 && got.Valuations != want.Valuations {
+				t.Fatalf("%s step %d: valuations diverge: %d vs %d", name, step, got.Valuations, want.Valuations)
+			}
+			if didReuse {
+				reuses++
+			}
+			prev = got
+		}
+		if reuses < 10 {
+			t.Fatalf("%s: only %d reuses over the script", name, reuses)
 		}
 	}
 }
 
 // TestRecheckDeltaGate pins the invisibility gate's individual clauses.
 func TestRecheckDeltaGate(t *testing.T) {
-	defer relation.SetInterning(relation.SetInterning(true))
-	relation.SetInterning(true)
 	cfg := mdm.DefaultConfig()
 	cfg.DomesticCustomers = 8
 	cfg.Employees = 2
@@ -346,8 +329,6 @@ func TestRecheckDeltaGate(t *testing.T) {
 // answered from cache with the reuse counter advancing — plus the
 // non-reusable Unknown reasons, which must go cold.
 func TestRecheckDeltaReusesVerdicts(t *testing.T) {
-	defer relation.SetInterning(relation.SetInterning(true))
-	relation.SetInterning(true)
 	cfg := mdm.DefaultConfig()
 	cfg.DomesticCustomers = 8
 	cfg.Employees = 2

@@ -69,31 +69,26 @@ type Universe struct {
 // number of variables over the tableaux that will be instantiated.
 func NewUniverse(d, dm *relation.Database, q qlang.Query, v *cc.Set, nFresh int) *Universe {
 	u := &Universe{freshSet: make(map[relation.Value]bool, nFresh)}
-	isConst := internedConsts(u, d, dm, q, v)
-	if isConst == nil {
-		seen := make(map[relation.Value]bool)
-		if d != nil {
-			for _, val := range d.ActiveDomain() {
-				seen[val] = true
-			}
+	// The active ids of d and dm and the interned Q/V constants merge
+	// into one bitset and materialize in value order by scanning the
+	// dictionary's cached sort permutation — no string sort, no value
+	// map.
+	dict := relation.Shared()
+	set := dm.InternedIDs(d.InternedIDs(nil))
+	if q != nil {
+		for _, val := range q.Constants() {
+			set = relation.SetIDBit(set, dict.Intern(val))
 		}
-		if dm != nil {
-			for _, val := range dm.ActiveDomain() {
-				seen[val] = true
-			}
+	}
+	if v != nil {
+		for _, val := range v.Constants() {
+			set = relation.SetIDBit(set, dict.Intern(val))
 		}
-		if q != nil {
-			for _, val := range q.Constants() {
-				seen[val] = true
-			}
-		}
-		if v != nil {
-			for _, val := range v.Constants() {
-				seen[val] = true
-			}
-		}
-		u.Consts = relation.SortedValues(seen)
-		isConst = func(val relation.Value) bool { return seen[val] }
+	}
+	u.Consts = dict.SortedIDValues(set)
+	isConst := func(val relation.Value) bool {
+		id, ok := dict.ID(val)
+		return ok && relation.HasIDBit(set, id)
 	}
 	i := 0
 	for len(u.Fresh) < nFresh {
@@ -117,38 +112,6 @@ func NewUniverse(d, dm *relation.Database, q qlang.Query, v *cc.Set, nFresh int)
 // facts before placeholder patterns).
 func IsFreshValue(val relation.Value) bool {
 	return strings.HasPrefix(string(val), "⊥")
-}
-
-// internedConsts fills u.Consts through the shared dictionary when
-// every instance of d and dm is interned over it: the active ids merge
-// into one bitset and materialize in value order by scanning the
-// dictionary's cached sort permutation — no string sort, no value map.
-// It returns a membership test for the fresh-value collision check, or
-// nil when some instance forces the string path.
-func internedConsts(u *Universe, d, dm *relation.Database, q qlang.Query, v *cc.Set) func(relation.Value) bool {
-	set, ok := d.InternedIDs(nil)
-	if !ok {
-		return nil
-	}
-	if set, ok = dm.InternedIDs(set); !ok {
-		return nil
-	}
-	dict := relation.Shared()
-	if q != nil {
-		for _, val := range q.Constants() {
-			set = relation.SetIDBit(set, dict.Intern(val))
-		}
-	}
-	if v != nil {
-		for _, val := range v.Constants() {
-			set = relation.SetIDBit(set, dict.Intern(val))
-		}
-	}
-	u.Consts = dict.SortedIDValues(set)
-	return func(val relation.Value) bool {
-		id, ok := dict.ID(val)
-		return ok && relation.HasIDBit(set, id)
-	}
 }
 
 // IsFresh reports whether a value is one of the New values.

@@ -27,6 +27,39 @@ func deltaHeads(t *Tableau, d, delta *relation.Database) map[string]bool {
 	return out
 }
 
+// probeIndex returns the tuples whose column col holds v as the join
+// engine reads them: through the instance's IDIndex, scanning small
+// instances and walking the posting container otherwise.
+func probeIndex(in *relation.Instance, col int, v relation.Value) []relation.Tuple {
+	id, ok := relation.Shared().ID(v)
+	if !ok {
+		return nil
+	}
+	ix := in.IDs()
+	all := in.Tuples()
+	var out []relation.Tuple
+	if ix.Small() {
+		for r, got := range ix.Col(col) {
+			if got == id {
+				out = append(out, all[r])
+			}
+		}
+		return out
+	}
+	p := ix.Postings(col, id)
+	if p.Bits != nil {
+		p.Bits.ForEach(func(r int32) bool {
+			out = append(out, all[r])
+			return true
+		})
+		return out
+	}
+	for _, r := range p.Ranks {
+		out = append(out, all[r])
+	}
+	return out
+}
+
 func keySet(ts []relation.Tuple) map[string]bool {
 	out := make(map[string]bool, len(ts))
 	for _, t := range ts {
@@ -91,35 +124,31 @@ func randomDeltaCase(rng *rand.Rand) (*CQ, *relation.Database, *relation.Databas
 // evaluation against full re-evaluation: for monotone CQs,
 // Eval(d ∪ delta) = Eval(d) ∪ deltaHeads(d, delta) — exactly, because
 // every answer new in the union has a match using at least one delta
-// tuple. Runs with the indexed engine on and off.
+// tuple.
 func TestEvalFuncDeltaMatchesFullRandom(t *testing.T) {
-	defer SetIndexJoin(SetIndexJoin(true))
-	for _, indexed := range []bool{true, false} {
-		SetIndexJoin(indexed)
-		rng := rand.New(rand.NewSource(17))
-		for trial := 0; trial < 300; trial++ {
-			q, d, delta := randomDeltaCase(rng)
-			tb, err := q.Compiled()
-			if err != nil {
-				continue
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 300; trial++ {
+		q, d, delta := randomDeltaCase(rng)
+		tb, err := q.Compiled()
+		if err != nil {
+			continue
+		}
+		full := d.Union(delta)
+		want := keySet(tb.Eval(full))
+		base := keySet(tb.Eval(d))
+		got := deltaHeads(tb, d, delta)
+		// Soundness: every differential head is a union answer.
+		for k := range got {
+			if !want[k] {
+				t.Fatalf("trial %d: delta head %q not in Eval(d ∪ delta)\nq: %v\nd:\n%v\ndelta:\n%v",
+					trial, k, q, d, delta)
 			}
-			full := d.Union(delta)
-			want := keySet(tb.Eval(full))
-			base := keySet(tb.Eval(d))
-			got := deltaHeads(tb, d, delta)
-			// Soundness: every differential head is a union answer.
-			for k := range got {
-				if !want[k] {
-					t.Fatalf("indexed=%v trial %d: delta head %q not in Eval(d ∪ delta)\nq: %v\nd:\n%v\ndelta:\n%v",
-						indexed, trial, k, q, d, delta)
-				}
-			}
-			// Completeness: base ∪ differential covers the union.
-			for k := range want {
-				if !base[k] && !got[k] {
-					t.Fatalf("indexed=%v trial %d: union answer %q missed by base and delta\nq: %v\nd:\n%v\ndelta:\n%v",
-						indexed, trial, k, q, d, delta)
-				}
+		}
+		// Completeness: base ∪ differential covers the union.
+		for k := range want {
+			if !base[k] && !got[k] {
+				t.Fatalf("trial %d: union answer %q missed by base and delta\nq: %v\nd:\n%v\ndelta:\n%v",
+					trial, k, q, d, delta)
 			}
 		}
 	}
@@ -207,35 +236,10 @@ func TestCompiledBuildsOnce(t *testing.T) {
 	}
 }
 
-// TestIndexedEvalMatchesScanRandom cross-validates the indexed join
-// engine against the pure scan path on random queries and databases:
-// answers must be identical tuple-for-tuple.
-func TestIndexedEvalMatchesScanRandom(t *testing.T) {
-	defer SetIndexJoin(SetIndexJoin(true))
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 300; trial++ {
-		q, d, delta := randomDeltaCase(rng)
-		full := d.Union(delta)
-		SetIndexJoin(true)
-		indexed := q.Eval(full)
-		SetIndexJoin(false)
-		scanned := q.Eval(full)
-		if len(indexed) != len(scanned) {
-			t.Fatalf("trial %d: answer counts diverge: indexed %d scan %d\nq: %v\ndb:\n%v",
-				trial, len(indexed), len(scanned), q, full)
-		}
-		for i := range indexed {
-			if indexed[i].Key() != scanned[i].Key() {
-				t.Fatalf("trial %d: answers diverge at %d: indexed %v scan %v\nq: %v",
-					trial, i, indexed[i], scanned[i], q)
-			}
-		}
-	}
-}
-
-// TestLookupAndInvalidation pins the secondary-index contract on
-// Instance: Lookup returns exactly the matching tuples in Tuples()
-// order, and Add/Remove invalidate via the generation counter.
+// TestLookupAndInvalidation pins the secondary-index contract the join
+// engine relies on: an IDIndex probe returns exactly the matching
+// tuples in Tuples() order, and Add/Remove invalidate via the
+// generation counter.
 func TestLookupAndInvalidation(t *testing.T) {
 	rs := relation.NewSchema("R", relation.Attr("a"), relation.Attr("b"))
 	in := relation.NewInstance(rs)
@@ -248,7 +252,7 @@ func TestLookupAndInvalidation(t *testing.T) {
 		for col := 0; col < 2; col++ {
 			seen := make(map[relation.Value]int)
 			for _, v := range vals {
-				bucket := in.Lookup(col, relation.Value(v))
+				bucket := probeIndex(in, col, relation.Value(v))
 				// Bucket must equal the filtered scan, in scan order.
 				var want []relation.Tuple
 				for _, tup := range in.Tuples() {
@@ -321,10 +325,9 @@ func TestTupleKeyCollisionFree(t *testing.T) {
 
 // TestPlanOrderCostBased pins the planner on a case where cardinality
 // matters: with a huge unselective relation and a tiny one, the
-// cost-based order must start from the tiny one even though the greedy
-// most-bound-first order would not.
+// cost-based order must start from the tiny one even though template
+// order would not.
 func TestPlanOrderCostBased(t *testing.T) {
-	defer SetIndexJoin(SetIndexJoin(true))
 	big := relation.NewSchema("Big", relation.Attr("a"), relation.Attr("b"))
 	small := relation.NewSchema("Small", relation.Attr("b"))
 	d := relation.NewDatabase(big, small)
@@ -333,8 +336,8 @@ func TestPlanOrderCostBased(t *testing.T) {
 	}
 	d.MustAdd("Small", "y07")
 
-	// q(x) :- Big(x, y), Small(y). Greedy picks Big first (template
-	// order); cost-based starts at Small (1 tuple vs 50).
+	// q(x) :- Big(x, y), Small(y). Template order leads with Big;
+	// cost-based starts at Small (1 tuple vs 50).
 	q := New("plan", []query.Term{v("x")},
 		[]query.RelAtom{atom("Big", v("x"), v("y")), atom("Small", v("y"))})
 	tb, err := q.Compiled()

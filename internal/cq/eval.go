@@ -2,26 +2,11 @@ package cq
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
-
-// indexJoin gates the indexed join engine. When disabled (the -noindex
-// ablation), evaluation falls back to the original greedy planner and
-// pure nested-loop scans, giving a clean before/after comparison.
-var indexJoin atomic.Bool
-
-func init() { indexJoin.Store(true) }
-
-// SetIndexJoin toggles the indexed join engine and returns the previous
-// setting, so callers can restore it: defer cq.SetIndexJoin(cq.SetIndexJoin(x)).
-func SetIndexJoin(on bool) bool { return indexJoin.Swap(on) }
-
-// IndexJoinEnabled reports whether the indexed join engine is active.
-func IndexJoinEnabled() bool { return indexJoin.Load() }
 
 // Eval evaluates the CQ over the database and returns the set of answer
 // tuples in deterministic order. Boolean queries return either the empty
@@ -54,31 +39,45 @@ func (q *CQ) EvalBool(d *relation.Database) bool {
 }
 
 // Eval evaluates the tableau over the database. Atoms are joined in a
-// cost-based order with index lookups on bound columns; inequality
+// cost-based order with index probes on bound columns; inequality
 // conditions are checked as soon as both sides are bound.
 func (t *Tableau) Eval(d *relation.Database) []relation.Tuple {
 	out, _ := t.EvalGate(d, nil)
 	return out
 }
 
-// EvalGate is Eval under gate governance (see CQ.EvalGate).
+// EvalGate is Eval under gate governance (see CQ.EvalGate). Answers
+// dedup on fixed-width id-keys (no per-leaf Binding, HeadTuple or
+// string Key) and materialize to sorted tuples once at the end.
 func (t *Tableau) EvalGate(d *relation.Database, g *query.Gate) ([]relation.Tuple, error) {
-	if out, handled, err := t.evalGateInterned(d, g); handled {
-		return out, err
-	}
-	results := make(map[string]relation.Tuple)
-	err := t.EvalFuncGate(d, g, func(b query.Binding) bool {
-		if h, ok := t.HeadTuple(b); ok {
-			results[h.Key()] = h
+	gs := gate(g)
+	var es evalStats
+	st := t.isetup(d, nil, gs, &es)
+	seen := make(map[string]bool)
+	var answers [][]int32
+	var kbuf []byte
+	st.leaf = st.headLeaf(func(head []int32) bool {
+		kbuf = relation.AppendIDKey(kbuf[:0], head)
+		if !seen[string(kbuf)] {
+			seen[string(kbuf)] = true
+			answers = append(answers, append([]int32(nil), head...))
 		}
-		return true // keep enumerating
+		return true
 	})
-	if err != nil {
+	if !st.ip.unsat && st.ip.headBound {
+		st.run(t.planOrder(d), 0)
+	}
+	es.flush()
+	if err := gs.finish(); err != nil {
 		return nil, err
 	}
-	out := make([]relation.Tuple, 0, len(results))
-	for _, tup := range results {
-		out = append(out, tup)
+	out := make([]relation.Tuple, len(answers))
+	for i, ids := range answers {
+		tp := make(relation.Tuple, len(ids))
+		for j, id := range ids {
+			tp[j] = st.vals[id]
+		}
+		out[i] = tp
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out, nil
@@ -95,24 +94,13 @@ func (t *Tableau) EvalFunc(d *relation.Database, fn func(query.Binding) bool) {
 // enumerated by the join charges one row-step on g, and the first gate
 // error aborts enumeration and is returned. A nil gate is free.
 func (t *Tableau) EvalFuncGate(d *relation.Database, g *query.Gate, fn func(query.Binding) bool) error {
-	if len(t.Templates) == 0 {
-		// A query without relation atoms never arises from Validate'd
-		// input, but handle it as "true once" if diseqs hold on the
-		// empty binding (i.e. there are no variable diseqs).
-		b := query.Binding{}
-		if t.DiseqsHold(b) {
-			fn(b)
-		}
-		return nil
-	}
-	if handled, err := t.evalFuncInterned(d, g, fn); handled {
-		return err
-	}
-	order := t.planOrder(d)
-	b := make(query.Binding, len(t.Vars))
 	gs := gate(g)
 	var es evalStats
-	t.join(d, order, 0, b, fn, gs, &es)
+	st := t.isetup(d, nil, gs, &es)
+	st.leaf = st.bindingLeaf(t.Vars, fn)
+	if !st.ip.unsat {
+		st.run(t.planOrder(d), 0)
+	}
 	es.flush()
 	return gs.finish()
 }
@@ -207,18 +195,14 @@ func (gs *gateState) finish() error {
 	return gs.err
 }
 
-// planOrder orders the templates for the join. With the indexed engine
-// it is cost-based: each step picks the unused template with the lowest
-// estimated candidate count given the variables bound so far, where an
-// equality probe on a bound column of instance in is expected to match
-// about in.Len()/in.Distinct(col) tuples and an unbound template costs a
-// full scan. Ties break toward fewer newly-bound variables, then lowest
-// template position, keeping the order deterministic. With the engine
-// disabled it falls back to the original greedy most-bound-first order.
+// planOrder orders the templates for the join, cost-based: each step
+// picks the unused template with the lowest estimated candidate count
+// given the variables bound so far, where an equality probe on a bound
+// column of instance in is expected to match about
+// in.Len()/in.Distinct(col) tuples and an unbound template costs a full
+// scan. Ties break toward fewer newly-bound variables, then lowest
+// template position, keeping the order deterministic.
 func (t *Tableau) planOrder(d *relation.Database) []int {
-	if !IndexJoinEnabled() || d == nil {
-		return t.planOrderGreedy()
-	}
 	n := len(t.Templates)
 	used := make([]bool, n)
 	bound := make(map[string]bool)
@@ -272,126 +256,6 @@ func templateCost(d *relation.Database, atom query.RelAtom, bound map[string]boo
 	return cost, newVars
 }
 
-// planOrderGreedy is the legacy planner: order templates so that each
-// step binds as few new variables as possible.
-func (t *Tableau) planOrderGreedy() []int {
-	n := len(t.Templates)
-	used := make([]bool, n)
-	bound := make(map[string]bool)
-	order := make([]int, 0, n)
-	for len(order) < n {
-		best, bestNew := -1, 1<<30
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			newVars := 0
-			for _, a := range t.Templates[i].Args {
-				if a.IsVar && !bound[a.Name] {
-					newVars++
-				}
-			}
-			if newVars < bestNew {
-				best, bestNew = i, newVars
-			}
-		}
-		used[best] = true
-		order = append(order, best)
-		for _, a := range t.Templates[best].Args {
-			if a.IsVar {
-				bound[a.Name] = true
-			}
-		}
-	}
-	return order
-}
-
-// joinTuples returns the candidate tuples for matching atom under the
-// current binding: the most selective index bucket when some argument is
-// already bound (or constant) and indexing is enabled, otherwise the
-// full deterministic scan. Index buckets are sorted subsequences of the
-// full scan, so candidate enumeration order — and hence every
-// enumeration-order-sensitive observation downstream — is unchanged.
-// Probe-vs-scan decisions accumulate into es.
-func joinTuples(in *relation.Instance, atom query.RelAtom, b query.Binding, es *evalStats) []relation.Tuple {
-	if IndexJoinEnabled() {
-		if col, val, ok := bestBoundArg(in, atom, b); ok {
-			es.probes++
-			return in.Lookup(col, val)
-		}
-	}
-	es.scans++
-	return in.Tuples()
-}
-
-// bestBoundArg picks, among the atom's bound arguments (constants and
-// already-bound variables), the column with the most distinct values —
-// the most selective equality probe. The first such column wins ties,
-// keeping the choice deterministic.
-func bestBoundArg(in *relation.Instance, atom query.RelAtom, b query.Binding) (int, relation.Value, bool) {
-	best, bestDc := -1, -1
-	var bestVal relation.Value
-	for i, arg := range atom.Args {
-		var v relation.Value
-		if arg.IsVar {
-			bv, ok := b[arg.Name]
-			if !ok {
-				continue
-			}
-			v = bv
-		} else {
-			v = arg.Val
-		}
-		if dc := in.Distinct(i); dc > bestDc {
-			best, bestDc, bestVal = i, dc, v
-		}
-	}
-	return best, bestVal, best >= 0
-}
-
-// join recursively matches template order[k] against the database.
-func (t *Tableau) join(d *relation.Database, order []int, k int, b query.Binding, fn func(query.Binding) bool, gs *gateState, es *evalStats) bool {
-	if k == len(order) {
-		if !t.DiseqsHold(b) {
-			return true
-		}
-		return fn(b)
-	}
-	atom := t.Templates[order[k]]
-	in := d.Instance(atom.Rel)
-	if in == nil {
-		return true
-	}
-	for _, tup := range joinTuples(in, atom, b, es) {
-		es.rows++
-		if !gs.step() {
-			return false
-		}
-		newly := b.Match(atom, tup)
-		if newly == nil {
-			continue
-		}
-		ok := true
-		for _, dq := range t.Diseqs {
-			if holds, known := dq.Holds(b); known && !holds {
-				ok = false
-				break
-			}
-		}
-		cont := true
-		if ok {
-			cont = t.join(d, order, k+1, b, fn, gs, es)
-		}
-		for _, v := range newly {
-			delete(b, v)
-		}
-		if !cont {
-			return false
-		}
-	}
-	return true
-}
-
 // EvalFuncDelta enumerates bindings of the tableau over d ∪ delta
 // restricted to matches that use at least one delta tuple, without ever
 // materializing the union. It implements one step of semi-naive
@@ -409,85 +273,30 @@ func (t *Tableau) EvalFuncDelta(d, delta *relation.Database, fn func(query.Bindi
 // candidate tuple charges one row-step; the first gate error aborts
 // enumeration and is returned. A nil gate is free.
 func (t *Tableau) EvalFuncDeltaGate(d, delta *relation.Database, g *query.Gate, fn func(query.Binding) bool) error {
-	if len(t.Templates) == 0 {
-		return nil // no templates: answers cannot change
-	}
-	if handled, err := t.evalFuncDeltaInterned(d, delta, g, fn); handled {
-		return err
-	}
 	gs := gate(g)
 	var es evalStats
-	for j := range t.Templates {
-		b := make(query.Binding, len(t.Vars))
-		if !t.joinDelta(d, delta, j, b, fn, gs, &es) {
-			break
-		}
+	st := t.isetup(d, delta, gs, &es)
+	st.leaf = st.bindingLeaf(t.Vars, fn)
+	if !st.ip.unsat {
+		st.runDeltaAll(len(t.Templates))
 	}
 	es.flush()
 	return gs.finish()
 }
 
-// joinDelta is join with template deltaAt reading only from delta and
-// every other template reading the d/delta overlay. Template order is
-// positional (no planning): delta instances are typically tiny, so the
-// deltaAt template leads and binds its variables first.
-func (t *Tableau) joinDelta(d, delta *relation.Database, deltaAt int, b query.Binding, fn func(query.Binding) bool, gs *gateState, es *evalStats) bool {
-	// Visit deltaAt first, then the others positionally.
-	idx := make([]int, 0, len(t.Templates))
-	idx = append(idx, deltaAt)
-	for i := range t.Templates {
-		if i != deltaAt {
-			idx = append(idx, i)
-		}
+// EvalFuncDeltaIDsGate is EvalFuncDeltaGate with fn receiving the head
+// tuple as dictionary ids (the slice is reused between calls) instead
+// of a materialized Binding, which is what lets cc's incremental
+// constraint check compare heads against its id-keyed p(Dm) memo
+// without any per-leaf string work.
+func (t *Tableau) EvalFuncDeltaIDsGate(d, delta *relation.Database, g *query.Gate, fn func(head []int32) bool) error {
+	gs := gate(g)
+	var es evalStats
+	st := t.isetup(d, delta, gs, &es)
+	st.leaf = st.headLeaf(fn)
+	if !st.ip.unsat && st.ip.headBound {
+		st.runDeltaAll(len(t.Templates))
 	}
-	var rec func(pos int) bool
-	rec = func(pos int) bool {
-		if pos == len(idx) {
-			if !t.DiseqsHold(b) {
-				return true
-			}
-			return fn(b)
-		}
-		atom := t.Templates[idx[pos]]
-		srcs := [2]*relation.Database{d, delta}
-		parts := srcs[:2]
-		if idx[pos] == deltaAt {
-			parts = srcs[1:2]
-		}
-		for _, src := range parts {
-			in := src.Instance(atom.Rel)
-			if in == nil {
-				continue
-			}
-			for _, tup := range joinTuples(in, atom, b, es) {
-				es.rows++
-				if !gs.step() {
-					return false
-				}
-				newly := b.Match(atom, tup)
-				if newly == nil {
-					continue
-				}
-				ok := true
-				for _, dq := range t.Diseqs {
-					if holds, known := dq.Holds(b); known && !holds {
-						ok = false
-						break
-					}
-				}
-				cont := true
-				if ok {
-					cont = rec(pos + 1)
-				}
-				for _, v := range newly {
-					delete(b, v)
-				}
-				if !cont {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	return rec(0)
+	es.flush()
+	return gs.finish()
 }

@@ -2,19 +2,19 @@ package cq
 
 import (
 	"math/bits"
-	"sort"
 
 	"repro/internal/query"
 	"repro/internal/relation"
 )
 
-// This file is the interned join engine: the same recursion, planner,
-// probe choice and gate accounting as the string engine in eval.go, but
-// over dictionary ids and posting lists instead of Value maps and hash
-// buckets. The two engines must be observably identical — answer sets,
-// enumeration order, row/probe/scan counts, gate charges — because the
-// legacy path doubles as the correctness oracle (SetInterning ablation)
-// and the decision procedures compare BudgetStats across both.
+// This file is the join engine: a backtracking nested-loop join over
+// dictionary ids and posting lists. Variables compile to slots, the
+// plain join follows the cost-based template order of planOrder and
+// probes the most selective bound column, differential evaluation leads
+// with the delta template. Its independent reference is the naive
+// nested-loop evaluator of naive_test.go, which the randomized
+// differential test in reference_test.go checks every entry point
+// against.
 
 // iterm is one compiled term: a non-negative value is an index into the
 // tableau's sorted Vars (a slot), a negative value encodes a constant
@@ -23,24 +23,24 @@ type iterm int32
 
 // iplan is the compiled slot plan of a tableau: templates, head and
 // inequality terms rewritten to variable slots and constant indexes.
-// ok is false when the plan cannot drive evaluation — no templates, or
-// a head/inequality variable that no template binds — in which case the
-// legacy engine runs.
+// Queries that passed CQ.Validate bind every variable in some template;
+// for hand-made unsafe ones the plan records what the variables no
+// template binds imply: an inequality over one can never be decided
+// true, so no binding satisfies the query (unsat), and a head over one
+// cannot be instantiated, so no answer tuple exists (!headBound).
 type iplan struct {
-	ok     bool
-	consts []relation.Value
-	tmpls  [][]iterm
-	head   []iterm
-	diseqs [][2]iterm
+	consts    []relation.Value
+	tmpls     [][]iterm
+	head      []iterm
+	diseqs    [][2]iterm
+	unsat     bool
+	headBound bool
 }
 
 // buildIPlan compiles the tableau's terms into slots. It is cheap and
 // deterministic, so it runs unconditionally at BuildTableau time.
 func (t *Tableau) buildIPlan() *iplan {
 	ip := &iplan{}
-	if len(t.Templates) == 0 {
-		return ip
-	}
 	slot := make(map[string]int, len(t.Vars))
 	for i, v := range t.Vars {
 		slot[v] = i
@@ -71,27 +71,34 @@ func (t *Tableau) buildIPlan() *iplan {
 		}
 		ip.tmpls[i] = args
 	}
+	bound := func(tm iterm) bool { return tm < 0 || covered[tm] }
 	ip.head = make([]iterm, len(t.Head))
+	ip.headBound = true
 	for i, h := range t.Head {
 		ip.head[i] = term(h, false)
+		ip.headBound = ip.headBound && bound(ip.head[i])
 	}
 	for _, dq := range t.Diseqs {
-		ip.diseqs = append(ip.diseqs, [2]iterm{term(dq.L, false), term(dq.R, false)})
-	}
-	ip.ok = true
-	for _, c := range covered {
-		if !c {
-			ip.ok = false
-			break
-		}
+		pair := [2]iterm{term(dq.L, false), term(dq.R, false)}
+		ip.diseqs = append(ip.diseqs, pair)
+		ip.unsat = ip.unsat || !bound(pair[0]) || !bound(pair[1])
 	}
 	return ip
 }
 
-// ijoin is one enumeration's state for the interned engine: the slot
-// binding (ids, -1 unbound), resolved constant ids, the trail of newly
-// bound slots for unwinding, and the per-template instances of the
-// base (and, for delta evaluation, delta) database.
+// plan returns the compiled slot plan; tableaux not built by
+// BuildTableau compile theirs per call.
+func (t *Tableau) plan() *iplan {
+	if t.ip == nil {
+		return t.buildIPlan()
+	}
+	return t.ip
+}
+
+// ijoin is one enumeration's state: the slot binding (ids, -1
+// unbound), resolved constant ids, the trail of newly bound slots for
+// unwinding, and the per-template instances of the base (and, for delta
+// evaluation, delta) database. A nil instance contributes no rows.
 type ijoin struct {
 	ip   *iplan
 	vals []relation.Value // dictionary snapshot for materialization
@@ -111,15 +118,12 @@ type ijoin struct {
 	leaf func() bool
 }
 
-// isetup compiles the fast-path preconditions: interning on, a usable
-// plan, and every present template instance interned over the shared
-// dictionary with matching arity. ok=false sends the evaluation to the
-// legacy engine.
-func (t *Tableau) isetup(d *relation.Database, gs *gateState, es *evalStats) (*ijoin, bool) {
-	ip := t.ip
-	if ip == nil || !ip.ok || !relation.InterningEnabled() {
-		return nil, false
-	}
+// isetup prepares one enumeration over d and, when delta is non-nil,
+// the delta database. A relation missing from a database, or whose
+// arity differs from the template's, contributes no rows — exactly as
+// no tuple of it could match the template.
+func (t *Tableau) isetup(d, delta *relation.Database, gs *gateState, es *evalStats) *ijoin {
+	ip := t.plan()
 	dict := relation.Shared()
 	n := len(t.Templates)
 	nc, nv := len(ip.consts), len(t.Vars)
@@ -144,15 +148,17 @@ func (t *Tableau) isetup(d *relation.Database, gs *gateState, es *evalStats) (*i
 		es:    es,
 	}
 	for i, a := range t.Templates {
-		in := d.Instance(a.Rel)
-		if in == nil {
+		if in := d.Instance(a.Rel); in != nil && in.Schema.Arity() == len(a.Args) {
+			st.ins[i] = in
+			st.ixs[i] = in.IDs()
+		}
+		if delta == nil {
 			continue
 		}
-		if in.InternDict() != dict || in.Schema.Arity() != len(a.Args) {
-			return nil, false
+		if in := delta.Instance(a.Rel); in != nil && in.Schema.Arity() == len(a.Args) {
+			st.dins[i] = in
+			st.dixs[i] = in.IDs()
 		}
-		st.ins[i] = in
-		st.ixs[i] = in.IDs()
 	}
 	for i, c := range ip.consts {
 		st.cids[i] = dict.Intern(c)
@@ -161,28 +167,7 @@ func (t *Tableau) isetup(d *relation.Database, gs *gateState, es *evalStats) (*i
 		st.slots[i] = -1
 	}
 	st.vals = dict.Snapshot()
-	return st, true
-}
-
-// ideltaSetup extends isetup with the delta database's instances.
-func (t *Tableau) ideltaSetup(d, delta *relation.Database, gs *gateState, es *evalStats) (*ijoin, bool) {
-	st, ok := t.isetup(d, gs, es)
-	if !ok {
-		return nil, false
-	}
-	dict := relation.Shared()
-	for i, a := range t.Templates {
-		in := delta.Instance(a.Rel)
-		if in == nil {
-			continue
-		}
-		if in.InternDict() != dict || in.Schema.Arity() != len(a.Args) {
-			return nil, false
-		}
-		st.dins[i] = in
-		st.dixs[i] = in.IDs()
-	}
-	return st, true
+	return st
 }
 
 // resolve returns the id of a term under the current binding; bound is
@@ -220,7 +205,7 @@ func (st *ijoin) next(f iframe) bool {
 	return st.run(f.order, f.k+1)
 }
 
-// run recursively matches template order[k], mirroring Tableau.join.
+// run recursively matches template order[k].
 func (st *ijoin) run(order []int, k int) bool {
 	if k == len(order) {
 		return st.leaf()
@@ -232,8 +217,11 @@ func (st *ijoin) run(order []int, k int) bool {
 	return st.enum(st.ixs[ti], st.ip.tmpls[ti], iframe{order: order, k: k})
 }
 
-// runDelta mirrors Tableau.joinDelta: template idx[k] reads only delta
-// when it is the deltaAt position, otherwise d then delta.
+// runDelta matches template idx[k] for differential evaluation: the
+// deltaAt template reads only delta, every other template reads d and
+// then delta. Template order is positional after the leading deltaAt
+// template: delta instances are typically tiny, so it binds its
+// variables first.
 func (st *ijoin) runDelta(idx []int, k, deltaAt int) bool {
 	if k == len(idx) {
 		return st.leaf()
@@ -257,8 +245,7 @@ func (st *ijoin) runDelta(idx []int, k, deltaAt int) bool {
 }
 
 // runDeltaAll drives one delta pass per template position, with a
-// fresh binding each time — the interned counterpart of the
-// EvalFuncDeltaGate loop body.
+// fresh binding each time.
 func (st *ijoin) runDeltaAll(n int) {
 	var ib [8]int
 	idx := ib[:min(n, len(ib))]
@@ -285,22 +272,22 @@ func (st *ijoin) runDeltaAll(n int) {
 }
 
 // enum enumerates the candidate rows of one template against one
-// instance: the most selective posting container when an argument is
-// bound and indexing is enabled (the same probe-column rule as
-// bestBoundArg, so candidate sets and counts match the legacy engine
-// exactly), otherwise the full rank scan.
+// instance: when some argument is bound (a constant or an already-bound
+// variable), the posting container of the bound column with the most
+// distinct values — the most selective equality probe, first such
+// column on ties — otherwise the full rank scan. Posting containers are
+// ascending rank subsequences of the scan, so candidate enumeration
+// order is the deterministic tuple order either way.
 func (st *ijoin) enum(ix relation.IDIndex, args []iterm, f iframe) bool {
 	probeCol, bestDc := -1, -1
 	var probeID int32
-	if IndexJoinEnabled() {
-		for i, a := range args {
-			id, bound := st.resolve(a)
-			if !bound {
-				continue
-			}
-			if dc := ix.Distinct(i); dc > bestDc {
-				probeCol, probeID, bestDc = i, id, dc
-			}
+	for i, a := range args {
+		id, bound := st.resolve(a)
+		if !bound {
+			continue
+		}
+		if dc := ix.Distinct(i); dc > bestDc {
+			probeCol, probeID, bestDc = i, id, dc
 		}
 	}
 	if probeCol >= 0 {
@@ -391,116 +378,29 @@ func (st *ijoin) tryRank(ix relation.IDIndex, args []iterm, rank int32, f iframe
 	return cont
 }
 
-// evalGateInterned is the fast path of EvalGate: answers dedup on
-// fixed-width id-keys (no per-leaf Binding, HeadTuple or string Key)
-// and materialize to sorted tuples once at the end. handled=false
-// falls back to the legacy engine.
-func (t *Tableau) evalGateInterned(d *relation.Database, g *query.Gate) (out []relation.Tuple, handled bool, err error) {
-	gs := gate(g)
-	var es evalStats
-	st, ok := t.isetup(d, gs, &es)
-	if !ok {
-		return nil, false, nil
-	}
-	seen := make(map[string]bool)
-	var answers [][]int32
-	hbuf := make([]int32, len(t.Head))
-	var kbuf []byte
-	st.leaf = func() bool {
-		for i, h := range st.ip.head {
-			hbuf[i], _ = st.resolve(h)
-		}
-		kbuf = relation.AppendIDKey(kbuf[:0], hbuf)
-		if !seen[string(kbuf)] {
-			seen[string(kbuf)] = true
-			answers = append(answers, append([]int32(nil), hbuf...))
-		}
-		return true
-	}
-	st.run(t.planOrder(d), 0)
-	es.flush()
-	if err := gs.finish(); err != nil {
-		return nil, true, err
-	}
-	out = make([]relation.Tuple, len(answers))
-	for i, ids := range answers {
-		tp := make(relation.Tuple, len(ids))
-		for j, id := range ids {
-			tp[j] = st.vals[id]
-		}
-		out[i] = tp
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out, true, nil
-}
-
 // bindingLeaf adapts a Binding-consuming fn to the slot engine: one
-// reused map is refreshed from the slots at each leaf. All slots are
-// bound there (the plan requires template coverage), so the contents
-// match the legacy engine's binding exactly.
+// reused map is refreshed from the slots at each leaf. Every slot a
+// template binds is bound there; slots of variables no template binds
+// (unsafe, unvalidated queries) stay out of the binding.
 func (st *ijoin) bindingLeaf(vars []string, fn func(query.Binding) bool) func() bool {
 	b := make(query.Binding, len(vars))
 	return func() bool {
 		for s, name := range vars {
-			b[name] = st.vals[st.slots[s]]
+			if id := st.slots[s]; id >= 0 {
+				b[name] = st.vals[id]
+			}
 		}
 		return fn(b)
 	}
 }
 
-// evalFuncInterned is the fast path of EvalFuncGate.
-func (t *Tableau) evalFuncInterned(d *relation.Database, g *query.Gate, fn func(query.Binding) bool) (handled bool, err error) {
-	gs := gate(g)
-	var es evalStats
-	st, ok := t.isetup(d, gs, &es)
-	if !ok {
-		return false, nil
-	}
-	st.leaf = st.bindingLeaf(t.Vars, fn)
-	st.run(t.planOrder(d), 0)
-	es.flush()
-	return true, gs.finish()
-}
-
-// evalFuncDeltaInterned is the fast path of EvalFuncDeltaGate.
-func (t *Tableau) evalFuncDeltaInterned(d, delta *relation.Database, g *query.Gate, fn func(query.Binding) bool) (handled bool, err error) {
-	gs := gate(g)
-	var es evalStats
-	st, ok := t.ideltaSetup(d, delta, gs, &es)
-	if !ok {
-		return false, nil
-	}
-	st.leaf = st.bindingLeaf(t.Vars, fn)
-	st.runDeltaAll(len(t.Templates))
-	es.flush()
-	return true, gs.finish()
-}
-
-// EvalFuncDeltaIDsGate is EvalFuncDeltaGate specialized to interned
-// callers: fn receives the head tuple as dictionary ids (the slice is
-// reused between calls) instead of a materialized Binding, which is
-// what lets cc's incremental constraint check compare heads against its
-// id-keyed p(Dm) memo without any per-leaf string work. handled=false
-// means some involved instance uses legacy storage and the caller must
-// fall back to EvalFuncDeltaGate.
-func (t *Tableau) EvalFuncDeltaIDsGate(d, delta *relation.Database, g *query.Gate, fn func(head []int32) bool) (handled bool, err error) {
-	if len(t.Templates) == 0 {
-		return true, nil // no templates: answers cannot change
-	}
-	gs := gate(g)
-	var es evalStats
-	st, ok := t.ideltaSetup(d, delta, gs, &es)
-	if !ok {
-		return false, nil
-	}
-	hbuf := make([]int32, len(t.Head))
-	st.leaf = func() bool {
+// headLeaf resolves the head into hbuf at each leaf and hands it to fn.
+func (st *ijoin) headLeaf(fn func(head []int32) bool) func() bool {
+	hbuf := make([]int32, len(st.ip.head))
+	return func() bool {
 		for i, h := range st.ip.head {
 			hbuf[i], _ = st.resolve(h)
 		}
 		return fn(hbuf)
 	}
-	st.runDeltaAll(len(t.Templates))
-	es.flush()
-	return true, gs.finish()
 }

@@ -34,9 +34,8 @@ type Tableau struct {
 	Diseqs    []query.EqAtom  // remaining ≠ conditions (rewritten)
 	Vars      []string        // sorted distinct variables of the tableau
 
-	// ip is the compiled slot plan of the interned join engine
-	// (ieval.go); nil on hand-built tableaux, which then evaluate on
-	// the legacy string path.
+	// ip is the compiled slot plan of the join engine (ieval.go); nil
+	// on hand-built tableaux, which compile it per evaluation.
 	ip *iplan
 
 	// applyPool recycles the database fragments Apply builds: the
@@ -246,10 +245,9 @@ outer:
 }
 
 // pooledDatabase returns a recycled, emptied fragment matching the
-// schema list exactly — same relations, same schema objects, same
-// storage mode as a fresh build would use — or nil when the pool has
-// nothing usable (the mismatch case only arises when one tableau is
-// applied under different schema maps, or across a SetInterning flip).
+// schema list exactly — same relations, same schema objects — or nil
+// when the pool has nothing usable (the mismatch case only arises when
+// one tableau is applied under different schema maps).
 func (t *Tableau) pooledDatabase(ss []*relation.Schema) *relation.Database {
 	db, _ := t.applyPool.Get().(*relation.Database)
 	if db == nil {
@@ -260,7 +258,7 @@ func (t *Tableau) pooledDatabase(ss []*relation.Schema) *relation.Database {
 	}
 	for _, s := range ss {
 		in := db.Instance(s.Name)
-		if in == nil || in.Schema != s || in.Interned() != relation.InterningEnabled() {
+		if in == nil || in.Schema != s {
 			return nil
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/mdm"
-	"repro/internal/relation"
 )
 
 // evidenceConfig is the base mining-evidence scenario: fully complete,
@@ -128,38 +127,31 @@ func TestMineRecoversJoinRegime(t *testing.T) {
 // TestMineEmittedReverifiedByChecker is the property test of the
 // acceptance criteria: every emitted constraint, re-checked from
 // scratch by core.RCDPCtx on every evidence pair, is Complete for its
-// own left-hand-side query — across Workers 1/8 and both storage
-// engines.
+// own left-hand-side query — across Workers 1/8.
 func TestMineEmittedReverifiedByChecker(t *testing.T) {
-	for _, intern := range []bool{true, false} {
-		prev := relation.SetInterning(intern)
-		func() {
-			defer relation.SetInterning(prev)
-			for _, cfgMod := range []int{0, 3} {
-				cfg := evidenceConfig()
-				cfg.SupportInternational = cfgMod
-				res, pairs := mineOver(t, cfg, 4, Options{})
-				if len(res.Mined) == 0 {
-					t.Fatalf("intern=%v suppIntl=%d: nothing mined", intern, cfgMod)
-				}
-				for _, workers := range []int{1, 8} {
-					ck := &core.Checker{Workers: workers}
-					for _, m := range res.Mined {
-						for pi, p := range pairs {
-							r, err := ck.RCDPCtx(context.Background(), m.Constraint.Q, p.D, p.Dm,
-								cc.NewSet(m.Constraint))
-							if err != nil {
-								t.Fatalf("intern=%v workers=%d pair %d %s: %v", intern, workers, pi, m.Constraint.Name, err)
-							}
-							if r.Verdict != core.VerdictComplete {
-								t.Fatalf("intern=%v workers=%d pair %d: emitted %s re-verifies %v",
-									intern, workers, pi, m.Constraint.Name, r.Verdict)
-							}
-						}
+	for _, cfgMod := range []int{0, 3} {
+		cfg := evidenceConfig()
+		cfg.SupportInternational = cfgMod
+		res, pairs := mineOver(t, cfg, 4, Options{})
+		if len(res.Mined) == 0 {
+			t.Fatalf("suppIntl=%d: nothing mined", cfgMod)
+		}
+		for _, workers := range []int{1, 8} {
+			ck := &core.Checker{Workers: workers}
+			for _, m := range res.Mined {
+				for pi, p := range pairs {
+					r, err := ck.RCDPCtx(context.Background(), m.Constraint.Q, p.D, p.Dm,
+						cc.NewSet(m.Constraint))
+					if err != nil {
+						t.Fatalf("workers=%d pair %d %s: %v", workers, pi, m.Constraint.Name, err)
+					}
+					if r.Verdict != core.VerdictComplete {
+						t.Fatalf("workers=%d pair %d: emitted %s re-verifies %v",
+							workers, pi, m.Constraint.Name, r.Verdict)
 					}
 				}
 			}
-		}()
+		}
 	}
 }
 

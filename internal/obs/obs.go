@@ -87,11 +87,10 @@ var (
 	// by an insert-only master batch instead of rebuilt.
 	PDmPatches = NewCounter("relcomp_cc_pdm_cache_patches_total",
 		"master-side projection cache incremental patches")
-	// IndexBuilds counts secondary column-index materializations in the
-	// relation substrate (legacy hash indexes and interned posting
-	// columns alike).
+	// IndexBuilds counts posting-column index materializations in the
+	// relation substrate.
 	IndexBuilds = NewCounter("relcomp_relation_index_builds_total",
-		"column hash-index builds")
+		"column posting-index builds")
 	// DictSize gauges the number of distinct values interned in the
 	// process-wide dictionary (relation.Shared). It only grows: ids are
 	// never reused.

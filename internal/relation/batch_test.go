@@ -14,112 +14,153 @@ func batchSchemas() (*Schema, *Schema) {
 	return r, s
 }
 
-// TestApplyBatchMatchesModel cross-validates ApplyBatch against a plain
-// map model over randomized mutation scripts, in both storage modes:
-// after every batch the database must hold exactly the model's tuples,
-// in the deterministic Tuples() order a scratch-built copy produces.
-func TestApplyBatchMatchesModel(t *testing.T) {
-	defer SetInterning(SetInterning(true))
-	for _, interned := range []bool{true, false} {
-		SetInterning(interned)
-		rng := rand.New(rand.NewSource(41))
-		rs, ss := batchSchemas()
-		db := NewDatabase(rs, ss)
-		model := map[string]map[string]Tuple{"R": {}, "S": {}}
-
-		vals := []string{"a", "b", "c", "d"}
-		rv := func() Value { return Value(vals[rng.Intn(len(vals))]) }
-		randTuple := func(rel string) Tuple {
-			if rel == "R" {
-				if rng.Intn(8) == 0 {
-					// Occasionally a brand-new value, so batches grow the
-					// dictionary and the active domain.
-					return Tuple{Value(fmt.Sprintf("n%d", rng.Intn(1000))), rv()}
-				}
-				return Tuple{rv(), rv()}
+// probe returns the tuples whose column col holds v the way the join
+// engine in internal/cq reads them: through the IDIndex view, scanning
+// the rank-ordered column on small instances and walking the posting
+// container otherwise, in ascending rank (Tuples() order).
+func probe(in *Instance, col int, v Value) []Tuple {
+	id, ok := Shared().ID(v)
+	if !ok {
+		return nil
+	}
+	ix := in.IDs()
+	all := in.Tuples()
+	var out []Tuple
+	if ix.Small() {
+		for r, got := range ix.Col(col) {
+			if got == id {
+				out = append(out, all[r])
 			}
-			return Tuple{rv(), Value(fmt.Sprintf("%d", rng.Intn(2)))}
+		}
+		return out
+	}
+	p := ix.Postings(col, id)
+	if p.Bits != nil {
+		p.Bits.ForEach(func(r int32) bool {
+			out = append(out, all[r])
+			return true
+		})
+	} else {
+		for _, r := range p.Ranks {
+			out = append(out, all[r])
+		}
+	}
+	if int32(len(out)) != p.N {
+		panic(fmt.Sprintf("posting count %d, enumerated %d", p.N, len(out)))
+	}
+	return out
+}
+
+// TestApplyBatchMatchesModel cross-validates ApplyBatch against a plain
+// map model over randomized mutation scripts: after every batch the
+// database must hold exactly the model's tuples, in the deterministic
+// Tuples() order a scratch-built copy produces, and every index probe
+// must return the matching subsequence of that order.
+func TestApplyBatchMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	rs, ss := batchSchemas()
+	db := NewDatabase(rs, ss)
+	model := map[string]map[string]Tuple{"R": {}, "S": {}}
+
+	vals := []string{"a", "b", "c", "d"}
+	rv := func() Value { return Value(vals[rng.Intn(len(vals))]) }
+	randTuple := func(rel string) Tuple {
+		if rel == "R" {
+			if rng.Intn(8) == 0 {
+				// Occasionally a brand-new value, so batches grow the
+				// dictionary and the active domain.
+				return Tuple{Value(fmt.Sprintf("n%d", rng.Intn(1000))), rv()}
+			}
+			return Tuple{rv(), rv()}
+		}
+		return Tuple{rv(), Value(fmt.Sprintf("%d", rng.Intn(2)))}
+	}
+
+	for step := 0; step < 200; step++ {
+		b := Batch{Inserts: map[string][]Tuple{}, Deletes: map[string][]Tuple{}}
+		for i, n := 0, rng.Intn(4); i < n; i++ {
+			rel := []string{"R", "S"}[rng.Intn(2)]
+			b.Inserts[rel] = append(b.Inserts[rel], randTuple(rel))
+		}
+		for i, n := 0, rng.Intn(3); i < n; i++ {
+			rel := []string{"R", "S"}[rng.Intn(2)]
+			// Mix deletes of present tuples with misses.
+			if ts := db.Instance(rel).Tuples(); len(ts) > 0 && rng.Intn(2) == 0 {
+				b.Deletes[rel] = append(b.Deletes[rel], ts[rng.Intn(len(ts))].Clone())
+			} else {
+				b.Deletes[rel] = append(b.Deletes[rel], randTuple(rel))
+			}
+		}
+		// Warm indexes on some steps so patches hit live posting sets.
+		if rng.Intn(2) == 0 {
+			db.Warm()
 		}
 
-		for step := 0; step < 200; step++ {
-			b := Batch{Inserts: map[string][]Tuple{}, Deletes: map[string][]Tuple{}}
-			for i, n := 0, rng.Intn(4); i < n; i++ {
-				rel := []string{"R", "S"}[rng.Intn(2)]
-				b.Inserts[rel] = append(b.Inserts[rel], randTuple(rel))
-			}
-			for i, n := 0, rng.Intn(3); i < n; i++ {
-				rel := []string{"R", "S"}[rng.Intn(2)]
-				// Mix deletes of present tuples with misses.
-				if ts := db.Instance(rel).Tuples(); len(ts) > 0 && rng.Intn(2) == 0 {
-					b.Deletes[rel] = append(b.Deletes[rel], ts[rng.Intn(len(ts))].Clone())
-				} else {
-					b.Deletes[rel] = append(b.Deletes[rel], randTuple(rel))
+		ins, del, err := db.ApplyBatch(b)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		// Model: inserts before deletes, duplicates/misses as no-ops.
+		wantIns, wantDel := 0, 0
+		for rel, ts := range b.Inserts {
+			for _, tu := range ts {
+				if k := tu.Key(); !has(model[rel], k) {
+					model[rel][k] = tu.Clone()
+					wantIns++
 				}
 			}
-			// Warm indexes on some steps so patches hit live posting sets.
-			if rng.Intn(2) == 0 {
-				db.Warm()
+		}
+		for rel, ts := range b.Deletes {
+			for _, tu := range ts {
+				if k := tu.Key(); has(model[rel], k) {
+					delete(model[rel], k)
+					wantDel++
+				}
 			}
+		}
+		if ins != wantIns || del != wantDel {
+			t.Fatalf("step %d: counts (%d,%d), want (%d,%d)",
+				step, ins, del, wantIns, wantDel)
+		}
 
-			ins, del, err := db.ApplyBatch(b)
-			if err != nil {
-				t.Fatalf("interned=%v step %d: %v", interned, step, err)
+		// Scratch-built copy is the enumeration-order oracle.
+		scratch := NewDatabase(rs, ss)
+		for rel, m := range model {
+			for _, tu := range m {
+				scratch.MustAdd(rel, tupleStrings(tu)...)
 			}
-			// Model: inserts before deletes, duplicates/misses as no-ops.
-			wantIns, wantDel := 0, 0
-			for rel, ts := range b.Inserts {
-				for _, tu := range ts {
-					if k := tu.Key(); !has(model[rel], k) {
-						model[rel][k] = tu.Clone()
-						wantIns++
-					}
+		}
+		for _, rel := range db.Relations() {
+			got, want := db.Instance(rel).Tuples(), scratch.Instance(rel).Tuples()
+			if len(got) != len(want) {
+				t.Fatalf("step %d: %s has %d tuples, want %d",
+					step, rel, len(got), len(want))
+			}
+			for i := range got {
+				if !got[i].Equal(want[i]) {
+					t.Fatalf("step %d: %s tuple order diverges at %d: %v vs %v",
+						step, rel, i, got[i], want[i])
 				}
 			}
-			for rel, ts := range b.Deletes {
-				for _, tu := range ts {
-					if k := tu.Key(); has(model[rel], k) {
-						delete(model[rel], k)
-						wantDel++
-					}
-				}
-			}
-			if ins != wantIns || del != wantDel {
-				t.Fatalf("interned=%v step %d: counts (%d,%d), want (%d,%d)",
-					interned, step, ins, del, wantIns, wantDel)
-			}
-
-			// Scratch-built copy is the enumeration-order oracle.
-			scratch := NewDatabase(rs, ss)
-			for rel, m := range model {
-				for _, tu := range m {
-					scratch.MustAdd(rel, tupleStrings(tu)...)
-				}
-			}
-			for _, rel := range db.Relations() {
-				got, want := db.Instance(rel).Tuples(), scratch.Instance(rel).Tuples()
-				if len(got) != len(want) {
-					t.Fatalf("interned=%v step %d: %s has %d tuples, want %d",
-						interned, step, rel, len(got), len(want))
-				}
-				for i := range got {
-					if !got[i].Equal(want[i]) {
-						t.Fatalf("interned=%v step %d: %s tuple order diverges at %d: %v vs %v",
-							interned, step, rel, i, got[i], want[i])
-					}
-				}
-				// Lookup buckets must match the scratch build too.
-				for col := 0; col < db.Schema(rel).Arity(); col++ {
-					for _, tu := range want {
-						g, w := db.Instance(rel).Lookup(col, tu[col]), scratch.Instance(rel).Lookup(col, tu[col])
-						if len(g) != len(w) {
-							t.Fatalf("interned=%v step %d: %s Lookup(%d,%q) sizes %d vs %d",
-								interned, step, rel, col, tu[col], len(g), len(w))
+			// Index probes must return the filtered scan of the
+			// scratch build, in scan order.
+			for col := 0; col < db.Schema(rel).Arity(); col++ {
+				for _, tu := range want {
+					var w []Tuple
+					for _, o := range want {
+						if o[col] == tu[col] {
+							w = append(w, o)
 						}
-						for i := range g {
-							if !g[i].Equal(w[i]) {
-								t.Fatalf("interned=%v step %d: %s Lookup(%d,%q) diverges at %d",
-									interned, step, rel, col, tu[col], i)
-							}
+					}
+					g := probe(db.Instance(rel), col, tu[col])
+					if len(g) != len(w) {
+						t.Fatalf("step %d: %s probe(%d,%q) sizes %d vs %d",
+							step, rel, col, tu[col], len(g), len(w))
+					}
+					for i := range g {
+						if !g[i].Equal(w[i]) {
+							t.Fatalf("step %d: %s probe(%d,%q) diverges at %d",
+								step, rel, col, tu[col], i)
 						}
 					}
 				}
@@ -139,13 +180,11 @@ func tupleStrings(t Tuple) []string {
 }
 
 // TestInsertBatchPatchesPostings pins the incremental index path: an
-// insert-only batch against a warmed interned instance publishes a
+// insert-only batch against a warmed instance publishes a
 // merged posting set for the new generation eagerly (no cold rebuild on
 // next access), and that merged set is identical to a from-scratch
 // build. A batch with deletes leaves the index to the lazy rebuild.
 func TestInsertBatchPatchesPostings(t *testing.T) {
-	defer SetInterning(SetInterning(true))
-	SetInterning(true)
 	rs, ss := batchSchemas()
 	db := NewDatabase(rs, ss)
 	for i := 0; i < 40; i++ {
@@ -207,38 +246,34 @@ func TestInsertBatchPatchesPostings(t *testing.T) {
 // TestApplyBatchAtomic pins validate-before-apply: a batch containing
 // any malformed tuple errors out without touching the database.
 func TestApplyBatchAtomic(t *testing.T) {
-	defer SetInterning(SetInterning(true))
-	for _, interned := range []bool{true, false} {
-		SetInterning(interned)
-		rs, ss := batchSchemas()
-		db := NewDatabase(rs, ss)
-		db.MustAdd("R", "a", "b")
-		gen0 := db.Instance("R").Generation()
+	rs, ss := batchSchemas()
+	db := NewDatabase(rs, ss)
+	db.MustAdd("R", "a", "b")
+	gen0 := db.Instance("R").Generation()
 
-		cases := []Batch{
-			{Inserts: map[string][]Tuple{"R": {T("x", "y")}, "Nope": {T("z")}}},
-			{Inserts: map[string][]Tuple{"R": {T("x", "y"), T("too", "many", "cols")}}},
-			{Inserts: map[string][]Tuple{"S": {T("b", "9")}}}, // 9 outside {0,1}
-			{Inserts: map[string][]Tuple{"R": {T("x", "y")}},
-				Deletes: map[string][]Tuple{"R": {T("short")}}},
+	cases := []Batch{
+		{Inserts: map[string][]Tuple{"R": {T("x", "y")}, "Nope": {T("z")}}},
+		{Inserts: map[string][]Tuple{"R": {T("x", "y"), T("too", "many", "cols")}}},
+		{Inserts: map[string][]Tuple{"S": {T("b", "9")}}}, // 9 outside {0,1}
+		{Inserts: map[string][]Tuple{"R": {T("x", "y")}},
+			Deletes: map[string][]Tuple{"R": {T("short")}}},
+	}
+	for i, b := range cases {
+		if _, _, err := db.ApplyBatch(b); err == nil {
+			t.Fatalf("case %d: batch unexpectedly applied", i)
 		}
-		for i, b := range cases {
-			if _, _, err := db.ApplyBatch(b); err == nil {
-				t.Fatalf("interned=%v case %d: batch unexpectedly applied", interned, i)
-			}
-			if db.Instance("R").Generation() != gen0 || db.Instance("R").Len() != 1 || db.Instance("S").Len() != 0 {
-				t.Fatalf("interned=%v case %d: failed batch mutated the database", interned, i)
-			}
+		if db.Instance("R").Generation() != gen0 || db.Instance("R").Len() != 1 || db.Instance("S").Len() != 0 {
+			t.Fatalf("case %d: failed batch mutated the database", i)
 		}
+	}
 
-		// Insert-then-delete of the same fresh tuple within one batch:
-		// both sides count, the net effect is absence.
-		ins, del, err := db.ApplyBatch(Batch{
-			Inserts: map[string][]Tuple{"R": {T("new", "row")}},
-			Deletes: map[string][]Tuple{"R": {T("new", "row")}},
-		})
-		if err != nil || ins != 1 || del != 1 || db.Instance("R").Contains(T("new", "row")) {
-			t.Fatalf("interned=%v insert+delete: ins=%d del=%d err=%v", interned, ins, del, err)
-		}
+	// Insert-then-delete of the same fresh tuple within one batch:
+	// both sides count, the net effect is absence.
+	ins, del, err := db.ApplyBatch(Batch{
+		Inserts: map[string][]Tuple{"R": {T("new", "row")}},
+		Deletes: map[string][]Tuple{"R": {T("new", "row")}},
+	})
+	if err != nil || ins != 1 || del != 1 || db.Instance("R").Contains(T("new", "row")) {
+		t.Fatalf("insert+delete: ins=%d del=%d err=%v", ins, del, err)
 	}
 }

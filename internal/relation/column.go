@@ -10,11 +10,10 @@ import (
 
 // This file holds the columnar side of Instance: fixed-width id keys,
 // the per-generation posting-list index, and the IDIndex view consumed
-// by the integer join engine in internal/cq. The string-map storage in
-// relation.go stays alive behind SetInterning(false) as the correctness
-// oracle; everything here must be observably identical to it (tuple
-// order, bucket order, distinct counts), which the cross-validation
-// suites assert.
+// by the integer join engine in internal/cq. Posting containers
+// enumerate ranks in ascending order, i.e. in the relative order of the
+// full Instance.Tuples scan, so probe results are sorted subsequences
+// of the deterministic tuple order.
 
 // inlineArity is the arity up to which id scratch buffers live on the
 // stack; wider tuples (rare) fall back to heap slices.
@@ -113,11 +112,6 @@ type postingCol struct {
 	offs   []int32 // offs[i] = start into ranks, or -1 for a Bitset
 	ranks  []int32 // concatenated rank arrays of the sparse ids
 	dense  map[int32]*Bitset
-
-	// tbuckets lazily materializes value → []Tuple buckets for the
-	// legacy Lookup API on interned instances (only paid when a caller
-	// actually mixes the string path with columnar storage).
-	tbuckets atomic.Pointer[map[Value][]Tuple]
 }
 
 // denseWorthy decides the array-vs-bitmap switch-over: a value needs
@@ -145,8 +139,10 @@ type Postings struct {
 const ordSortMinRows = 64
 
 // ensurePostings returns the posting set for the current generation,
-// building and publishing it on first use with the same benign-race CAS
-// discipline as index().
+// building and publishing it on first use. Publication uses
+// compare-and-swap: concurrent first probes may build the same set
+// twice, but every build of one generation is identical, so losing the
+// race is benign.
 func (in *Instance) ensurePostings() *postingSet {
 	set := in.postings.Load()
 	if set == nil || set.gen != in.gen {
@@ -203,7 +199,7 @@ func (in *Instance) buildPostingBase() *postingSet {
 	for r := range ps.rank {
 		ps.rank[r] = int32(r)
 	}
-	vals := in.dict.Snapshot()
+	vals := shared.Snapshot()
 	if n > 1 && arity > 0 {
 		if n < ordSortMinRows {
 			sort.Slice(ps.rank, func(i, j int) bool {
@@ -336,24 +332,16 @@ func (pc *postingCol) postings(id int32) Postings {
 }
 
 // IDIndex is the read-only interned view of an instance: row ids in
-// deterministic rank order plus on-demand posting containers. The zero
-// IDIndex (from a legacy instance) is invalid.
+// deterministic rank order plus on-demand posting containers.
 type IDIndex struct {
 	in *Instance
 	ps *postingSet
 }
 
-// IDs returns the interned view of the instance; the zero IDIndex when
-// the instance uses legacy string-map storage.
+// IDs returns the interned view of the instance.
 func (in *Instance) IDs() IDIndex {
-	if in.dict == nil {
-		return IDIndex{}
-	}
 	return IDIndex{in: in, ps: in.ensurePostings()}
 }
-
-// Valid reports whether the view is backed by interned storage.
-func (ix IDIndex) Valid() bool { return ix.in != nil }
 
 // Rows returns the number of rows.
 func (ix IDIndex) Rows() int { return len(ix.ps.rank) }
@@ -384,8 +372,8 @@ const smallIndexRows = 24
 // probe by scanning Col instead of requesting posting containers.
 func (ix IDIndex) Small() bool { return len(ix.ps.rank) <= smallIndexRows }
 
-// Distinct returns the number of distinct ids in column c — the same
-// selectivity statistic the legacy hash index reports.
+// Distinct returns the number of distinct ids in column c, the
+// selectivity statistic of the join planner.
 func (ix IDIndex) Distinct(c int) int {
 	if c < 0 || c >= len(ix.ps.scols) {
 		return 0
@@ -414,61 +402,11 @@ func (ix IDIndex) Distinct(c int) int {
 	return len(pc.ids)
 }
 
-// lookupInterned serves the legacy Lookup API on an interned instance:
-// value → sorted tuple bucket. Buckets materialize lazily per column
-// (CAS-published on the posting column), so the cost is only paid when
-// a caller actually uses the string path against columnar storage.
-func (in *Instance) lookupInterned(col int, v Value) []Tuple {
-	if col < 0 || col >= len(in.cols) {
-		return nil
-	}
-	ps := in.ensurePostings()
-	pc := in.postingColFor(ps, col)
-	if pc == nil {
-		// Small instance without posting-container slots: materialize
-		// the buckets per call, which at these sizes costs less than a
-		// cache would.
-		return in.buildTupleBuckets(ps, col)[v]
-	}
-	tb := pc.tbuckets.Load()
-	if tb == nil {
-		m := in.buildTupleBuckets(ps, col)
-		pc.tbuckets.CompareAndSwap(nil, &m)
-		tb = pc.tbuckets.Load()
-		if tb == nil {
-			tb = &m
-		}
-	}
-	return (*tb)[v]
-}
-
-// buildTupleBuckets materializes value → []Tuple for one column from
-// the rank-ordered columns, without touching the shared sorted cache
-// (so concurrent builds never race it). Ascending rank order keeps each
-// bucket sorted by Tuple.Less.
-func (in *Instance) buildTupleBuckets(ps *postingSet, col int) map[Value][]Tuple {
-	vals := in.dict.Snapshot()
-	arity := len(in.cols)
-	buckets := make(map[Value][]Tuple)
-	for k := range ps.rank {
-		t := make(Tuple, arity)
-		for c := 0; c < arity; c++ {
-			t[c] = vals[ps.scols[c][k]]
-		}
-		buckets[t[col]] = append(buckets[t[col]], t)
-	}
-	return buckets
-}
-
 // ProjectIDSet returns the set of fixed-width id-keys of the distinct
-// projections of the instance onto cols; ok is false when the instance
-// uses legacy storage. Keys are comparable across instances because
-// every interned instance shares the process-wide dictionary — this is
-// what the p(Dm) memo in internal/cc keys on.
-func (in *Instance) ProjectIDSet(cols []int) (map[string]bool, bool) {
-	if in.dict == nil {
-		return nil, false
-	}
+// projections of the instance onto cols. Keys are comparable across
+// instances because every instance shares the process-wide dictionary —
+// this is what the p(Dm) memo in internal/cc keys on.
+func (in *Instance) ProjectIDSet(cols []int) map[string]bool {
 	seen := make(map[string]bool, in.n)
 	kb := make([]byte, 0, 4*len(cols))
 	for r := 0; r < in.n; r++ {
@@ -480,5 +418,5 @@ func (in *Instance) ProjectIDSet(cols []int) (map[string]bool, bool) {
 			seen[string(kb)] = true
 		}
 	}
-	return seen, true
+	return seen
 }

@@ -177,23 +177,3 @@ func (d *Dict) SortedIDValues(set []uint64) []Value {
 	}
 	return out
 }
-
-// interning gates interned columnar storage for newly built instances.
-// When disabled (the -nointern ablation), NewInstance falls back to the
-// original string-keyed tuple map, which stays alive as the correctness
-// oracle for the columnar engine. The storage mode of an instance is
-// fixed at construction: flipping the toggle never changes existing
-// instances, it only selects the representation of instances built
-// afterwards.
-var interning atomic.Bool
-
-func init() { interning.Store(true) }
-
-// SetInterning toggles interned storage for subsequently built
-// instances and returns the previous setting, so callers can restore
-// it: defer relation.SetInterning(relation.SetInterning(x)).
-func SetInterning(on bool) bool { return interning.Swap(on) }
-
-// InterningEnabled reports whether new instances use interned columnar
-// storage.
-func InterningEnabled() bool { return interning.Load() }

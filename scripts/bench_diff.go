@@ -6,9 +6,8 @@
 //	go run ./scripts -baseline BENCH_BASELINE.json current.json [more.json ...]
 //	go run ./scripts -baseline BENCH_BASELINE.json -write current1.json current2.json ...
 //
-// Records are keyed by (table, name, param, no_index, interning) —
-// workers is excluded so a baseline recorded at -workers 1 gates any
-// single-worker run. When several input files are given, each key's
+// Records are keyed by (table, name, param) — workers is excluded so a
+// baseline recorded at -workers 1 gates any single-worker run. When several input files are given, each key's
 // duration is the median across them (run relbench a few times and
 // pass every file to damp scheduler noise).
 //
@@ -45,13 +44,11 @@ type record struct {
 	Table      string `json:"table"`
 	Name       string `json:"name"`
 	Param      int    `json:"param"`
-	NoIndex    bool   `json:"no_index"`
-	Interning  bool   `json:"interning"`
 	DurationNS int64  `json:"duration_ns"`
 }
 
 func (r record) key() string {
-	return fmt.Sprintf("%s|%s|%d|noindex=%v|intern=%v", r.Table, r.Name, r.Param, r.NoIndex, r.Interning)
+	return fmt.Sprintf("%s|%s|%d", r.Table, r.Name, r.Param)
 }
 
 func main() {
