@@ -35,9 +35,9 @@ server-smoke:
 	sh scripts/server_smoke.sh
 
 # Scale-out smoke: two relserve backends plus a consistent-hash router
-# and a -fanout router on random ports, driven by relload; verdicts
-# through both routers must match the direct-backend run, with zero
-# transport errors and zero drops.
+# on random ports, driven by relload; verdicts through the router must
+# match the direct-backend run, with zero transport errors and zero
+# drops, and a batch burst through the router must stay clean.
 cluster-smoke:
 	sh scripts/cluster_smoke.sh
 

@@ -12,7 +12,6 @@
 //	POST /v1/advise   ranked tuples whose acquisition makes D complete
 //	POST /v1/batch    many queries against one context, streamed as JSONL
 //	POST /v1/mine     propose + validate containment constraints from evidence
-//	POST /v1/partial  one partition slice of an RCDP check (fan-out leg)
 //	POST /v1/catalog  register a named (Dm, V) master-data context
 //	GET  /v1/catalog  list registered contexts
 //	GET  /healthz     process liveness
@@ -27,10 +26,8 @@
 // With -route backend1,backend2,... relserve runs as a stateless
 // router instead: requests are consistent-hashed by catalog name (else
 // query text) onto a backend so warm caches are reused, catalog
-// registrations are broadcast to every backend, GET /v1/backends
-// reports per-backend health, and -fanout answers /v1/rcdp by
-// scattering partition slices (/v1/partial) across all backends and
-// merging the results into the single-process verdict.
+// registrations are broadcast to every backend, and GET /v1/backends
+// reports per-backend health.
 //
 // SIGTERM/SIGINT starts a graceful drain: new requests get 503,
 // in-flight requests finish (up to -drain-timeout), then the process
@@ -68,7 +65,6 @@ func run() error {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address for the JSON API (use :0 for a random port)")
 		route         = flag.String("route", "", "run as a router over these comma-separated backend URLs instead of serving checks locally")
-		fanout        = flag.Bool("fanout", false, "with -route: answer /v1/rcdp by fanning partition slices across all backends and merging")
 		addrFile      = flag.String("addr-file", "", "write the bound listen address to this file (for scripts using -addr :0)")
 		workers       = flag.Int("workers", 0, "checks executing concurrently (0 = GOMAXPROCS)")
 		queue         = flag.Int("queue", 0, "admitted requests waiting beyond -workers before 429 (0 = 2x workers)")
@@ -111,9 +107,6 @@ func run() error {
 		}()
 	}
 
-	if *fanout && *route == "" {
-		return fmt.Errorf("-fanout requires -route")
-	}
 	if *route != "" {
 		if len(catalogs) > 0 {
 			return fmt.Errorf("-catalog is backend-only; register catalogs through the router's POST /v1/catalog broadcast")
@@ -124,7 +117,6 @@ func run() error {
 		}
 		rt, err := server.NewRouter(server.RouterConfig{
 			Backends:        backends,
-			Fanout:          *fanout,
 			RetryAfter:      *retryAfter,
 			ReprobeInterval: *reprobe,
 		})
@@ -139,7 +131,7 @@ func run() error {
 			}
 			fmt.Fprintf(os.Stderr, "relserve: metrics on http://%s/metrics\n", maddr)
 		}
-		banner := fmt.Sprintf("routing to %d backends (fanout=%v)", len(backends), *fanout)
+		banner := fmt.Sprintf("routing to %d backends", len(backends))
 		return serveUntilSignal(rt.Handler(), *addr, *addrFile, *drainTimeout, banner, rt.Drain)
 	}
 

@@ -463,7 +463,7 @@ func TestBudget(t *testing.T) {
 		d.MustAdd("Supt", "e0", "s", string(rune('a'+i)))
 	}
 	dm := emptyMaster()
-	_, err := (&Checker{MaxValuations: 1}).RCDP(q2(), d, dm, vset)
+	_, err := (&Checker{Budget: Budget{MaxValuations: 1}}).RCDP(q2(), d, dm, vset)
 	if err != ErrBudgetExceeded {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
 	}

@@ -101,8 +101,7 @@ func (r Reason) Err() error {
 
 // Budget bounds the resources of one check. The zero value is
 // unlimited. All dimensions are global to the check (shared across
-// disjuncts and workers) except MaxValuations, which — matching the
-// pre-existing Checker.MaxValuations semantics — caps candidate
+// disjuncts and workers) except MaxValuations, which caps candidate
 // valuations per disjunct.
 type Budget struct {
 	// Timeout, when positive, is a wall-clock deadline for the whole
@@ -110,7 +109,7 @@ type Budget struct {
 	// context).
 	Timeout time.Duration
 	// MaxValuations, when positive, caps candidate valuations per
-	// disjunct; it overrides Checker.MaxValuations.
+	// disjunct; exceeding it stops the check with ReasonValuations.
 	MaxValuations int
 	// MaxJoinRows, when positive, caps the total number of join-row
 	// steps charged by evaluation loops (query evaluation, constraint
@@ -249,12 +248,3 @@ func reasonOf(err error) Reason {
 // isGovernErr reports whether err is a governance stop (budget or
 // cancellation) rather than a genuine failure.
 func isGovernErr(err error) bool { return reasonOf(err) != ReasonNone }
-
-// effectiveValuations resolves the per-disjunct valuation cap:
-// Budget.MaxValuations overrides the legacy Checker field.
-func (ck *Checker) effectiveValuations() int {
-	if ck.Budget.MaxValuations > 0 {
-		return ck.Budget.MaxValuations
-	}
-	return ck.MaxValuations
-}

@@ -61,9 +61,6 @@ func budgetKey(disjunct int) int64 {
 // keyDisjunct recovers the disjunct index from a packed key.
 func keyDisjunct(key int64) int { return int(key >> 32) }
 
-// keyIsBudget reports whether a key is a budget-exhaustion claim.
-func keyIsBudget(key int64) bool { return key&int64(math.MaxUint32) == int64(math.MaxUint32) }
-
 // raceCtl arbitrates a deterministic race: many keyed workers propose
 // outcomes, the smallest key wins, and anything tagged with a larger
 // key may be cancelled early. A fatal error aborts the whole race.

@@ -162,7 +162,7 @@ func TestParallelBudgetExceeded(t *testing.T) {
 	d.MustAdd("F", "1")
 	q5 := microQueries()[4]
 	for _, workers := range []int{1, 8} {
-		ck := &Checker{MaxValuations: 1, Workers: workers}
+		ck := &Checker{Budget: Budget{MaxValuations: 1}, Workers: workers}
 		if _, err := ck.RCDP(q5, d, nil, nil); err != ErrBudgetExceeded {
 			t.Fatalf("workers=%d: want ErrBudgetExceeded, got %v", workers, err)
 		}
@@ -195,7 +195,7 @@ func TestParallelBudgetExceeded(t *testing.T) {
 		}
 		checked++
 		for _, workers := range []int{1, 8} {
-			ck := &Checker{MaxValuations: 3, Workers: workers}
+			ck := &Checker{Budget: Budget{MaxValuations: 3}, Workers: workers}
 			if _, err := ck.RCDP(q, db, cs.dm, cs.v); err != ErrBudgetExceeded {
 				t.Fatalf("trial %d (%s/%s) workers=%d: want ErrBudgetExceeded, got %v",
 					trial, cs.name, q, workers, err)

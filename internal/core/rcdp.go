@@ -55,9 +55,6 @@ type Checker struct {
 	// Naive disables inequality pruning and fresh-value symmetry
 	// breaking in the valuation search (ablation ABL-1 of DESIGN.md).
 	Naive bool
-	// MaxValuations, when positive, caps the number of candidate
-	// valuations per disjunct; exceeding it returns ErrBudgetExceeded.
-	MaxValuations int
 	// Workers is the size of the valuation-search worker pool: 0 uses
 	// runtime.GOMAXPROCS(0), 1 forces the sequential engine, n > 1 fans
 	// the top-level candidate branches of every disjunct out to n
@@ -69,13 +66,6 @@ type Checker struct {
 	// by the Ctx entry points and by the legacy wrappers alike; the
 	// zero value is unlimited.
 	Budget Budget
-	// SliceBudget, when set, makes RCDPSliceCtx charge this shared
-	// cross-slice valuation ledger instead of a fresh per-slice counter,
-	// so a K-way fan-out exhausts the per-disjunct MaxValuations cap at
-	// the same total spend as the single-process engines. Nil keeps the
-	// legacy per-slice caps. Only RCDPSliceCtx consults it; the other
-	// entry points already share one ledger per disjunct.
-	SliceBudget *SharedBudget
 }
 
 // effectiveWorkers resolves the Workers field to a concrete count.
@@ -117,9 +107,9 @@ func RCDPCtx(ctx context.Context, q qlang.Query, d, dm *relation.Database, v *cc
 //
 // RCDP is the ungoverned form of RCDPCtx: it runs with
 // context.Background() and surfaces a governance stop (only possible
-// when ck.Budget is set, or via the legacy MaxValuations cap) as the
-// corresponding sentinel error (ErrBudgetExceeded, query.ErrRowBudget,
-// …) instead of an Unknown verdict.
+// when ck.Budget is set) as the corresponding sentinel error
+// (ErrBudgetExceeded, query.ErrRowBudget, …) instead of an Unknown
+// verdict.
 func (ck *Checker) RCDP(q qlang.Query, d, dm *relation.Database, v *cc.Set) (*RCDPResult, error) {
 	res, err := ck.RCDPCtx(context.Background(), q, d, dm, v)
 	if err != nil {
@@ -168,8 +158,8 @@ func (ck *Checker) RCDPCtx(ctx context.Context, q qlang.Query, d, dm *relation.D
 // tableaux, the per-disjunct valuation searches (nil entries are
 // disjuncts unsatisfiable under domain constraints), the database
 // schemas and the already-answered head set. Built once per check by
-// prepareRCDP and then read-only, it is shared by the sequential
-// engine, the parallel engine and the partition-slice runner alike.
+// prepareRCDP and then read-only, it is shared by the sequential and
+// parallel engines.
 type rcdpPrep struct {
 	tableaux  []*cq.Tableau
 	searches  []*valuationSearch
@@ -179,11 +169,9 @@ type rcdpPrep struct {
 
 // prepareRCDP performs the disjunct-independent setup of an RCDP check:
 // the decidability guards, the partial-closure precondition, the Q(D)
-// answer set and one valuation search per disjunct tableau. The gate
-// charges it makes (constraint check, query evaluation) are exactly the
-// sequential engine's setup charges, which is what makes partition
-// slices report identical Setup stats on every shard. A nil prep with a
-// nil error means the query is unsatisfiable (trivially complete).
+// answer set and one valuation search per disjunct tableau. A nil prep
+// with a nil error means the query is unsatisfiable (trivially
+// complete).
 func (ck *Checker) prepareRCDP(q qlang.Query, d, dm *relation.Database, v *cc.Set, gate *query.Gate) (*rcdpPrep, error) {
 	if !q.Lang().Monotone() {
 		return nil, fmt.Errorf("core: RCDP is undecidable for L_Q = %v (Theorem 3.1); use BoundedRCDP", q.Lang())
@@ -230,7 +218,7 @@ func (ck *Checker) prepareRCDP(q qlang.Query, d, dm *relation.Database, v *cc.Se
 			continue // disjunct unsatisfiable under domain constraints
 		}
 		search.naive = ck.Naive
-		search.budget = ck.effectiveValuations()
+		search.budget = ck.Budget.MaxValuations
 		search.gate = gate
 		if !ck.Naive {
 			search.pruner = newINDPruner(t, v, dm)
@@ -368,7 +356,7 @@ func (ck *Checker) rcdpParallel(pool *workerPool, tableaux []*cq.Tableau, search
 			continue
 		}
 		t, di := t, di
-		budgets[di] = newBudgetCtl(ck.effectiveValuations())
+		budgets[di] = newBudgetCtl(ck.Budget.MaxValuations)
 		fn := func(b query.Binding) (any, error) {
 			r, err := rcdpWitness(t, di, b, schemas, answerSet, d, dm, v, gate)
 			if err != nil {

@@ -359,7 +359,7 @@ func TestRecheckDeltaReusesVerdicts(t *testing.T) {
 	}
 
 	// Unknown under the deterministic valuation cap is reusable...
-	capped := &Checker{Workers: 1, MaxValuations: 1}
+	capped := &Checker{Workers: 1, Budget: Budget{MaxValuations: 1}}
 	prevU, err := capped.RCDPCtx(context.Background(), q, d, dm, set)
 	if err != nil || prevU.Verdict != VerdictUnknown || prevU.Reason != ReasonValuations {
 		t.Fatalf("capped check: verdict=%v reason=%v err=%v", prevU.Verdict, prevU.Reason, err)

@@ -141,204 +141,6 @@ func TestBatchInlineAndEndpoints(t *testing.T) {
 	}
 }
 
-// postPartial runs one slice of a K-way split.
-func postPartial(t *testing.T, url string, req CheckRequest, slices, slice int) *PartialResponse {
-	t.Helper()
-	return postPartialGroup(t, url, req, slices, slice, "")
-}
-
-// postPartialGroup is postPartial with a budget-group token.
-func postPartialGroup(t *testing.T, url string, req CheckRequest, slices, slice int, group string) *PartialResponse {
-	t.Helper()
-	preq := PartialRequest{CheckRequest: req, Slices: slices, Slice: slice, BudgetGroup: group}
-	resp, err := http.Post(url+"/v1/partial", "application/json", bytes.NewReader(mustJSON(t, preq)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var e ErrorResponse
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		t.Fatalf("partial %d/%d: status %d: %s", slice, slices, resp.StatusCode, e.Error)
-	}
-	var out PartialResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	return &out
-}
-
-// TestPartialMergeMatchesSingle is the HTTP-level half of the
-// partition property: for K in {1, 2, 3}, running the K slices through
-// /v1/partial and merging the wire responses yields the same verdict,
-// witness and stats as one POST /v1/rcdp, on both a complete and an
-// incomplete instance.
-func TestPartialMergeMatchesSingle(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	registerCRM(t, s)
-	for _, query := range []string{exQuery, incompleteQuery} {
-		req := CheckRequest{Catalog: "crm", DB: exDB, Query: query}
-		var single CheckResponse
-		if code := post(t, ts.URL+"/v1/rcdp", req, &single); code != http.StatusOK {
-			t.Fatalf("single: status %d", code)
-		}
-		for _, k := range []int{1, 2, 3} {
-			partials := make([]*PartialResponse, k)
-			for i := 0; i < k; i++ {
-				partials[i] = postPartial(t, ts.URL, req, k, i)
-			}
-			merged, status, err := mergePartials(partials)
-			if err != nil {
-				t.Fatalf("K=%d %q: merge: %v (status %d)", k, query, err, status)
-			}
-			if merged.Verdict != single.Verdict || merged.Reason != single.Reason ||
-				merged.Extension != single.Extension ||
-				fmt.Sprint(merged.NewTuple) != fmt.Sprint(single.NewTuple) {
-				t.Errorf("K=%d %q: merged %+v != single %+v", k, query, merged, single)
-			}
-			if merged.Stats == nil || single.Stats == nil {
-				t.Fatalf("K=%d %q: stats missing", k, query)
-			}
-			if merged.Stats.Valuations != single.Stats.Valuations ||
-				merged.Stats.JoinRows != single.Stats.JoinRows ||
-				merged.Stats.Tuples != single.Stats.Tuples {
-				t.Errorf("K=%d %q: merged stats %+v != single stats %+v",
-					k, query, merged.Stats, single.Stats)
-			}
-		}
-	}
-}
-
-// TestPartialBudgetGroupShares pins the budget_group wire contract:
-// slices of one fan-out carrying the same token that land on one
-// backend pool their MaxValuations spend, so the merged result
-// reproduces the single-process Unknown/valuations surface — where
-// the same slices without a token each get their own cap and prove a
-// Complete the single process gave up on (the per-slice divergence
-// core.TestPartitionBudgetClaim documents).
-func TestPartialBudgetGroupShares(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	// F ⊆ M with slack: the search visits candidates 0, 1, 2 across
-	// separate top-level branches; a cap of 1 stops the single process
-	// after the first, while solo per-slice caps let the fan-out keep
-	// enumerating.
-	req := CheckRequest{
-		Schemas:       `rel F(p)`,
-		MasterSchemas: `rel M(x)`,
-		Master:        "M(0). M(1). M(2).",
-		Constraints:   `cc c0(P) :- F(P) <= M[0]`,
-		DB:            "F(0).",
-		Query:         `Q(P) :- F(P)`,
-		Budget:        &BudgetOverride{MaxValuations: 1},
-	}
-	var single CheckResponse
-	if code := post(t, ts.URL+"/v1/rcdp", req, &single); code != http.StatusOK {
-		t.Fatalf("single: status %d", code)
-	}
-	if single.Verdict != "unknown" || single.Reason != "valuations" {
-		t.Fatalf("single: want unknown/valuations, got %s/%s", single.Verdict, single.Reason)
-	}
-
-	// Without a token each slice gets its own cap, and the slice owning
-	// the witness branch reaches it before tripping: the fan-out
-	// decides Incomplete where the single process gave up — the
-	// divergence the shared ledger removes.
-	legacy, status, err := mergePartials([]*PartialResponse{
-		postPartial(t, ts.URL, req, 2, 0),
-		postPartial(t, ts.URL, req, 2, 1),
-	})
-	if err != nil {
-		t.Fatalf("legacy merge: %v (status %d)", err, status)
-	}
-	if legacy.Verdict != "incomplete" {
-		t.Fatalf("per-slice caps: want the divergent incomplete, got %s/%s", legacy.Verdict, legacy.Reason)
-	}
-
-	// With one token per fan-out: pooled spend, the single-process
-	// surface at every K.
-	for _, k := range []int{1, 2, 8} {
-		group := newBudgetGroupToken()
-		partials := make([]*PartialResponse, k)
-		for i := 0; i < k; i++ {
-			partials[i] = postPartialGroup(t, ts.URL, req, k, i, group)
-		}
-		merged, status, err := mergePartials(partials)
-		if err != nil {
-			t.Fatalf("K=%d: merge: %v (status %d)", k, err, status)
-		}
-		if merged.Verdict != single.Verdict || merged.Reason != single.Reason {
-			t.Errorf("K=%d: merged %s/%s != single %s/%s",
-				k, merged.Verdict, merged.Reason, single.Verdict, single.Reason)
-		}
-	}
-	// Every group saw all its legs on this backend, so the registry
-	// drained itself.
-	s.partialGroups.mu.Lock()
-	left := len(s.partialGroups.groups)
-	s.partialGroups.mu.Unlock()
-	if left != 0 {
-		t.Errorf("budget-group registry holds %d undrained groups", left)
-	}
-}
-
-// TestPartialValidation: a bad plan is a 400.
-func TestPartialValidation(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	registerCRM(t, s)
-	preq := PartialRequest{
-		CheckRequest: CheckRequest{Catalog: "crm", DB: exDB, Query: exQuery},
-		Slices:       2, Slice: 5,
-	}
-	resp, err := http.Post(ts.URL+"/v1/partial", "application/json", bytes.NewReader(mustJSON(t, preq)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad plan: status %d, want 400", resp.StatusCode)
-	}
-}
-
-// clusterBackends starts n backend servers with the CRM catalog
-// registered on each, returning their base URLs.
-func clusterBackends(t *testing.T, n int) []string {
-	t.Helper()
-	urls := make([]string, n)
-	for i := 0; i < n; i++ {
-		s, ts := newTestServer(t, Config{})
-		registerCRM(t, s)
-		urls[i] = ts.URL
-	}
-	return urls
-}
-
-// TestCoordinatorFanout: the coordinator scatters across real HTTP
-// backends and the merged response matches a single backend's /v1/rcdp
-// answer, for both verdict polarities.
-func TestCoordinatorFanout(t *testing.T) {
-	backends := clusterBackends(t, 3)
-	coord := &Coordinator{Backends: backends}
-	for _, query := range []string{exQuery, incompleteQuery} {
-		req := CheckRequest{Catalog: "crm", DB: exDB, Query: query}
-		var single CheckResponse
-		if code := post(t, backends[0]+"/v1/rcdp", req, &single); code != http.StatusOK {
-			t.Fatalf("single: status %d", code)
-		}
-		merged, status, err := coord.Check(context.Background(), &req)
-		if err != nil {
-			t.Fatalf("%q: fan-out: %v (status %d)", query, err, status)
-		}
-		if merged.Verdict != single.Verdict || merged.Reason != single.Reason ||
-			merged.Extension != single.Extension ||
-			fmt.Sprint(merged.NewTuple) != fmt.Sprint(single.NewTuple) ||
-			merged.Stats.Valuations != single.Stats.Valuations ||
-			merged.Stats.JoinRows != single.Stats.JoinRows {
-			t.Errorf("%q: merged %+v (stats %+v) != single %+v (stats %+v)",
-				query, merged, merged.Stats, single, single.Stats)
-		}
-	}
-}
-
 // TestRouterForwarding: the router forwards checks to ring-picked
 // backends, broadcasts catalog registrations, reports backend health
 // and drains with Retry-After.
@@ -437,33 +239,6 @@ func TestRouterForwarding(t *testing.T) {
 	hr.Body.Close()
 	if hr.StatusCode != http.StatusServiceUnavailable || hr.Header.Get("Retry-After") == "" {
 		t.Fatalf("draining router: status %d Retry-After %q", hr.StatusCode, hr.Header.Get("Retry-After"))
-	}
-}
-
-// TestRouterFanoutMode: with Fanout set, the router's /v1/rcdp goes
-// through the coordinator and still matches the direct answer.
-func TestRouterFanoutMode(t *testing.T) {
-	backends := clusterBackends(t, 2)
-	rt, err := NewRouter(RouterConfig{Backends: backends, Fanout: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	front := httptest.NewServer(rt.Handler())
-	defer front.Close()
-	for _, query := range []string{exQuery, incompleteQuery} {
-		req := CheckRequest{Catalog: "crm", DB: exDB, Query: query}
-		var direct, routed CheckResponse
-		if code := post(t, backends[0]+"/v1/rcdp", req, &direct); code != http.StatusOK {
-			t.Fatalf("direct: status %d", code)
-		}
-		if code := post(t, front.URL+"/v1/rcdp", req, &routed); code != http.StatusOK {
-			t.Fatalf("fanout: status %d", code)
-		}
-		if routed.Verdict != direct.Verdict || routed.Extension != direct.Extension ||
-			fmt.Sprint(routed.NewTuple) != fmt.Sprint(direct.NewTuple) ||
-			routed.Stats.Valuations != direct.Stats.Valuations {
-			t.Errorf("%q: fanout %+v != direct %+v", query, routed, direct)
-		}
 	}
 }
 
@@ -634,20 +409,15 @@ func getBackends(t *testing.T, frontURL string) []BackendStatus {
 	return statuses
 }
 
-// TestRouterRingEjectionFailover: a connection failure ejects the
-// primary backend from the rotation, routed traffic deterministically
-// fails over to the next ring candidate without a blind resend, and
-// the health sweep re-admits the backend once it probes ready with a
-// healed replay log.
-func TestRouterRingEjectionFailover(t *testing.T) {
-	// Both backends sit behind kill switches so the test can kill
-	// whichever one the ring makes primary for the catalog key.
-	servers := make([]*Server, 2)
-	downs := make([]atomic.Bool, 2)
-	urls := make([]string, 2)
-	for i := range servers {
-		i := i
-		servers[i] = New(Config{})
+// killableBackends starts n backend servers, each behind a kill switch:
+// while downs[i] is set, backend i closes every connection without a
+// response, which the router treats as an unreachable backend.
+func killableBackends(t *testing.T, n int) ([]string, []atomic.Bool) {
+	t.Helper()
+	downs := make([]atomic.Bool, n)
+	urls := make([]string, n)
+	for i := range urls {
+		s := New(Config{})
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if downs[i].Load() {
 				hj, ok := w.(http.Hijacker)
@@ -660,11 +430,23 @@ func TestRouterRingEjectionFailover(t *testing.T) {
 				}
 				return
 			}
-			servers[i].Handler().ServeHTTP(w, r)
+			s.Handler().ServeHTTP(w, r)
 		}))
-		defer ts.Close()
+		t.Cleanup(ts.Close)
 		urls[i] = ts.URL
 	}
+	return urls, downs
+}
+
+// TestRouterRingEjectionFailover: a connection failure ejects the
+// primary backend from the rotation, routed traffic deterministically
+// fails over to the next ring candidate without a blind resend, and
+// the health sweep re-admits the backend once it probes ready with a
+// healed replay log.
+func TestRouterRingEjectionFailover(t *testing.T) {
+	// Both backends sit behind kill switches so the test can kill
+	// whichever one the ring makes primary for the catalog key.
+	urls, downs := killableBackends(t, 2)
 	rt, err := NewRouter(RouterConfig{Backends: urls, ReprobeInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -734,5 +516,66 @@ func TestRouterRingEjectionFailover(t *testing.T) {
 	}
 	if got := rt.health[primary].forwards.Load(); got != primaryForwards+1 {
 		t.Errorf("re-admitted primary not routed to: forwards %d -> %d", primaryForwards, got)
+	}
+}
+
+// TestRouterVerdictsNoRotation: with every backend ejected, a routed
+// verdicts read is refused with 502 instead of serving an ejected
+// copy, which may have missed mutation broadcasts.
+func TestRouterVerdictsNoRotation(t *testing.T) {
+	urls, downs := killableBackends(t, 2)
+	rt, err := NewRouter(RouterConfig{Backends: urls, ReprobeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	var info CatalogInfo
+	if code := post(t, front.URL+"/v1/catalog", CatalogRequest{
+		Name:          "crm",
+		Schemas:       exSchemas,
+		MasterSchemas: exMasterSchemas,
+		DB:            exDB,
+		Master:        exMaster,
+		Constraints:   exConstraints,
+		Queries:       []string{exQuery, incompleteQuery},
+	}, &info); code != http.StatusCreated {
+		t.Fatalf("register: status %d", code)
+	}
+	order := rt.candidates("crm")
+	primary, standby := order[0], order[1]
+
+	// The primary misses the insert that flips Q2 to complete and is
+	// ejected; a verdicts read fails over to the standby, which has it.
+	// That read also spends the primary's reprobe on a failed probe.
+	downs[primary].Store(true)
+	var mr MutationResponse
+	if code := post(t, front.URL+"/v1/catalog/crm/insert", MutationRequest{
+		Facts: "Supt(e1, sales, c2).",
+	}, &mr); code != http.StatusOK || mr.Rechecked != 2 {
+		t.Fatalf("insert with the primary down: status %d %+v", code, mr)
+	}
+	if _, vr := getVerdicts(t, front.URL+"/v1/catalog/crm/verdicts"); verdictOf(t, vr, incompleteQuery).Verdict != "complete" {
+		t.Fatalf("routed Q2 = %+v, want complete from the standby", verdictOf(t, vr, incompleteQuery))
+	}
+
+	// The primary comes back with its stale copy, still out of rotation;
+	// then the standby fails a routed check and is ejected too.
+	downs[primary].Store(false)
+	downs[standby].Store(true)
+	var eresp ErrorResponse
+	req := CheckRequest{Catalog: "crm", DB: exDB, Query: exQuery}
+	if code := post(t, front.URL+"/v1/rcdp", req, &eresp); code != http.StatusBadGateway {
+		t.Fatalf("check with both backends out: status %d, want 502", code)
+	}
+	if !rt.health[primary].ejected.Load() || !rt.health[standby].ejected.Load() {
+		t.Fatal("want both backends ejected")
+	}
+	if _, vr := getVerdicts(t, urls[primary]+"/v1/catalog/crm/verdicts"); verdictOf(t, vr, incompleteQuery).Verdict != "incomplete" {
+		t.Fatalf("primary Q2 = %+v, want its stale incomplete", verdictOf(t, vr, incompleteQuery))
+	}
+	if code, _ := getVerdicts(t, front.URL+"/v1/catalog/crm/verdicts"); code != http.StatusBadGateway {
+		t.Fatalf("verdicts with no backend in rotation: status %d, want 502", code)
 	}
 }

@@ -23,18 +23,12 @@ type RouterConfig struct {
 	// Backends are the base URLs of the backend relserve processes
 	// (e.g. http://127.0.0.1:8081). Required.
 	Backends []string
-	// Fanout, when set, answers POST /v1/rcdp by scattering the check
-	// across ALL backends as partition slices (/v1/partial) and merging
-	// the results, instead of forwarding the whole request to one
-	// backend. The merged verdict is identical to a single process
-	// (core.MergeSlices).
-	Fanout bool
 	// RetryAfter is the hint attached to 503 responses while the router
 	// drains (default 1s).
 	RetryAfter time.Duration
 	// MaxBodyBytes bounds buffered request bodies (default 16 MiB).
 	MaxBodyBytes int64
-	// Client is the HTTP client used for forwards, fan-out legs and
+	// Client is the HTTP client used for forwards, broadcasts and
 	// health probes (default http.DefaultClient).
 	Client *http.Client
 	// ReprobeInterval is how long an ejected backend stays out of the
@@ -61,10 +55,9 @@ type RouterConfig struct {
 // broadcast to every backend so any of them can serve any catalog when
 // the rotation moves.
 type Router struct {
-	cfg   RouterConfig
-	ring  []ringPoint
-	coord *Coordinator
-	mux   *http.ServeMux
+	cfg  RouterConfig
+	ring []ringPoint
+	mux  *http.ServeMux
 
 	draining atomic.Bool
 	wg       sync.WaitGroup
@@ -129,7 +122,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	rt := &Router{
 		cfg:     cfg,
-		coord:   &Coordinator{Backends: cfg.Backends, Client: cfg.Client},
 		health:  make([]backendHealth, len(cfg.Backends)),
 		applied: make([]int, len(cfg.Backends)),
 	}
@@ -141,15 +133,10 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	sort.Slice(rt.ring, func(i, j int) bool { return rt.ring[i].hash < rt.ring[j].hash })
 
 	rt.mux = http.NewServeMux()
-	if cfg.Fanout {
-		rt.mux.HandleFunc("/v1/rcdp", rt.fanoutHandler)
-	} else {
-		rt.mux.HandleFunc("/v1/rcdp", rt.forwardHandler("rcdp"))
-	}
+	rt.mux.HandleFunc("/v1/rcdp", rt.forwardHandler("rcdp"))
 	rt.mux.HandleFunc("/v1/rcqp", rt.forwardHandler("rcqp"))
 	rt.mux.HandleFunc("/v1/bounded", rt.forwardHandler("bounded"))
 	rt.mux.HandleFunc("/v1/batch", rt.forwardHandler("batch"))
-	rt.mux.HandleFunc("/v1/partial", rt.forwardHandler("partial"))
 	rt.mux.HandleFunc("/v1/catalog", rt.catalogHandler)
 	rt.mux.HandleFunc("POST /v1/catalog/{name}/insert", rt.mutationHandler)
 	rt.mux.HandleFunc("POST /v1/catalog/{name}/delete", rt.mutationHandler)
@@ -207,18 +194,6 @@ func fnvHash(s string) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(s))
 	return h.Sum64()
-}
-
-// pick maps a routing key to a backend index: the first ring point at
-// or after the key's hash, wrapping at the top. It ignores rotation
-// state; routed traffic goes through candidates/usable instead.
-func (rt *Router) pick(key string) int {
-	h := fnvHash(key)
-	i := sort.Search(len(rt.ring), func(i int) bool { return rt.ring[i].hash >= h })
-	if i == len(rt.ring) {
-		i = 0
-	}
-	return rt.ring[i].backend
 }
 
 // candidates returns the failover order for a routing key: the
@@ -413,39 +388,6 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 	}
 }
 
-// fanoutHandler answers POST /v1/rcdp by scattering partition slices
-// across all backends and merging (router -fanout mode).
-func (rt *Router) fanoutHandler(w http.ResponseWriter, r *http.Request) {
-	obs.ServeRequests.Inc("rcdp")
-	id := rt.nextRequestID()
-	w.Header().Set("X-Request-Id", id)
-	if r.Method != http.MethodPost {
-		writeError(w, id, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if rt.Draining() {
-		rt.refuse(w, id)
-		return
-	}
-	rt.wg.Add(1)
-	defer rt.wg.Done()
-	var req CheckRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, id, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	resp, status, err := rt.coord.Check(r.Context(), &req)
-	if err != nil {
-		writeError(w, id, status, "fan-out: %v", err)
-		return
-	}
-	resp.RequestID = id
-	obs.ServeVerdicts.Inc(resp.Verdict)
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // catalogHandler broadcasts registrations (POST) to every backend —
 // the ring may move keys when backends come and go, so each backend
 // must hold every catalog — and fans a GET in to the union of the
@@ -527,17 +469,23 @@ func (rt *Router) mutationHandler(w http.ResponseWriter, r *http.Request) {
 // verdictsProxyHandler forwards a verdicts read (including its
 // long-poll parameters) to the catalog's first in-rotation ring
 // candidate — the backend routed checks land on, so the poll observes
-// the same copy even while the primary is ejected.
+// the same copy even while the primary is ejected. With every backend
+// ejected it answers 502 like forwardHandler: an ejected backend may
+// have missed mutation broadcasts, so its verdicts may be stale.
 func (rt *Router) verdictsProxyHandler(w http.ResponseWriter, r *http.Request) {
 	obs.ServeRequests.Inc("verdicts")
 	id := rt.nextRequestID()
 	w.Header().Set("X-Request-Id", id)
-	b := rt.pick(r.PathValue("name"))
+	b := -1
 	for _, c := range rt.candidates(r.PathValue("name")) {
 		if rt.usable(r.Context(), c) {
 			b = c
 			break
 		}
+	}
+	if b < 0 {
+		writeError(w, id, http.StatusBadGateway, "no backend in rotation")
+		return
 	}
 	url := rt.cfg.Backends[b] + r.URL.Path
 	if r.URL.RawQuery != "" {

@@ -96,10 +96,6 @@ type Server struct {
 	wg       sync.WaitGroup // one unit per admitted request
 	reqSeq   atomic.Int64
 
-	// partialGroups pools valuation budgets across the slices of one
-	// partitioned check (POST /v1/partial budget_group).
-	partialGroups budgetGroups
-
 	// beforeCheck, when non-nil, runs inside the worker slot before the
 	// request body is processed. Tests use it to hold slots occupied
 	// while they probe admission control and draining.
@@ -149,7 +145,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/v1/advise", handleAdmitted(s, "advise", s.serveAdvise))
 	s.mux.HandleFunc("/v1/batch", handleAdmitted(s, "batch", s.serveBatch))
 	s.mux.HandleFunc("/v1/mine", handleAdmitted(s, "mine", s.serveMine))
-	s.mux.HandleFunc("/v1/partial", handleAdmitted(s, "partial", s.servePartial))
 	s.mux.HandleFunc("/v1/catalog", s.catalogHandler)
 	s.mux.HandleFunc("POST /v1/catalog/{name}/insert", handleAdmitted(s, "insert", s.serveMutation("insert")))
 	s.mux.HandleFunc("POST /v1/catalog/{name}/delete", handleAdmitted(s, "delete", s.serveMutation("delete")))
