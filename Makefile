@@ -136,9 +136,10 @@ vuln:
 		echo "vuln: govulncheck not installed; skipping"; \
 	fi
 
-# Native fuzz smoke: each textq fuzz target runs for a short budget
-# (go test accepts one -fuzz pattern per invocation), catching
-# parser/formatter regressions without a long fuzz session.
+# Native fuzz smoke: each fuzz target runs for a short budget (go test
+# accepts one -fuzz pattern per invocation), catching parser/formatter
+# regressions and server JSON-decoder panics or 5xx answers without a
+# long fuzz session.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/textq/ -run='^$$' -fuzz=FuzzParseSchemas -fuzztime=$(FUZZTIME)
@@ -147,6 +148,7 @@ fuzz-smoke:
 	$(GO) test ./internal/textq/ -run='^$$' -fuzz=FuzzParseConstraints -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/textq/ -run='^$$' -fuzz=FuzzMutationBatch -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mine/ -run='^$$' -fuzz=FuzzMineEvidence -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/server/ -run='^$$' -fuzz=FuzzDecoders -fuzztime=$(FUZZTIME)
 
 # Coverage floors for the decision-procedure packages (set ~2 points
 # under the measured coverage at the time the floor was introduced so

@@ -1,9 +1,12 @@
 package cc
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
+	"repro/internal/query"
 	"repro/internal/relation"
 )
 
@@ -49,7 +52,11 @@ func TestMasterSideCacheInvalidation(t *testing.T) {
 // TestSatisfiedDeltaAgreesWithFullRandom extends the fixed-case
 // agreement test with randomized bases and deltas over the CRM schema,
 // exercising the overlay evaluation (no union materialization) on
-// overlapping and disjoint deltas alike.
+// overlapping and disjoint deltas alike. Each partially closed D also
+// gets one prepared DeltaChecker, reused over several deltas in a row —
+// violating ones included, so some probe runs stop early — and over one
+// run whose 1-row gate trips, followed by an ungated run: every answer
+// must still be the full recheck's.
 func TestSatisfiedDeltaAgreesWithFullRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	cids := []string{"c1", "c2", "c3", "c4"}
@@ -75,7 +82,16 @@ func TestSatisfiedDeltaAgreesWithFullRandom(t *testing.T) {
 	dm.MustAdd("DCust", "c2", "nc2", "973", "555")
 	set := NewSet(phi0(), AtMostK("k1", "Supt", 3, []int{0}, 3, 1))
 
-	trials := 0
+	full := func(d, delta *relation.Database) bool {
+		ok, err := set.Satisfied(d.Union(delta), dm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ok
+	}
+
+	trials, trips := 0, 0
+	answers := map[bool]int{}
 	for trial := 0; trial < 500 && trials < 200; trial++ {
 		d := randDB(rng.Intn(5))
 		if ok, err := set.Satisfied(d, dm); err != nil || !ok {
@@ -95,8 +111,43 @@ func TestSatisfiedDeltaAgreesWithFullRandom(t *testing.T) {
 			t.Fatalf("trial %d: SatisfiedDelta=%v but full recheck=%v\nD:\n%v\ndelta:\n%v",
 				trial, fast, slow, d, delta)
 		}
+
+		dc := set.NewDeltaChecker(d, dm)
+		for k := 0; k < 4; k++ {
+			delta := randDB(rng.Intn(3) + 1)
+			got, err := dc.SatisfiedGate(delta, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := full(d, delta)
+			if got != want {
+				t.Fatalf("trial %d delta %d: DeltaChecker=%v but full recheck=%v\nD:\n%v\ndelta:\n%v",
+					trial, k, got, want, d, delta)
+			}
+			answers[got]++
+		}
+		delta = randDB(rng.Intn(3) + 2)
+		want := full(d, delta)
+		got, err := dc.SatisfiedGate(delta, query.NewGate(context.Background(), 1, 0))
+		switch {
+		case errors.Is(err, query.ErrRowBudget):
+			trips++
+		case err != nil:
+			t.Fatalf("trial %d: gated run: %v", trial, err)
+		case got != want:
+			t.Fatalf("trial %d: gated DeltaChecker=%v but full recheck=%v", trial, got, want)
+		}
+		if got, err := dc.SatisfiedGate(delta, nil); err != nil || got != want {
+			t.Fatalf("trial %d: ungated run after the gated one = %v, %v; full recheck=%v\nD:\n%v\ndelta:\n%v",
+				trial, got, err, want, d, delta)
+		}
+		dc.Flush()
 	}
 	if trials < 100 {
 		t.Fatalf("too few partially closed trials: %d", trials)
+	}
+	if answers[true] == 0 || answers[false] == 0 || trips == 0 {
+		t.Fatalf("prepared checker coverage: %d satisfied, %d violated, %d gate trips; want all > 0",
+			answers[true], answers[false], trips)
 	}
 }

@@ -279,23 +279,7 @@ func (c *Constraint) SatisfiedDeltaGate(d, delta, dm *relation.Database, g *quer
 	if !c.Q.Lang().Monotone() {
 		return c.satisfiedUnion(d, delta, dm, g)
 	}
-	pc := c.masterCache(dm)
-	var kb []byte
-	for _, t := range c.Q.Tableaux() {
-		// Heads arrive as interned ids and membership is one
-		// fixed-width key probe — no Binding, HeadTuple or string Key
-		// per differential match.
-		violated := false
-		err := t.EvalFuncDeltaIDsGate(d, delta, g, func(head []int32) bool {
-			kb = relation.AppendIDKey(kb[:0], head)
-			violated = !pc.rhsIDs[string(kb)]
-			return !violated
-		})
-		if err != nil || violated {
-			return false, err
-		}
-	}
-	return true, nil
+	return NewSet(c).SatisfiedDeltaGate(d, delta, dm, g)
 }
 
 func (c *Constraint) satisfiedUnion(d, delta, dm *relation.Database, g *query.Gate) (bool, error) {
@@ -366,18 +350,107 @@ func (s *Set) SatisfiedDelta(d, delta, dm *relation.Database) (bool, error) {
 }
 
 // SatisfiedDeltaGate is SatisfiedDelta under gate governance (see
-// SatisfiedGate).
+// SatisfiedGate). It is a one-shot DeltaChecker.
 func (s *Set) SatisfiedDeltaGate(d, delta, dm *relation.Database, g *query.Gate) (bool, error) {
-	if s == nil {
-		return true, nil
+	dc := s.NewDeltaChecker(d, dm)
+	ok, err := dc.SatisfiedGate(delta, g)
+	dc.Flush()
+	return ok, err
+}
+
+// DeltaChecker is Set.SatisfiedDeltaGate prepared for one partially
+// closed D and one Dm and run for many deltas, as the decision
+// procedures do once per candidate valuation. Each monotone forward
+// constraint holds one cq.DeltaProbe per tableau of its query plus its
+// id-keyed p(Dm) memo, both resolved on the constraint's first use;
+// reverse and non-monotone constraints go through
+// Constraint.SatisfiedDeltaGate on every call.
+//
+// D and Dm must not change while the checker is in use — a check holds
+// its catalog entry's read lock for its whole run and mutations take
+// the write lock. A checker is single-goroutine; Flush charges the
+// join counters of its probes to the obs metrics.
+type DeltaChecker struct {
+	d, dm *relation.Database
+	cs    []deltaConstraint
+	kb    []byte // head id-key scratch
+}
+
+// deltaConstraint is one constraint's prepared state in a DeltaChecker.
+type deltaConstraint struct {
+	c        *Constraint
+	fast     bool             // monotone forward constraint: runs on probes
+	probes   []*cq.DeltaProbe // nil until first use
+	violated bool
+	leaf     func(head []int32) bool
+}
+
+// NewDeltaChecker prepares SatisfiedDeltaGate over d and dm. Nothing is
+// evaluated until the first SatisfiedGate call.
+func (s *Set) NewDeltaChecker(d, dm *relation.Database) *DeltaChecker {
+	dc := &DeltaChecker{d: d, dm: dm}
+	if s != nil {
+		dc.cs = make([]deltaConstraint, len(s.Constraints))
+		for i, c := range s.Constraints {
+			dc.cs[i] = deltaConstraint{c: c, fast: !c.Reverse && c.Q.Lang().Monotone()}
+		}
 	}
-	for _, c := range s.Constraints {
-		ok, err := c.SatisfiedDeltaGate(d, delta, dm, g)
-		if err != nil || !ok {
-			return false, err
+	return dc
+}
+
+// SatisfiedGate reports whether (D ∪ Δ, Dm) ⊨ V, assuming (D, Dm) ⊨ V,
+// under gate governance (see Set.SatisfiedDeltaGate). Constraints are
+// tested in order and the first violated one ends the call.
+func (dc *DeltaChecker) SatisfiedGate(delta *relation.Database, g *query.Gate) (bool, error) {
+	for i := range dc.cs {
+		x := &dc.cs[i]
+		if !x.fast {
+			ok, err := x.c.SatisfiedDeltaGate(dc.d, delta, dc.dm, g)
+			if err != nil || !ok {
+				return false, err
+			}
+			continue
+		}
+		if x.probes == nil {
+			dc.prepare(x)
+		}
+		for _, p := range x.probes {
+			// Heads arrive as interned ids and membership is one
+			// fixed-width key probe — no Binding, HeadTuple or string
+			// Key per differential match.
+			x.violated = false
+			if err := p.Run(delta, g, x.leaf); err != nil || x.violated {
+				return false, err
+			}
 		}
 	}
 	return true, nil
+}
+
+// prepare builds a monotone forward constraint's probes and resolves
+// its p(Dm) memo.
+func (dc *DeltaChecker) prepare(x *deltaConstraint) {
+	rhs := x.c.masterCache(dc.dm).rhsIDs
+	x.leaf = func(head []int32) bool {
+		dc.kb = relation.AppendIDKey(dc.kb[:0], head)
+		x.violated = !rhs[string(dc.kb)]
+		return !x.violated
+	}
+	ts := x.c.Q.Tableaux()
+	x.probes = make([]*cq.DeltaProbe, len(ts))
+	for j, t := range ts {
+		x.probes[j] = t.NewDeltaProbe(dc.d)
+	}
+}
+
+// Flush charges the join counters accumulated by the checker's probes
+// to the obs metrics.
+func (dc *DeltaChecker) Flush() {
+	for i := range dc.cs {
+		for _, p := range dc.cs[i].probes {
+			p.Flush()
+		}
+	}
 }
 
 // AllMonotone reports whether every constraint is in a monotone

@@ -126,24 +126,24 @@ func (ck *Checker) degree(q qlang.Query, d, dm *relation.Database, v *cc.Set, gv
 		res.finish()
 		return res, nil
 	}
-	for di, t := range prep.tableaux {
-		search := prep.searches[di]
+	wc := newWitnessChecker(prep, d, dm, v, gate)
+	defer wc.flush()
+	for di, search := range prep.searches {
 		if search == nil {
 			continue
 		}
 		var cbErr error
 		err := search.run(func(b query.Binding) bool {
-			r, err := rcdpWitness(t, di, b, prep.schemas, prep.answerSet, d, dm, v, gate)
+			// The witness extension is never surfaced — counting
+			// continues past it — so test keeps the scratch fragment.
+			_, ok, err := wc.test(di, b)
 			if err != nil {
 				cbErr = err
 				return false
 			}
 			res.Candidates++
-			if r != nil {
+			if ok {
 				res.Counterexamples++
-				// The witness extension is never surfaced — counting
-				// continues past it — so recycle its storage.
-				t.ReleaseApplied(r.Extension)
 			}
 			return true
 		})

@@ -31,7 +31,8 @@ import (
 //	                   fields, D/Dm (warmed), schemas, answer sets
 //	shared mutable:    raceCtl (atomics + mutex), budgetCtl (atomic)
 //	per-worker:        the binding, the pruner clone's backtracking
-//	                   counters, the freshUsed symmetry counter
+//	                   counters, the freshUsed symmetry counter, the
+//	                   RCDP witness checker
 var (
 	// errAbandoned aborts a branch whose key can no longer win.
 	errAbandoned = errors.New("core: branch abandoned")
@@ -145,11 +146,11 @@ func (bc *budgetCtl) count() int { return int(bc.visited.Load()) }
 
 // parallelFn is the complete-valuation callback of a parallel search.
 // It runs concurrently on worker goroutines, so it must only read
-// shared state that is warmed/immutable; the binding it receives is
-// worker-owned and is mutated after the call returns, so anything kept
-// must be cloned or derived (Tableau.Apply and HeadTuple allocate fresh
-// objects). A non-nil claim ends the branch.
-type parallelFn func(b query.Binding) (claim any, err error)
+// shared state that is warmed/immutable, plus the calling worker's own
+// state (w). The binding it receives is worker-owned and is mutated
+// after the call returns, so anything kept must be cloned or derived
+// (HeadTuple allocates a fresh tuple). A non-nil claim ends the branch.
+type parallelFn func(w *searchWorker, b query.Binding) (claim any, err error)
 
 // searchWorker is the per-goroutine state of one branch of a parallel
 // valuation search.
@@ -161,6 +162,10 @@ type searchWorker struct {
 	ctl    *raceCtl         // shared with the whole engine
 	key    int64            // this branch's claim key
 	fn     parallelFn
+	// wc is this worker's RCDP witness checker, built by fn at the
+	// first complete valuation and flushed when the branch ends (nil
+	// for searches that do not use one).
+	wc *witnessChecker
 }
 
 // rec mirrors valuationSearch.run's recursion exactly (same candidate
@@ -184,7 +189,7 @@ func (w *searchWorker) rec(i, freshUsed int) error {
 		if !s.t.DiseqsHold(w.b) {
 			return nil
 		}
-		claim, err := w.fn(w.b)
+		claim, err := w.fn(w, w.b)
 		if err != nil {
 			return err
 		}
@@ -243,6 +248,8 @@ func (s *valuationSearch) branchTasks(ctl *raceCtl, bud *budgetCtl, disjunct int
 				}
 				start = 1
 			}
+			// A closure: w.wc is set during rec, after this defer.
+			defer func() { w.wc.flush() }()
 			switch err := w.rec(start, nf); err {
 			case nil, errStop, errAbandoned, errBudgetStop:
 				// Branch outcome (if any) is recorded in ctl.

@@ -244,27 +244,27 @@ func (ck *Checker) rcdp(q qlang.Query, d, dm *relation.Database, v *cc.Set, pool
 	if prep == nil {
 		return &RCDPResult{Complete: true}, nil
 	}
-	tableaux, searches, schemas, answerSet := prep.tableaux, prep.searches, prep.schemas, prep.answerSet
 
 	if workers := ck.effectiveWorkers(); workers > 1 {
 		if pool == nil {
 			pool = newWorkerPool(workers)
 		}
 		if pool != nil {
-			return ck.rcdpParallel(pool, tableaux, searches, d, dm, v, schemas, answerSet, gate)
+			return ck.rcdpParallel(pool, prep, d, dm, v, gate)
 		}
 	}
 
+	wc := newWitnessChecker(prep, d, dm, v, gate)
+	defer wc.flush()
 	res := &RCDPResult{Complete: true}
-	for di, t := range tableaux {
-		search := searches[di]
+	for di, search := range prep.searches {
 		if search == nil {
 			continue
 		}
 		var found *RCDPResult
 		var cbErr error
 		err := search.run(func(b query.Binding) bool {
-			r, err := rcdpWitness(t, di, b, schemas, answerSet, d, dm, v, gate)
+			r, err := wc.witness(di, b)
 			if err != nil {
 				cbErr = err
 				return false
@@ -294,41 +294,74 @@ func (ck *Checker) rcdp(q qlang.Query, d, dm *relation.Database, v *cc.Set, pool
 	return res, nil
 }
 
-// rcdpWitness decides whether the complete valuation b of disjunct di's
-// tableau is a counterexample to completeness, and if so builds the
-// result. It reads only warmed/immutable shared state (answerSet, D,
-// Dm, V, schemas) and allocates fresh output objects, so the parallel
-// engine may call it concurrently.
-func rcdpWitness(t *cq.Tableau, di int, b query.Binding, schemas map[string]*relation.Schema,
-	answerSet map[string]bool, d, dm *relation.Database, v *cc.Set, gate *query.Gate) (*RCDPResult, error) {
+// witnessChecker decides, for one search, whether complete valuations
+// are counterexamples to completeness: μ(u) ∉ Q(D) and (D ∪ μ(T), Dm) ⊨
+// V. It is built once per search (per worker branch in the parallel
+// engine) and owns the prepared cc.DeltaChecker over (D, Dm) plus one
+// scratch Δ-fragment per disjunct tableau, refilled in place for every
+// valuation. Besides those it reads only the warmed, read-only shared
+// state of rcdpPrep. Single-goroutine.
+type witnessChecker struct {
+	prep  *rcdpPrep
+	dc    *cc.DeltaChecker
+	gate  *query.Gate
+	frags []*relation.Database // per disjunct; nil until first use
+}
+
+func newWitnessChecker(prep *rcdpPrep, d, dm *relation.Database, v *cc.Set, gate *query.Gate) *witnessChecker {
+	return &witnessChecker{
+		prep:  prep,
+		dc:    v.NewDeltaChecker(d, dm),
+		gate:  gate,
+		frags: make([]*relation.Database, len(prep.tableaux)),
+	}
+}
+
+// test reports whether the complete valuation b of disjunct di is a
+// counterexample, returning μ(u) when it is; the disjunct's scratch
+// fragment then holds μ(T).
+func (w *witnessChecker) test(di int, b query.Binding) (relation.Tuple, bool, error) {
+	t := w.prep.tableaux[di]
 	head, ok := t.HeadTuple(b)
 	if !ok {
-		return nil, nil
+		return nil, false, nil
 	}
-	if answerSet[head.Key()] {
-		return nil, nil // already answered; cannot change Q(D)
+	if w.prep.answerSet[head.Key()] {
+		return nil, false, nil // already answered; cannot change Q(D)
 	}
-	delta, err := t.Apply(b, schemas)
-	if err != nil {
+	delta := w.frags[di]
+	if delta == nil {
+		var err error
+		if delta, err = t.Apply(b, w.prep.schemas); err != nil {
+			return nil, false, err
+		}
+		w.frags[di] = delta
+	} else if err := t.ApplyInto(delta, b); err != nil {
+		return nil, false, err
+	}
+	if err := w.gate.ChargeTuples(delta.TupleCount()); err != nil {
+		return nil, false, err
+	}
+	sat, err := w.dc.SatisfiedGate(delta, w.gate)
+	if err != nil || !sat {
+		return nil, false, err
+	}
+	return head, true, nil
+}
+
+// witness is test building the result for a counterexample. The
+// result takes the scratch fragment as its Extension, so the disjunct
+// starts a fresh one at its next valuation.
+func (w *witnessChecker) witness(di int, b query.Binding) (*RCDPResult, error) {
+	head, ok, err := w.test(di, b)
+	if err != nil || !ok {
 		return nil, err
 	}
-	if err := gate.ChargeTuples(delta.TupleCount()); err != nil {
-		return nil, err
-	}
-	sat, err := v.SatisfiedDeltaGate(d, delta, dm, gate)
-	if err != nil {
-		return nil, err
-	}
-	if !sat {
-		// Extension violates V; keep searching. The fragment is dead —
-		// nothing above retains a reference — so recycle its storage
-		// for the next valuation.
-		t.ReleaseApplied(delta)
-		return nil, nil
-	}
+	ext := w.frags[di]
+	w.frags[di] = nil
 	return &RCDPResult{
 		Complete:  false,
-		Extension: delta,
+		Extension: ext,
 		NewTuple:  head,
 		Disjunct:  di,
 		// Clone: the binding is owned by the search engine and is
@@ -337,33 +370,38 @@ func rcdpWitness(t *cq.Tableau, di int, b query.Binding, schemas map[string]*rel
 	}, nil
 }
 
+// flush charges the checker's batched join counters to obs. Nil-safe
+// for workers that never reached a complete valuation.
+func (w *witnessChecker) flush() {
+	if w != nil {
+		w.dc.Flush()
+	}
+}
+
 // rcdpParallel runs the disjunct searches on the worker pool: the
 // top-level candidate branches of every disjunct become one flat,
 // lexicographically ordered task list, a shared raceCtl arbitrates
 // claims to the smallest (disjunct, branch) key, and per-disjunct
 // budget controllers preserve the MaxValuations semantics. See
 // DESIGN.md, "Parallel search", for the determinism argument.
-func (ck *Checker) rcdpParallel(pool *workerPool, tableaux []*cq.Tableau, searches []*valuationSearch,
-	d, dm *relation.Database, v *cc.Set, schemas map[string]*relation.Schema, answerSet map[string]bool,
+func (ck *Checker) rcdpParallel(pool *workerPool, prep *rcdpPrep, d, dm *relation.Database, v *cc.Set,
 	gate *query.Gate) (*RCDPResult, error) {
 	warmShared(d, dm)
 	ctl := newRaceCtl()
-	budgets := make([]*budgetCtl, len(tableaux))
+	budgets := make([]*budgetCtl, len(prep.tableaux))
 	var tasks []func()
-	for di, t := range tableaux {
-		search := searches[di]
+	for di, search := range prep.searches {
 		if search == nil {
 			continue
 		}
-		t, di := t, di
 		budgets[di] = newBudgetCtl(ck.Budget.MaxValuations)
-		fn := func(b query.Binding) (any, error) {
-			r, err := rcdpWitness(t, di, b, schemas, answerSet, d, dm, v, gate)
-			if err != nil {
-				return nil, err
+		fn := func(w *searchWorker, b query.Binding) (any, error) {
+			if w.wc == nil {
+				w.wc = newWitnessChecker(prep, d, dm, v, gate)
 			}
-			if r == nil {
-				return nil, nil
+			r, err := w.wc.witness(di, b)
+			if err != nil || r == nil {
+				return nil, err
 			}
 			return r, nil
 		}

@@ -280,7 +280,7 @@ func (cfg QPChecker) rcqpINDs(q qlang.Query, dm *relation.Database, v *cc.Set, s
 		for _, ud := range pending {
 			ud := ud
 			names[ud.di] = ud.name
-			fn := func(b query.Binding) (any, error) {
+			fn := func(_ *searchWorker, b query.Binding) (any, error) {
 				delta, err := ud.t.Apply(b, schemas)
 				if err != nil {
 					return nil, nil // mirror sequential: skip, keep searching

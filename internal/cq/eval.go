@@ -51,8 +51,8 @@ func (t *Tableau) Eval(d *relation.Database) []relation.Tuple {
 // string Key) and materialize to sorted tuples once at the end.
 func (t *Tableau) EvalGate(d *relation.Database, g *query.Gate) ([]relation.Tuple, error) {
 	gs := gate(g)
-	var es evalStats
-	st := t.isetup(d, nil, gs, &es)
+	es := evalStats{evals: 1}
+	st := t.isetup(d, gs, &es)
 	seen := make(map[string]bool)
 	var answers [][]int32
 	var kbuf []byte
@@ -95,8 +95,8 @@ func (t *Tableau) EvalFunc(d *relation.Database, fn func(query.Binding) bool) {
 // error aborts enumeration and is returned. A nil gate is free.
 func (t *Tableau) EvalFuncGate(d *relation.Database, g *query.Gate, fn func(query.Binding) bool) error {
 	gs := gate(g)
-	var es evalStats
-	st := t.isetup(d, nil, gs, &es)
+	es := evalStats{evals: 1}
+	st := t.isetup(d, gs, &es)
 	st.leaf = st.bindingLeaf(t.Vars, fn)
 	if !st.ip.unsat {
 		st.run(t.planOrder(d), 0)
@@ -105,24 +105,28 @@ func (t *Tableau) EvalFuncGate(d *relation.Database, g *query.Gate, fn func(quer
 	return gs.finish()
 }
 
-// evalStats accumulates one enumeration's observability counts in
-// plain stack-local integers — the same batching discipline as
-// gateState: the hot join loop pays a non-atomic increment per row,
-// and the shared obs counters are charged once when the enumeration
-// ends, keeping the instrumented path within noise of the
-// uninstrumented one (BenchmarkObsOverhead).
+// evalStats accumulates observability counts in plain stack-local
+// integers — the same batching discipline as gateState: the hot join
+// loop pays a non-atomic increment per row, and the shared obs
+// counters are charged once when the enumeration ends (or, for a
+// DeltaProbe, once per Flush over all its runs), keeping the
+// instrumented path within noise of the uninstrumented one
+// (BenchmarkObsOverhead).
 type evalStats struct {
+	evals  int64 // enumerations (one per evaluation or DeltaProbe.Run)
 	rows   int64 // candidate join rows enumerated
 	probes int64 // join steps answered from a column index
 	scans  int64 // join steps answered by a full instance scan
 }
 
-// flush charges the accumulated counts to the process-global metrics.
+// flush charges the accumulated counts to the process-global metrics
+// and zeroes them.
 func (es *evalStats) flush() {
-	obs.Evals.Inc()
+	obs.Evals.Add(es.evals)
 	obs.JoinRows.Add(es.rows)
 	obs.IndexProbes.Add(es.probes)
 	obs.FullScans.Add(es.scans)
+	*es = evalStats{}
 }
 
 // gateState threads a gate through the join recursion. The join's
@@ -274,8 +278,9 @@ func (t *Tableau) EvalFuncDelta(d, delta *relation.Database, fn func(query.Bindi
 // enumeration and is returned. A nil gate is free.
 func (t *Tableau) EvalFuncDeltaGate(d, delta *relation.Database, g *query.Gate, fn func(query.Binding) bool) error {
 	gs := gate(g)
-	var es evalStats
-	st := t.isetup(d, delta, gs, &es)
+	es := evalStats{evals: 1}
+	st := t.isetup(d, gs, &es)
+	st.bindDelta(t, delta)
 	st.leaf = st.bindingLeaf(t.Vars, fn)
 	if !st.ip.unsat {
 		st.runDeltaAll(len(t.Templates))
@@ -288,15 +293,65 @@ func (t *Tableau) EvalFuncDeltaGate(d, delta *relation.Database, g *query.Gate, 
 // tuple as dictionary ids (the slice is reused between calls) instead
 // of a materialized Binding, which is what lets cc's incremental
 // constraint check compare heads against its id-keyed p(Dm) memo
-// without any per-leaf string work.
+// without any per-leaf string work. It is a one-shot DeltaProbe.
 func (t *Tableau) EvalFuncDeltaIDsGate(d, delta *relation.Database, g *query.Gate, fn func(head []int32) bool) error {
-	gs := gate(g)
-	var es evalStats
-	st := t.isetup(d, delta, gs, &es)
-	st.leaf = st.headLeaf(fn)
-	if !st.ip.unsat && st.ip.headBound {
-		st.runDeltaAll(len(t.Templates))
-	}
-	es.flush()
-	return gs.finish()
+	p := t.NewDeltaProbe(d)
+	err := p.Run(delta, g, fn)
+	p.Flush()
+	return err
 }
+
+// DeltaProbe is EvalFuncDeltaIDsGate prepared against one base
+// database d and run for many deltas: the base instances and their
+// index views, the constant ids, the slot, trail and head buffers and
+// the gate state are set up once, and each Run only rebinds the delta
+// instances. The decision procedures test one delta per candidate
+// valuation against the same d, which is what this amortizes.
+//
+// d must not be mutated while the probe is in use (the views it holds
+// are per generation). A probe is single-goroutine. Its join counters
+// accumulate across runs and reach the obs metrics on Flush; each Run
+// counts as one evaluation, so the totals equal those of one
+// EvalFuncDeltaIDsGate per delta.
+type DeltaProbe struct {
+	t  *Tableau
+	st *ijoin
+	gs gateState
+	es evalStats
+	fn func(head []int32) bool
+}
+
+// NewDeltaProbe prepares differential evaluation of t against d.
+func (t *Tableau) NewDeltaProbe(d *relation.Database) *DeltaProbe {
+	p := &DeltaProbe{t: t}
+	p.st = t.isetup(d, nil, &p.es)
+	p.st.leaf = p.st.headLeaf(func(head []int32) bool { return p.fn(head) })
+	return p
+}
+
+// Run enumerates the head tuples (as ids, in a reused slice) of the
+// matches over d ∪ delta that use at least one delta tuple, with the
+// semantics of EvalFuncDeltaIDsGate: each candidate tuple charges one
+// row-step on g, the first gate error aborts the run and is returned,
+// and fn returning false stops it. A nil gate is free.
+func (p *DeltaProbe) Run(delta *relation.Database, g *query.Gate, fn func(head []int32) bool) error {
+	p.es.evals++
+	st := p.st
+	if st.ip.unsat || !st.ip.headBound {
+		return nil
+	}
+	st.bindDelta(p.t, delta)
+	st.gs = nil
+	if g != nil {
+		p.gs = gateState{g: g}
+		st.gs = &p.gs
+	}
+	p.fn = fn
+	st.runDeltaAll(len(p.t.Templates))
+	p.fn = nil
+	return st.gs.finish()
+}
+
+// Flush charges the join counters accumulated since the last Flush to
+// the obs metrics.
+func (p *DeltaProbe) Flush() { p.es.flush() }

@@ -118,20 +118,18 @@ type ijoin struct {
 	leaf func() bool
 }
 
-// isetup prepares one enumeration over d and, when delta is non-nil,
-// the delta database. A relation missing from a database, or whose
-// arity differs from the template's, contributes no rows — exactly as
-// no tuple of it could match the template.
-func (t *Tableau) isetup(d, delta *relation.Database, gs *gateState, es *evalStats) *ijoin {
+// isetup prepares one enumeration over d. A relation missing from d,
+// or whose arity differs from the template's, contributes no rows —
+// exactly as no tuple of it could match the template. Differential
+// evaluation binds its delta instances afterwards with bindDelta.
+func (t *Tableau) isetup(d *relation.Database, gs *gateState, es *evalStats) *ijoin {
 	ip := t.plan()
 	dict := relation.Shared()
 	n := len(t.Templates)
 	nc, nv := len(ip.consts), len(t.Vars)
 	// One backing array serves cids, slots and the (bounded by nv)
 	// trail; one instance slice and one index slice each serve both the
-	// base and the delta halves. The decision procedures run one setup
-	// per valuation per constraint, so these five-allocations-for-two
-	// matters.
+	// base and the delta halves.
 	ibuf := make([]int32, nc+nv, nc+2*nv)
 	insbuf := make([]*relation.Instance, 2*n)
 	ixbuf := make([]relation.IDIndex, 2*n)
@@ -152,13 +150,6 @@ func (t *Tableau) isetup(d, delta *relation.Database, gs *gateState, es *evalSta
 			st.ins[i] = in
 			st.ixs[i] = in.IDs()
 		}
-		if delta == nil {
-			continue
-		}
-		if in := delta.Instance(a.Rel); in != nil && in.Schema.Arity() == len(a.Args) {
-			st.dins[i] = in
-			st.dixs[i] = in.IDs()
-		}
 	}
 	for i, c := range ip.consts {
 		st.cids[i] = dict.Intern(c)
@@ -168,6 +159,19 @@ func (t *Tableau) isetup(d, delta *relation.Database, gs *gateState, es *evalSta
 	}
 	st.vals = dict.Snapshot()
 	return st
+}
+
+// bindDelta (re)binds the delta instances of a differential
+// enumeration, under the same missing-relation and arity rules as the
+// base instances of isetup.
+func (st *ijoin) bindDelta(t *Tableau, delta *relation.Database) {
+	for i, a := range t.Templates {
+		st.dins[i], st.dixs[i] = nil, relation.IDIndex{}
+		if in := delta.Instance(a.Rel); in != nil && in.Schema.Arity() == len(a.Args) {
+			st.dins[i] = in
+			st.dixs[i] = in.IDs()
+		}
+	}
 }
 
 // resolve returns the id of a term under the current binding; bound is

@@ -3,7 +3,6 @@ package cq
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -37,13 +36,6 @@ type Tableau struct {
 	// ip is the compiled slot plan of the join engine (ieval.go); nil
 	// on hand-built tableaux, which compile it per evaluation.
 	ip *iplan
-
-	// applyPool recycles the database fragments Apply builds: the
-	// decision procedures instantiate the templates once per candidate
-	// valuation and discard the result almost every time, so callers
-	// that know a fragment is dead hand it back via ReleaseApplied and
-	// the next Apply refills it in place.
-	applyPool sync.Pool
 }
 
 // ErrUnsatisfiable is returned by BuildTableau for queries whose
@@ -228,52 +220,30 @@ outer:
 		}
 		ss = append(ss, s)
 	}
-	db := t.pooledDatabase(ss)
-	if db == nil {
-		db = relation.NewDatabase(ss...)
-	}
-	for _, a := range t.Templates {
-		tup, ok := a.Ground(b)
-		if !ok {
-			return nil, fmt.Errorf("cq: binding does not cover template %s", a)
-		}
-		if err := db.Add(a.Rel, tup); err != nil {
-			return nil, err
-		}
+	db := relation.NewDatabase(ss...)
+	if err := t.ApplyInto(db, b); err != nil {
+		return nil, err
 	}
 	return db, nil
 }
 
-// pooledDatabase returns a recycled, emptied fragment matching the
-// schema list exactly — same relations, same schema objects — or nil
-// when the pool has nothing usable (the mismatch case only arises when
-// one tableau is applied under different schema maps).
-func (t *Tableau) pooledDatabase(ss []*relation.Schema) *relation.Database {
-	db, _ := t.applyPool.Get().(*relation.Database)
-	if db == nil {
-		return nil
-	}
-	if len(db.Relations()) != len(ss) {
-		return nil
-	}
-	for _, s := range ss {
-		in := db.Instance(s.Name)
-		if in == nil || in.Schema != s {
-			return nil
+// ApplyInto is Apply refilling dst in place: dst is emptied (see
+// Database.Reset) and receives μ(T_Q). dst must hold a relation for
+// every template, as a fragment Apply returned for this tableau does;
+// callers that test one valuation after another reuse one fragment
+// this way instead of allocating one per valuation.
+func (t *Tableau) ApplyInto(dst *relation.Database, b query.Binding) error {
+	dst.Reset()
+	for _, a := range t.Templates {
+		tup, ok := a.Ground(b)
+		if !ok {
+			return fmt.Errorf("cq: binding does not cover template %s", a)
+		}
+		if err := dst.Add(a.Rel, tup); err != nil {
+			return err
 		}
 	}
-	db.Reset()
-	return db
-}
-
-// ReleaseApplied hands a database obtained from Apply back to the
-// tableau's scratch pool. Callers must be done with every reference
-// into it — instances, tuples, index views — because the next Apply
-// reuses its storage in place.
-func (t *Tableau) ReleaseApplied(db *relation.Database) {
-	if db != nil {
-		t.applyPool.Put(db)
-	}
+	return nil
 }
 
 // HeadTuple instantiates the output summary u_Q under a binding.

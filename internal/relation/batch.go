@@ -220,13 +220,6 @@ func (in *Instance) postingSetForRank(rank []int32) *postingSet {
 	if n > smallIndexRows {
 		ps.cols = make([]atomic.Pointer[postingCol], arity)
 	}
-	backing := make([]int32, n*arity)
-	for c := 0; c < arity; c++ {
-		sc := backing[c*n : (c+1)*n : (c+1)*n]
-		for k, r := range rank {
-			sc[k] = in.cols[c][r]
-		}
-		ps.scols[c] = sc
-	}
+	ps.fillCols(in, make([]int32, n*arity))
 	return ps
 }

@@ -188,28 +188,23 @@ func (in *Instance) buildPostingBase() *postingSet {
 		}
 		return ps
 	}
+	if n <= smallIndexRows {
+		return in.buildSmallPostingBase()
+	}
 	ps := &postingSet{
 		gen:   in.gen,
 		rank:  make([]int32, n),
 		scols: make([][]int32, arity),
-	}
-	if n > smallIndexRows {
-		ps.cols = make([]atomic.Pointer[postingCol], arity)
+		cols:  make([]atomic.Pointer[postingCol], arity),
 	}
 	for r := range ps.rank {
 		ps.rank[r] = int32(r)
 	}
 	vals := shared.Snapshot()
-	if n > 1 && arity > 0 {
+	if arity > 0 {
 		if n < ordSortMinRows {
 			sort.Slice(ps.rank, func(i, j int) bool {
-				ri, rj := ps.rank[i], ps.rank[j]
-				for c := 0; c < arity; c++ {
-					if a, b := in.cols[c][ri], in.cols[c][rj]; a != b {
-						return vals[a] < vals[b]
-					}
-				}
-				return false
+				return in.rowLess(vals, ps.rank[i], ps.rank[j])
 			})
 		} else {
 			ords := make([][]int32, arity)
@@ -244,15 +239,43 @@ func (in *Instance) buildPostingBase() *postingSet {
 			})
 		}
 	}
-	backing := make([]int32, n*arity)
-	for c := 0; c < arity; c++ {
+	ps.fillCols(in, make([]int32, n*arity))
+	return ps
+}
+
+// buildSmallPostingBase is buildPostingBase for 2..smallIndexRows rows,
+// the size of the per-valuation Δ-fragments: the rank permutation and
+// the rank-ordered columns share one allocation, and the rows are
+// ordered by insertion sort. Rows are distinct and the dictionary is
+// injective, so rowLess is a total order and the permutation is the
+// one any sort produces.
+func (in *Instance) buildSmallPostingBase() *postingSet {
+	n, arity := in.n, len(in.cols)
+	buf := make([]int32, n*(arity+1))
+	ps := &postingSet{gen: in.gen, rank: buf[:n:n], scols: make([][]int32, arity)}
+	vals := shared.Snapshot()
+	for r := 0; r < n; r++ {
+		k := r
+		for ; k > 0 && in.rowLess(vals, int32(r), ps.rank[k-1]); k-- {
+			ps.rank[k] = ps.rank[k-1]
+		}
+		ps.rank[k] = int32(r)
+	}
+	ps.fillCols(in, buf[n:])
+	return ps
+}
+
+// fillCols copies the columns into backing (n*arity ids) in rank
+// order.
+func (ps *postingSet) fillCols(in *Instance, backing []int32) {
+	n := len(ps.rank)
+	for c := range ps.scols {
 		sc := backing[c*n : (c+1)*n : (c+1)*n]
 		for k, r := range ps.rank {
 			sc[k] = in.cols[c][r]
 		}
 		ps.scols[c] = sc
 	}
-	return ps
 }
 
 // postingCol returns the posting containers for col, building and

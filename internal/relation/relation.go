@@ -434,7 +434,8 @@ func (in *Instance) Remove(t Tuple) {
 }
 
 // Reset empties the instance in place, keeping its column capacity, so
-// a pooled scratch instance refills without reallocating. It counts as
+// a reused scratch instance (see cq.Tableau.ApplyInto) refills without
+// reallocating. It counts as
 // a mutation: any previously obtained view or cache is invalidated, and
 // the usual no-readers-during-mutation rule applies.
 func (in *Instance) Reset() {

@@ -519,6 +519,63 @@ func TestRouterRingEjectionFailover(t *testing.T) {
 	}
 }
 
+// TestRouterEjectionHoldsForReprobeInterval: an ejected backend stays
+// out of the routing rotation for the whole ReprobeInterval, even when
+// it is already back up — the first routed request after the ejection
+// must not reprobe and re-admit it. Only the /v1/backends sweep, which
+// ignores the interval, brings it back early.
+func TestRouterEjectionHoldsForReprobeInterval(t *testing.T) {
+	urls, downs := killableBackends(t, 2)
+	rt, err := NewRouter(RouterConfig{Backends: urls, ReprobeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	var info CatalogInfo
+	if code := post(t, front.URL+"/v1/catalog", CatalogRequest{
+		Name:          "crm",
+		Schemas:       exSchemas,
+		MasterSchemas: exMasterSchemas,
+		DB:            exDB,
+		Master:        exMaster,
+		Constraints:   exConstraints,
+	}, &info); code != http.StatusCreated {
+		t.Fatalf("register: status %d", code)
+	}
+	primary := rt.candidates("crm")[0]
+	req := CheckRequest{Catalog: "crm", DB: exDB, Query: exQuery}
+
+	downs[primary].Store(true)
+	var resp CheckResponse
+	if code := post(t, front.URL+"/v1/rcdp", req, &resp); code != http.StatusOK {
+		t.Fatalf("failover check: status %d", code)
+	}
+	if !rt.health[primary].ejected.Load() {
+		t.Fatal("primary not ejected after connection failure")
+	}
+
+	// Revive the primary and route one check straight away: the
+	// interval has not passed, so the primary must not be dialed.
+	downs[primary].Store(false)
+	primaryForwards := rt.health[primary].forwards.Load()
+	if code := post(t, front.URL+"/v1/rcdp", req, &resp); code != http.StatusOK || resp.Verdict != "complete" {
+		t.Fatalf("check after revival: status %d verdict %q", code, resp.Verdict)
+	}
+	if got := rt.health[primary].forwards.Load(); got != primaryForwards {
+		t.Errorf("ejected primary re-admitted before ReprobeInterval: forwards %d -> %d", primaryForwards, got)
+	}
+	if !rt.health[primary].ejected.Load() {
+		t.Error("primary re-admitted by the routing path before ReprobeInterval")
+	}
+
+	// The health sweep ignores the interval and re-admits it.
+	if statuses := getBackends(t, front.URL); statuses[primary].State != "healthy" {
+		t.Fatalf("primary after sweep: %+v, want healthy", statuses[primary])
+	}
+}
+
 // TestRouterVerdictsNoRotation: with every backend ejected, a routed
 // verdicts read is refused with 502 instead of serving an ejected
 // copy, which may have missed mutation broadcasts.
@@ -548,7 +605,7 @@ func TestRouterVerdictsNoRotation(t *testing.T) {
 
 	// The primary misses the insert that flips Q2 to complete and is
 	// ejected; a verdicts read fails over to the standby, which has it.
-	// That read also spends the primary's reprobe on a failed probe.
+	// The ejection starts the primary's hour-long reprobe interval.
 	downs[primary].Store(true)
 	var mr MutationResponse
 	if code := post(t, front.URL+"/v1/catalog/crm/insert", MutationRequest{

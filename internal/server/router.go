@@ -218,9 +218,13 @@ func (rt *Router) candidates(key string) []int {
 
 // eject takes a backend out of the routing rotation after a connection
 // failure. Idempotent; the ejection is observed by every subsequent
-// routed request until a heal re-admits the backend.
+// routed request until a heal re-admits the backend. The ejection
+// stamps the reprobe clock, so the routing path leaves the backend out
+// for a full ReprobeInterval before its first opportunistic reprobe.
 func (rt *Router) eject(backend int) {
-	if !rt.health[backend].ejected.Swap(true) {
+	h := &rt.health[backend]
+	if !h.ejected.Swap(true) {
+		h.lastReprobe.Store(time.Now().UnixNano())
 		obs.RouteEjections.Inc(rt.cfg.Backends[backend])
 	}
 }
