@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci build vet test race bench bench-smoke bench-diff bench-workers fmt-check vuln fuzz-smoke cover-check doc-sync examples-build server-smoke cluster-smoke mutate-smoke approx-smoke mine-smoke
+.PHONY: ci build vet test relperf-test race bench bench-smoke bench-diff bench-workers fmt-check vuln fuzz-smoke cover-check doc-sync examples-build server-smoke cluster-smoke mutate-smoke approx-smoke mine-smoke
 
-ci: fmt-check vet build examples-build test race bench-smoke bench-diff cover-check doc-sync fuzz-smoke vuln server-smoke cluster-smoke mutate-smoke approx-smoke mine-smoke
+ci: fmt-check vet build examples-build test relperf-test race bench-smoke bench-diff cover-check doc-sync fuzz-smoke vuln server-smoke cluster-smoke mutate-smoke approx-smoke mine-smoke
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The relperf benchmark is its own module (relperf/go.mod), so
+# `go test ./...` at the root does not reach its tests: the workload
+# builders, the answer checks and the per-layer trace reduction.
+relperf-test:
+	cd relperf && $(GO) test .
 
 # Shared-state code paths run under the race detector: the parallel
 # valuation search (core), the admission-controlled serving layer

@@ -151,6 +151,14 @@ func (c *Constraint) masterCache(dm *relation.Database) *projCache {
 	return pc
 }
 
+// MasterIDKeys returns p(Dm) as the set of fixed-width id-keys
+// (relation.AppendIDKey over the shared dictionary) of its tuples,
+// memoized per master instance and generation. The set is shared and
+// must not be modified.
+func (c *Constraint) MasterIDKeys(dm *relation.Database) map[string]bool {
+	return c.masterCache(dm).rhsIDs
+}
+
 // masterSide returns p(Dm) keyed on Tuple.Key (see masterCache).
 func (c *Constraint) masterSide(dm *relation.Database) map[string]bool {
 	return c.masterCache(dm).rhs

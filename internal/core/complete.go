@@ -19,23 +19,30 @@ import (
 // constructive direction): for every achievable combination of head
 // values — drawn from the IND value bounds and finite domains — it adds
 // one instantiation μ(T_i) realizing that answer, so that no partially
-// closed extension can produce a new answer. maxAnswers caps the head
-// combinations; nil is returned (without error) when the witness would
-// exceed the cap.
+// closed extension can produce a new answer. maxAnswers caps the
+// instantiations per disjunct; nil is returned (without error) when the
+// witness would exceed the cap.
 func CompleteDatabaseINDs(q qlang.Query, dm *relation.Database, v *cc.Set, schemas map[string]*relation.Schema, maxAnswers int) (*relation.Database, error) {
-	return completeDatabaseINDs(q, dm, v, schemas, maxAnswers, nil)
+	w, _, err := completeDatabaseINDs(q, dm, v, schemas, maxAnswers, 0, nil)
+	return w, err
 }
 
-// completeDatabaseINDs is CompleteDatabaseINDs under gate governance:
-// every node of the candidate enumeration polls the gate and the
-// constraint checks evaluate through it, so a cancelled, expired or
-// exhausted check stops the construction with the gate's error. The
-// recursion counts only successful additions, so without the gate a
-// disjunct with few valid head combinations would enumerate the whole
-// candidate product unchecked. A nil gate is free.
-func completeDatabaseINDs(q qlang.Query, dm *relation.Database, v *cc.Set, schemas map[string]*relation.Schema, maxAnswers int, gate *query.Gate) (*relation.Database, error) {
+// completeDatabaseINDs is CompleteDatabaseINDs on the valuation search
+// under governance: each disjunct's valuations are enumerated in slot
+// order with the IND pruner, every node polls the gate, and budget
+// (when positive) caps the complete valuations per disjunct, like
+// Budget.MaxValuations — exhausting it returns ErrBudgetExceeded. It
+// also returns the complete valuations inspected.
+//
+// The pruner tests every template with variables against the INDs of
+// its relation as soon as it is ground, which for all-IND V is exactly
+// (μ(T), Dm) ⊨ V; the variable-free templates are tested once, up
+// front. So each complete valuation the search reaches is added as is,
+// and the IND-violating part of the candidate product is cut at the
+// template that violates, not enumerated.
+func completeDatabaseINDs(q qlang.Query, dm *relation.Database, v *cc.Set, schemas map[string]*relation.Schema, maxAnswers, budget int, gate *query.Gate) (*relation.Database, int, error) {
 	if !v.AllINDs() {
-		return nil, fmt.Errorf("core: CompleteDatabaseINDs requires IND constraints")
+		return nil, 0, fmt.Errorf("core: CompleteDatabaseINDs requires IND constraints")
 	}
 	if maxAnswers <= 0 {
 		maxAnswers = 4096
@@ -43,6 +50,7 @@ func completeDatabaseINDs(q qlang.Query, dm *relation.Database, v *cc.Set, schem
 	out := emptyDatabase(schemas)
 	tableaux := q.Tableaux()
 	u := NewUniverse(nil, dm, q, v, tableauVarCount(tableaux))
+	visited := 0
 
 	for _, t := range tableaux {
 		doms, ok := t.AsCQ().VarDomains(schemas)
@@ -56,86 +64,80 @@ func completeDatabaseINDs(q qlang.Query, dm *relation.Database, v *cc.Set, schem
 		for _, vn := range t.Vars {
 			vals, covered, err := candidateValues(u, v, dm, vn, doms[vn], occ[vn])
 			if err != nil {
-				return nil, err
+				return nil, visited, err
 			}
 			if !covered && doms[vn].Kind != relation.Finite {
 				// Unconstrained infinite variable: head variables of a
 				// bounded disjunct never land here; body variables get
 				// one fresh value each (they stand for arbitrary data).
 				if freshIdx >= len(u.Fresh) {
-					return nil, fmt.Errorf("core: fresh pool exhausted")
+					return nil, visited, fmt.Errorf("core: fresh pool exhausted")
 				}
 				vals = []relation.Value{u.Fresh[freshIdx]}
 				freshIdx++
 			}
 			cand[vn] = vals
 		}
+		if ok, err := groundTemplatesSatisfy(t, schemas, v, dm, gate); err != nil {
+			return nil, visited, err
+		} else if !ok {
+			continue // no valuation can satisfy V
+		}
+		search, ok := newValuationSearch(u, t, schemas, searchConfig{v: v, dm: dm, fixed: cand, budget: budget, gate: gate})
+		if !ok {
+			continue
+		}
 		// Head variables must be fully covered for the construction to
 		// stay finite; a blocked disjunct (no valid valuation satisfies
-		// V) contributes nothing and is skipped by the search below.
+		// V) contributes nothing.
 		added := 0
-		b := make(query.Binding, len(t.Vars))
-		var rec func(i int) error
-		rec = func(i int) error {
-			if added >= maxAnswers {
-				return errStop
+		var addErr error
+		err := search.run(func(slots []int32) bool {
+			if added == maxAnswers {
+				addErr = errStop
+				return false
 			}
-			if err := gate.Poll(); err != nil {
-				return err
+			if addErr = search.tpls.AddInto(out, slots); addErr != nil {
+				return false
 			}
-			if i == len(t.Vars) {
-				if !t.DiseqsHold(b) {
-					return nil
-				}
-				delta, err := t.Apply(b, schemas)
-				if err != nil {
-					return err
-				}
-				if ok, err := v.SatisfiedGate(delta, dm, gate); err != nil || !ok {
-					return err
-				}
-				out.UnionInto(delta)
-				added++
-				return nil
-			}
-			vn := t.Vars[i]
-			for _, val := range cand[vn] {
-				b[vn] = val
-				ok := true
-				for _, dq := range t.Diseqs {
-					if holds, known := dq.Holds(b); known && !holds {
-						ok = false
-						break
-					}
-				}
-				var err error
-				if ok {
-					err = rec(i + 1)
-				}
-				delete(b, vn)
-				if err != nil {
-					return err
-				}
-			}
-			return nil
+			added++
+			return true
+		})
+		visited += search.inspected()
+		if addErr == errStop {
+			return nil, visited, nil // witness exceeds cap; caller treats as "not constructed"
 		}
-		if err := rec(0); err != nil {
-			if err == errStop {
-				return nil, nil // witness exceeds cap; caller treats as "not constructed"
-			}
-			return nil, err
+		if addErr != nil {
+			return nil, visited, addErr
+		}
+		if err != nil {
+			return nil, visited, err
 		}
 	}
 	if ok, err := v.SatisfiedGate(out, dm, gate); err != nil {
-		return nil, err
+		return nil, visited, err
 	} else if !ok {
 		// Joint interaction between added fragments (possible only with
 		// multi-column INDs whose per-tuple checks passed but whose
 		// union re-projects; INDs check per tuple, so this cannot
 		// happen — defensive).
-		return nil, fmt.Errorf("core: constructed witness violates V")
+		return nil, visited, fmt.Errorf("core: constructed witness violates V")
 	}
-	return out, nil
+	return out, visited, nil
+}
+
+// groundTemplatesSatisfy reports whether the variable-free templates of
+// t satisfy V on their own; the IND pruner never sees them.
+func groundTemplatesSatisfy(t *cq.Tableau, schemas map[string]*relation.Schema, v *cc.Set, dm *relation.Database, gate *query.Gate) (bool, error) {
+	frag := emptyDatabase(schemas)
+	for _, tpl := range t.Templates {
+		if tup, ok := tpl.Ground(query.Binding{}); ok {
+			if err := frag.Add(tpl.Rel, tup); err != nil {
+				return false, err
+			}
+		}
+	}
+	return v.SatisfiedGate(frag, dm, gate)
 }
 
 // allVarOccurrences maps every variable of the tableau to the

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cc"
 	"repro/internal/obs"
 	"repro/internal/qlang"
-	"repro/internal/query"
 	"repro/internal/relation"
 )
 
@@ -133,10 +132,10 @@ func (ck *Checker) degree(q qlang.Query, d, dm *relation.Database, v *cc.Set, gv
 			continue
 		}
 		var cbErr error
-		err := search.run(func(b query.Binding) bool {
+		err := search.run(func(slots []int32) bool {
 			// The witness extension is never surfaced — counting
 			// continues past it — so test keeps the scratch fragment.
-			_, ok, err := wc.test(di, b)
+			ok, err := wc.test(di, slots)
 			if err != nil {
 				cbErr = err
 				return false

@@ -1,0 +1,288 @@
+package core
+
+import (
+	"context"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/cc"
+	"repro/internal/mdm"
+	"repro/internal/query"
+	"repro/internal/reductions"
+	"repro/internal/relation"
+	"repro/internal/sat"
+)
+
+// Golden search tree. The valuation search is pinned by what it
+// returns on seeded instances of both reduction families: the verdict,
+// the witness (disjunct, valuation, extension, new tuple), the number
+// of valuations visited, the RCQP status, method and detail, and the
+// degree counts. Valuations and the witness depend on the candidate
+// order, the pruning and the fresh-value symmetry breaking, so a
+// change to any of them fails this test. testdata/search_golden.json
+// was recorded on the string-keyed engine that the id-based engine
+// replaced; regenerate it with
+//
+//	go test ./internal/core -run TestGoldenSearchTree -update-golden
+//
+// only when a change to the search order is intended.
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/search_golden.json from the current engine")
+
+const goldenPath = "testdata/search_golden.json"
+
+// goldenRecord is one pinned outcome; fields that do not apply to the
+// case stay empty.
+type goldenRecord struct {
+	Name            string `json:"name"`
+	Verdict         string `json:"verdict,omitempty"`
+	Valuations      int    `json:"valuations,omitempty"`
+	Disjunct        int    `json:"disjunct,omitempty"`
+	Valuation       string `json:"valuation,omitempty"`
+	Extension       string `json:"extension,omitempty"`
+	NewTuple        string `json:"new_tuple,omitempty"`
+	Status          string `json:"status,omitempty"`
+	Method          string `json:"method,omitempty"`
+	Detail          string `json:"detail,omitempty"`
+	Witness         string `json:"witness,omitempty"`
+	Candidates      int    `json:"candidates,omitempty"`
+	Counterexamples int    `json:"counterexamples,omitempty"`
+}
+
+// lcgCNF draws a seeded 3-CNF from a fixed linear congruential
+// generator, so the instances do not depend on math/rand's stream.
+func lcgCNF(nVars, nClauses int, seed int64) *sat.CNF {
+	f := sat.NewCNF(nVars)
+	s := seed
+	next := func(m int) int {
+		s = s*6364136223846793005 + 1442695040888963407
+		v := int((s >> 33) % int64(m))
+		if v < 0 {
+			v += m
+		}
+		return v
+	}
+	for i := 0; i < nClauses; i++ {
+		cl := make(sat.Clause, 3)
+		for j := range cl {
+			l := sat.Literal(next(nVars) + 1)
+			if next(2) == 0 {
+				l = -l
+			}
+			cl[j] = l
+		}
+		f.Clauses = append(f.Clauses, cl)
+	}
+	return f
+}
+
+// bindingString renders a valuation with its variables sorted.
+func bindingString(b query.Binding) string {
+	if b == nil {
+		return ""
+	}
+	names := make([]string, 0, len(b))
+	for n := range b {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	parts := make([]string, len(names))
+	for i, n := range names {
+		parts[i] = n + "=" + string(b[n])
+	}
+	return strings.Join(parts, " ")
+}
+
+func dbString(db *relation.Database) string {
+	if db == nil {
+		return ""
+	}
+	return db.String()
+}
+
+func rcdpRecord(name string, r *RCDPResult) goldenRecord {
+	rec := goldenRecord{Name: name, Verdict: r.Verdict.String(), Valuations: r.Valuations}
+	if r.Verdict == VerdictIncomplete {
+		rec.Disjunct = r.Disjunct
+		rec.Valuation = bindingString(r.Valuation)
+		rec.Extension = dbString(r.Extension)
+		rec.NewTuple = r.NewTuple.String()
+	}
+	return rec
+}
+
+// goldenRecords runs every pinned case on the current engine.
+func goldenRecords(t *testing.T) []goldenRecord {
+	t.Helper()
+	var out []goldenRecord
+	ctx := context.Background()
+
+	// Theorem 3.6: ∀∃-3SAT RCDP on the sequential engine.
+	for _, seedOff := range []int64{0, 100, 300} {
+		for _, n := range []int{4, 6, 8, 10} {
+			inst, err := reductions.ForallExistsToRCDP(lcgCNF(n, n+2, int64(n)+seedOff), n/2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := (&Checker{Workers: 1}).RCDPCtx(ctx, inst.Q, inst.D, inst.Dm, inst.V)
+			if err != nil {
+				t.Fatalf("forall-exists n=%d: %v", n, err)
+			}
+			out = append(out, rcdpRecord(fmt.Sprintf("rcdp/forall-exists/seed=%d/n=%d", int64(n)+seedOff, n), r))
+		}
+	}
+
+	// The naive engine (ABL-1) enumerates all of Adom per variable, which
+	// no ∀∃ instance finishes within minutes; it is pinned, next to the
+	// pruned engine, on the at-most-k inputs of TestNaiveAgreesWithPruned.
+	for _, kr := range [][2]int{{2, 1}, {3, 2}, {4, 3}} {
+		k, rows := kr[0], kr[1]
+		vset := cc.NewSet(cc.AtMostK("phi1", "Supt", 3, []int{0}, 2, k))
+		d := relation.NewDatabase(suptSchema())
+		for i := 1; i <= rows; i++ {
+			d.MustAdd("Supt", "e0", "s", fmt.Sprintf("c%d", i))
+		}
+		for _, naive := range []bool{false, true} {
+			r, err := (&Checker{Workers: 1, Naive: naive}).RCDPCtx(ctx, q2(), d, emptyMaster(), vset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, rcdpRecord(fmt.Sprintf("rcdp/atmostk/k=%d/rows=%d/naive=%v", k, rows, naive), r))
+		}
+	}
+
+	// Theorem 4.5(1): 3SAT RCQP on seeded (mostly satisfiable) formulas
+	// and on unsatisfiable ones, whose witness database is pinned up to
+	// n = 8.
+	for _, fam := range []string{"seeded", "unsat"} {
+		for _, n := range []int{8, 12, 16} {
+			phi := lcgCNF(n, 3*n, int64(n)+17)
+			if fam == "unsat" {
+				phi = unsat3SAT(n)
+			}
+			inst, err := reductions.ThreeSATToRCQP(phi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			withWitness := n <= 8
+			cctx, cancel := ctx, context.CancelFunc(func() {})
+			if !withWitness && *updateGolden {
+				// The witness of a large unsatisfiable instance is not
+				// pinned; a deadline bounds its construction when
+				// recording on an engine without IND pruning there.
+				cctx, cancel = context.WithTimeout(ctx, 5*time.Second)
+			}
+			qp := &QPChecker{Checker: Checker{Workers: 1}}
+			r, err := qp.RCQPCtx(cctx, inst.Q, inst.Dm, inst.V, inst.Schemas)
+			cancel()
+			if err != nil {
+				t.Fatalf("3sat %s n=%d: %v", fam, n, err)
+			}
+			rec := goldenRecord{
+				Name:   fmt.Sprintf("rcqp/3sat/%s/n=%d", fam, n),
+				Status: r.Status.String(), Method: r.Method, Detail: r.Detail,
+			}
+			if withWitness {
+				rec.Witness = dbString(r.Witness)
+			}
+			out = append(out, rec)
+		}
+	}
+
+	// Degree and RCDP on the degree_test.go inputs.
+	vk := cc.NewSet(cc.AtMostK("phi1", "Supt", 3, []int{0}, 2, 3))
+	for _, rows := range []int{3, 1} {
+		d := relation.NewDatabase(suptSchema())
+		for i := 1; i <= rows; i++ {
+			d.MustAdd("Supt", "e0", "s", fmt.Sprintf("c%d", i))
+		}
+		dg, err := DegreeCtx(ctx, q2(), d, emptyMaster(), vk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, goldenRecord{Name: fmt.Sprintf("degree/atmostk/rows=%d", rows),
+			Verdict: dg.Verdict.String(), Candidates: dg.Candidates, Counterexamples: dg.Counterexamples})
+	}
+	for _, completeness := range []float64{1.0, 0.6, 0.5, 0.2} {
+		cfg := mdm.DefaultConfig()
+		cfg.Completeness = completeness
+		cfg.SaturateSupport = completeness != 0.5
+		s := mdm.Generate(cfg)
+		vset := cc.NewSet(mdm.Phi0Cid(), mdm.CidIND(), mdm.ManageIND())
+		for _, qn := range []string{"Q0", "Q2"} {
+			q := mdm.Q0("908")
+			if qn == "Q2" {
+				q = mdm.Q2("e00")
+			}
+			name := fmt.Sprintf("crm/completeness=%v/%s", completeness, qn)
+			dg, err := DegreeCtx(ctx, q, s.D, s.Dm, vset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, goldenRecord{Name: "degree/" + name,
+				Verdict: dg.Verdict.String(), Candidates: dg.Candidates, Counterexamples: dg.Counterexamples})
+			if budget := dg.Candidates / 10; budget > 0 {
+				ck := &Checker{Budget: Budget{MaxValuations: budget}}
+				sd, err := ck.DegreeCtx(ctx, q, s.D, s.Dm, vset)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, goldenRecord{Name: "degree-sampled/" + name,
+					Verdict: sd.Verdict.String(), Candidates: sd.Candidates, Counterexamples: sd.Counterexamples})
+			}
+			r, err := (&Checker{Workers: 1}).RCDPCtx(ctx, q, s.D, s.Dm, vset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, rcdpRecord("rcdp/"+name, r))
+		}
+	}
+	return out
+}
+
+// TestGoldenSearchTree pins the search's visible choices, byte for
+// byte, on the recorded instances.
+func TestGoldenSearchTree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden search tree runs the n=10 and n=16 reduction instances")
+	}
+	got := goldenRecords(t)
+	if *updateGolden {
+		buf, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []goldenRecord
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d records, golden has %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			g, _ := json.MarshalIndent(got[i], "", "  ")
+			w, _ := json.MarshalIndent(want[i], "", "  ")
+			t.Errorf("%s diverges from the golden search tree:\ngot  %s\nwant %s", want[i].Name, g, w)
+		}
+	}
+}

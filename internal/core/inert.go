@@ -117,34 +117,3 @@ func collapsibleVars(t *cq.Tableau, constrained map[string]map[int]bool, doms ma
 	}
 	return out
 }
-
-// applyCollapse pins the collapsible variables of the search to
-// dedicated fresh values taken from the end of the universe's fresh
-// pool (the symmetry-breaking prefix for the remaining variables grows
-// from the front, so the two never collide as long as the pool holds
-// one fresh value per variable).
-func (s *valuationSearch) applyCollapse(v *cc.Set) {
-	s.applyCollapseFrom(inertPositions(v))
-}
-
-// applyCollapseFrom is applyCollapse with the inert-position analysis
-// precomputed. The analysis depends only on V, so multi-disjunct
-// callers (and the parallel engine, which shares the resulting
-// collapsed map read-only across workers) compute it once.
-func (s *valuationSearch) applyCollapseFrom(constrained map[string]map[int]bool) {
-	vars := collapsibleVars(s.t, constrained, s.doms)
-	if len(vars) == 0 {
-		return
-	}
-	if s.collapsed == nil {
-		s.collapsed = make(map[string]relation.Value, len(vars))
-	}
-	idx := len(s.u.Fresh)
-	for _, name := range vars {
-		idx--
-		if idx < 0 {
-			return // fresh pool too small; fall back to full search
-		}
-		s.collapsed[name] = s.u.Fresh[idx]
-	}
-}

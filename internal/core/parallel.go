@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/query"
 	"repro/internal/relation"
 )
 
@@ -26,13 +25,14 @@ import (
 //
 // State discipline (see also the valuationSearch field comments):
 //
-//	shared read-only:  Universe, Tableau, doms/order, collapsed,
-//	                   candidates, the pruner template's structural
-//	                   fields, D/Dm (warmed), schemas, answer sets
+//	shared read-only:  Universe, Tableau, the compiled search (slot
+//	                   order, candidate ids, inequalities, IND pruner
+//	                   with its p(Dm) key sets, head, slot templates),
+//	                   D/Dm (warmed), schemas, answer key sets
 //	shared mutable:    raceCtl (atomics + mutex), budgetCtl (atomic)
-//	per-worker:        the binding, the pruner clone's backtracking
-//	                   counters, the freshUsed symmetry counter, the
-//	                   RCDP witness checker
+//	per-worker:        the slot array, the IND probe scratch, the
+//	                   freshUsed symmetry counter, the RCDP witness
+//	                   checker or Δ-fragment scratch
 var (
 	// errAbandoned aborts a branch whose key can no longer win.
 	errAbandoned = errors.New("core: branch abandoned")
@@ -144,52 +144,35 @@ func (bc *budgetCtl) exhausted() bool {
 // count returns the number of candidate valuations charged so far.
 func (bc *budgetCtl) count() int { return int(bc.visited.Load()) }
 
+// inspected is count without the charges refused for exceeding the
+// cap: the complete valuations actually handed to the callback or
+// rejected by its inequality test.
+func (bc *budgetCtl) inspected() int {
+	n := bc.count()
+	if bc.cap > 0 && int64(n) > bc.cap {
+		return int(bc.cap)
+	}
+	return n
+}
+
 // parallelFn is the complete-valuation callback of a parallel search.
 // It runs concurrently on worker goroutines, so it must only read
 // shared state that is warmed/immutable, plus the calling worker's own
-// state (w). The binding it receives is worker-owned and is mutated
-// after the call returns, so anything kept must be cloned or derived
-// (HeadTuple allocates a fresh tuple). A non-nil claim ends the branch.
-type parallelFn func(w *searchWorker, b query.Binding) (claim any, err error)
+// state (w). The slot array it receives is worker-owned and changes
+// after the call returns, so anything kept must be derived from it
+// (valuationSearch.binding, headTuple). A non-nil claim ends the
+// branch.
+type parallelFn func(w *searchWorker, slots []int32) (claim any, err error)
 
-// searchWorker is the per-goroutine state of one branch of a parallel
-// valuation search.
-type searchWorker struct {
-	s      *valuationSearch // shared, read-only during the search
-	pruner *indPruner       // this worker's clone (nil when absent)
-	b      query.Binding    // this worker's binding
-	budget *budgetCtl       // shared with the disjunct's other branches
-	ctl    *raceCtl         // shared with the whole engine
-	key    int64            // this branch's claim key
-	fn     parallelFn
-	// wc is this worker's RCDP witness checker, built by fn at the
-	// first complete valuation and flushed when the branch ends (nil
-	// for searches that do not use one).
-	wc *witnessChecker
-}
-
-// rec mirrors valuationSearch.run's recursion exactly (same candidate
-// order, same pruning, same fresh-value symmetry), with the sequential
-// budget/stop bookkeeping replaced by the shared controllers.
-func (w *searchWorker) rec(i, freshUsed int) error {
-	if w.ctl.cancelled(w.key) {
-		return errAbandoned
-	}
-	s := w.s
-	if err := s.gate.Poll(); err != nil {
-		// Governance stop: surface through ctl.fail (via branchTasks'
-		// error path) so every other branch abandons promptly.
-		return err
-	}
-	if i == len(s.order) {
-		if !w.budget.visit() {
-			w.ctl.claim(budgetKey(keyDisjunct(w.key)), nil)
-			return errBudgetStop
-		}
-		if !s.t.DiseqsHold(w.b) {
-			return nil
-		}
-		claim, err := w.fn(w, w.b)
+// branchTasks builds one pool task per top-level candidate branch of
+// the search, tagged (disjunct, branchIndex). Every branch runs the
+// sequential engine's recursion (searchWorker.rec: same candidate
+// order, same pruning, same fresh-value symmetry) below its first
+// binding, with the budget/stop bookkeeping on the shared controllers.
+// Must be called on the coordinating goroutine before the tasks run.
+func (s *valuationSearch) branchTasks(ctl *raceCtl, bud *budgetCtl, disjunct int, fn parallelFn) []func() {
+	leaf := func(w *searchWorker) error {
+		claim, err := fn(w, w.slots)
 		if err != nil {
 			return err
 		}
@@ -199,58 +182,16 @@ func (w *searchWorker) rec(i, freshUsed int) error {
 		}
 		return nil
 	}
-	v := s.order[i]
-	for _, val := range s.candidatesFor(v, freshUsed) {
-		w.b[v] = val
-		if !s.admitAssign(w.pruner, v, w.b) {
-			delete(w.b, v)
-			continue
-		}
-		nf := freshUsed
-		if s.u.IsFresh(val) && isNthFresh(s.u, val, freshUsed) {
-			nf++
-		}
-		err := w.rec(i+1, nf)
-		if !s.naive && w.pruner != nil {
-			w.pruner.unassign(v)
-		}
-		delete(w.b, v)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// branchTasks builds one pool task per top-level candidate branch of
-// the search, tagged (disjunct, branchIndex). Must be called on the
-// coordinating goroutine before the tasks run.
-func (s *valuationSearch) branchTasks(ctl *raceCtl, bud *budgetCtl, disjunct int, fn parallelFn) []func() {
-	launch := func(key int64, init func(w *searchWorker) (freshUsed int, ok bool)) func() {
+	launch := func(key int64, walk func(w *searchWorker) error) func() {
 		return func() {
 			if ctl.cancelled(key) || bud.exhausted() {
 				return
 			}
-			w := &searchWorker{
-				s:      s,
-				pruner: s.pruner.clone(),
-				b:      make(query.Binding, len(s.order)),
-				budget: bud,
-				ctl:    ctl,
-				key:    key,
-				fn:     fn,
-			}
-			start, nf := 0, 0
-			if init != nil {
-				var ok bool
-				if nf, ok = init(w); !ok {
-					return
-				}
-				start = 1
-			}
-			// A closure: w.wc is set during rec, after this defer.
+			w := s.newWorker()
+			w.leaf, w.budget, w.ctl, w.key = leaf, bud, ctl, key
+			// A closure: w.wc is set during the walk, after this defer.
 			defer func() { w.wc.flush() }()
-			switch err := w.rec(start, nf); err {
+			switch err := walk(w); err {
 			case nil, errStop, errAbandoned, errBudgetStop:
 				// Branch outcome (if any) is recorded in ctl.
 			default:
@@ -262,24 +203,14 @@ func (s *valuationSearch) branchTasks(ctl *raceCtl, bud *budgetCtl, disjunct int
 	if len(s.order) == 0 {
 		// Variable-free tableau: a single "branch" checking the empty
 		// valuation.
-		return []func(){launch(packKey(disjunct, 0), nil)}
+		return []func(){launch(packKey(disjunct, 0), func(w *searchWorker) error { return w.rec(0, 0) })}
 	}
-	v0 := s.order[0]
-	cands := s.candidatesFor(v0, 0)
-	tasks := make([]func(), 0, len(cands))
-	for bi, val := range cands {
-		val := val
-		tasks = append(tasks, launch(packKey(disjunct, bi), func(w *searchWorker) (int, bool) {
-			w.b[v0] = val
-			if !s.admitAssign(w.pruner, v0, w.b) {
-				return 0, false
-			}
-			nf := 0
-			if s.u.IsFresh(val) && isNthFresh(s.u, val, 0) {
-				nf = 1
-			}
-			return nf, true
-		}))
+	c := &s.cands[0]
+	first := append(c.base[:len(c.base):len(c.base)], s.freshCandidates(c, 0)...)
+	tasks := make([]func(), len(first))
+	for bi, id := range first {
+		id := id
+		tasks[bi] = launch(packKey(disjunct, bi), func(w *searchWorker) error { return w.descend(0, id, 0) })
 	}
 	return tasks
 }

@@ -15,58 +15,55 @@ import (
 // exactly on complete valuations by the caller — so pruning is always
 // sound and, for all-IND V, also complete per-template.
 //
-// Sharing discipline: byRel (including the allowed-key sets computed
-// from Dm), templates and tplOf are immutable after newINDPruner and
-// are shared by clones; tplRemain is the backtracking state and is the
-// only per-worker field (see clone).
+// The slot order is fixed, so a template becomes ground exactly when
+// its last slot is bound: the pruner is compiled once per (template,
+// IND) into the projected operands of that check, filed under that
+// slot, and probes the id-keyed p(Dm) memo of cc with no backtracking
+// state of its own. It is read-only after newINDPruner and shared by
+// every worker of a parallel search.
 type indPruner struct {
-	// byRel maps a relation to its INDs' (columns, allowed tuple keys).
-	byRel map[string][]indCheck
-	// tplRemain[i] is the number of distinct unassigned variables left
-	// in template i; tplOf maps a variable to the templates containing
-	// it.
-	templates []query.RelAtom
-	tplRemain []int
-	tplOf     map[string][]int
+	at [][]indProbe // by slot
 }
 
-type indCheck struct {
-	cols    []int
-	allowed map[string]bool // nil means ⊆ ∅ (no tuple allowed)
+// indProbe is one IND π_X(R) ⊆ p(Dm) applied to one template over R.
+type indProbe struct {
+	ops     []int32         // the template's operands at X (see slotDiseq)
+	allowed map[string]bool // id-keys of p(Dm); empty for ⊆ ∅
 }
 
-// newINDPruner builds a pruner for the tableau; it returns nil when V
-// contains no INDs over the tableau's relations (pruning would be a
-// no-op).
-func newINDPruner(t *cq.Tableau, v *cc.Set, dm *relation.Database) *indPruner {
-	if v == nil {
-		return nil
+// newINDPruner compiles the pruner for the tableau under the slot
+// numbering slotOf; operand resolves a template term. It returns nil
+// when no IND of V applies to a template with variables (pruning would
+// be a no-op).
+func newINDPruner(t *cq.Tableau, slotOf map[string]int, operand func(query.Term) int32, v *cc.Set, dm *relation.Database) *indPruner {
+	type indCheck struct {
+		cols    []int
+		allowed map[string]bool
 	}
 	byRel := make(map[string][]indCheck)
 	for _, c := range v.Constraints {
-		shape, ok := c.IND()
-		if !ok {
-			continue
+		if shape, ok := c.IND(); ok {
+			byRel[shape.Rel] = append(byRel[shape.Rel], indCheck{cols: shape.Cols, allowed: c.MasterIDKeys(dm)})
 		}
-		chk := indCheck{cols: shape.Cols}
-		if !c.P.IsEmptySet() {
-			chk.allowed = c.P.Eval(dm)
-		}
-		byRel[shape.Rel] = append(byRel[shape.Rel], chk)
 	}
-	p := &indPruner{byRel: byRel, tplOf: make(map[string][]int)}
+	p := &indPruner{at: make([][]indProbe, len(slotOf))}
 	relevant := false
-	for i, tpl := range t.Templates {
-		p.templates = append(p.templates, tpl)
-		seen := make(map[string]bool)
+	for _, tpl := range t.Templates {
+		last := -1
 		for _, a := range tpl.Args {
-			if a.IsVar && !seen[a.Name] {
-				seen[a.Name] = true
-				p.tplOf[a.Name] = append(p.tplOf[a.Name], i)
+			if a.IsVar {
+				last = max(last, slotOf[a.Name])
 			}
 		}
-		p.tplRemain = append(p.tplRemain, len(seen))
-		if len(byRel[tpl.Rel]) > 0 {
+		if last < 0 {
+			continue // ground from the start: never checked
+		}
+		for _, chk := range byRel[tpl.Rel] {
+			ops := make([]int32, len(chk.cols))
+			for k, col := range chk.cols {
+				ops[k] = operand(tpl.Args[col])
+			}
+			p.at[last] = append(p.at[last], indProbe{ops: ops, allowed: chk.allowed})
 			relevant = true
 		}
 	}
@@ -76,64 +73,17 @@ func newINDPruner(t *cq.Tableau, v *cc.Set, dm *relation.Database) *indPruner {
 	return p
 }
 
-// clone returns a pruner with private backtracking counters. The
-// structural fields — byRel with its Dm-derived allowed-key sets,
-// templates, tplOf — are read-only after construction and shared, so a
-// clone is one small slice copy; each parallel search branch takes one.
-func (p *indPruner) clone() *indPruner {
-	if p == nil {
-		return nil
-	}
-	cp := *p
-	cp.tplRemain = append([]int(nil), p.tplRemain...)
-	return &cp
-}
-
-// assign records that variable name was just bound and checks every
-// template that became ground. It reports false when a ground template
-// violates an IND. undo via unassign.
-func (p *indPruner) assign(name string, b query.Binding) bool {
-	ok := true
-	for _, ti := range p.tplOf[name] {
-		p.tplRemain[ti]--
-		if p.tplRemain[ti] == 0 && ok {
-			if !p.checkTemplate(ti, b) {
-				ok = false
-			}
+// admit checks the templates that slot i just made ground against
+// their INDs, on the worker's slot array.
+func (p *indPruner) admit(w *searchWorker, i int) bool {
+	for k := range p.at[i] {
+		pr := &p.at[i][k]
+		w.ids = w.ids[:0]
+		for _, op := range pr.ops {
+			w.ids = append(w.ids, operandID(op, w.slots))
 		}
-	}
-	if !ok {
-		// Caller will unassign; remain counters must stay consistent,
-		// so nothing else to do here.
-		return false
-	}
-	return true
-}
-
-// unassign reverses assign's bookkeeping.
-func (p *indPruner) unassign(name string) {
-	for _, ti := range p.tplOf[name] {
-		p.tplRemain[ti]++
-	}
-}
-
-// checkTemplate validates the ground template ti against the INDs of
-// its relation.
-func (p *indPruner) checkTemplate(ti int, b query.Binding) bool {
-	tpl := p.templates[ti]
-	checks := p.byRel[tpl.Rel]
-	if len(checks) == 0 {
-		return true
-	}
-	tup, ok := tpl.Ground(b)
-	if !ok {
-		return true
-	}
-	for _, chk := range checks {
-		if chk.allowed == nil {
-			return false // π(R) ⊆ ∅ forbids any R tuple
-		}
-		if !chk.allowed[tup.Project(chk.cols).Key()] {
+		w.kb = relation.AppendIDKey(w.kb[:0], w.ids)
+		if !pr.allowed[string(w.kb)] {
 			return false
 		}
 	}

@@ -37,8 +37,9 @@ type RCDPResult struct {
 	Disjunct int
 	// Valuation, when incomplete, is the witness valuation μ of the
 	// disjunct tableau's variables: Extension is μ(T_Disjunct) and
-	// NewTuple is μ(u_Disjunct). It is a private clone — the search
-	// engines reuse their bindings — so callers may keep or mutate it.
+	// NewTuple is μ(u_Disjunct). The search runs on id slot arrays; this
+	// binding is built for the result alone, so callers may keep or
+	// mutate it.
 	Valuation query.Binding
 	// Valuations is the number of candidate valuations inspected. It is
 	// a work counter, not part of the verdict: the parallel engine
@@ -161,10 +162,11 @@ func (ck *Checker) RCDPCtx(ctx context.Context, q qlang.Query, d, dm *relation.D
 // prepareRCDP and then read-only, it is shared by the sequential and
 // parallel engines.
 type rcdpPrep struct {
-	tableaux  []*cq.Tableau
-	searches  []*valuationSearch
-	schemas   map[string]*relation.Schema
-	answerSet map[string]bool
+	tableaux []*cq.Tableau
+	searches []*valuationSearch
+	schemas  map[string]*relation.Schema
+	// answerKeys holds the id-keys (relation.AppendIDKey) of Q(D).
+	answerKeys map[string]bool
 }
 
 // prepareRCDP performs the disjunct-independent setup of an RCDP check:
@@ -189,9 +191,17 @@ func (ck *Checker) prepareRCDP(q qlang.Query, d, dm *relation.Database, v *cc.Se
 	if err != nil {
 		return nil, err
 	}
-	answerSet := make(map[string]bool, len(answers))
+	dict := relation.Shared()
+	answerKeys := make(map[string]bool, len(answers))
+	var ids []int32
+	var kb []byte
 	for _, t := range answers {
-		answerSet[t.Key()] = true
+		ids = ids[:0]
+		for _, val := range t {
+			ids = append(ids, dict.Intern(val))
+		}
+		kb = relation.AppendIDKey(kb[:0], ids)
+		answerKeys[string(kb)] = true
 	}
 
 	tableaux := q.Tableaux()
@@ -205,29 +215,19 @@ func (ck *Checker) prepareRCDP(q qlang.Query, d, dm *relation.Database, v *cc.Se
 	// The inert-position and relevant-value analyses depend only on
 	// (Q, V, D, Dm), not on the disjunct: compute them once here and
 	// share them read-only across disjuncts (and workers).
-	var constrained map[string]map[int]bool
-	var rv *relevantValues
+	cfg := searchConfig{naive: ck.Naive, budget: ck.Budget.MaxValuations, gate: gate}
 	if !ck.Naive {
-		constrained = inertPositions(v)
-		rv = computeRelevantValues(q, v, d, dm)
+		cfg.v, cfg.dm = v, dm
+		cfg.constrained = inertPositions(v)
+		cfg.rv = computeRelevantValues(q, v, d, dm)
 	}
 	searches := make([]*valuationSearch, len(tableaux))
 	for di, t := range tableaux {
-		search, ok := newValuationSearch(u, t, schemas)
-		if !ok {
-			continue // disjunct unsatisfiable under domain constraints
-		}
-		search.naive = ck.Naive
-		search.budget = ck.Budget.MaxValuations
-		search.gate = gate
-		if !ck.Naive {
-			search.pruner = newINDPruner(t, v, dm)
-			search.applyCollapseFrom(constrained)
-			search.applyRelevantFrom(rv)
-		}
-		searches[di] = search
+		if search, ok := newValuationSearch(u, t, schemas, cfg); ok {
+			searches[di] = search
+		} // else: disjunct unsatisfiable under domain constraints
 	}
-	return &rcdpPrep{tableaux: tableaux, searches: searches, schemas: schemas, answerSet: answerSet}, nil
+	return &rcdpPrep{tableaux: tableaux, searches: searches, schemas: schemas, answerKeys: answerKeys}, nil
 }
 
 // rcdp is RCDP with an optional externally-owned worker pool — so that
@@ -263,8 +263,8 @@ func (ck *Checker) rcdp(q qlang.Query, d, dm *relation.Database, v *cc.Set, pool
 		}
 		var found *RCDPResult
 		var cbErr error
-		err := search.run(func(b query.Binding) bool {
-			r, err := wc.witness(di, b)
+		err := search.run(func(slots []int32) bool {
+			r, err := wc.witness(di, slots)
 			if err != nil {
 				cbErr = err
 				return false
@@ -297,15 +297,18 @@ func (ck *Checker) rcdp(q qlang.Query, d, dm *relation.Database, v *cc.Set, pool
 // witnessChecker decides, for one search, whether complete valuations
 // are counterexamples to completeness: μ(u) ∉ Q(D) and (D ∪ μ(T), Dm) ⊨
 // V. It is built once per search (per worker branch in the parallel
-// engine) and owns the prepared cc.DeltaChecker over (D, Dm) plus one
-// scratch Δ-fragment per disjunct tableau, refilled in place for every
-// valuation. Besides those it reads only the warmed, read-only shared
-// state of rcdpPrep. Single-goroutine.
+// engine) and owns the prepared cc.DeltaChecker over (D, Dm), one
+// scratch Δ-fragment per disjunct tableau, refilled in place from the
+// slot array for every valuation, and the head-key scratch. Besides
+// those it reads only the warmed, read-only shared state of rcdpPrep.
+// Single-goroutine.
 type witnessChecker struct {
 	prep  *rcdpPrep
 	dc    *cc.DeltaChecker
 	gate  *query.Gate
 	frags []*relation.Database // per disjunct; nil until first use
+	ids   []int32
+	kb    []byte
 }
 
 func newWitnessChecker(prep *rcdpPrep, d, dm *relation.Database, v *cc.Set, gate *query.Gate) *witnessChecker {
@@ -317,56 +320,52 @@ func newWitnessChecker(prep *rcdpPrep, d, dm *relation.Database, v *cc.Set, gate
 	}
 }
 
-// test reports whether the complete valuation b of disjunct di is a
-// counterexample, returning μ(u) when it is; the disjunct's scratch
-// fragment then holds μ(T).
-func (w *witnessChecker) test(di int, b query.Binding) (relation.Tuple, bool, error) {
-	t := w.prep.tableaux[di]
-	head, ok := t.HeadTuple(b)
-	if !ok {
-		return nil, false, nil
+// test reports whether the complete valuation slots of disjunct di is
+// a counterexample; the disjunct's scratch fragment then holds μ(T).
+func (w *witnessChecker) test(di int, slots []int32) (bool, error) {
+	s := w.prep.searches[di]
+	w.ids = w.ids[:0]
+	for _, op := range s.head {
+		w.ids = append(w.ids, operandID(op, slots))
 	}
-	if w.prep.answerSet[head.Key()] {
-		return nil, false, nil // already answered; cannot change Q(D)
+	w.kb = relation.AppendIDKey(w.kb[:0], w.ids)
+	if w.prep.answerKeys[string(w.kb)] {
+		return false, nil // already answered; cannot change Q(D)
 	}
 	delta := w.frags[di]
 	if delta == nil {
 		var err error
-		if delta, err = t.Apply(b, w.prep.schemas); err != nil {
-			return nil, false, err
+		if delta, err = s.t.NewFragment(w.prep.schemas); err != nil {
+			return false, err
 		}
 		w.frags[di] = delta
-	} else if err := t.ApplyInto(delta, b); err != nil {
-		return nil, false, err
+	}
+	if err := s.tpls.ApplyInto(delta, slots); err != nil {
+		return false, err
 	}
 	if err := w.gate.ChargeTuples(delta.TupleCount()); err != nil {
-		return nil, false, err
+		return false, err
 	}
-	sat, err := w.dc.SatisfiedGate(delta, w.gate)
-	if err != nil || !sat {
-		return nil, false, err
-	}
-	return head, true, nil
+	return w.dc.SatisfiedGate(delta, w.gate)
 }
 
 // witness is test building the result for a counterexample. The
 // result takes the scratch fragment as its Extension, so the disjunct
 // starts a fresh one at its next valuation.
-func (w *witnessChecker) witness(di int, b query.Binding) (*RCDPResult, error) {
-	head, ok, err := w.test(di, b)
+func (w *witnessChecker) witness(di int, slots []int32) (*RCDPResult, error) {
+	ok, err := w.test(di, slots)
 	if err != nil || !ok {
 		return nil, err
 	}
+	s := w.prep.searches[di]
 	ext := w.frags[di]
 	w.frags[di] = nil
 	return &RCDPResult{
 		Complete:  false,
 		Extension: ext,
-		NewTuple:  head,
+		NewTuple:  s.headTuple(slots),
 		Disjunct:  di,
-		// Clone: the binding is owned by the search engine and is
-		// mutated after this call returns (see parallelFn).
-		Valuation: b.Clone(),
+		Valuation: s.binding(slots),
 	}, nil
 }
 
@@ -395,11 +394,11 @@ func (ck *Checker) rcdpParallel(pool *workerPool, prep *rcdpPrep, d, dm *relatio
 			continue
 		}
 		budgets[di] = newBudgetCtl(ck.Budget.MaxValuations)
-		fn := func(w *searchWorker, b query.Binding) (any, error) {
+		fn := func(w *searchWorker, slots []int32) (any, error) {
 			if w.wc == nil {
 				w.wc = newWitnessChecker(prep, d, dm, v, gate)
 			}
-			r, err := w.wc.witness(di, b)
+			r, err := w.wc.witness(di, slots)
 			if err != nil || r == nil {
 				return nil, err
 			}

@@ -147,25 +147,27 @@ func (ck *QPChecker) RCQPCtx(ctx context.Context, q qlang.Query, dm *relation.Da
 	// the checker resolves to a single worker).
 	wp := newWorkerPool(cfg.Checker.effectiveWorkers())
 	var res *RCQPResult
+	var valuations int
 	var err error
 	if v.AllINDs() {
-		res, err = cfg.rcqpINDs(q, dm, v, schemas, wp, gv)
+		res, valuations, err = cfg.rcqpINDs(q, dm, v, schemas, wp, gv)
 	} else {
 		res, err = cfg.rcqpGeneral(q, dm, v, schemas, wp, gv)
 	}
 	if err != nil {
-		if r := reasonOf(err); r != ReasonNone && r != ReasonValuations {
-			// A global governance stop (cancel, deadline, rows, tuples).
-			// Per-candidate valuation budgets never surface here — they
-			// skip the candidate inside the certificate search.
-			out := &RCQPResult{Status: Unknown, Method: "budget", Reason: r, Stats: gv.stats(0)}
+		if r := reasonOf(err); r != ReasonNone {
+			// A governance stop: a global one (cancel, deadline, rows,
+			// tuples) or the E3/E4 search's valuation budget. The
+			// certificate search's per-candidate valuation budgets never
+			// surface here — they skip the candidate.
+			out := &RCQPResult{Status: Unknown, Method: "budget", Reason: r, Stats: gv.stats(valuations)}
 			co.done("unknown", r, out.Stats)
 			return out, nil
 		}
-		co.done("error", ReasonNone, gv.stats(0))
+		co.done("error", ReasonNone, gv.stats(valuations))
 		return nil, err
 	}
-	res.Stats = gv.stats(0)
+	res.Stats = gv.stats(valuations)
 	co.done(res.Status.String(), ReasonNone, res.Stats)
 	return res, nil
 }
@@ -202,14 +204,27 @@ func headVarOccurrences(t *cq.Tableau) map[string][]varPosition {
 // a finite domain (E3) — or (b) admits no valid valuation μ with
 // (μ(T_i), Dm) ⊨ V at all. INDs check tuple-by-tuple, which makes the
 // per-disjunct analysis exact.
-func (cfg QPChecker) rcqpINDs(q qlang.Query, dm *relation.Database, v *cc.Set, schemas map[string]*relation.Schema, wp *workerPool, gv *governor) (*RCQPResult, error) {
+//
+// It also returns the complete valuations inspected by the E3/E4
+// search and the witness construction; both charge the checker's
+// MaxValuations per disjunct. Exhausting it in the E3/E4 search stops
+// the check with ErrBudgetExceeded; exhausting it while building the
+// witness of a Yes drops the witness and keeps the Yes.
+func (cfg QPChecker) rcqpINDs(q qlang.Query, dm *relation.Database, v *cc.Set, schemas map[string]*relation.Schema, wp *workerPool, gv *governor) (*RCQPResult, int, error) {
 	gate := gv.gateOf()
 	bounded, ok := v.BoundedColumns()
 	if !ok {
-		return nil, fmt.Errorf("core: rcqpINDs called with non-IND constraints")
+		return nil, 0, fmt.Errorf("core: rcqpINDs called with non-IND constraints")
 	}
 	tableaux := q.Tableaux()
 	u := NewUniverse(nil, dm, q, v, tableauVarCount(tableaux))
+	budget := cfg.Checker.Budget.MaxValuations
+	scfg := searchConfig{
+		v: v, dm: dm,
+		constrained: inertPositions(v),
+		rv:          computeRelevantValues(q, v, nil, dm),
+		gate:        gate,
+	}
 
 	// Boundedness analysis per disjunct (cheap, sequential); the
 	// valuation searches of the unbounded disjuncts are the expensive
@@ -217,27 +232,21 @@ func (cfg QPChecker) rcqpINDs(q qlang.Query, dm *relation.Database, v *cc.Set, s
 	type unboundedDisjunct struct {
 		di     int
 		name   string // the uncovered head variable
-		t      *cq.Tableau
 		search *valuationSearch
 	}
 	var pending []unboundedDisjunct
 	for di, t := range tableaux {
-		search, okT := newValuationSearch(u, t, schemas)
+		search, okT := newValuationSearch(u, t, schemas, scfg)
 		if !okT {
 			continue // unsatisfiable disjunct
 		}
-		search.pruner = newINDPruner(t, v, dm)
-		search.applyCollapse(v)
-		search.applyRelevant(q, v, nil, dm)
-		search.gate = gate
-		doms := search.doms
 		occ := headVarOccurrences(t)
 		unbounded := ""
 		for _, h := range t.Head {
 			if !h.IsVar {
 				continue
 			}
-			if doms[h.Name].Kind == relation.Finite {
+			if search.doms[h.Name].Kind == relation.Finite {
 				continue // E3
 			}
 			covered := false
@@ -258,7 +267,7 @@ func (cfg QPChecker) rcqpINDs(q qlang.Query, dm *relation.Database, v *cc.Set, s
 		// Unbounded disjunct: RCQ is nonempty only if no valid valuation
 		// satisfies V. (A disjunct with no valid valuation at all can
 		// never produce an answer in a partially closed database.)
-		pending = append(pending, unboundedDisjunct{di: di, name: unbounded, t: t, search: search})
+		pending = append(pending, unboundedDisjunct{di: di, name: unbounded, search: search})
 	}
 
 	noResult := func(di int, name string, witness query.Binding) *RCQPResult {
@@ -269,88 +278,81 @@ func (cfg QPChecker) rcqpINDs(q qlang.Query, dm *relation.Database, v *cc.Set, s
 		}
 	}
 
-	if wp != nil && len(pending) > 0 {
-		// Parallel path: the branches of every unbounded disjunct race on
-		// one raceCtl; the smallest (disjunct, branch) claim is exactly
-		// the witness the sequential loop above would have found first.
-		warmShared(dm)
-		ctl := newRaceCtl()
-		names := make(map[int]string, len(pending))
-		var tasks []func()
-		for _, ud := range pending {
-			ud := ud
-			names[ud.di] = ud.name
-			fn := func(_ *searchWorker, b query.Binding) (any, error) {
-				delta, err := ud.t.Apply(b, schemas)
-				if err != nil {
-					return nil, nil // mirror sequential: skip, keep searching
-				}
-				sat, err := v.SatisfiedGate(delta, dm, gate)
-				if err != nil {
-					if isGovernErr(err) {
-						return nil, err // stop the whole race
-					}
-					return nil, nil
-				}
-				if !sat {
-					return nil, nil
-				}
-				// The binding is worker-owned and unwound after return:
-				// clone before claiming.
-				return b.Clone(), nil
+	// The branches of every unbounded disjunct race on one raceCtl: the
+	// smallest (disjunct, branch) claim is the DFS-first witness, and a
+	// disjunct's budget claim beats every later disjunct. On a nil pool
+	// (one worker) the branches run in order on this goroutine and a
+	// claim cancels every later branch, which is the sequential search.
+	warmShared(dm)
+	ctl := newRaceCtl()
+	names := make(map[int]string, len(pending))
+	budgets := make([]*budgetCtl, len(pending))
+	var tasks []func()
+	for k, ud := range pending {
+		ud := ud
+		names[ud.di] = ud.name
+		budgets[k] = newBudgetCtl(budget)
+		fn := func(w *searchWorker, slots []int32) (any, error) {
+			sat, err := satisfiesV(ud.search, &w.frag, slots, schemas, v, dm, gate)
+			if err != nil || !sat {
+				return nil, err // a governance error stops the whole race
 			}
-			tasks = append(tasks, ud.search.branchTasks(ctl, newBudgetCtl(0), ud.di, fn)...)
+			return ud.search.binding(slots), nil
 		}
-		wp.run(tasks)
-		val, key, err := ctl.result()
-		if err != nil {
-			return nil, err
+		tasks = append(tasks, ud.search.branchTasks(ctl, budgets[k], ud.di, fn)...)
+	}
+	wp.run(tasks)
+	valuations := 0
+	for _, bud := range budgets {
+		valuations += bud.inspected()
+	}
+	val, key, err := ctl.result()
+	if err != nil {
+		return nil, valuations, err
+	}
+	if key != noKey {
+		if val == nil {
+			return nil, valuations, ErrBudgetExceeded
 		}
-		if key != noKey {
-			di := keyDisjunct(key)
-			return noResult(di, names[di], val.(query.Binding)), nil
-		}
-	} else {
-		for _, ud := range pending {
-			var witness query.Binding
-			var gerr error
-			err := ud.search.run(func(b query.Binding) bool {
-				delta, err := ud.t.Apply(b, schemas)
-				if err != nil {
-					return true
-				}
-				sat, err := v.SatisfiedGate(delta, dm, gate)
-				if err != nil {
-					if isGovernErr(err) {
-						gerr = err
-						return false
-					}
-					return true
-				}
-				if !sat {
-					return true
-				}
-				witness = b.Clone()
-				return false
-			})
-			if gerr != nil {
-				return nil, gerr
-			}
-			if err != nil {
-				return nil, err
-			}
-			if witness != nil {
-				return noResult(ud.di, ud.name, witness), nil
-			}
-		}
+		di := keyDisjunct(key)
+		return noResult(di, names[di], val.(query.Binding)), valuations, nil
 	}
 	// The verdict is decided; the witness is a by-product. A governance
 	// stop during its construction drops the witness, not the Yes.
 	res := &RCQPResult{Status: Yes, Method: "E3/E4"}
-	if w, err := completeDatabaseINDs(q, dm, v, schemas, cfg.MaxCandidates, gate); err == nil && w != nil {
+	w, n, err := completeDatabaseINDs(q, dm, v, schemas, cfg.MaxCandidates, budget, gate)
+	valuations += n
+	if err == nil && w != nil {
 		res.Witness = w
 	}
-	return res, nil
+	return res, valuations, nil
+}
+
+// satisfiesV reports whether μ(T) of the complete valuation slots
+// satisfies V on its own (with Dm), refilling *frag in place. A
+// valuation whose fragment cannot be built — a template over a relation
+// missing from schemas, a value outside a finite domain — does not
+// satisfy; only governance stops surface as errors.
+func satisfiesV(s *valuationSearch, frag **relation.Database, slots []int32, schemas map[string]*relation.Schema,
+	v *cc.Set, dm *relation.Database, gate *query.Gate) (bool, error) {
+	if *frag == nil {
+		f, err := s.t.NewFragment(schemas)
+		if err != nil {
+			return false, nil
+		}
+		*frag = f
+	}
+	if err := s.tpls.ApplyInto(*frag, slots); err != nil {
+		return false, nil
+	}
+	sat, err := v.SatisfiedGate(*frag, dm, gate)
+	if err != nil {
+		if isGovernErr(err) {
+			return false, err
+		}
+		return false, nil
+	}
+	return sat, nil
 }
 
 // rcqpGeneral implements the Proposition 4.2 path for CQ-class
@@ -680,6 +682,15 @@ func (cfg QPChecker) buildFragmentPool(q qlang.Query, dm *relation.Database, v *
 		nFresh = n
 	}
 	u := NewUniverse(nil, dm, q, v, nFresh)
+	// The exact search reductions (IND pruning, inert-variable
+	// collapsing and relevant-value restriction) keep the pool focused
+	// on fragments that can participate in a partially closed witness.
+	scfg := searchConfig{
+		v: v, dm: dm,
+		constrained: inertPositions(v),
+		rv:          computeRelevantValues(q, v, nil, dm),
+		gate:        gv.gateOf(),
+	}
 
 	base = emptyDatabase(schemas)
 	for _, t := range qTabs {
@@ -710,7 +721,7 @@ func (cfg QPChecker) buildFragmentPool(q qlang.Query, dm *relation.Database, v *
 			if len(pool) >= cfg.MaxPool {
 				break
 			}
-			if err := enumerateInstantiations(u, q, v, dm, sub, schemas, gv, addFragment); err != nil {
+			if err := enumerateInstantiations(u, sub, schemas, scfg, addFragment); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -720,7 +731,7 @@ func (cfg QPChecker) buildFragmentPool(q qlang.Query, dm *relation.Database, v *
 		if len(pool) >= cfg.MaxPool {
 			break
 		}
-		if err := enumerateInstantiations(u, q, v, dm, t, schemas, gv, addFragment); err != nil {
+		if err := enumerateInstantiations(u, t, schemas, scfg, addFragment); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -759,25 +770,22 @@ func subsetTableau(t *cq.Tableau, mask int) *cq.Tableau {
 }
 
 // enumerateInstantiations enumerates valid valuations of the tableau
-// over Adom and emits each instantiation μ(T) as a database fragment.
-// The exact search reductions (IND pruning, inert-variable collapsing
-// and relevant-value restriction) keep the pool focused on fragments
-// that can participate in a partially closed witness.
-func enumerateInstantiations(u *Universe, q qlang.Query, v *cc.Set, dm *relation.Database, t *cq.Tableau, schemas map[string]*relation.Schema, gv *governor, emit func(*relation.Database)) error {
+// over Adom under the search configuration and emits each
+// instantiation μ(T) as a database fragment.
+func enumerateInstantiations(u *Universe, t *cq.Tableau, schemas map[string]*relation.Schema, cfg searchConfig, emit func(*relation.Database)) error {
 	if t == nil {
 		return nil
 	}
-	search, ok := newValuationSearch(u, t, schemas)
+	search, ok := newValuationSearch(u, t, schemas, cfg)
 	if !ok {
 		return nil
 	}
-	search.pruner = newINDPruner(t, v, dm)
-	search.applyCollapse(v)
-	search.applyRelevant(q, v, nil, dm)
-	search.gate = gv.gateOf()
-	return search.run(func(b query.Binding) bool {
-		db, err := t.Apply(b, schemas)
+	return search.run(func(slots []int32) bool {
+		db, err := t.NewFragment(schemas)
 		if err != nil {
+			return true
+		}
+		if err := search.tpls.AddInto(db, slots); err != nil {
 			return true
 		}
 		emit(db)

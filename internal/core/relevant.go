@@ -24,11 +24,13 @@ import (
 // group, the Dm values feeding its group through constraint heads, and
 // the fresh pool. Everything else is renameable away.
 type relevantValues struct {
-	// perPosition maps rel → col → sorted candidate values contributed
-	// by that position's linked group (database values + master feeds).
-	perPosition map[string]map[int][]relation.Value
-	// base holds the constants of Q and V.
-	base []relation.Value
+	// perPosition maps rel → col → the candidate ids contributed by
+	// that position's linked group (database values + master feeds),
+	// ascending by value.
+	perPosition map[string]map[int][]int32
+	// base holds the ids of the constants of Q and V, ascending by
+	// value.
+	base []int32
 }
 
 // computeRelevantValues runs the linked-position analysis.
@@ -150,43 +152,43 @@ func computeRelevantValues(q interface{ Constants() []relation.Value }, v *cc.Se
 		groupSets[root] = set
 	}
 
-	rv := &relevantValues{perPosition: make(map[string]map[int][]relation.Value)}
+	rv := &relevantValues{perPosition: make(map[string]map[int][]int32)}
 	dict := relation.Shared()
 	for p := range parent {
 		root := find(p)
 		m := rv.perPosition[p.rel]
 		if m == nil {
-			m = make(map[int][]relation.Value)
+			m = make(map[int][]int32)
 			rv.perPosition[p.rel] = m
 		}
-		var vals []relation.Value
+		var ids []int32
 		if set := groupSets[root]; set != nil {
-			vals = dict.SortedIDValues(set)
+			ids = dict.SortedIDs(set)
 		}
-		m[p.col] = vals
+		m[p.col] = ids
 	}
-	seen := make(map[relation.Value]bool)
+	var consts []uint64
 	if q != nil {
 		for _, val := range q.Constants() {
-			seen[val] = true
+			consts = relation.SetIDBit(consts, dict.Intern(val))
 		}
 	}
 	if v != nil {
 		for _, val := range v.Constants() {
-			seen[val] = true
+			consts = relation.SetIDBit(consts, dict.Intern(val))
 		}
 	}
-	rv.base = relation.SortedValues(seen)
+	if consts != nil {
+		rv.base = dict.SortedIDs(consts)
+	}
 	return rv
 }
 
-// candidatesFor returns the restricted candidate set (without the fresh
-// pool, which the search appends with its symmetry prefix) for a
-// variable occurring at the given positions, or nil when the variable
-// must fall back to the full constant pool (never needed — the analysis
-// is total — but kept for safety).
-func (rv *relevantValues) candidatesFor(positions []varPosition) []relation.Value {
-	lists := make([][]relation.Value, 0, len(positions)+1)
+// candidatesFor returns the restricted candidate ids (without the fresh
+// pool, which the search adds with its symmetry prefix) for a variable
+// occurring at the given positions, ascending by value.
+func (rv *relevantValues) candidatesFor(positions []varPosition) []int32 {
+	lists := make([][]int32, 0, len(positions)+1)
 	if len(rv.base) > 0 {
 		lists = append(lists, rv.base)
 	}
@@ -204,69 +206,34 @@ outer:
 		}
 		lists = append(lists, l)
 	}
-	out := []relation.Value(nil)
+	vals := relation.Shared().Snapshot()
+	out := []int32{}
 	for _, l := range lists {
-		out = mergeSortedValues(out, l)
-	}
-	if out == nil {
-		out = []relation.Value{}
+		out = mergeSortedIDs(vals, out, l)
 	}
 	return out
 }
 
-// mergeSortedValues merges two ascending, duplicate-free value slices
-// into a fresh ascending, duplicate-free slice — the allocation-light
-// replacement for unioning through a map and re-sorting.
-func mergeSortedValues(a, b []relation.Value) []relation.Value {
-	if len(a) == 0 {
-		return append([]relation.Value(nil), b...)
-	}
-	if len(b) == 0 {
-		return append([]relation.Value(nil), a...)
-	}
-	out := make([]relation.Value, 0, len(a)+len(b))
+// mergeSortedIDs merges two id slices, each ascending by value and
+// duplicate-free, into a fresh slice of the same kind; vals resolves
+// ids to values.
+func mergeSortedIDs(vals []relation.Value, a, b []int32) []int32 {
+	out := make([]int32, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case b[j] < a[i]:
-			out = append(out, b[j])
-			j++
-		default:
+		case a[i] == b[j]:
 			out = append(out, a[i])
 			i, j = i+1, j+1
+		case vals[a[i]] < vals[b[j]]:
+			out = append(out, a[i])
+			i++
+		default:
+			out = append(out, b[j])
+			j++
 		}
 	}
 	out = append(out, a[i:]...)
 	out = append(out, b[j:]...)
 	return out
-}
-
-// applyRelevant installs restricted candidate sets for every
-// non-collapsed, infinite-domain variable of the search.
-func (s *valuationSearch) applyRelevant(q interface{ Constants() []relation.Value }, v *cc.Set, d, dm *relation.Database) {
-	s.applyRelevantFrom(computeRelevantValues(q, v, d, dm))
-}
-
-// applyRelevantFrom is applyRelevant with the linked-position analysis
-// precomputed. The analysis depends only on (Q, V, D, Dm) — not on the
-// disjunct — so multi-disjunct callers compute it once; the installed
-// candidate slices are read-only afterwards and safe to share across
-// parallel workers.
-func (s *valuationSearch) applyRelevantFrom(rv *relevantValues) {
-	occ := allVarOccurrences(s.t)
-	if s.candidates == nil {
-		s.candidates = make(map[string][]relation.Value, len(s.t.Vars))
-	}
-	for _, name := range s.t.Vars {
-		if _, isCollapsed := s.collapsed[name]; isCollapsed {
-			continue
-		}
-		if s.doms[name].Kind == relation.Finite {
-			continue
-		}
-		s.candidates[name] = rv.candidatesFor(occ[name])
-	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 
+	"repro/internal/cc"
 	"repro/internal/cq"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -14,6 +15,9 @@ var ErrBudgetExceeded = errors.New("core: valuation budget exceeded")
 
 // errStop signals early termination of a search from a callback.
 var errStop = errors.New("core: stop")
+
+// unassigned marks a slot the search has not bound.
+const unassigned int32 = -1
 
 // valuationSearch enumerates valid valuations μ of a tableau with
 // values in Adom, per the definition in Section 3.2: every variable y
@@ -27,36 +31,49 @@ var errStop = errors.New("core: stop")
 // dependency of V — the backtracking realization of the Σ₂ᵖ
 // certificate guess of Theorem 3.6.
 //
-// Sharing discipline: after setup (newValuationSearch + pruner/
-// applyCollapse/applyRelevant) everything here except pruner, budget
-// and visited is read-only and may be shared across the worker
-// goroutines of a parallel search (see parallel.go). The pruner field
-// is the per-search *template*: workers clone it (indPruner.clone) to
-// get private backtracking counters; budget/visited are only used by
-// the sequential run path (parallel searches use a shared budgetCtl).
+// The search runs on interned ids. Each variable gets a dense slot in
+// that order, and everything the recursion reads is compiled against
+// the slots once, in newValuationSearch: per-slot candidate id lists,
+// the inequality conditions (each tested at the slot that completes
+// it), the IND pruner, the head and the templates. A valuation is an
+// []int32 slot array of shared-dictionary ids; a query.Binding is built
+// only where a valuation leaves the package (binding).
+//
+// Sharing discipline: after newValuationSearch everything here except
+// visited is read-only and may be shared across the worker goroutines
+// of a parallel search (see parallel.go); the per-goroutine state is a
+// searchWorker. budget/visited are only used by the sequential run
+// path (parallel searches use a shared budgetCtl).
 type valuationSearch struct {
 	u     *Universe
 	t     *cq.Tableau
 	doms  map[string]relation.Domain
-	order []string
+	order []string // slot → variable
+
+	// cands holds each slot's candidate values.
+	cands []slotCandidates
+
+	// diseqsAt[i] holds the inequality conditions completed by slot i
+	// (its last variable in slot order); diseqs holds all of them, for
+	// naive mode, which tests them on complete valuations only.
+	diseqsAt [][]slotDiseq
+	diseqs   []slotDiseq
 
 	// pruner, when non-nil, rejects partial valuations violating INDs.
 	// Pruning is an optimization only: callers re-check the full
-	// constraint set on complete valuations, so verdicts never depend
-	// on it (naive mode disables it entirely).
+	// constraint set on complete valuations (or rely on the pruner
+	// being exact for all-IND V, see completeDatabaseINDs), and naive
+	// mode disables it.
 	pruner *indPruner
 
-	// collapsed pins inert variables to dedicated fresh values (see
-	// inert.go); exact, disabled in naive mode.
-	collapsed map[string]relation.Value
-
-	// candidates restricts a variable's non-fresh candidate values to
-	// its relevant set (see relevant.go); exact, disabled in naive mode.
-	candidates map[string][]relation.Value
+	// head holds the output summary u's operands; tpls grounds the
+	// templates from a slot array.
+	head []int32
+	tpls *cq.SlotTemplates
 
 	// naive disables inequality pruning, IND pruning, inert-variable
-	// collapsing and fresh-value symmetry breaking; kept for the
-	// ablation benchmarks.
+	// collapsing, relevant-value restriction and fresh-value symmetry
+	// breaking; kept for the ablation benchmarks.
 	naive bool
 
 	// budget, when positive, caps the number of complete candidate
@@ -71,135 +88,358 @@ type valuationSearch struct {
 	gate *query.Gate
 }
 
+// slotCandidates are the values one slot tries, in order: base, then —
+// when fresh is set — a prefix of the universe's fresh pool. With
+// symmetry breaking the prefix holds the fresh values already used plus
+// the first unused one; naive mode tries the whole pool.
+type slotCandidates struct {
+	base  []int32
+	fresh bool
+}
+
+// slotDiseq is one inequality condition over operands: a slot index
+// when ≥ 0, the complement ^id of a constant's id when < 0.
+type slotDiseq struct {
+	l, r int32
+	neg  bool
+}
+
+// operandID resolves an operand against a slot array.
+func operandID(op int32, slots []int32) int32 {
+	if op >= 0 {
+		return slots[op]
+	}
+	return ^op
+}
+
+func (d slotDiseq) holds(slots []int32) bool {
+	return (operandID(d.l, slots) == operandID(d.r, slots)) != d.neg
+}
+
+// searchConfig selects the search reductions of newValuationSearch.
+// The zero value is the plain search over all of Adom.
+type searchConfig struct {
+	// naive selects the ablation engine (see valuationSearch.naive);
+	// it overrides every reduction below.
+	naive bool
+	// v and dm, when v is non-nil, build the IND pruner.
+	v  *cc.Set
+	dm *relation.Database
+	// constrained, when non-nil, is the inert-position analysis of V:
+	// collapsible variables are pinned to dedicated fresh values (see
+	// inert.go).
+	constrained map[string]map[int]bool
+	// rv, when non-nil, restricts infinite-domain variables to their
+	// relevant values (see relevant.go).
+	rv *relevantValues
+	// fixed, when non-nil, replaces the candidates of the variables it
+	// names with the given lists, tried in order, with no fresh pool.
+	fixed map[string][]relation.Value
+	// budget caps complete valuations on the sequential engine.
+	budget int
+	gate   *query.Gate
+}
+
 // newValuationSearch prepares a search over the tableau's variables.
 // Schema information is needed to determine each variable's admissible
 // domain; unsatisfiable tableaux yield ok=false.
-func newValuationSearch(u *Universe, t *cq.Tableau, schemas map[string]*relation.Schema) (*valuationSearch, bool) {
+func newValuationSearch(u *Universe, t *cq.Tableau, schemas map[string]*relation.Schema, cfg searchConfig) (*valuationSearch, bool) {
 	doms, ok := t.AsCQ().VarDomains(schemas)
 	if !ok {
 		return nil, false
 	}
 	// Template-major variable order.
 	var order []string
-	seen := make(map[string]bool, len(t.Vars))
+	slotOf := make(map[string]int, len(t.Vars))
+	add := func(name string) {
+		if _, seen := slotOf[name]; !seen {
+			slotOf[name] = len(order)
+			order = append(order, name)
+		}
+	}
 	for _, tpl := range t.Templates {
 		for _, a := range tpl.Args {
-			if a.IsVar && !seen[a.Name] {
-				seen[a.Name] = true
-				order = append(order, a.Name)
+			if a.IsVar {
+				add(a.Name)
 			}
 		}
 	}
 	for _, v := range t.Vars {
-		if !seen[v] {
-			seen[v] = true
-			order = append(order, v)
+		add(v)
+	}
+	s := &valuationSearch{
+		u: u, t: t, doms: doms, order: order,
+		naive: cfg.naive, budget: cfg.budget, gate: cfg.gate,
+	}
+	s.compileCandidates(cfg)
+	operand := func(tm query.Term) int32 {
+		if tm.IsVar {
+			return int32(slotOf[tm.Name])
+		}
+		return ^relation.Shared().Intern(tm.Val)
+	}
+	s.diseqsAt = make([][]slotDiseq, len(order))
+	for _, dq := range t.Diseqs {
+		d := slotDiseq{l: operand(dq.L), r: operand(dq.R), neg: dq.Neg}
+		s.diseqs = append(s.diseqs, d)
+		if last := max(d.l, d.r); last >= 0 {
+			s.diseqsAt[last] = append(s.diseqsAt[last], d)
 		}
 	}
-	return &valuationSearch{u: u, t: t, doms: doms, order: order}, true
+	s.head = make([]int32, len(t.Head))
+	for i, h := range t.Head {
+		s.head[i] = operand(h)
+	}
+	s.tpls = t.SlotTemplates(slotOf, schemas)
+	if !cfg.naive && cfg.v != nil {
+		s.pruner = newINDPruner(t, slotOf, operand, cfg.v, cfg.dm)
+	}
+	return s, true
+}
+
+// compileCandidates resolves every slot's candidate list once: a fixed
+// list when cfg names one, the dedicated fresh value of a collapsed
+// variable, the finite domain, or else the relevant values (all of the
+// constants without rv) followed by the fresh pool.
+func (s *valuationSearch) compileCandidates(cfg searchConfig) {
+	dict := relation.Shared()
+	ids := func(vals []relation.Value) []int32 {
+		out := make([]int32, len(vals))
+		for i, v := range vals {
+			out[i] = dict.Intern(v)
+		}
+		return out
+	}
+	var collapsed map[string]int32
+	var occ map[string][]varPosition
+	if !cfg.naive {
+		if cfg.constrained != nil {
+			// Dedicated fresh values come from the end of the pool; the
+			// symmetry-breaking prefix grows from the front, so the two
+			// never collide while the pool holds one value per variable.
+			idx := len(s.u.freshIDs)
+			for _, name := range collapsibleVars(s.t, cfg.constrained, s.doms) {
+				idx--
+				if idx < 0 {
+					break // pool too small: the rest search in full
+				}
+				if collapsed == nil {
+					collapsed = make(map[string]int32)
+				}
+				collapsed[name] = s.u.freshIDs[idx]
+			}
+		}
+		if cfg.rv != nil {
+			occ = allVarOccurrences(s.t)
+		}
+	}
+	s.cands = make([]slotCandidates, len(s.order))
+	for i, name := range s.order {
+		c := &s.cands[i]
+		if vals, ok := cfg.fixed[name]; ok {
+			c.base = ids(vals)
+		} else if id, ok := collapsed[name]; ok {
+			c.base = []int32{id}
+		} else if dom := s.doms[name]; dom.Kind == relation.Finite {
+			c.base = ids(dom.Values)
+		} else {
+			c.base, c.fresh = s.u.constIDs, true
+			if occ != nil {
+				c.base = cfg.rv.candidatesFor(occ[name])
+			}
+		}
+	}
+}
+
+// freshCandidates returns the fresh values slot c tries at symmetry
+// level freshUsed: fresh values are interchangeable, so only the ones
+// already used plus the first unused one need be tried.
+func (s *valuationSearch) freshCandidates(c *slotCandidates, freshUsed int) []int32 {
+	if !c.fresh {
+		return nil
+	}
+	limit := freshUsed + 1
+	if s.naive || limit > len(s.u.freshIDs) {
+		limit = len(s.u.freshIDs)
+	}
+	return s.u.freshIDs[:limit]
+}
+
+// newWorker returns the per-goroutine state of one walk over the
+// search, every slot unassigned.
+func (s *valuationSearch) newWorker() *searchWorker {
+	w := &searchWorker{s: s, slots: make([]int32, len(s.order))}
+	for i := range w.slots {
+		w.slots[i] = unassigned
+	}
+	return w
 }
 
 // run enumerates valid valuations and invokes fn for each; fn returning
-// false stops the search. It returns ErrBudgetExceeded when the budget
-// runs out before the space is exhausted.
-func (s *valuationSearch) run(fn func(b query.Binding) bool) error {
-	vars := s.order
-	b := make(query.Binding, len(vars))
-	var rec func(i, freshUsed int) error
-	rec = func(i, freshUsed int) error {
-		if err := s.gate.Poll(); err != nil {
-			return err
-		}
-		if i == len(vars) {
-			s.visited++
-			if s.budget > 0 && s.visited > s.budget {
-				return ErrBudgetExceeded
-			}
-			if !s.t.DiseqsHold(b) {
-				return nil
-			}
-			if !fn(b) {
-				return errStop
-			}
-			return nil
-		}
-		v := vars[i]
-		for _, val := range s.candidatesFor(v, freshUsed) {
-			b[v] = val
-			if !s.admitAssign(s.pruner, v, b) {
-				delete(b, v)
-				continue
-			}
-			nf := freshUsed
-			if s.u.IsFresh(val) && isNthFresh(s.u, val, freshUsed) {
-				nf++
-			}
-			err := rec(i+1, nf)
-			if !s.naive && s.pruner != nil {
-				s.pruner.unassign(v)
-			}
-			delete(b, v)
-			if err != nil {
-				return err
-			}
+// false stops the search. The slot array fn receives is the search's
+// own and changes after fn returns. run returns ErrBudgetExceeded when
+// the budget runs out before the space is exhausted.
+func (s *valuationSearch) run(fn func(slots []int32) bool) error {
+	w := s.newWorker()
+	w.leaf = func(w *searchWorker) error {
+		if !fn(w.slots) {
+			return errStop
 		}
 		return nil
 	}
-	err := rec(0, 0)
+	err := w.rec(0, 0)
 	if err == errStop {
 		return nil
 	}
 	return err
 }
 
-// candidatesFor returns the candidate values tried for variable v at
-// symmetry level freshUsed, in deterministic order. Read-only with
-// respect to the search: both the sequential engine and the parallel
-// branch workers use it. The returned slice must not be modified.
-func (s *valuationSearch) candidatesFor(v string, freshUsed int) []relation.Value {
-	if cv, ok := s.collapsed[v]; ok && !s.naive {
-		return []relation.Value{cv}
+// inspected is visited without the valuation refused for exceeding
+// the budget.
+func (s *valuationSearch) inspected() int {
+	if s.budget > 0 && s.visited > s.budget {
+		return s.budget
 	}
-	if dom := s.doms[v]; dom.Kind == relation.Finite {
-		return dom.Values
-	}
-	candidates := s.u.Consts
-	if cs, ok := s.candidates[v]; ok && !s.naive {
-		candidates = cs
-	}
-	// Symmetry breaking: fresh values are interchangeable, so only the
-	// first unused one (plus already-used ones) need be tried. The
-	// naive mode tries the full fresh pool.
-	limit := freshUsed + 1
-	if s.naive || limit > len(s.u.Fresh) {
-		limit = len(s.u.Fresh)
-	}
-	return append(append([]relation.Value{}, candidates...), s.u.Fresh[:limit]...)
+	return s.visited
 }
 
-// admitAssign checks a just-made assignment b[v]: the inequality
-// conditions decidable on the partial valuation, then the IND pruner.
-// On false the pruner bookkeeping has been rolled back and the caller
-// must delete b[v]. The pruner is a parameter (not s.pruner) so that
-// parallel workers can pass their private clones.
-func (s *valuationSearch) admitAssign(pruner *indPruner, v string, b query.Binding) bool {
+// binding converts a slot array to a query.Binding over the assigned
+// slots — the only place a valuation leaves its id form.
+func (s *valuationSearch) binding(slots []int32) query.Binding {
+	vals := relation.Shared().Snapshot()
+	b := make(query.Binding, len(s.order))
+	for i, name := range s.order {
+		if slots[i] != unassigned {
+			b[name] = vals[slots[i]]
+		}
+	}
+	return b
+}
+
+// headTuple instantiates the output summary u under a complete slot
+// array.
+func (s *valuationSearch) headTuple(slots []int32) relation.Tuple {
+	vals := relation.Shared().Snapshot()
+	out := make(relation.Tuple, len(s.head))
+	for i, op := range s.head {
+		out[i] = vals[operandID(op, slots)]
+	}
+	return out
+}
+
+// searchWorker is the per-goroutine state of one walk over a
+// valuationSearch: the slot array and the probe scratch, plus — in a
+// branch of a parallel search — the shared controllers. The sequential
+// engine is one worker with ctl == nil walking from the root.
+type searchWorker struct {
+	s     *valuationSearch // shared, read-only during the search
+	slots []int32
+	ids   []int32 // IND projection scratch
+	kb    []byte  // IND key scratch
+
+	// leaf handles a complete valuation that passed the budget; errStop
+	// ends the walk.
+	leaf func(w *searchWorker) error
+
+	// Parallel branches only (nil ctl on the sequential engine).
+	budget *budgetCtl // shared with the disjunct's other branches
+	ctl    *raceCtl   // shared with the whole engine
+	key    int64      // this branch's claim key
+
+	// Callback scratch owned by this worker: wc is the RCDP witness
+	// checker, built at the first complete valuation and flushed when
+	// the walk ends; frag is a reusable Δ-fragment.
+	wc   *witnessChecker
+	frag *relation.Database
+}
+
+// rec extends the valuation at slot i. freshUsed is the number of fresh
+// values the bound slots use (the symmetry level).
+func (w *searchWorker) rec(i, freshUsed int) error {
+	if w.ctl != nil && w.ctl.cancelled(w.key) {
+		return errAbandoned
+	}
+	s := w.s
+	if err := s.gate.Poll(); err != nil {
+		// Governance stop: a parallel branch surfaces it through
+		// ctl.fail (via branchTasks' error path) so every other branch
+		// abandons promptly.
+		return err
+	}
+	if i == len(w.slots) {
+		return w.complete()
+	}
+	c := &s.cands[i]
+	for _, id := range c.base {
+		if err := w.descend(i, id, freshUsed); err != nil {
+			return err
+		}
+	}
+	for _, id := range s.freshCandidates(c, freshUsed) {
+		if err := w.descend(i, id, freshUsed); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// descend binds slot i to id and, when that is admissible, searches the
+// rest of the valuation below it.
+func (w *searchWorker) descend(i int, id int32, freshUsed int) error {
+	if !w.assign(i, id) {
+		return nil
+	}
+	fresh := w.s.u.freshIDs
+	if freshUsed < len(fresh) && fresh[freshUsed] == id {
+		freshUsed++
+	}
+	err := w.rec(i+1, freshUsed)
+	w.slots[i] = unassigned
+	return err
+}
+
+// assign binds slot i to id and checks what the binding decides: the
+// inequality conditions and the IND-pruned templates it completes. On
+// false the slot is unassigned again.
+func (w *searchWorker) assign(i int, id int32) bool {
+	w.slots[i] = id
+	s := w.s
 	if s.naive {
 		return true
 	}
-	for _, dq := range s.t.Diseqs {
-		if holds, known := dq.Holds(b); known && !holds {
+	for _, dq := range s.diseqsAt[i] {
+		if !dq.holds(w.slots) {
+			w.slots[i] = unassigned
 			return false
 		}
 	}
-	if pruner != nil && !pruner.assign(v, b) {
-		pruner.unassign(v)
+	if s.pruner != nil && !s.pruner.admit(w, i) {
+		w.slots[i] = unassigned
 		return false
 	}
 	return true
 }
 
-// isNthFresh reports whether val is the first not-yet-used fresh value
-// (index freshUsed in the pool).
-func isNthFresh(u *Universe, val relation.Value, freshUsed int) bool {
-	return freshUsed < len(u.Fresh) && u.Fresh[freshUsed] == val
+// complete charges one complete valuation to the budget and hands it to
+// the leaf callback.
+func (w *searchWorker) complete() error {
+	s := w.s
+	if w.ctl == nil {
+		s.visited++
+		if s.budget > 0 && s.visited > s.budget {
+			return ErrBudgetExceeded
+		}
+	} else if !w.budget.visit() {
+		w.ctl.claim(budgetKey(keyDisjunct(w.key)), nil)
+		return errBudgetStop
+	}
+	if s.naive {
+		// Naive mode checks no condition on partial valuations.
+		for _, dq := range s.diseqs {
+			if !dq.holds(w.slots) {
+				return nil
+			}
+		}
+	}
+	return w.leaf(w)
 }

@@ -41,6 +41,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/cc"
@@ -61,14 +62,16 @@ type Universe struct {
 	// Fresh are the New values, disjoint from Consts.
 	Fresh []relation.Value
 
-	freshSet map[relation.Value]bool
+	// constIDs and freshIDs are Consts and Fresh as shared-dictionary
+	// ids, the candidate values of the valuation search.
+	constIDs, freshIDs []int32
 }
 
 // NewUniverse builds the universe for the given problem components.
 // nFresh controls how many New values are created; pass the maximum
 // number of variables over the tableaux that will be instantiated.
 func NewUniverse(d, dm *relation.Database, q qlang.Query, v *cc.Set, nFresh int) *Universe {
-	u := &Universe{freshSet: make(map[relation.Value]bool, nFresh)}
+	u := &Universe{}
 	// The active ids of d and dm and the interned Q/V constants merge
 	// into one bitset and materialize in value order by scanning the
 	// dictionary's cached sort permutation — no string sort, no value
@@ -85,7 +88,8 @@ func NewUniverse(d, dm *relation.Database, q qlang.Query, v *cc.Set, nFresh int)
 			set = relation.SetIDBit(set, dict.Intern(val))
 		}
 	}
-	u.Consts = dict.SortedIDValues(set)
+	u.constIDs = dict.SortedIDs(set)
+	u.Consts = dict.Values(u.constIDs)
 	isConst := func(val relation.Value) bool {
 		id, ok := dict.ID(val)
 		return ok && relation.HasIDBit(set, id)
@@ -98,7 +102,9 @@ func NewUniverse(d, dm *relation.Database, q qlang.Query, v *cc.Set, nFresh int)
 			continue
 		}
 		u.Fresh = append(u.Fresh, cand)
-		u.freshSet[cand] = true
+		// Interning the fresh pool is bounded: ⊥1 … ⊥n for the widest
+		// tableau, the same values μ(T) carries into the dictionary.
+		u.freshIDs = append(u.freshIDs, dict.Intern(cand))
 	}
 	return u
 }
@@ -115,7 +121,7 @@ func IsFreshValue(val relation.Value) bool {
 }
 
 // IsFresh reports whether a value is one of the New values.
-func (u *Universe) IsFresh(v relation.Value) bool { return u.freshSet[v] }
+func (u *Universe) IsFresh(v relation.Value) bool { return slices.Contains(u.Fresh, v) }
 
 // AdomFor returns the active domain adom(y) for a variable whose
 // admissible attribute domain is dom: the full finite domain d_f for

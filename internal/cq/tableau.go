@@ -206,6 +206,26 @@ func (t *Tableau) AsCQ() *CQ {
 // a database fragment μ(T_Q) over the given schemas. Unbound variables
 // cause an error.
 func (t *Tableau) Apply(b query.Binding, schemas map[string]*relation.Schema) (*relation.Database, error) {
+	db, err := t.NewFragment(schemas)
+	if err != nil {
+		return nil, err
+	}
+	for _, a := range t.Templates {
+		tup, ok := a.Ground(b)
+		if !ok {
+			return nil, fmt.Errorf("cq: binding does not cover template %s", a)
+		}
+		if err := db.Add(a.Rel, tup); err != nil {
+			return nil, err
+		}
+	}
+	return db, nil
+}
+
+// NewFragment returns an empty database holding one relation per
+// template relation, the shape Apply returns and SlotTemplates.ApplyInto
+// refills.
+func (t *Tableau) NewFragment(schemas map[string]*relation.Schema) (*relation.Database, error) {
 	ss := make([]*relation.Schema, 0, len(t.Templates))
 outer:
 	for _, a := range t.Templates {
@@ -220,28 +240,103 @@ outer:
 		}
 		ss = append(ss, s)
 	}
-	db := relation.NewDatabase(ss...)
-	if err := t.ApplyInto(db, b); err != nil {
-		return nil, err
-	}
-	return db, nil
+	return relation.NewDatabase(ss...), nil
 }
 
-// ApplyInto is Apply refilling dst in place: dst is emptied (see
-// Database.Reset) and receives μ(T_Q). dst must hold a relation for
-// every template, as a fragment Apply returned for this tableau does;
-// callers that test one valuation after another reuse one fragment
-// this way instead of allocating one per valuation.
-func (t *Tableau) ApplyInto(dst *relation.Database, b query.Binding) error {
+// SlotTemplates is the tableau's templates compiled against a caller's
+// numbering of its variables ("slots"): ApplyInto grounds them from a
+// slot array of shared-dictionary ids, with no Binding, no Value and
+// no interning per call. A compiled plan is read-only and may be
+// shared across goroutines.
+type SlotTemplates struct {
+	tpls []slotTemplate
+}
+
+type slotTemplate struct {
+	rel string
+	// args holds one operand per column: a slot index when ≥ 0, the
+	// complement ^id of a constant's id when < 0.
+	args []int32
+	// fin holds, per column, the id set of the attribute's finite
+	// domain (nil for infinite attributes).
+	fin [][]uint64
+}
+
+// SlotTemplates compiles the templates for the slot numbering slotOf,
+// which must cover every template variable. Finite attribute domains
+// come from schemas; their values and the templates' constants are
+// interned here, once.
+func (t *Tableau) SlotTemplates(slotOf map[string]int, schemas map[string]*relation.Schema) *SlotTemplates {
+	dict := relation.Shared()
+	st := &SlotTemplates{tpls: make([]slotTemplate, len(t.Templates))}
+	for i, a := range t.Templates {
+		tp := slotTemplate{rel: a.Rel, args: make([]int32, len(a.Args)), fin: make([][]uint64, len(a.Args))}
+		for c, arg := range a.Args {
+			if arg.IsVar {
+				tp.args[c] = int32(slotOf[arg.Name])
+			} else {
+				tp.args[c] = ^dict.Intern(arg.Val)
+			}
+			if s := schemas[a.Rel]; s != nil && c < s.Arity() && s.Attrs[c].Domain.Kind == relation.Finite {
+				var set []uint64
+				for _, v := range s.Attrs[c].Domain.Values {
+					set = relation.SetIDBit(set, dict.Intern(v))
+				}
+				if set == nil {
+					set = []uint64{}
+				}
+				tp.fin[c] = set
+			}
+		}
+		st.tpls[i] = tp
+	}
+	return st
+}
+
+// ApplyInto is Apply refilling dst in place from a slot array: dst is
+// emptied (see Database.Reset) and receives μ(T_Q). dst must hold a
+// relation for every template, as a NewFragment result does; callers
+// that test one valuation after another reuse one fragment this way
+// instead of allocating one per valuation. A value outside its
+// column's finite domain fails exactly as Database.Add does.
+func (st *SlotTemplates) ApplyInto(dst *relation.Database, slots []int32) error {
 	dst.Reset()
-	for _, a := range t.Templates {
-		tup, ok := a.Ground(b)
-		if !ok {
-			return fmt.Errorf("cq: binding does not cover template %s", a)
+	return st.AddInto(dst, slots)
+}
+
+// AddInto adds μ(T_Q) to dst without emptying it first; dst must hold
+// every template relation.
+func (st *SlotTemplates) AddInto(dst *relation.Database, slots []int32) error {
+	var buf [16]int32
+	for i := range st.tpls {
+		tp := &st.tpls[i]
+		ids := buf[:0]
+		if len(tp.args) > len(buf) {
+			ids = make([]int32, 0, len(tp.args))
 		}
-		if err := dst.Add(a.Rel, tup); err != nil {
-			return err
+		valid := true
+		for c, op := range tp.args {
+			id := ^op
+			if op >= 0 {
+				id = slots[op]
+			}
+			if fin := tp.fin[c]; fin != nil && !relation.HasIDBit(fin, id) {
+				valid = false
+			}
+			ids = append(ids, id)
 		}
+		if !valid {
+			// Materialize the tuple so the error is Add's own.
+			if err := dst.Add(tp.rel, relation.Tuple(relation.Shared().Values(ids))); err != nil {
+				return err
+			}
+			continue
+		}
+		in := dst.Instance(tp.rel)
+		if in == nil {
+			return fmt.Errorf("cq: fragment has no relation %s", tp.rel)
+		}
+		in.AddIDs(ids)
 	}
 	return nil
 }
@@ -257,18 +352,6 @@ func (t *Tableau) HeadTuple(b query.Binding) (relation.Tuple, bool) {
 		out[i] = v
 	}
 	return out, true
-}
-
-// DiseqsHold reports whether all inequality conditions hold under a
-// complete binding.
-func (t *Tableau) DiseqsHold(b query.Binding) bool {
-	for _, d := range t.Diseqs {
-		holds, ok := d.Holds(b)
-		if !ok || !holds {
-			return false
-		}
-	}
-	return true
 }
 
 // Satisfiable reports whether the query has a nonempty answer on some

@@ -118,7 +118,7 @@ func (d *Dict) Snapshot() []Value {
 // sortOrder returns a sort permutation covering every id interned so
 // far, rebuilding the cache when the dictionary has grown past the last
 // build. The one string sort per growth epoch is what every
-// SortedIDValues call amortizes against.
+// SortedIDs call amortizes against.
 func (d *Dict) sortOrder() *dictOrder {
 	ord := d.order.Load()
 	vals := d.Snapshot()
@@ -160,20 +160,28 @@ func CountIDBits(set []uint64) int {
 	return n
 }
 
-// SortedIDValues returns the values of the set ids in ascending value
-// order. It scans the cached sort permutation instead of sorting, so
-// after the dictionary stabilizes the cost is linear in the dictionary
-// size with no string comparisons — the interned replacement for
-// SortedValues on the decision procedures' Adom and relevant-value
-// setup paths.
-func (d *Dict) SortedIDValues(set []uint64) []Value {
+// SortedIDs returns the set ids in ascending order of their values. It
+// scans the cached sort permutation instead of sorting, so after the
+// dictionary stabilizes the cost is linear in the dictionary size with
+// no string comparisons — the interned replacement for SortedValues on
+// the decision procedures' Adom and relevant-value setup paths.
+func (d *Dict) SortedIDs(set []uint64) []int32 {
 	ord := d.sortOrder()
-	vals := d.Snapshot()
-	out := make([]Value, 0, CountIDBits(set))
+	out := make([]int32, 0, CountIDBits(set))
 	for _, id := range ord.byRank {
 		if HasIDBit(set, id) {
-			out = append(out, vals[id])
+			out = append(out, id)
 		}
+	}
+	return out
+}
+
+// Values resolves ids to their values.
+func (d *Dict) Values(ids []int32) []Value {
+	vals := d.Snapshot()
+	out := make([]Value, len(ids))
+	for i, id := range ids {
+		out[i] = vals[id]
 	}
 	return out
 }

@@ -337,8 +337,7 @@ func (in *Instance) Add(t Tuple) error {
 }
 
 // addInterned interns the tuple's values and appends a row unless the
-// id-key already exists. The id and key scratch buffers live on the
-// stack for ordinary arities, so a duplicate insert allocates nothing.
+// id-key already exists (see AddIDs).
 func (in *Instance) addInterned(t Tuple) {
 	var ib [inlineArity]int32
 	ids := ib[:0]
@@ -348,6 +347,16 @@ func (in *Instance) addInterned(t Tuple) {
 	for _, v := range t {
 		ids = append(ids, shared.Intern(v))
 	}
+	in.AddIDs(ids)
+}
+
+// AddIDs inserts a tuple given as shared-dictionary ids; adding a
+// duplicate is a no-op. Unlike Add it validates neither the arity nor
+// finite-domain membership: the caller vouches for both, as the slot
+// plans of cq.Tableau do by checking finite domains against id sets
+// compiled once per plan. The key scratch lives on the stack for
+// ordinary arities, so a duplicate insert allocates nothing.
+func (in *Instance) AddIDs(ids []int32) {
 	if in.rows == nil {
 		if in.rowOf(ids) >= 0 {
 			return
@@ -434,7 +443,7 @@ func (in *Instance) Remove(t Tuple) {
 }
 
 // Reset empties the instance in place, keeping its column capacity, so
-// a reused scratch instance (see cq.Tableau.ApplyInto) refills without
+// a reused scratch instance (see cq.SlotTemplates.ApplyInto) refills without
 // reallocating. It counts as
 // a mutation: any previously obtained view or cache is invalidated, and
 // the usual no-readers-during-mutation rule applies.
@@ -779,7 +788,7 @@ func (d *Database) IsEmpty() bool { return d.TupleCount() == 0 }
 
 // ActiveDomain returns the sorted set of all values occurring in d.
 func (d *Database) ActiveDomain() []Value {
-	return shared.SortedIDValues(d.InternedIDs(nil))
+	return shared.Values(shared.SortedIDs(d.InternedIDs(nil)))
 }
 
 // InternedIDs merges the set of dictionary ids occurring anywhere in d
