@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci build vet test relperf-test race bench bench-smoke bench-diff bench-workers fmt-check vuln fuzz-smoke cover-check doc-sync examples-build server-smoke cluster-smoke mutate-smoke approx-smoke mine-smoke
+.PHONY: ci build vet test relperf-test race bench bench-smoke bench-diff bench-workers fmt-check vuln fuzz-smoke cover-check doc-sync examples-build examples server-smoke cluster-smoke mutate-smoke approx-smoke mine-smoke
 
-ci: fmt-check vet build examples-build test relperf-test race bench-smoke bench-diff cover-check doc-sync fuzz-smoke vuln server-smoke cluster-smoke mutate-smoke approx-smoke mine-smoke
+ci: fmt-check vet build examples test relperf-test race bench-smoke bench-diff cover-check doc-sync fuzz-smoke vuln server-smoke cluster-smoke mutate-smoke approx-smoke mine-smoke
 
 build:
 	$(GO) build ./...
@@ -108,6 +108,21 @@ fmt-check:
 # too, but a dedicated target makes the failure unambiguous in CI logs).
 examples-build:
 	$(GO) build ./examples/...
+
+# Every example program must also keep printing what it printed when its
+# expected_output.txt was recorded: each one is built, run, and its
+# stdout diffed against examples/<name>/expected_output.txt. The
+# examples are deterministic, so any difference is a behavior change.
+examples: examples-build
+	@set -e; for d in examples/*/; do \
+		name=$$(basename $$d); \
+		$(GO) run ./$$d > /tmp/example-$$name.out; \
+		if ! diff -u $$d/expected_output.txt /tmp/example-$$name.out; then \
+			echo "examples: $$name output differs from $$d/expected_output.txt"; rm -f /tmp/example-$$name.out; exit 1; \
+		fi; \
+		rm -f /tmp/example-$$name.out; \
+		echo "examples: $$name ok"; \
+	done
 
 # Doc/CLI sync: every flag defined in the commands must be documented
 # in README.md. Catches flags added without a docs pass. Scans every

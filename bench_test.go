@@ -64,7 +64,7 @@ func BenchmarkRCDP_CQ_INDs_ForallExists(b *testing.B) {
 		b.Run(fmt.Sprintf("vars=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RCDP(inst.Q, inst.D, inst.Dm, inst.V); err != nil {
+				if _, err := core.RCDPCtx(context.Background(), inst.Q, inst.D, inst.Dm, inst.V); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -90,7 +90,7 @@ func BenchmarkRCDP_CQ_CQ_DataComplexity(b *testing.B) {
 		b.Run(fmt.Sprintf("customers=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RCDP(q, s.D, s.Dm, v); err != nil {
+				if _, err := core.RCDPCtx(context.Background(), q, s.D, s.Dm, v); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -106,7 +106,7 @@ func BenchmarkRCDP_UCQ(b *testing.B) {
 		b.Run(fmt.Sprintf("disjuncts=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RCDP(q, s.D, s.Dm, v); err != nil {
+				if _, err := core.RCDPCtx(context.Background(), q, s.D, s.Dm, v); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -123,7 +123,7 @@ func BenchmarkRCDP_EFO(b *testing.B) {
 		b.Run(fmt.Sprintf("orWidth=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RCDP(q, s.D, s.Dm, v); err != nil {
+				if _, err := core.RCDPCtx(context.Background(), q, s.D, s.Dm, v); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -147,7 +147,7 @@ func BenchmarkRCQP_CQ_INDs_3SAT(b *testing.B) {
 		b.Run(fmt.Sprintf("vars=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RCQP(inst.Q, inst.Dm, inst.V, inst.Schemas); err != nil {
+				if _, err := core.RCQPCtx(context.Background(), inst.Q, inst.Dm, inst.V, inst.Schemas); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -180,8 +180,8 @@ func BenchmarkRCQP_Tiling(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				r, err := core.RCDP(inst.Q, w, inst.Dm, inst.V)
-				if err != nil || !r.Complete {
+				r, err := core.RCDPCtx(context.Background(), inst.Q, w, inst.Dm, inst.V)
+				if err != nil || r.Verdict != core.VerdictComplete {
 					b.Fatalf("witness rejected: %v %v", r, err)
 				}
 			}
@@ -207,7 +207,7 @@ func BenchmarkRCQP_EFE(b *testing.B) {
 		b.Run(fmt.Sprintf("x%dy%dz%d", dims[0], dims[1], dims[2]), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RCDP(inst.Q, d, inst.Dm, inst.V); err != nil {
+				if _, err := core.RCDPCtx(context.Background(), inst.Q, d, inst.Dm, inst.V); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -224,7 +224,7 @@ func BenchmarkRCQP_CRM(b *testing.B) {
 	b.Run("Q0/phi0", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.RCQP(q, s.Dm, v, s.Schemas); err != nil {
+			if _, err := core.RCQPCtx(context.Background(), q, s.Dm, v, s.Schemas); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -234,7 +234,7 @@ func BenchmarkRCQP_CRM(b *testing.B) {
 	b.Run("Q2/cidIND", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.RCQP(q2, s.Dm, vIND, s.Schemas); err != nil {
+			if _, err := core.RCQPCtx(context.Background(), q2, s.Dm, vIND, s.Schemas); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -275,7 +275,7 @@ func BenchmarkRCDP_Workers(b *testing.B) {
 			b.Run(fmt.Sprintf("vars=%d/workers=%d", n, w), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := ck.RCDP(inst.Q, inst.D, inst.Dm, inst.V); err != nil {
+					if _, err := ck.RCDPCtx(context.Background(), inst.Q, inst.D, inst.Dm, inst.V); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -299,7 +299,7 @@ func BenchmarkRCQP_Workers(b *testing.B) {
 			b.Run(fmt.Sprintf("vars=%d/workers=%d", n, w), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := ck.RCQP(inst.Q, inst.Dm, inst.V, inst.Schemas); err != nil {
+					if _, err := ck.RCQPCtx(context.Background(), inst.Q, inst.Dm, inst.V, inst.Schemas); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -330,7 +330,7 @@ func BenchmarkAblationSearch(b *testing.B) {
 	b.Run("optimized", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.RCDP(q, d, dm, vset); err != nil {
+			if _, err := core.RCDPCtx(context.Background(), q, d, dm, vset); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -339,7 +339,7 @@ func BenchmarkAblationSearch(b *testing.B) {
 		b.ReportAllocs()
 		ck := &core.Checker{Naive: true}
 		for i := 0; i < b.N; i++ {
-			if _, err := ck.RCDP(q, d, dm, vset); err != nil {
+			if _, err := ck.RCDPCtx(context.Background(), q, d, dm, vset); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -445,7 +445,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RCDP(q, s.D, s.Dm, v); err != nil {
+				if _, err := core.RCDPCtx(context.Background(), q, s.D, s.Dm, v); err != nil {
 					b.Fatal(err)
 				}
 			}

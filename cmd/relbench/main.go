@@ -261,11 +261,11 @@ func validateFOSatRCDP() (int, error) {
 			if err != nil {
 				return 0, err
 			}
-			r, err := core.BoundedRCDP(inst.Q, inst.D, inst.Dm, inst.V, core.BoundedOpts{MaxAdd: 1, FreshValues: 2})
+			r, err := core.BoundedRCDPCtx(context.Background(), inst.Q, inst.D, inst.Dm, inst.V, core.BoundedOpts{MaxAdd: 1, FreshValues: 2})
 			if err != nil {
 				return 0, err
 			}
-			if r.Incomplete != c.sat {
+			if (r.Verdict == core.VerdictIncomplete) != c.sat {
 				return 0, fmt.Errorf("FO-sat reduction disagrees on %s", c.q)
 			}
 			count++
@@ -287,7 +287,7 @@ func validateDFASimulation() (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		got, err := reductions.DFAQueryAcceptsEncoding(a, sym)
+		got, err := reductions.DFAQueryAcceptsEncodingCtx(context.Background(), a, sym)
 		if err != nil {
 			return 0, err
 		}
@@ -345,7 +345,7 @@ func sweepForallExists(nVars int) (time.Duration, bool, error) {
 	}
 	agree := true
 	if nVars <= 10 {
-		agree = r.Complete == sat.ForallExists(phi, nX)
+		agree = (r.Verdict == core.VerdictComplete) == sat.ForallExists(phi, nX)
 	}
 	record("I", "forall-exists-3sat", nVars, dur, allocs, &agree, r.Verdict.String(), r.Reason)
 	return dur, agree, nil
@@ -411,13 +411,13 @@ func sweepEFO() (time.Duration, error) {
 }
 
 // ---------------------------------------------------------------------
-// Incremental maintenance — RecheckDelta vs cold RCDP
+// Incremental maintenance — RecheckDeltaCtx vs cold RCDP
 // ---------------------------------------------------------------------
 
 // tableIncremental benchmarks the catalog-mutation maintenance path on
 // the CRM scenario. The cold full decision procedure is the baseline;
 // a master-side batch of duplicate tuples passes the extensional-
-// invisibility gate and rides the cached verdict through RecheckDelta
+// invisibility gate and rides the cached verdict through RecheckDeltaCtx
 // (at most a witness revalidation of work); a batch carrying fresh
 // values fails the gate and falls through to a cold re-search over the
 // incrementally patched indexes. Every recheck verdict is oracle-tested
@@ -600,12 +600,12 @@ func validateFOSatRCQP() (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		br, err := core.BoundedRCQP(inst.Q, inst.Dm, inst.V, inst.Schemas, 1,
+		br, err := core.BoundedRCQPCtx(context.Background(), inst.Q, inst.Dm, inst.V, inst.Schemas, 1,
 			core.BoundedOpts{MaxAdd: 2, FreshValues: 2})
 		if err != nil {
 			return 0, err
 		}
-		if br.Found == c.sat {
+		if (br.Verdict == core.VerdictComplete) == c.sat {
 			return 0, fmt.Errorf("FO-sat RCQP reduction disagrees on %s", c.q)
 		}
 	}
@@ -666,7 +666,7 @@ func sweepTiling(n int) (time.Duration, error) {
 		if r.Verdict == core.VerdictUnknown {
 			return nil
 		}
-		if !r.Complete {
+		if r.Verdict != core.VerdictComplete {
 			return fmt.Errorf("tiling witness rejected")
 		}
 		return nil
@@ -699,7 +699,7 @@ func sweepEFE(nX, nY, nZ int) (time.Duration, bool, error) {
 		}
 		verdict, reason = r.Verdict, r.Reason
 		if r.Verdict != core.VerdictUnknown {
-			agree = r.Complete == holds
+			agree = (r.Verdict == core.VerdictComplete) == holds
 		}
 		return nil
 	})

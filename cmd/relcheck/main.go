@@ -186,13 +186,13 @@ func reportRCDP(q qlang.Query, d, dm *relation.Database, vset *cc.Set, budget co
 			fmt.Printf("RCDP: UNKNOWN (undecidable fragment, bounded search) — %s\n", governedStop(r.Reason, r.Stats))
 			return nil
 		}
-		if r.Incomplete {
+		if r.Verdict == core.VerdictIncomplete {
 			fmt.Printf("RCDP: INCOMPLETE (undecidable fragment, bounded search)\n  extension:\n%s", indent(r.Extension.String()))
 			if r.NewTuple != nil {
 				fmt.Printf("  new answer: %v\n", r.NewTuple)
 			}
 		} else {
-			fmt.Printf("RCDP: complete up to extensions of %d tuples (undecidable fragment — Theorem 3.1; %d candidates explored)\n", r.MaxAdd, r.Explored)
+			fmt.Printf("RCDP: complete up to extensions of %d tuples (undecidable fragment — Theorem 3.1; %d candidates explored)\n", r.MaxAdd, r.Stats.Valuations)
 		}
 		return nil
 	}
@@ -205,8 +205,8 @@ func reportRCDP(q qlang.Query, d, dm *relation.Database, vset *cc.Set, budget co
 		fmt.Printf("RCDP: UNKNOWN — %s\n", governedStop(r.Reason, r.Stats))
 		return nil
 	}
-	if r.Complete {
-		fmt.Printf("RCDP: COMPLETE — D answers the query completely relative to (Dm, V) (%d valuations checked)\n", r.Valuations)
+	if r.Verdict == core.VerdictComplete {
+		fmt.Printf("RCDP: COMPLETE — D answers the query completely relative to (Dm, V) (%d valuations checked)\n", r.Stats.Valuations)
 		return nil
 	}
 	fmt.Printf("RCDP: INCOMPLETE — the following partially closed extension changes the answer:\n%s  new answer: %v\n",

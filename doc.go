@@ -9,12 +9,12 @@
 // constraint languages studied in the paper (CQ, UCQ, ∃FO⁺, FO, FP and
 // inclusion dependencies).
 //
-// The decision procedures live in internal/core. Ungoverned entry
-// points (core.RCDP, core.RCQP) run to completion; the governed
-// Checker.RCDPCtx / RCQPCtx variants take a context and a resource
-// Budget and return a three-valued Verdict (complete / incomplete /
-// unknown) together with the Reason a budget dimension was exhausted
-// and the BudgetStats consumed. The undecidable FO/FP rows get bounded
+// The decision procedures live in internal/core. Each has one governed
+// entry point (core.RCDPCtx / Checker.RCDPCtx, core.RCQPCtx /
+// QPChecker.RCQPCtx) that takes a context and a resource Budget and
+// returns a three-valued Verdict (complete / incomplete / unknown)
+// together with the Reason a budget dimension was exhausted and the
+// BudgetStats consumed. The undecidable FO/FP rows get bounded
 // semi-decision procedures (core.BoundedRCDPCtx, core.BoundedRCQPCtx).
 //
 // All engines report into internal/obs, a zero-dependency metrics

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -72,12 +73,12 @@ func main() {
 	d.MustAdd(mdm.Supt, "e1", "sales", "c8")
 
 	q := mdm.Q2("e1")
-	r, err := core.RCDP(q, d, dm, all)
+	r, err := core.RCDPCtx(context.Background(), q, d, dm, all)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("Q2(e1) answers 2 customers; complete under consistency+cardinality CCs = %v\n",
-		r.Complete)
+		r.Verdict == core.VerdictComplete)
 	fmt.Println("(the two answers exhaust the k = 2 budget, so no consistent,")
 	fmt.Println(" partially closed extension can change the answer — Example 3.1)")
 
@@ -85,11 +86,11 @@ func main() {
 	// 3.1(2)) and the bounded semi-decision procedure takes over.
 	withCIND := cc.NewSet(all.Constraints...)
 	withCIND.Add(cind.ToCC(3, 2))
-	br, err := core.BoundedRCDP(q, d, dm, withCIND, core.BoundedOpts{MaxAdd: 1, FreshValues: 1, MaxPool: 500000})
+	br, err := core.BoundedRCDPCtx(context.Background(), q, d, dm, withCIND, core.BoundedOpts{MaxAdd: 1, FreshValues: 1, MaxPool: 500000})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nwith the FO-expressed CIND added: bounded check (Theorem 3.1 territory)\n")
 	fmt.Printf("  incomplete within %d-tuple extensions = %v (%d candidates explored)\n",
-		br.MaxAdd, br.Incomplete, br.Explored)
+		br.MaxAdd, br.Verdict == core.VerdictIncomplete, br.Stats.Valuations)
 }

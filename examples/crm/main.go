@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,24 +32,24 @@ func main() {
 
 	// ---- Paradigm (1): assess completeness of D for Q0. --------------
 	q0 := mdm.Q0("908")
-	r, err := core.RCDP(q0, s.D, s.Dm, v)
+	r, err := core.RCDPCtx(context.Background(), q0, s.D, s.Dm, v)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("(1) Q0: all supported domestic customers with area code 908")
-	if r.Complete {
+	if r.Verdict == core.VerdictComplete {
 		fmt.Println("    RCDP: complete — the answer can be trusted.")
 	} else {
 		fmt.Printf("    RCDP: incomplete — e.g. these tuples could legally be added:\n      %v\n", r.Extension)
 	}
 
 	// ---- Paradigm (2): can D be extended to completeness? Do it. -----
-	res, err := core.RCQP(q0, s.Dm, v, s.Schemas)
+	res, err := core.RCQPCtx(context.Background(), q0, s.Dm, v, s.Schemas)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\n(2) RCQP(Q0): %v", res.Status)
-	if res.Status == core.Yes && !r.Complete {
+	if res.Status == core.Yes && r.Verdict != core.VerdictComplete {
 		fmt.Print(" — a complete database exists")
 		done, rounds, err := core.MakeComplete(q0, s.D, s.Dm, v, 100)
 		if err != nil {
@@ -56,11 +57,11 @@ func main() {
 		}
 		added := done.TupleCount() - s.D.TupleCount()
 		fmt.Printf("; MakeComplete added %d tuples in %d rounds.\n", added, rounds)
-		check, err := core.RCDP(q0, done, s.Dm, v)
+		check, err := core.RCDPCtx(context.Background(), q0, done, s.Dm, v)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("    re-check: complete = %v\n", check.Complete)
+		fmt.Printf("    re-check: complete = %v\n", check.Verdict == core.VerdictComplete)
 	} else {
 		fmt.Println(".")
 	}
@@ -69,7 +70,7 @@ func main() {
 	// International customers are not bounded by any master data, so no
 	// database can ever be complete: the master data must be expanded.
 	q0prime := mdm.Q2("e00") // all customers supported by e00, domestic or not
-	res, err = core.RCQP(q0prime, s.Dm, v, s.Schemas)
+	res, err = core.RCQPCtx(context.Background(), q0prime, s.Dm, v, s.Schemas)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func main() {
 		fmt.Println("    guideline: extend the master data to cover all customers")
 		fmt.Println("    (or bound Supt.cid by master data), then re-run the analysis:")
 		v2 := cc.NewSet(mdm.Phi0(), mdm.CidIND())
-		res2, err := core.RCQP(q0prime, s.Dm, v2, s.Schemas)
+		res2, err := core.RCQPCtx(context.Background(), q0prime, s.Dm, v2, s.Schemas)
 		if err != nil {
 			log.Fatal(err)
 		}

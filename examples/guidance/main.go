@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -44,7 +45,7 @@ func main() {
 		fmt.Printf("\n== design: %s\n", dsg.name)
 		allYes := true
 		for _, w := range workload {
-			res, err := core.RCQP(w.q, s.Dm, dsg.v, s.Schemas)
+			res, err := core.RCQPCtx(context.Background(), w.q, s.Dm, dsg.v, s.Schemas)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,12 +43,12 @@ func main() {
 	// Drop an edge: the 2-hop CQ becomes incomplete relative to ManageM.
 	d := s.D.Clone()
 	d.Instance(mdm.Manage).Remove(relation.T("e02", "e01"))
-	r, err := core.RCDP(q2hop, d, s.Dm, v)
+	r, err := core.RCDPCtx(context.Background(), q2hop, d, s.Dm, v)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("after dropping Manage(e02, e01): complete = %v\n", r.Complete)
-	if !r.Complete {
+	fmt.Printf("after dropping Manage(e02, e01): complete = %v\n", r.Verdict == core.VerdictComplete)
+	if r.Verdict != core.VerdictComplete {
 		fmt.Printf("  missing data (from the counterexample): %v\n", r.Extension)
 	}
 
@@ -62,7 +63,7 @@ func main() {
 
 	// And the relative-completeness-of-the-query view (RCQP): bounded by
 	// ManageM, the k-hop query admits complete databases.
-	res, err := core.RCQP(q2hop, s.Dm, v, s.Schemas)
+	res, err := core.RCQPCtx(context.Background(), q2hop, s.Dm, v, s.Schemas)
 	if err != nil {
 		log.Fatal(err)
 	}

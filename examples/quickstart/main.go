@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,11 +41,11 @@ func main() {
 	answers, _ := q.Eval(d)
 	fmt.Printf("Q1(D) = %v\n", answers)
 
-	r, err := core.RCDP(q, d, dm, v)
+	r, err := core.RCDPCtx(context.Background(), q, d, dm, v)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if r.Complete {
+	if r.Verdict == core.VerdictComplete {
 		fmt.Println("RCDP: the database is COMPLETE for Q1 — every area-908")
 		fmt.Println("domestic customer e0 could support is already answered.")
 	} else {
@@ -53,7 +54,7 @@ func main() {
 	}
 
 	// Is there any database complete for Q1 at all?
-	res, err := core.RCQP(q, dm, v, schemas)
+	res, err := core.RCQPCtx(context.Background(), q, dm, v, schemas)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,15 +34,16 @@ type BoundedOpts struct {
 	// MaxPool caps the candidate tuple pool; the search fails with an
 	// error when the schema/value combination exceeds it.
 	MaxPool int
-	// Workers sizes the worker pool of BoundedRCDP's subset enumeration
-	// with the same convention as Checker.Workers: 0 uses GOMAXPROCS, 1
-	// forces sequential search. The witness is deterministic either way
-	// (first-tuple branches race on a raceCtl, smallest branch wins);
-	// Explored becomes a total-work counter in parallel mode.
+	// Workers sizes the worker pool of BoundedRCDPCtx's subset
+	// enumeration with the same convention as Checker.Workers: 0 uses
+	// GOMAXPROCS, 1 forces sequential search. The witness is
+	// deterministic either way (first-tuple branches race on a raceCtl,
+	// smallest branch wins); Stats.Valuations becomes a total-work
+	// counter in parallel mode.
 	Workers int
 	// Budget bounds the resources of a governed search (see the Budget
 	// type). MaxValuations caps the number of candidate extensions
-	// (BoundedRCDP) or candidate databases (BoundedRCQP) explored.
+	// (BoundedRCDPCtx) or candidate databases (BoundedRCQPCtx) explored.
 	Budget Budget
 }
 
@@ -62,48 +63,31 @@ func (o BoundedOpts) withDefaults() BoundedOpts {
 // BoundedRCDPResult is the outcome of a bounded completeness check.
 type BoundedRCDPResult struct {
 	// Verdict is the three-valued governed outcome. VerdictComplete
-	// only certifies completeness up to MaxAdd; VerdictIncomplete is
-	// sound unconditionally; VerdictUnknown means governance stopped
-	// the search (see Reason).
+	// only certifies completeness up to MaxAdd; VerdictIncomplete (a
+	// partially closed extension changing Q(D) was found) is sound
+	// unconditionally; VerdictUnknown means governance stopped the
+	// search (see Reason).
 	Verdict Verdict
 	// Reason names the exhausted dimension on VerdictUnknown.
 	Reason Reason
 	// Stats reports resource consumption (governed runs only count
-	// JoinRows/Tuples; Valuations is the explored-candidate count).
+	// JoinRows/Tuples; Valuations is the number of candidate extensions
+	// checked).
 	Stats BudgetStats
-	// Incomplete reports that a partially closed extension changing
-	// Q(D) was found; this answer is sound unconditionally.
-	Incomplete bool
 	// Extension and NewTuple witness incompleteness.
 	Extension *relation.Database
 	NewTuple  relation.Tuple
-	// Explored is the number of candidate extensions checked.
-	Explored int
-	// MaxAdd echoes the bound: a non-Incomplete result only certifies
+	// MaxAdd echoes the bound: a VerdictComplete result only certifies
 	// completeness for extensions of at most this many pool tuples.
 	MaxAdd int
 }
 
-// BoundedRCDP searches for a partially closed extension of D by at most
-// MaxAdd tuples (over the constants of the problem plus FreshValues
-// fresh values) that changes the answer to Q. It accepts every query
-// and constraint language, including FO and FP. It is the ungoverned
-// wrapper over BoundedRCDPCtx: a governance stop surfaces as the
-// corresponding sentinel error instead of an Unknown verdict.
-func BoundedRCDP(q qlang.Query, d, dm *relation.Database, v *cc.Set, opts BoundedOpts) (*BoundedRCDPResult, error) {
-	res, err := BoundedRCDPCtx(context.Background(), q, d, dm, v, opts)
-	if err != nil {
-		return nil, err
-	}
-	if res.Verdict == VerdictUnknown {
-		return nil, res.Reason.Err()
-	}
-	return res, nil
-}
-
-// BoundedRCDPCtx is the governed form of BoundedRCDP: the search stops
-// promptly when ctx is cancelled or a dimension of opts.Budget runs
-// out, returning a VerdictUnknown result (nil error) carrying the
+// BoundedRCDPCtx searches for a partially closed extension of D by at
+// most MaxAdd tuples (over the constants of the problem plus
+// FreshValues fresh values) that changes the answer to Q. It accepts
+// every query and constraint language, including FO and FP. The search
+// stops promptly when ctx is cancelled or a dimension of opts.Budget
+// runs out, returning a VerdictUnknown result (nil error) carrying the
 // Reason and the resources consumed.
 func BoundedRCDPCtx(ctx context.Context, q qlang.Query, d, dm *relation.Database, v *cc.Set, opts BoundedOpts) (*BoundedRCDPResult, error) {
 	o := opts.withDefaults()
@@ -120,18 +104,13 @@ func BoundedRCDPCtx(ctx context.Context, q qlang.Query, d, dm *relation.Database
 		co.done("error", ReasonNone, gv.stats(0))
 		return nil, err
 	}
-	if res.Incomplete {
-		res.Verdict = VerdictIncomplete
-	} else {
-		res.Verdict = VerdictComplete
-	}
-	res.Stats = gv.stats(res.Explored)
+	res.Stats = gv.stats(res.Stats.Valuations)
 	co.done(res.Verdict.String(), ReasonNone, res.Stats)
 	return res, nil
 }
 
-// boundedRCDPGov is the engine shared by the governed and ungoverned
-// entry points; a nil gate is the uninstrumented legacy path. The
+// boundedRCDPGov is the engine behind BoundedRCDPCtx and the inner
+// checks of BoundedRCQPCtx; a nil gate is the uninstrumented path. The
 // explored-candidate cap comes from o.Budget.MaxValuations (0 =
 // unlimited). o must already have defaults applied.
 func boundedRCDPGov(q qlang.Query, d, dm *relation.Database, v *cc.Set, o BoundedOpts, gate *query.Gate) (*BoundedRCDPResult, error) {
@@ -156,7 +135,7 @@ func boundedRCDPGov(q qlang.Query, d, dm *relation.Database, v *cc.Set, o Bounde
 	if wp := newWorkerPool(o.Workers); wp != nil {
 		return boundedRCDPParallel(q, d, dm, v, o, pool, baseSet, len(base), wp, gate)
 	}
-	res := &BoundedRCDPResult{MaxAdd: o.MaxAdd}
+	res := &BoundedRCDPResult{Verdict: VerdictComplete, MaxAdd: o.MaxAdd}
 	deltaOK := v.AllMonotone()
 	expCap := o.Budget.MaxValuations
 
@@ -170,8 +149,8 @@ func boundedRCDPGov(q qlang.Query, d, dm *relation.Database, v *cc.Set, o Bounde
 			if err := gate.Poll(); err != nil {
 				return nil, err
 			}
-			res.Explored++
-			if expCap > 0 && res.Explored > expCap {
+			res.Stats.Valuations++
+			if expCap > 0 && res.Stats.Valuations > expCap {
 				return nil, ErrBudgetExceeded
 			}
 			r, err := boundedCounterexample(q, d, dm, v, baseSet, len(base), cur, delta, deltaOK, o.MaxAdd, gate)
@@ -179,7 +158,7 @@ func boundedRCDPGov(q qlang.Query, d, dm *relation.Database, v *cc.Set, o Bounde
 				return nil, err
 			}
 			if r != nil {
-				r.Explored = res.Explored
+				r.Stats.Valuations = res.Stats.Valuations
 				return r, nil
 			}
 		}
@@ -223,7 +202,7 @@ func boundedRCDPGov(q qlang.Query, d, dm *relation.Database, v *cc.Set, o Bounde
 // (all constraints monotone) the partial-closure recheck runs
 // differentially via SatisfiedDelta against the entry-verified base
 // instead of re-evaluating every constraint body over cur from scratch.
-// It returns a result without the Explored count (the caller owns the
+// It returns a result without the explored count (the caller owns the
 // accounting) and reads only shared warmed/immutable inputs plus the
 // gate's atomics, so parallel branches may call it directly.
 func boundedCounterexample(q qlang.Query, base, dm *relation.Database, v *cc.Set,
@@ -249,7 +228,7 @@ func boundedCounterexample(q qlang.Query, base, dm *relation.Database, v *cc.Set
 		if !baseSet[t.Key()] {
 			ext := emptyDatabase(schemasOf(cur))
 			ext.UnionInto(cur)
-			return &BoundedRCDPResult{Incomplete: true, Extension: ext, NewTuple: t, MaxAdd: maxAdd}, nil
+			return &BoundedRCDPResult{Verdict: VerdictIncomplete, Extension: ext, NewTuple: t, MaxAdd: maxAdd}, nil
 		}
 	}
 	if len(ans) != baseLen {
@@ -257,7 +236,7 @@ func boundedCounterexample(q qlang.Query, base, dm *relation.Database, v *cc.Set
 		// possible for FO/FP.
 		ext := emptyDatabase(schemasOf(cur))
 		ext.UnionInto(cur)
-		return &BoundedRCDPResult{Incomplete: true, Extension: ext, MaxAdd: maxAdd}, nil
+		return &BoundedRCDPResult{Verdict: VerdictIncomplete, Extension: ext, MaxAdd: maxAdd}, nil
 	}
 	return nil, nil
 }
@@ -267,8 +246,8 @@ func boundedCounterexample(q qlang.Query, base, dm *relation.Database, v *cc.Set
 // whose smallest pool index is i, which partitions the sequential
 // search's pre-order into branch-major segments — so the smallest
 // claiming branch's DFS-first counterexample is the one the sequential
-// engine returns. Explored becomes the total work across all branches
-// (the sequential early return makes the per-scheduling count
+// engine returns. Stats.Valuations becomes the total work across all
+// branches (the sequential early return makes the per-scheduling count
 // meaningless; the witness itself is scheduling-independent). An
 // explored-candidate cap claims the past-every-branch key
 // int64(len(pool)), so any genuine witness beats it — matching the
@@ -362,14 +341,14 @@ func boundedRCDPParallel(q qlang.Query, d, dm *relation.Database, v *cc.Set, o B
 	}
 	if val != nil {
 		r := val.(*BoundedRCDPResult)
-		r.Explored = int(explored.Load())
+		r.Stats.Valuations = int(explored.Load())
 		return r, nil
 	}
 	if key != noKey {
 		// A budget claim with no witness beating it.
 		return nil, ErrBudgetExceeded
 	}
-	return &BoundedRCDPResult{MaxAdd: o.MaxAdd, Explored: int(explored.Load())}, nil
+	return &BoundedRCDPResult{Verdict: VerdictComplete, MaxAdd: o.MaxAdd, Stats: BudgetStats{Valuations: int(explored.Load())}}, nil
 }
 
 type poolTuple struct {
@@ -422,47 +401,33 @@ func tuplePool(d, dm *relation.Database, q qlang.Query, v *cc.Set, o BoundedOpts
 // BoundedRCQPResult is the outcome of a bounded witness search for the
 // relatively complete query problem.
 type BoundedRCQPResult struct {
-	// Verdict is the governed outcome: VerdictComplete iff Found,
-	// VerdictIncomplete when the space was exhausted without a witness,
-	// VerdictUnknown when governance stopped the search (see Reason).
+	// Verdict is the governed outcome. VerdictComplete reports that
+	// Witness, a candidate database of at most MaxTuples pool tuples,
+	// is partially closed and complete for Q up to extensions of MaxAdd
+	// tuples: for monotone languages with the bounds covering the
+	// tableau size this is a genuine witness; for FO/FP it is evidence
+	// up to the bound. VerdictIncomplete means the space was exhausted
+	// without a witness, VerdictUnknown that governance stopped the
+	// search (see Reason).
 	Verdict Verdict
 	// Reason names the exhausted dimension on VerdictUnknown.
 	Reason Reason
-	// Stats reports resource consumption of governed runs.
-	Stats BudgetStats
-	// Found reports that a candidate database of at most MaxTuples pool
-	// tuples was found that is partially closed and complete for Q up
-	// to extensions of MaxAdd tuples. For monotone languages with the
-	// bounds covering the tableau size this is a genuine witness; for
-	// FO/FP it is evidence up to the bound.
-	Found   bool
+	// Stats reports resource consumption of governed runs; Valuations
+	// is the number of candidate databases checked.
+	Stats   BudgetStats
 	Witness *relation.Database
-	// Explored is the number of candidate databases checked.
-	Explored int
 }
 
-// BoundedRCQP searches for a database of at most maxTuples pool tuples
-// that is partially closed with respect to (Dm, V) and complete for Q
-// up to the BoundedRCDP bound. schemas describes the database schema R.
-// It is the ungoverned wrapper over BoundedRCQPCtx.
-func BoundedRCQP(q qlang.Query, dm *relation.Database, v *cc.Set, schemas map[string]*relation.Schema, maxTuples int, opts BoundedOpts) (*BoundedRCQPResult, error) {
-	res, err := BoundedRCQPCtx(context.Background(), q, dm, v, schemas, maxTuples, opts)
-	if err != nil {
-		return nil, err
-	}
-	if res.Verdict == VerdictUnknown {
-		return nil, res.Reason.Err()
-	}
-	return res, nil
-}
-
-// BoundedRCQPCtx is the governed form of BoundedRCQP. The inner
-// per-candidate BoundedRCDP searches share the check's single gate, so
-// the global dimensions (deadline, rows, tuples) bound the whole
-// search; the explored-candidate cap (Budget.MaxValuations) applies to
-// the outer candidate-database enumeration, and an inner search that
-// trips it merely marks that candidate unverifiable (skipped), matching
-// RCQP's per-candidate valuation-budget semantics.
+// BoundedRCQPCtx searches for a database of at most maxTuples pool
+// tuples that is partially closed with respect to (Dm, V) and complete
+// for Q up to the BoundedRCDPCtx bound. schemas describes the database
+// schema R. The inner per-candidate BoundedRCDPCtx searches share the
+// check's single gate, so the global dimensions (deadline, rows,
+// tuples) bound the whole search; the explored-candidate cap
+// (Budget.MaxValuations) applies to the outer candidate-database
+// enumeration, and an inner search that trips it merely marks that
+// candidate unverifiable (skipped), matching RCQP's per-candidate
+// valuation-budget semantics.
 func BoundedRCQPCtx(ctx context.Context, q qlang.Query, dm *relation.Database, v *cc.Set, schemas map[string]*relation.Schema, maxTuples int, opts BoundedOpts) (*BoundedRCQPResult, error) {
 	o := opts.withDefaults()
 	co := startCheck("bounded-rcqp", o.Workers)
@@ -478,12 +443,7 @@ func BoundedRCQPCtx(ctx context.Context, q qlang.Query, dm *relation.Database, v
 		co.done("error", ReasonNone, gv.stats(0))
 		return nil, err
 	}
-	if res.Found {
-		res.Verdict = VerdictComplete
-	} else {
-		res.Verdict = VerdictIncomplete
-	}
-	res.Stats = gv.stats(res.Explored)
+	res.Stats = gv.stats(res.Stats.Valuations)
 	co.done(res.Verdict.String(), ReasonNone, res.Stats)
 	return res, nil
 }
@@ -495,14 +455,14 @@ func boundedRCQPGov(q qlang.Query, dm *relation.Database, v *cc.Set, schemas map
 		return nil, err
 	}
 	expCap := o.Budget.MaxValuations
-	res := &BoundedRCQPResult{}
+	res := &BoundedRCQPResult{Verdict: VerdictIncomplete}
 	var rec func(start int, cur *relation.Database, added int) (*BoundedRCQPResult, error)
 	rec = func(start int, cur *relation.Database, added int) (*BoundedRCQPResult, error) {
 		if err := gate.Poll(); err != nil {
 			return nil, err
 		}
-		res.Explored++
-		if expCap > 0 && res.Explored > expCap {
+		res.Stats.Valuations++
+		if expCap > 0 && res.Stats.Valuations > expCap {
 			return nil, ErrBudgetExceeded
 		}
 		if ok, err := v.SatisfiedGate(cur, dm, gate); err != nil {
@@ -515,8 +475,8 @@ func boundedRCQPGov(q qlang.Query, dm *relation.Database, v *cc.Set, schemas map
 				// budget: the candidate is unverifiable, skip it.
 			case err != nil:
 				return nil, err
-			case !r.Incomplete:
-				return &BoundedRCQPResult{Found: true, Witness: cur, Explored: res.Explored}, nil
+			case r.Verdict != VerdictIncomplete:
+				return &BoundedRCQPResult{Verdict: VerdictComplete, Witness: cur, Stats: res.Stats}, nil
 			}
 		}
 		if added == maxTuples {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/cc"
@@ -14,25 +15,21 @@ import (
 // once RCQP says a relatively complete database exists, construct one,
 // and given an incomplete database, extend it until it is complete.
 
-// CompleteDatabaseINDs constructs a database complete for Q relative to
-// (Dm, V) when V is a set of INDs and Q is bounded (Proposition 4.3's
-// constructive direction): for every achievable combination of head
-// values — drawn from the IND value bounds and finite domains — it adds
-// one instantiation μ(T_i) realizing that answer, so that no partially
-// closed extension can produce a new answer. maxAnswers caps the
-// instantiations per disjunct; nil is returned (without error) when the
-// witness would exceed the cap.
-func CompleteDatabaseINDs(q qlang.Query, dm *relation.Database, v *cc.Set, schemas map[string]*relation.Schema, maxAnswers int) (*relation.Database, error) {
-	w, _, err := completeDatabaseINDs(q, dm, v, schemas, maxAnswers, 0, nil)
-	return w, err
-}
-
-// completeDatabaseINDs is CompleteDatabaseINDs on the valuation search
-// under governance: each disjunct's valuations are enumerated in slot
-// order with the IND pruner, every node polls the gate, and budget
-// (when positive) caps the complete valuations per disjunct, like
-// Budget.MaxValuations — exhausting it returns ErrBudgetExceeded. It
-// also returns the complete valuations inspected.
+// completeDatabaseINDs constructs a database complete for Q relative
+// to (Dm, V) when V is a set of INDs and Q is bounded (Proposition
+// 4.3's constructive direction): for every achievable combination of
+// head values — drawn from the IND value bounds and finite domains — it
+// adds one instantiation μ(T_i) realizing that answer, so that no
+// partially closed extension can produce a new answer. maxAnswers caps
+// the instantiations per disjunct; nil is returned (without error) when
+// the witness would exceed the cap.
+//
+// The construction runs on the valuation search under governance: each
+// disjunct's valuations are enumerated in slot order with the IND
+// pruner, every node polls the gate, and budget (when positive) caps
+// the complete valuations per disjunct, like Budget.MaxValuations —
+// exhausting it returns ErrBudgetExceeded. It also returns the complete
+// valuations inspected.
 //
 // The pruner tests every template with variables against the INDs of
 // its relation as soon as it is ground, which for all-IND V is exactly
@@ -42,7 +39,7 @@ func CompleteDatabaseINDs(q qlang.Query, dm *relation.Database, v *cc.Set, schem
 // template that violates, not enumerated.
 func completeDatabaseINDs(q qlang.Query, dm *relation.Database, v *cc.Set, schemas map[string]*relation.Schema, maxAnswers, budget int, gate *query.Gate) (*relation.Database, int, error) {
 	if !v.AllINDs() {
-		return nil, 0, fmt.Errorf("core: CompleteDatabaseINDs requires IND constraints")
+		return nil, 0, fmt.Errorf("core: completeDatabaseINDs requires IND constraints")
 	}
 	if maxAnswers <= 0 {
 		maxAnswers = 4096
@@ -193,7 +190,7 @@ func candidateValues(u *Universe, v *cc.Set, dm *relation.Database, name string,
 
 // MakeComplete extends an incomplete database D until it is complete
 // for Q relative to (Dm, V), by repeatedly adding the counterexample
-// extension produced by RCDP (the "what data should be collected"
+// extension produced by RCDPCtx (the "what data should be collected"
 // guidance of Section 2.3(2)). Each round adds at least one new answer
 // to Q(D), so the loop terminates whenever Q admits a relatively
 // complete extension of D; maxRounds caps divergence for queries that
@@ -204,12 +201,15 @@ func MakeComplete(q qlang.Query, d, dm *relation.Database, v *cc.Set, maxRounds 
 	}
 	cur := d.Clone()
 	for round := 0; round < maxRounds; round++ {
-		r, err := RCDP(q, cur, dm, v)
+		r, err := RCDPCtx(context.Background(), q, cur, dm, v)
 		if err != nil {
 			return nil, round, err
 		}
-		if r.Complete {
+		switch r.Verdict {
+		case VerdictComplete:
 			return cur, round, nil
+		case VerdictUnknown:
+			return nil, round, fmt.Errorf("core: RCDP check stopped (%v) in round %d", r.Reason, round)
 		}
 		cur.UnionInto(r.Extension)
 	}

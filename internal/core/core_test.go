@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cc"
@@ -58,21 +59,21 @@ func TestExample31AtMostK(t *testing.T) {
 	d1.MustAdd("Supt", "e0", "s", "c2")
 	d1.MustAdd("Supt", "e0", "s", "c3")
 
-	r, err := RCDP(q2(), d1, dm, vset)
+	r, err := RCDPCtx(context.Background(), q2(), d1, dm, vset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Complete {
+	if r.Verdict != VerdictComplete {
 		t.Fatalf("D1 with k=%d answers must be complete; counterexample %v", k, r.Extension)
 	}
 
 	d2 := relation.NewDatabase(suptSchema())
 	d2.MustAdd("Supt", "e0", "s", "c1")
-	r, err = RCDP(q2(), d2, dm, vset)
+	r, err = RCDPCtx(context.Background(), q2(), d2, dm, vset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Complete {
+	if r.Verdict == VerdictComplete {
 		t.Fatal("D with 1 < k answers must be incomplete")
 	}
 	// The witness must be a genuine counterexample.
@@ -89,22 +90,22 @@ func TestExample31FD(t *testing.T) {
 
 	d2 := relation.NewDatabase(suptSchema())
 	d2.MustAdd("Supt", "e1", "s", "c1")
-	r, err := RCDP(q2(), d2, dm, vset)
+	r, err := RCDPCtx(context.Background(), q2(), d2, dm, vset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Complete {
+	if r.Verdict == VerdictComplete {
 		t.Fatal("instance without e0 tuples must be incomplete for Q2")
 	}
 	assertCounterexample(t, q2(), d2, dm, vset, r)
 
 	dPlus := relation.NewDatabase(suptSchema())
 	dPlus.MustAdd("Supt", "e0", "d0", "c0")
-	r, err = RCDP(q2(), dPlus, dm, vset)
+	r, err = RCDPCtx(context.Background(), q2(), dPlus, dm, vset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Complete {
+	if r.Verdict != VerdictComplete {
 		t.Fatalf("D+ = {(e0,d0,c0)} must be complete for Q2 under eid→dept,cid; got counterexample %v", r.Extension)
 	}
 }
@@ -159,16 +160,16 @@ func TestExample41Q4(t *testing.T) {
 	// First verify the paper's D⁻ directly via RCDP.
 	dMinus := relation.NewDatabase(suptSchema())
 	dMinus.MustAdd("Supt", "e0", "dOther", "c")
-	r, err := RCDP(q4, dMinus, dm, vset)
+	r, err := RCDPCtx(context.Background(), q4, dMinus, dm, vset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Complete {
+	if r.Verdict != VerdictComplete {
 		t.Fatalf("D- must be complete for Q4; counterexample %v", r.Extension)
 	}
 
 	// Then check that RCQP discovers a witness on its own.
-	res, err := RCQP(q4, dm, vset, schemas)
+	res, err := RCQPCtx(context.Background(), q4, dm, vset, schemas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +179,11 @@ func TestExample41Q4(t *testing.T) {
 	if res.Witness == nil {
 		t.Fatal("expected a constructed witness")
 	}
-	rw, err := RCDP(q4, res.Witness, dm, vset)
+	rw, err := RCDPCtx(context.Background(), q4, res.Witness, dm, vset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rw.Complete {
+	if rw.Verdict != VerdictComplete {
 		t.Fatal("returned witness is not actually complete")
 	}
 }
@@ -197,19 +198,19 @@ func TestExample41Q2(t *testing.T) {
 	schemas := map[string]*relation.Schema{"Supt": suptSchema()}
 	dm := emptyMaster()
 
-	res, err := RCQP(q2(), dm, fdSupt(), schemas)
+	res, err := RCQPCtx(context.Background(), q2(), dm, fdSupt(), schemas)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != Yes || res.Witness == nil {
 		t.Fatalf("RCQP(Q2, Φ2) = %v, want yes with witness", res.Status)
 	}
-	rw, err := RCDP(q2(), res.Witness, dm, fdSupt())
-	if err != nil || !rw.Complete {
+	rw, err := RCDPCtx(context.Background(), q2(), res.Witness, dm, fdSupt())
+	if err != nil || rw.Verdict != VerdictComplete {
 		t.Fatalf("witness not complete: %v %v", rw, err)
 	}
 
-	res, err = RCQP(q2(), dm, fdDeptOnly(), schemas)
+	res, err = RCQPCtx(context.Background(), q2(), dm, fdDeptOnly(), schemas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestRCQPEmptyV(t *testing.T) {
 
 	finQ := qlang.FromCQ(cq.New("Qf", []query.Term{v("p")},
 		[]query.RelAtom{query.Atom("F", v("p"), v("x"))}))
-	res, err := RCQP(finQ, dm, cc.NewSet(), schemas)
+	res, err := RCQPCtx(context.Background(), finQ, dm, cc.NewSet(), schemas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestRCQPEmptyV(t *testing.T) {
 
 	infQ := qlang.FromCQ(cq.New("Qi", []query.Term{v("x")},
 		[]query.RelAtom{query.Atom("F", v("p"), v("x"))}))
-	res, err = RCQP(infQ, dm, cc.NewSet(), schemas)
+	res, err = RCQPCtx(context.Background(), infQ, dm, cc.NewSet(), schemas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestRCQPINDs(t *testing.T) {
 		query.Eq(v("e"), c("e0"))))
 
 	withIND := cc.NewSet(cc.NewIND("i1", "Supt", []int{2}, 3, cc.Proj("DCust", 0)))
-	res, err := RCQP(qc, dm, withIND, schemas)
+	res, err := RCQPCtx(context.Background(), qc, dm, withIND, schemas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,8 +272,8 @@ func TestRCQPINDs(t *testing.T) {
 		t.Fatalf("cid-bounded query must be relatively complete: %+v", res)
 	}
 	if res.Witness != nil {
-		rw, err := RCDP(qc, res.Witness, dm, withIND)
-		if err != nil || !rw.Complete {
+		rw, err := RCDPCtx(context.Background(), qc, res.Witness, dm, withIND)
+		if err != nil || rw.Verdict != VerdictComplete {
 			t.Fatalf("IND witness not complete: %+v %v", rw, err)
 		}
 	}
@@ -281,7 +282,7 @@ func TestRCQPINDs(t *testing.T) {
 	// complete.
 	qd := qlang.FromCQ(cq.New("Qd", []query.Term{v("d")},
 		[]query.RelAtom{query.Atom("Supt", v("e"), v("d"), v("c"))}))
-	res, err = RCQP(qd, dm, withIND, schemas)
+	res, err = RCQPCtx(context.Background(), qd, dm, withIND, schemas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +300,7 @@ func TestRCQPINDsBlockedDisjunct(t *testing.T) {
 	// π_{eid}(Supt) ⊆ π_cid(DCust) with empty DCust: no Supt tuple may
 	// ever exist.
 	vset := cc.NewSet(cc.NewIND("block", "Supt", []int{0}, 3, cc.Proj("DCust", 0)))
-	res, err := RCQP(q2(), dm, vset, schemas)
+	res, err := RCQPCtx(context.Background(), q2(), dm, vset, schemas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,10 +314,10 @@ func TestRCDPRejectsNonMonotone(t *testing.T) {
 	d := relation.NewDatabase(suptSchema())
 	dm := emptyMaster()
 	fpq := qlang.FromFP(datalogTC())
-	if _, err := RCDP(fpq, d, dm, cc.NewSet()); err == nil {
+	if _, err := RCDPCtx(context.Background(), fpq, d, dm, cc.NewSet()); err == nil {
 		t.Fatal("FP query must be rejected by RCDP")
 	}
-	if _, err := RCQP(fpq, dm, cc.NewSet(), map[string]*relation.Schema{"Supt": suptSchema()}); err == nil {
+	if _, err := RCQPCtx(context.Background(), fpq, dm, cc.NewSet(), map[string]*relation.Schema{"Supt": suptSchema()}); err == nil {
 		t.Fatal("FP query must be rejected by RCQP")
 	}
 }
@@ -327,7 +328,7 @@ func TestRCDPNotPartiallyClosed(t *testing.T) {
 	d.MustAdd("Supt", "e0", "a", "c1")
 	d.MustAdd("Supt", "e0", "b", "c1") // violates eid→dept
 	dm := emptyMaster()
-	if _, err := RCDP(q2(), d, dm, fdDeptOnly()); err == nil {
+	if _, err := RCDPCtx(context.Background(), q2(), d, dm, fdDeptOnly()); err == nil {
 		t.Fatal("non-partially-closed D must be rejected")
 	}
 }
@@ -347,8 +348,8 @@ func TestMakeComplete(t *testing.T) {
 	if rounds == 0 {
 		t.Fatal("expected at least one extension round")
 	}
-	r, err := RCDP(q2(), done, dm, vset)
-	if err != nil || !r.Complete {
+	r, err := RCDPCtx(context.Background(), q2(), done, dm, vset)
+	if err != nil || r.Verdict != VerdictComplete {
 		t.Fatalf("MakeComplete result not complete: %v %v", r, err)
 	}
 	if !d.SubsetOf(done) {
@@ -364,8 +365,8 @@ func TestRCDPUnsatisfiableQuery(t *testing.T) {
 	q := qlang.FromCQ(cq.New("Q", []query.Term{v("e")},
 		[]query.RelAtom{query.Atom("Supt", v("e"), v("d"), v("c"))},
 		query.Eq(v("e"), c("a")), query.Eq(v("e"), c("b"))))
-	r, err := RCDP(q, d, dm, cc.NewSet())
-	if err != nil || !r.Complete {
+	r, err := RCDPCtx(context.Background(), q, d, dm, cc.NewSet())
+	if err != nil || r.Verdict != VerdictComplete {
 		t.Fatalf("unsatisfiable query must be complete: %v %v", r, err)
 	}
 }
@@ -387,11 +388,11 @@ func TestRCDPUCQ(t *testing.T) {
 			[]query.RelAtom{query.Atom("Supt", v("e"), v("d"), v("c"))},
 			query.Eq(v("e"), c("e1"))),
 	)
-	r, err := RCDP(qlang.FromUCQ(u), d, dm, vset)
+	r, err := RCDPCtx(context.Background(), qlang.FromUCQ(u), d, dm, vset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Complete {
+	if r.Verdict == VerdictComplete {
 		t.Fatal("second disjunct (e1) is open: must be incomplete")
 	}
 	if r.Disjunct != 1 {
@@ -413,11 +414,11 @@ func TestRCDPEFO(t *testing.T) {
 		cq.And(cq.FAtom("Supt", v("e"), v("d"), v("c")), cq.FEq(v("e"), c("e1"))),
 	)
 	q := qlang.FromEFO(cq.NewEFO("Qe", []query.Term{v("c")}, body))
-	r, err := RCDP(q, d, dm, vset)
+	r, err := RCDPCtx(context.Background(), q, d, dm, vset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Complete {
+	if r.Verdict != VerdictComplete {
 		t.Fatalf("both disjuncts are blocked at k=1: %v", r.Extension)
 	}
 }
@@ -435,19 +436,19 @@ func TestNaiveAgreesWithPruned(t *testing.T) {
 		for _, tu := range tuples {
 			d.MustAdd("Supt", tu[0], tu[1], tu[2])
 		}
-		fast, err := RCDP(q2(), d, dm, vset)
+		fast, err := RCDPCtx(context.Background(), q2(), d, dm, vset)
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow, err := (&Checker{Naive: true}).RCDP(q2(), d, dm, vset)
+		slow, err := (&Checker{Naive: true}).RCDPCtx(context.Background(), q2(), d, dm, vset)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fast.Complete != slow.Complete {
-			t.Fatalf("naive/pruned disagree on %v: %v vs %v", tuples, fast.Complete, slow.Complete)
+		if fast.Verdict != slow.Verdict {
+			t.Fatalf("naive/pruned disagree on %v: %v vs %v", tuples, fast.Verdict, slow.Verdict)
 		}
-		if slow.Valuations < fast.Valuations {
-			t.Fatalf("naive should visit at least as many valuations: %d < %d", slow.Valuations, fast.Valuations)
+		if slow.Stats.Valuations < fast.Stats.Valuations {
+			t.Fatalf("naive should visit at least as many valuations: %d < %d", slow.Stats.Valuations, fast.Stats.Valuations)
 		}
 	}
 }
@@ -463,8 +464,8 @@ func TestBudget(t *testing.T) {
 		d.MustAdd("Supt", "e0", "s", string(rune('a'+i)))
 	}
 	dm := emptyMaster()
-	_, err := (&Checker{Budget: Budget{MaxValuations: 1}}).RCDP(q2(), d, dm, vset)
-	if err != ErrBudgetExceeded {
-		t.Fatalf("want ErrBudgetExceeded, got %v", err)
+	r, err := (&Checker{Budget: Budget{MaxValuations: 1}}).RCDPCtx(context.Background(), q2(), d, dm, vset)
+	if err != nil || r.Verdict != VerdictUnknown || r.Reason != ReasonValuations {
+		t.Fatalf("want unknown/valuations, got %+v, %v", r, err)
 	}
 }

@@ -27,11 +27,11 @@ func exampleQuery() qlang.Query {
 		query.Eq(e, query.C("e0"))))
 }
 
-// ExampleRCDP reproduces Example 3.1: under the constraint "e0 supports
+// ExampleRCDPCtx reproduces Example 3.1: under the constraint "e0 supports
 // at most 3 customers", a database already holding 3 answers is
 // relatively complete, while one holding a single answer is not — the
 // checker returns the extension that changes the answer.
-func ExampleRCDP() {
+func ExampleRCDPCtx() {
 	vset := cc.NewSet(cc.AtMostK("phi1", "Supt", 3, []int{0}, 2, 3))
 	dm := relation.NewDatabase(relation.NewSchema("Rm", relation.Attr("x")))
 
@@ -39,19 +39,19 @@ func ExampleRCDP() {
 	full.MustAdd("Supt", "e0", "s", "c1")
 	full.MustAdd("Supt", "e0", "s", "c2")
 	full.MustAdd("Supt", "e0", "s", "c3")
-	r, err := core.RCDP(exampleQuery(), full, dm, vset)
+	r, err := core.RCDPCtx(context.Background(), exampleQuery(), full, dm, vset)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("3 answers complete:", r.Complete)
+	fmt.Println("3 answers complete:", r.Verdict == core.VerdictComplete)
 
 	partial := relation.NewDatabase(exampleSchema())
 	partial.MustAdd("Supt", "e0", "s", "c1")
-	r, err = core.RCDP(exampleQuery(), partial, dm, vset)
+	r, err = core.RCDPCtx(context.Background(), exampleQuery(), partial, dm, vset)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("1 answer complete:", r.Complete)
+	fmt.Println("1 answer complete:", r.Verdict == core.VerdictComplete)
 	fmt.Println("new answer:", r.NewTuple)
 	// Output:
 	// 3 answers complete: true
@@ -59,14 +59,14 @@ func ExampleRCDP() {
 	// new answer: (e0)
 }
 
-// ExampleRCQP asks whether any database can be complete for the query.
+// ExampleRCQPCtx asks whether any database can be complete for the query.
 // With no constraints and an output variable over an infinite domain,
 // the answer is No (the E3/E4 analysis of Proposition 4.3 with an empty
 // IND set): a fresh customer can always be added.
-func ExampleRCQP() {
+func ExampleRCQPCtx() {
 	dm := relation.NewDatabase(relation.NewSchema("Rm", relation.Attr("x")))
 	schemas := map[string]*relation.Schema{"Supt": exampleSchema()}
-	res, err := core.RCQP(exampleQuery(), dm, cc.NewSet(), schemas)
+	res, err := core.RCQPCtx(context.Background(), exampleQuery(), dm, cc.NewSet(), schemas)
 	if err != nil {
 		panic(err)
 	}
@@ -126,7 +126,7 @@ func ExampleBoundedRCDPCtx() {
 		panic(err)
 	}
 	fmt.Println("verdict:", r.Verdict)
-	fmt.Println("incomplete:", r.Incomplete)
+	fmt.Println("incomplete:", r.Verdict == core.VerdictIncomplete)
 	// Output:
 	// verdict: incomplete
 	// incomplete: true

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cc"
@@ -61,7 +62,7 @@ func TestCompleteDatabaseINDs(t *testing.T) {
 	qc := qlang.FromCQ(cq.New("Qc", []query.Term{v("c")},
 		[]query.RelAtom{query.Atom("Supt", v("e"), v("d"), v("c"))}))
 
-	w, err := CompleteDatabaseINDs(qc, dm, vset, schemas, 100)
+	w, _, err := completeDatabaseINDs(qc, dm, vset, schemas, 100, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,17 +74,17 @@ func TestCompleteDatabaseINDs(t *testing.T) {
 	if len(ans) != 2 {
 		t.Fatalf("witness answers %v", ans)
 	}
-	r, err := RCDP(qc, w, dm, vset)
-	if err != nil || !r.Complete {
+	r, err := RCDPCtx(context.Background(), qc, w, dm, vset)
+	if err != nil || r.Verdict != VerdictComplete {
 		t.Fatalf("witness incomplete: %v %v", r, err)
 	}
 	// Cap smaller than the answer space: no witness, no error.
-	w2, err := CompleteDatabaseINDs(qc, dm, vset, schemas, 1)
+	w2, _, err := completeDatabaseINDs(qc, dm, vset, schemas, 1, 0, nil)
 	if err != nil || w2 != nil {
 		t.Fatalf("cap should yield nil witness: %v %v", w2, err)
 	}
 	// Non-IND constraints are rejected.
-	if _, err := CompleteDatabaseINDs(qc, dm, cc.NewSet(cc.AtMostK("k", "Supt", 3, []int{0}, 2, 1)), schemas, 10); err == nil {
+	if _, _, err := completeDatabaseINDs(qc, dm, cc.NewSet(cc.AtMostK("k", "Supt", 3, []int{0}, 2, 1)), schemas, 10, 0, nil); err == nil {
 		t.Fatal("non-IND set accepted")
 	}
 }
@@ -113,7 +114,7 @@ func TestRCQPwithUCQandEFO(t *testing.T) {
 			[]query.RelAtom{query.Atom("Supt", v("e"), v("d"), v("c"))},
 			query.Eq(v("e"), c("e1"))),
 	)
-	res, err := RCQP(qlang.FromUCQ(u), dm, vset, schemas)
+	res, err := RCQPCtx(context.Background(), qlang.FromUCQ(u), dm, vset, schemas)
 	if err != nil || res.Status != Yes {
 		t.Fatalf("UCQ over bounded cid: %v %v", res, err)
 	}
@@ -123,7 +124,7 @@ func TestRCQPwithUCQandEFO(t *testing.T) {
 		cq.And(cq.FAtom("Supt", v("e"), v("d"), v("c")), cq.FEq(v("e"), c("e1"))),
 	)
 	efoq := qlang.FromEFO(cq.NewEFO("Qe", []query.Term{v("c")}, body))
-	res, err = RCQP(efoq, dm, vset, schemas)
+	res, err = RCQPCtx(context.Background(), efoq, dm, vset, schemas)
 	if err != nil || res.Status != Yes {
 		t.Fatalf("∃FO⁺ over bounded cid: %v %v", res, err)
 	}
@@ -134,7 +135,7 @@ func TestRCQPwithUCQandEFO(t *testing.T) {
 		cq.New("u3", []query.Term{v("d")},
 			[]query.RelAtom{query.Atom("Supt", v("e"), v("d"), v("c"))}),
 	)
-	res, err = RCQP(qlang.FromUCQ(bad), dm, vset, schemas)
+	res, err = RCQPCtx(context.Background(), qlang.FromUCQ(bad), dm, vset, schemas)
 	if err != nil || res.Status != No {
 		t.Fatalf("unbounded disjunct must be no: %v %v", res, err)
 	}
@@ -147,7 +148,7 @@ func TestBoundedRCDPPreconditions(t *testing.T) {
 	dm := emptyMaster()
 	fd := &cc.FD{Name: "fd", Rel: "Supt", From: []int{0}, To: []int{1}}
 	vset := cc.NewSet(fd.ToCCs(3)...)
-	if _, err := BoundedRCDP(q2(), d, dm, vset, BoundedOpts{}); err == nil {
+	if _, err := BoundedRCDPCtx(context.Background(), q2(), d, dm, vset, BoundedOpts{}); err == nil {
 		t.Fatal("non-partially-closed D must be rejected")
 	}
 	// Pool explosion guard.
@@ -160,7 +161,7 @@ func TestBoundedRCDPPreconditions(t *testing.T) {
 	}
 	qw := qlang.FromCQ(cq.New("Q", []query.Term{v("x")},
 		[]query.RelAtom{query.Atom("W", v("x"), v("y"), v("z"), v("u"), v("w"), v("t"))}))
-	if _, err := BoundedRCDP(qw, dw, dm, cc.NewSet(), BoundedOpts{MaxPool: 1000}); err == nil {
+	if _, err := BoundedRCDPCtx(context.Background(), qw, dw, dm, cc.NewSet(), BoundedOpts{MaxPool: 1000}); err == nil {
 		t.Fatal("pool explosion must be reported")
 	}
 }
@@ -181,11 +182,11 @@ func TestRCDPMonotonicityProperty(t *testing.T) {
 		if ok, _ := vset.Satisfied(d, dm); !ok {
 			continue
 		}
-		r, err := RCDP(q2(), d, dm, vset)
+		r, err := RCDPCtx(context.Background(), q2(), d, dm, vset)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !r.Complete {
+		if r.Verdict != VerdictComplete {
 			continue
 		}
 		base, _ := q2().Eval(d)
@@ -291,18 +292,18 @@ func TestRCDPWithReverseConstraint(t *testing.T) {
 	partial.MustAdd("Manage", "e1", "e0")
 	q := qlang.FromCQ(cq.New("Q", []query.Term{v("m")},
 		[]query.RelAtom{query.Atom("Manage", v("m"), c("e0"))}))
-	if _, err := RCDP(q, partial, dm, vset); err == nil {
+	if _, err := RCDPCtx(context.Background(), q, partial, dm, vset); err == nil {
 		t.Fatal("database below the master lower bound must be rejected")
 	}
 
 	// The exactly-pinned database is complete.
 	full := partial.Clone()
 	full.MustAdd("Manage", "e2", "e1")
-	r, err := RCDP(q, full, dm, vset)
+	r, err := RCDPCtx(context.Background(), q, full, dm, vset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Complete {
+	if r.Verdict != VerdictComplete {
 		t.Fatalf("pinned Manage must be complete; ext %v", r.Extension)
 	}
 }

@@ -108,7 +108,7 @@ func dbString(db *relation.Database) string {
 }
 
 func rcdpRecord(name string, r *RCDPResult) goldenRecord {
-	rec := goldenRecord{Name: name, Verdict: r.Verdict.String(), Valuations: r.Valuations}
+	rec := goldenRecord{Name: name, Verdict: r.Verdict.String(), Valuations: r.Stats.Valuations}
 	if r.Verdict == VerdictIncomplete {
 		rec.Disjunct = r.Disjunct
 		rec.Valuation = bindingString(r.Valuation)

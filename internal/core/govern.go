@@ -14,8 +14,8 @@ import (
 // context.Context plus a Budget and returns a three-valued Verdict:
 // Complete/Incomplete when the search finished, Unknown (with the
 // exhausted dimension as a Reason and whatever best-effort state was
-// gathered) when governance ended it first. The legacy non-Ctx entry
-// points are thin wrappers that translate Unknown back into an error.
+// gathered) when governance ended it first. Every decision procedure
+// has exactly this one governed entry point.
 
 // Verdict is the three-valued outcome of a governed check.
 type Verdict int
@@ -80,25 +80,6 @@ func (r Reason) String() string {
 	}
 }
 
-// Err returns the sentinel error corresponding to the reason — the
-// error the ungoverned (legacy) entry points surface for it.
-func (r Reason) Err() error {
-	switch r {
-	case ReasonCancelled:
-		return context.Canceled
-	case ReasonDeadline:
-		return context.DeadlineExceeded
-	case ReasonValuations:
-		return ErrBudgetExceeded
-	case ReasonJoinRows:
-		return query.ErrRowBudget
-	case ReasonTuples:
-		return query.ErrTupleBudget
-	default:
-		return nil
-	}
-}
-
 // Budget bounds the resources of one check. The zero value is
 // unlimited. All dimensions are global to the check (shared across
 // disjuncts and workers) except MaxValuations, which caps candidate
@@ -149,7 +130,7 @@ func (b Budget) Clamp(ceiling Budget) Budget {
 }
 
 // BudgetStats reports the resources a governed check consumed; it is
-// filled in by the Ctx entry points whether or not the check finished.
+// filled in whether or not the check finished.
 // JoinRows and Tuples are only counted on governed runs (a nil gate —
 // no context, no budget — keeps the hot paths uninstrumented).
 type BudgetStats struct {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strconv"
 	"testing"
@@ -64,7 +65,7 @@ func TestRCDPCtxPreCancelled(t *testing.T) {
 		if r.Verdict != VerdictUnknown || r.Reason != ReasonCancelled {
 			t.Fatalf("workers=%d: want unknown/cancelled, got %v/%v", workers, r.Verdict, r.Reason)
 		}
-		if r.Complete {
+		if r.Verdict == VerdictComplete {
 			t.Fatalf("workers=%d: Unknown result must not claim completeness", workers)
 		}
 		if r.Extension != nil || r.NewTuple != nil {
@@ -161,7 +162,7 @@ func TestRCDPCtxTupleBudget(t *testing.T) {
 // agree, and the governed stats are populated.
 func TestRCDPCtxGenerousBudgetDecides(t *testing.T) {
 	q, d, dm, vset := completeFixture(5)
-	base, err := RCDP(q, d, dm, vset)
+	base, err := RCDPCtx(context.Background(), q, d, dm, vset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestRCDPCtxGenerousBudgetDecides(t *testing.T) {
 		if r.Verdict != VerdictComplete || r.Reason != ReasonNone {
 			t.Fatalf("workers=%d: want complete/no-reason, got %v/%v", workers, r.Verdict, r.Reason)
 		}
-		if r.Complete != base.Complete {
+		if r.Verdict != base.Verdict {
 			t.Fatalf("workers=%d: governed and ungoverned verdicts diverge", workers)
 		}
 		if r.Stats.JoinRows == 0 || r.Stats.Elapsed <= 0 {
@@ -185,42 +186,51 @@ func TestRCDPCtxGenerousBudgetDecides(t *testing.T) {
 	}
 }
 
-// TestLegacyWrapperSentinels: the non-Ctx entry points translate each
-// Unknown reason back into its sentinel error.
-func TestLegacyWrapperSentinels(t *testing.T) {
+// TestRCDPCtxBudgetReasons: each budget dimension stops the check with
+// its own Reason, at both worker counts.
+func TestRCDPCtxBudgetReasons(t *testing.T) {
 	q, d, dm, vset := completeFixture(5)
 	cases := []struct {
 		name   string
 		budget Budget
-		want   error
+		want   Reason
 	}{
-		{"rows", Budget{MaxJoinRows: 50}, query.ErrRowBudget},
-		{"tuples", Budget{MaxTuples: 1}, query.ErrTupleBudget},
-		{"valuations", Budget{MaxValuations: 1}, ErrBudgetExceeded},
+		{"rows", Budget{MaxJoinRows: 50}, ReasonJoinRows},
+		{"tuples", Budget{MaxTuples: 1}, ReasonTuples},
+		{"valuations", Budget{MaxValuations: 1}, ReasonValuations},
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 8} {
 			ck := &Checker{Workers: workers, Budget: tc.budget}
-			if _, err := ck.RCDP(q, d, dm, vset); !errors.Is(err, tc.want) {
-				t.Fatalf("%s workers=%d: want %v, got %v", tc.name, workers, tc.want, err)
+			r, err := ck.RCDPCtx(context.Background(), q, d, dm, vset)
+			if err != nil || r.Verdict != VerdictUnknown || r.Reason != tc.want {
+				t.Fatalf("%s workers=%d: want unknown/%v, got %+v, %v", tc.name, workers, tc.want, r, err)
 			}
 		}
 	}
 }
 
-// TestReasonErrRoundTrip: reasonOf inverts Reason.Err, so the wrapper
-// translation and the governed classification can never disagree.
-func TestReasonErrRoundTrip(t *testing.T) {
-	for _, r := range []Reason{ReasonCancelled, ReasonDeadline, ReasonValuations, ReasonJoinRows, ReasonTuples} {
-		if got := reasonOf(r.Err()); got != r {
-			t.Fatalf("reasonOf(%v.Err()) = %v", r, got)
+// TestReasonOf: reasonOf classifies every governance sentinel, bare or
+// wrapped with %w, into its Reason, and any other error as ReasonNone.
+func TestReasonOf(t *testing.T) {
+	cases := []struct {
+		err  error
+		want Reason
+	}{
+		{context.Canceled, ReasonCancelled},
+		{context.DeadlineExceeded, ReasonDeadline},
+		{ErrBudgetExceeded, ReasonValuations},
+		{query.ErrRowBudget, ReasonJoinRows},
+		{query.ErrTupleBudget, ReasonTuples},
+		{errors.New("boom"), ReasonNone},
+	}
+	for _, tc := range cases {
+		if got := reasonOf(tc.err); got != tc.want {
+			t.Errorf("reasonOf(%v) = %v, want %v", tc.err, got, tc.want)
 		}
-	}
-	if ReasonNone.Err() != nil {
-		t.Fatalf("ReasonNone.Err() = %v", ReasonNone.Err())
-	}
-	if reasonOf(errors.New("boom")) != ReasonNone {
-		t.Fatal("genuine failures must classify as ReasonNone")
+		if got := reasonOf(fmt.Errorf("disjunct 0: %w", tc.err)); got != tc.want {
+			t.Errorf("reasonOf(wrapped %v) = %v, want %v", tc.err, got, tc.want)
+		}
 	}
 }
 
@@ -292,7 +302,8 @@ func TestCancelledSearchLeaksNoGoroutines(t *testing.T) {
 
 // TestRCQPCtxGovernance: RCQP under a pre-cancelled context and under a
 // row budget reports Unknown with the right reason at both worker
-// counts, and its legacy wrapper surfaces the sentinels.
+// counts, and a second check on the same checker stops the same way
+// (the gate is per check, not per checker).
 func TestRCQPCtxGovernance(t *testing.T) {
 	r, f := microSchema()
 	schemas := map[string]*relation.Schema{"R": r, "F": f}
@@ -319,16 +330,16 @@ func TestRCQPCtxGovernance(t *testing.T) {
 		if res.Status != Unknown || res.Reason != ReasonJoinRows {
 			t.Fatalf("workers=%d: want unknown/join-rows, got %v/%v", workers, res.Status, res.Reason)
 		}
-		if _, err := rck.RCQP(q, cs.dm, cs.v, schemas); !errors.Is(err, query.ErrRowBudget) {
-			t.Fatalf("workers=%d: legacy wrapper want ErrRowBudget, got %v", workers, err)
+		if res, err := rck.RCQPCtx(context.Background(), q, cs.dm, cs.v, schemas); err != nil || res.Status != Unknown || res.Reason != ReasonJoinRows {
+			t.Fatalf("workers=%d: second check want unknown/join-rows, got %+v, %v", workers, res, err)
 		}
 	}
 }
 
 // TestBoundedCtxGovernance: the bounded semi-decision procedures under
 // a pre-cancelled context and under a row budget report Unknown with
-// the right reason, at both worker counts, and their legacy wrappers
-// surface the sentinels.
+// the right reason, at both worker counts, and a second search with the
+// same options stops the same way.
 func TestBoundedCtxGovernance(t *testing.T) {
 	r, f := microSchema()
 	schemas := map[string]*relation.Schema{"R": r, "F": f}
@@ -357,8 +368,8 @@ func TestBoundedCtxGovernance(t *testing.T) {
 		if br.Verdict != VerdictUnknown || br.Reason != ReasonJoinRows {
 			t.Fatalf("workers=%d: bounded RCDP want unknown/join-rows, got %v/%v", workers, br.Verdict, br.Reason)
 		}
-		if _, err := BoundedRCDP(q, d, cs.dm, cs.v, ropts); !errors.Is(err, query.ErrRowBudget) {
-			t.Fatalf("workers=%d: bounded RCDP wrapper want ErrRowBudget, got %v", workers, err)
+		if br, err := BoundedRCDPCtx(context.Background(), q, d, cs.dm, cs.v, ropts); err != nil || br.Verdict != VerdictUnknown || br.Reason != ReasonJoinRows {
+			t.Fatalf("workers=%d: second bounded RCDP want unknown/join-rows, got %+v, %v", workers, br, err)
 		}
 
 		qr, err := BoundedRCQPCtx(cancelledCtx(), q, cs.dm, cs.v, schemas, 2, opts)
@@ -375,8 +386,8 @@ func TestBoundedCtxGovernance(t *testing.T) {
 		if qr.Verdict != VerdictUnknown || qr.Reason != ReasonJoinRows {
 			t.Fatalf("workers=%d: bounded RCQP want unknown/join-rows, got %v/%v", workers, qr.Verdict, qr.Reason)
 		}
-		if _, err := BoundedRCQP(q, cs.dm, cs.v, schemas, 2, ropts); !errors.Is(err, query.ErrRowBudget) {
-			t.Fatalf("workers=%d: bounded RCQP wrapper want ErrRowBudget, got %v", workers, err)
+		if qr, err := BoundedRCQPCtx(context.Background(), q, cs.dm, cs.v, schemas, 2, ropts); err != nil || qr.Verdict != VerdictUnknown || qr.Reason != ReasonJoinRows {
+			t.Fatalf("workers=%d: second bounded RCQP want unknown/join-rows, got %+v, %v", workers, qr, err)
 		}
 	}
 }

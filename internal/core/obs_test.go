@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/obs"
+	"repro/internal/qlang"
 	"repro/internal/relation"
 )
 
@@ -166,6 +167,58 @@ func TestExhaustionMetrics(t *testing.T) {
 	}
 	if obs.GateTrips.Value("join-rows") == 0 {
 		t.Error("GateTrips[join-rows] never incremented")
+	}
+}
+
+// TestRejectedCheckObserved checks a check refused by the Theorem
+// 3.1/4.1 language guard is still a check: RCDP and RCQP alike count it
+// under its kind and under verdicts{error}, and close its trace span
+// with an error check_done event.
+func TestRejectedCheckObserved(t *testing.T) {
+	d := relation.NewDatabase(suptSchema())
+	dm := emptyMaster()
+	fpq := qlang.FromFP(datalogTC())
+	schemas := map[string]*relation.Schema{"Supt": suptSchema()}
+	runs := map[string]func() error{
+		"rcdp": func() error {
+			_, err := (&Checker{Workers: 1}).RCDPCtx(context.Background(), fpq, d, dm, cc.NewSet())
+			return err
+		},
+		"rcqp": func() error {
+			_, err := (&QPChecker{Checker: Checker{Workers: 1}}).RCQPCtx(context.Background(), fpq, dm, cc.NewSet(), schemas)
+			return err
+		},
+	}
+	for kind, run := range runs {
+		checksBefore := obs.Checks.Value(kind)
+		errorsBefore := obs.Verdicts.Value("error")
+		var b strings.Builder
+		prev := obs.SetTracer(obs.NewTracer(&b))
+		err := run()
+		obs.SetTracer(prev)
+		if err == nil {
+			t.Fatalf("%s: FP query accepted", kind)
+		}
+		if got := obs.Checks.Value(kind); got != checksBefore+1 {
+			t.Errorf("%s: Checks = %d, want %d", kind, got, checksBefore+1)
+		}
+		if got := obs.Verdicts.Value("error"); got != errorsBefore+1 {
+			t.Errorf("%s: Verdicts[error] = %d, want %d", kind, got, errorsBefore+1)
+		}
+		found := false
+		for _, l := range strings.SplitAfter(b.String(), "\n") {
+			if l == "" {
+				continue
+			}
+			var ev struct{ Ev, Check, Verdict string }
+			if err := json.Unmarshal([]byte(l), &ev); err != nil {
+				t.Fatalf("%s: bad JSONL line %q: %v", kind, l, err)
+			}
+			found = found || (ev.Ev == "check_done" && ev.Check == kind && ev.Verdict == "error")
+		}
+		if !found {
+			t.Errorf("%s: no error check_done event in trace:\n%s", kind, b.String())
+		}
 	}
 }
 

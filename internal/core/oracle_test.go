@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -116,17 +117,17 @@ func TestRCDPAgainstOracle(t *testing.T) {
 			continue // not partially closed; RCDP precondition fails
 		}
 		trials++
-		exact, err := RCDP(q, d, cs.dm, cs.v)
+		exact, err := RCDPCtx(context.Background(), q, d, cs.dm, cs.v)
 		if err != nil {
 			t.Fatalf("trial %d (%s): %v", trial, cs.name, err)
 		}
-		oracle, err := BoundedRCDP(q, d, cs.dm, cs.v, opts)
+		oracle, err := BoundedRCDPCtx(context.Background(), q, d, cs.dm, cs.v, opts)
 		if err != nil {
 			t.Fatalf("trial %d (%s): oracle: %v", trial, cs.name, err)
 		}
-		if exact.Complete != !oracle.Incomplete {
+		if exact.Verdict != oracle.Verdict {
 			t.Fatalf("trial %d (%s, query %s): exact complete=%v but oracle incomplete=%v\nD:\n%v\nexact ext: %v\noracle ext: %v",
-				trial, cs.name, q, exact.Complete, oracle.Incomplete, d, exact.Extension, oracle.Extension)
+				trial, cs.name, q, exact.Verdict == VerdictComplete, oracle.Verdict == VerdictIncomplete, d, exact.Extension, oracle.Extension)
 		}
 	}
 	if trials < 150 {
@@ -149,27 +150,27 @@ func TestRCQPINDsAgainstOracle(t *testing.T) {
 			continue
 		}
 		for _, q := range queries {
-			res, err := RCQP(q, cs.dm, cs.v, schemas)
+			res, err := RCQPCtx(context.Background(), q, cs.dm, cs.v, schemas)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", cs.name, q, err)
 			}
 			switch res.Status {
 			case Yes:
 				if res.Witness != nil {
-					or, err := BoundedRCDP(q, res.Witness, cs.dm, cs.v, opts)
+					or, err := BoundedRCDPCtx(context.Background(), q, res.Witness, cs.dm, cs.v, opts)
 					if err != nil {
 						t.Fatalf("%s/%s: %v", cs.name, q, err)
 					}
-					if or.Incomplete {
+					if or.Verdict == VerdictIncomplete {
 						t.Fatalf("%s/%s: witness rejected by oracle; ext %v", cs.name, q, or.Extension)
 					}
 				}
 			case No:
-				br, err := BoundedRCQP(q, cs.dm, cs.v, schemas, 2, opts)
+				br, err := BoundedRCQPCtx(context.Background(), q, cs.dm, cs.v, schemas, 2, opts)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", cs.name, q, err)
 				}
-				if br.Found {
+				if br.Verdict == VerdictComplete {
 					t.Fatalf("%s/%s: decider says no but oracle found witness\n%v", cs.name, q, br.Witness)
 				}
 			default:
@@ -193,25 +194,25 @@ func TestRCQPGeneralAgainstOracle(t *testing.T) {
 			continue
 		}
 		for _, q := range microQueries() {
-			res, err := RCQP(q, cs.dm, cs.v, schemas)
+			res, err := RCQPCtx(context.Background(), q, cs.dm, cs.v, schemas)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", cs.name, q, err)
 			}
 			if res.Status == Yes && res.Witness != nil {
-				or, err := BoundedRCDP(q, res.Witness, cs.dm, cs.v, opts)
+				or, err := BoundedRCDPCtx(context.Background(), q, res.Witness, cs.dm, cs.v, opts)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", cs.name, q, err)
 				}
-				if or.Incomplete {
+				if or.Verdict == VerdictIncomplete {
 					t.Fatalf("%s/%s: yes-witness rejected by oracle (ext %v)", cs.name, q, or.Extension)
 				}
 			}
 			if res.Status != Yes {
-				br, err := BoundedRCQP(q, cs.dm, cs.v, schemas, 1, opts)
+				br, err := BoundedRCQPCtx(context.Background(), q, cs.dm, cs.v, schemas, 1, opts)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", cs.name, q, err)
 				}
-				if br.Found {
+				if br.Verdict == VerdictComplete {
 					t.Fatalf("%s/%s: decider says %v but bounded search found 1-tuple witness\n%v",
 						cs.name, q, res.Status, br.Witness)
 				}

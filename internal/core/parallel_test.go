@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -20,7 +21,7 @@ import (
 // sameRCDP compares two RCDP results on the deterministic fields
 // (everything but Valuations, which counts work, not outcome).
 func sameRCDP(a, b *RCDPResult) bool {
-	if a.Complete != b.Complete || a.Disjunct != b.Disjunct {
+	if a.Verdict != b.Verdict || a.Disjunct != b.Disjunct {
 		return false
 	}
 	if (a.Extension == nil) != (b.Extension == nil) {
@@ -56,8 +57,8 @@ func TestParallelRCDPMatchesSequential(t *testing.T) {
 			continue
 		}
 		trials++
-		sr, serr := seq.RCDP(q, d, cs.dm, cs.v)
-		pr, perr := par.RCDP(q, d, cs.dm, cs.v)
+		sr, serr := seq.RCDPCtx(context.Background(), q, d, cs.dm, cs.v)
+		pr, perr := par.RCDPCtx(context.Background(), q, d, cs.dm, cs.v)
 		if (serr == nil) != (perr == nil) {
 			t.Fatalf("trial %d (%s/%s): sequential err=%v parallel err=%v", trial, cs.name, q, serr, perr)
 		}
@@ -93,8 +94,8 @@ func TestParallelRCDPNaiveMatchesSequential(t *testing.T) {
 			continue
 		}
 		trials++
-		sr, serr := seq.RCDP(q, d, cs.dm, cs.v)
-		pr, perr := par.RCDP(q, d, cs.dm, cs.v)
+		sr, serr := seq.RCDPCtx(context.Background(), q, d, cs.dm, cs.v)
+		pr, perr := par.RCDPCtx(context.Background(), q, d, cs.dm, cs.v)
 		if (serr == nil) != (perr == nil) {
 			t.Fatalf("trial %d (%s/%s): sequential err=%v parallel err=%v", trial, cs.name, q, serr, perr)
 		}
@@ -124,8 +125,8 @@ func TestParallelRCQPMatchesSequential(t *testing.T) {
 
 	for _, cs := range microConstraintSets() {
 		for _, q := range microQueries() {
-			sr, serr := seq.RCQP(q, cs.dm, cs.v, schemas)
-			pr, perr := par.RCQP(q, cs.dm, cs.v, schemas)
+			sr, serr := seq.RCQPCtx(context.Background(), q, cs.dm, cs.v, schemas)
+			pr, perr := par.RCQPCtx(context.Background(), q, cs.dm, cs.v, schemas)
 			if (serr == nil) != (perr == nil) {
 				t.Fatalf("%s/%s: sequential err=%v parallel err=%v", cs.name, q, serr, perr)
 			}
@@ -149,9 +150,10 @@ func TestParallelRCQPMatchesSequential(t *testing.T) {
 }
 
 // TestParallelBudgetExceeded pins the MaxValuations semantics under
-// parallelism: on instances the sequential engine abandons with
-// ErrBudgetExceeded (complete instances, so no witness can pre-empt the
-// budget claim), the parallel engine must abandon too.
+// parallelism: on instances the sequential engine abandons with an
+// Unknown verdict for ReasonValuations (complete instances, so no
+// witness can pre-empt the budget claim), the parallel engine must
+// abandon too.
 func TestParallelBudgetExceeded(t *testing.T) {
 	// A tiny deterministic case first: F holds both values of its finite
 	// domain, so q5 is complete and the search space (2 valuations)
@@ -163,8 +165,8 @@ func TestParallelBudgetExceeded(t *testing.T) {
 	q5 := microQueries()[4]
 	for _, workers := range []int{1, 8} {
 		ck := &Checker{Budget: Budget{MaxValuations: 1}, Workers: workers}
-		if _, err := ck.RCDP(q5, d, nil, nil); err != ErrBudgetExceeded {
-			t.Fatalf("workers=%d: want ErrBudgetExceeded, got %v", workers, err)
+		if r, err := ck.RCDPCtx(context.Background(), q5, d, nil, nil); err != nil || r.Verdict != VerdictUnknown || r.Reason != ReasonValuations {
+			t.Fatalf("workers=%d: want unknown/valuations, got %+v, %v", workers, r, err)
 		}
 	}
 
@@ -189,16 +191,16 @@ func TestParallelBudgetExceeded(t *testing.T) {
 		if ok, err := cs.v.Satisfied(db, cs.dm); err != nil || !ok {
 			continue
 		}
-		full, err := probe.RCDP(q, db, cs.dm, cs.v)
-		if err != nil || !full.Complete || full.Valuations <= 3 {
+		full, err := probe.RCDPCtx(context.Background(), q, db, cs.dm, cs.v)
+		if err != nil || full.Verdict != VerdictComplete || full.Stats.Valuations <= 3 {
 			continue
 		}
 		checked++
 		for _, workers := range []int{1, 8} {
 			ck := &Checker{Budget: Budget{MaxValuations: 3}, Workers: workers}
-			if _, err := ck.RCDP(q, db, cs.dm, cs.v); err != ErrBudgetExceeded {
-				t.Fatalf("trial %d (%s/%s) workers=%d: want ErrBudgetExceeded, got %v",
-					trial, cs.name, q, workers, err)
+			if r, err := ck.RCDPCtx(context.Background(), q, db, cs.dm, cs.v); err != nil || r.Verdict != VerdictUnknown || r.Reason != ReasonValuations {
+				t.Fatalf("trial %d (%s/%s) workers=%d: want unknown/valuations, got %+v, %v",
+					trial, cs.name, q, workers, r, err)
 			}
 		}
 	}
@@ -228,38 +230,38 @@ func TestRCDPValuationsAccounting(t *testing.T) {
 	u := qlang.FromUCQ(cq.Union("acct", blocked, open))
 
 	ck := &Checker{Workers: 1}
-	ur, err := ck.RCDP(u, d, nil, nil)
+	ur, err := ck.RCDPCtx(context.Background(), u, d, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ur.Complete || ur.Disjunct != 1 {
+	if ur.Verdict == VerdictComplete || ur.Disjunct != 1 {
 		t.Fatalf("want witness in disjunct 1, got %+v", ur)
 	}
-	br, err := ck.RCDP(qlang.FromCQ(blocked), d, nil, nil)
+	br, err := ck.RCDPCtx(context.Background(), qlang.FromCQ(blocked), d, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !br.Complete {
+	if br.Verdict != VerdictComplete {
 		t.Fatalf("blocked disjunct should be complete, got %+v", br)
 	}
-	or, err := ck.RCDP(qlang.FromCQ(open), d, nil, nil)
+	or, err := ck.RCDPCtx(context.Background(), qlang.FromCQ(open), d, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if or.Complete {
+	if or.Verdict == VerdictComplete {
 		t.Fatalf("open disjunct should find a witness, got %+v", or)
 	}
-	if want := br.Valuations + or.Valuations; ur.Valuations != want {
+	if want := br.Stats.Valuations + or.Stats.Valuations; ur.Stats.Valuations != want {
 		t.Fatalf("Valuations not cumulative: union %d, blocked %d + open %d = %d",
-			ur.Valuations, br.Valuations, or.Valuations, want)
+			ur.Stats.Valuations, br.Stats.Valuations, or.Stats.Valuations, want)
 	}
 	// Determinism of the counter itself (sequential engine).
-	ur2, err := ck.RCDP(u, d, nil, nil)
+	ur2, err := ck.RCDPCtx(context.Background(), u, d, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ur2.Valuations != ur.Valuations {
-		t.Fatalf("sequential Valuations not reproducible: %d vs %d", ur.Valuations, ur2.Valuations)
+	if ur2.Stats.Valuations != ur.Stats.Valuations {
+		t.Fatalf("sequential Valuations not reproducible: %d vs %d", ur.Stats.Valuations, ur2.Stats.Valuations)
 	}
 }
 
@@ -279,19 +281,19 @@ func TestParallelBoundedRCDPMatchesSequential(t *testing.T) {
 			continue
 		}
 		trials++
-		sr, serr := BoundedRCDP(q, d, cs.dm, cs.v, BoundedOpts{MaxAdd: 2, FreshValues: 3, Workers: 1})
-		pr, perr := BoundedRCDP(q, d, cs.dm, cs.v, BoundedOpts{MaxAdd: 2, FreshValues: 3, Workers: 8})
+		sr, serr := BoundedRCDPCtx(context.Background(), q, d, cs.dm, cs.v, BoundedOpts{MaxAdd: 2, FreshValues: 3, Workers: 1})
+		pr, perr := BoundedRCDPCtx(context.Background(), q, d, cs.dm, cs.v, BoundedOpts{MaxAdd: 2, FreshValues: 3, Workers: 8})
 		if (serr == nil) != (perr == nil) {
 			t.Fatalf("trial %d (%s/%s): sequential err=%v parallel err=%v", trial, cs.name, q, serr, perr)
 		}
 		if serr != nil {
 			continue
 		}
-		if sr.Incomplete != pr.Incomplete {
+		if sr.Verdict != pr.Verdict {
 			t.Fatalf("trial %d (%s/%s): verdicts diverge: sequential %+v parallel %+v",
 				trial, cs.name, q, sr, pr)
 		}
-		if sr.Incomplete {
+		if sr.Verdict == VerdictIncomplete {
 			if !sr.Extension.Equal(pr.Extension) {
 				t.Fatalf("trial %d (%s/%s): extensions diverge\nsequential: %v\nparallel:   %v",
 					trial, cs.name, q, sr.Extension, pr.Extension)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -73,20 +74,20 @@ func TestRCDPCCMonotonicityProperty(t *testing.T) {
 			continue
 		}
 		trials++
-		br, err := (&Checker{Workers: 1}).RCDP(q, d, dm, base.v)
+		br, err := (&Checker{Workers: 1}).RCDPCtx(context.Background(), q, d, dm, base.v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !br.Complete {
+		if br.Verdict != VerdictComplete {
 			continue
 		}
 		completeHits++
 		for _, cfg := range engineConfigs() {
-			mr, err := (&Checker{Workers: cfg.workers}).RCDP(q, d, dm, merged)
+			mr, err := (&Checker{Workers: cfg.workers}).RCDPCtx(context.Background(), q, d, dm, merged)
 			if err != nil {
 				t.Fatalf("trial %d (%s, %s+%s/%s): %v", trial, cfg.name, base.name, extra.name, q, err)
 			}
-			if !mr.Complete {
+			if mr.Verdict != VerdictComplete {
 				t.Fatalf("trial %d (%s): completeness lost under V ∪ V' (%s + %s)\nquery %s\nD:\n%v\nwitness: %v",
 					trial, cfg.name, base.name, extra.name, q, d, mr.Extension)
 			}
@@ -137,7 +138,7 @@ func TestRCDPShuffleInvariance(t *testing.T) {
 			continue
 		}
 		trials++
-		want, err := (&Checker{Workers: 1}).RCDP(q, d, cs.dm, cs.v)
+		want, err := (&Checker{Workers: 1}).RCDPCtx(context.Background(), q, d, cs.dm, cs.v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +148,7 @@ func TestRCDPShuffleInvariance(t *testing.T) {
 				t.Fatalf("trial %d: shuffled copy not set-equal\n%v\nvs\n%v", trial, d, sd)
 			}
 			for _, cfg := range engineConfigs() {
-				got, err := (&Checker{Workers: cfg.workers}).RCDP(q, sd, cs.dm, cs.v)
+				got, err := (&Checker{Workers: cfg.workers}).RCDPCtx(context.Background(), q, sd, cs.dm, cs.v)
 				if err != nil {
 					t.Fatalf("trial %d (%s, %s/%s): %v", trial, cfg.name, cs.name, q, err)
 				}

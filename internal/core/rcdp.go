@@ -14,18 +14,18 @@ import (
 
 // RCDPResult is the outcome of a relatively-complete-database check.
 type RCDPResult struct {
-	// Complete reports D ∈ RCQ(Q, Dm, V).
-	Complete bool
-	// Verdict is the three-valued outcome. The Ctx entry points set it
-	// on every result: Complete/Incomplete mirror the boolean when the
-	// search finished, VerdictUnknown means governance stopped it
-	// first (Complete is then meaningless). The legacy entry points
-	// never return Unknown — they translate it into an error.
+	// Verdict is the three-valued outcome: VerdictComplete reports
+	// D ∈ RCQ(Q, Dm, V), VerdictIncomplete comes with a witness below,
+	// VerdictUnknown means governance stopped the search first.
 	Verdict Verdict
 	// Reason, when Verdict is Unknown, names the exhausted dimension.
 	Reason Reason
-	// Stats reports the resources consumed (Ctx entry points only;
-	// JoinRows/Tuples are counted only on governed runs).
+	// Stats reports the resources consumed (JoinRows/Tuples are counted
+	// only on governed runs). Stats.Valuations, the number of candidate
+	// valuations inspected, is a work counter, not part of the verdict:
+	// the parallel engine counts speculative work that the sequential
+	// engine's early return skips, so only Workers=1 runs reproduce it
+	// exactly.
 	Stats BudgetStats
 	// Extension, when incomplete, is a set Δ of tuples such that
 	// D ∪ Δ is partially closed and Q(D ∪ Δ) ≠ Q(D).
@@ -41,17 +41,11 @@ type RCDPResult struct {
 	// binding is built for the result alone, so callers may keep or
 	// mutate it.
 	Valuation query.Binding
-	// Valuations is the number of candidate valuations inspected. It is
-	// a work counter, not part of the verdict: the parallel engine
-	// counts speculative work that the sequential engine's early return
-	// skips, so only Workers=1 runs reproduce it exactly.
-	Valuations int
 }
 
 // Checker configures the decision procedures. The zero value uses
-// pruned backtracking with no budget on a single goroutine... almost:
-// Workers=0 means "one worker per CPU", so the zero value actually uses
-// all hardware; set Workers=1 for the strictly sequential engine.
+// pruned backtracking with no budget and one search worker per CPU
+// (Workers=0); set Workers=1 for the strictly sequential engine.
 type Checker struct {
 	// Naive disables inequality pruning and fresh-value symmetry
 	// breaking in the valuation search (ablation ABL-1 of DESIGN.md).
@@ -63,8 +57,7 @@ type Checker struct {
 	// (see DESIGN.md, "Parallel search"): the parallel engine returns
 	// byte-identical verdict/Extension/NewTuple/Disjunct to Workers=1.
 	Workers int
-	// Budget bounds every check this checker runs (see Budget). Applied
-	// by the Ctx entry points and by the legacy wrappers alike; the
+	// Budget bounds every check this checker runs (see Budget); the
 	// zero value is unlimited.
 	Budget Budget
 }
@@ -77,22 +70,16 @@ func (ck *Checker) effectiveWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// RCDP decides the relatively complete database problem with the
-// default checker. See Checker.RCDP.
-func RCDP(q qlang.Query, d, dm *relation.Database, v *cc.Set) (*RCDPResult, error) {
-	return (&Checker{}).RCDP(q, d, dm, v)
-}
-
 // RCDPCtx decides the relatively complete database problem with the
 // default checker under context/budget governance. See Checker.RCDPCtx.
 func RCDPCtx(ctx context.Context, q qlang.Query, d, dm *relation.Database, v *cc.Set) (*RCDPResult, error) {
 	return (&Checker{}).RCDPCtx(ctx, q, d, dm, v)
 }
 
-// RCDP decides RCDP(L_Q, L_C) for monotone L_Q and L_C (CQ, UCQ, ∃FO⁺;
-// INDs are CQ constraints): given a query Q, master data Dm, a set V of
-// containment constraints and a partially closed database D, it reports
-// whether D is complete for Q relative to (Dm, V).
+// RCDPCtx decides RCDP(L_Q, L_C) for monotone L_Q and L_C (CQ, UCQ,
+// ∃FO⁺; INDs are CQ constraints): given a query Q, master data Dm, a set
+// V of containment constraints and a partially closed database D, it
+// reports whether D is complete for Q relative to (Dm, V).
 //
 // The procedure implements the characterization of Proposition 3.3 and
 // Corollaries 3.4/3.5: D is incomplete iff some disjunct tableau
@@ -102,33 +89,17 @@ func RCDPCtx(ctx context.Context, q qlang.Query, d, dm *relation.Database, v *cc
 // witness exact (the Σ₂ᵖ algorithm of Theorem 3.6 guesses the same
 // certificate).
 //
-// It is an error to call RCDP with FO or FP queries or constraints
-// (Theorem 3.1: undecidable) — use BoundedRCDP for those — or with a D
-// that is not partially closed with respect to (Dm, V).
+// It is an error to call RCDPCtx with FO or FP queries or constraints
+// (Theorem 3.1: undecidable) — use BoundedRCDPCtx for those — or with
+// a D that is not partially closed with respect to (Dm, V).
 //
-// RCDP is the ungoverned form of RCDPCtx: it runs with
-// context.Background() and surfaces a governance stop (only possible
-// when ck.Budget is set) as the corresponding sentinel error
-// (ErrBudgetExceeded, query.ErrRowBudget, …) instead of an Unknown
-// verdict.
-func (ck *Checker) RCDP(q qlang.Query, d, dm *relation.Database, v *cc.Set) (*RCDPResult, error) {
-	res, err := ck.RCDPCtx(context.Background(), q, d, dm, v)
-	if err != nil {
-		return nil, err
-	}
-	if res.Verdict == VerdictUnknown {
-		return nil, res.Reason.Err()
-	}
-	return res, nil
-}
-
-// RCDPCtx is RCDP under context/budget governance. It returns a nil
+// The check runs under context/budget governance: it returns a nil
 // error with Verdict=VerdictUnknown (plus the Reason and the consumed
 // Stats) when ctx is cancelled, the deadline expires or a budget
 // dimension runs out before the search decides; genuine failures
 // (undecidable language, D not partially closed, schema errors) are
-// still errors. For decisive budgets — far from the amount of work a
-// verdict needs — the verdict and reason are identical at Workers=1 and
+// errors. For decisive budgets — far from the amount of work a verdict
+// needs — the verdict and reason are identical at Workers=1 and
 // Workers=N; near the boundary the parallel engine's speculative work
 // can tip a run to either side (see DESIGN.md "Resource governance").
 func (ck *Checker) RCDPCtx(ctx context.Context, q qlang.Query, d, dm *relation.Database, v *cc.Set) (*RCDPResult, error) {
@@ -145,12 +116,7 @@ func (ck *Checker) RCDPCtx(ctx context.Context, q qlang.Query, d, dm *relation.D
 		co.done("error", ReasonNone, gv.stats(0))
 		return nil, err
 	}
-	if res.Complete {
-		res.Verdict = VerdictComplete
-	} else {
-		res.Verdict = VerdictIncomplete
-	}
-	res.Stats = gv.stats(res.Valuations)
+	res.Stats = gv.stats(res.Stats.Valuations)
 	co.done(res.Verdict.String(), ReasonNone, res.Stats)
 	return res, nil
 }
@@ -176,10 +142,10 @@ type rcdpPrep struct {
 // complete).
 func (ck *Checker) prepareRCDP(q qlang.Query, d, dm *relation.Database, v *cc.Set, gate *query.Gate) (*rcdpPrep, error) {
 	if !q.Lang().Monotone() {
-		return nil, fmt.Errorf("core: RCDP is undecidable for L_Q = %v (Theorem 3.1); use BoundedRCDP", q.Lang())
+		return nil, fmt.Errorf("core: RCDP is undecidable for L_Q = %v (Theorem 3.1); use BoundedRCDPCtx", q.Lang())
 	}
 	if v != nil && !v.AllMonotone() {
-		return nil, fmt.Errorf("core: RCDP is undecidable for L_C = %v (Theorem 3.1); use BoundedRCDP", v.MaxLang())
+		return nil, fmt.Errorf("core: RCDP is undecidable for L_C = %v (Theorem 3.1); use BoundedRCDPCtx", v.MaxLang())
 	}
 	if ok, err := v.SatisfiedGate(d, dm, gate); err != nil {
 		return nil, err
@@ -242,7 +208,7 @@ func (ck *Checker) rcdp(q qlang.Query, d, dm *relation.Database, v *cc.Set, pool
 		return nil, err
 	}
 	if prep == nil {
-		return &RCDPResult{Complete: true}, nil
+		return &RCDPResult{Verdict: VerdictComplete}, nil
 	}
 
 	if workers := ck.effectiveWorkers(); workers > 1 {
@@ -256,7 +222,7 @@ func (ck *Checker) rcdp(q qlang.Query, d, dm *relation.Database, v *cc.Set, pool
 
 	wc := newWitnessChecker(prep, d, dm, v, gate)
 	defer wc.flush()
-	res := &RCDPResult{Complete: true}
+	res := &RCDPResult{Verdict: VerdictComplete}
 	for di, search := range prep.searches {
 		if search == nil {
 			continue
@@ -275,7 +241,7 @@ func (ck *Checker) rcdp(q qlang.Query, d, dm *relation.Database, v *cc.Set, pool
 			found = r
 			return false
 		})
-		res.Valuations += search.visited
+		res.Stats.Valuations += search.visited
 		noteDisjunct(di, search.visited, found != nil)
 		if cbErr != nil {
 			return nil, cbErr
@@ -287,7 +253,7 @@ func (ck *Checker) rcdp(q qlang.Query, d, dm *relation.Database, v *cc.Set, pool
 			// Valuations counts everything inspected up to and
 			// including this disjunct; later disjuncts are never
 			// searched (see TestRCDPValuationsAccounting).
-			found.Valuations = res.Valuations
+			found.Stats.Valuations = res.Stats.Valuations
 			return found, nil
 		}
 	}
@@ -361,7 +327,7 @@ func (w *witnessChecker) witness(di int, slots []int32) (*RCDPResult, error) {
 	ext := w.frags[di]
 	w.frags[di] = nil
 	return &RCDPResult{
-		Complete:  false,
+		Verdict:   VerdictIncomplete,
 		Extension: ext,
 		NewTuple:  s.headTuple(slots),
 		Disjunct:  di,
@@ -428,7 +394,7 @@ func (ck *Checker) rcdpParallel(pool *workerPool, prep *rcdpPrep, d, dm *relatio
 		return nil, err
 	}
 	if key == noKey {
-		return &RCDPResult{Complete: true, Valuations: total}, nil
+		return &RCDPResult{Verdict: VerdictComplete, Stats: BudgetStats{Valuations: total}}, nil
 	}
 	if val == nil {
 		// A budget-exhaustion claim won: some disjunct ran out of
@@ -436,15 +402,6 @@ func (ck *Checker) rcdpParallel(pool *workerPool, prep *rcdpPrep, d, dm *relatio
 		return nil, ErrBudgetExceeded
 	}
 	r := val.(*RCDPResult)
-	r.Valuations = total
+	r.Stats.Valuations = total
 	return r, nil
-}
-
-// IsComplete is a convenience wrapper returning only the verdict.
-func IsComplete(q qlang.Query, d, dm *relation.Database, v *cc.Set) (bool, error) {
-	r, err := RCDP(q, d, dm, v)
-	if err != nil {
-		return false, err
-	}
-	return r.Complete, nil
 }

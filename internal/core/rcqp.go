@@ -89,12 +89,6 @@ func (ck *QPChecker) withDefaults() QPChecker {
 	return out
 }
 
-// RCQP decides the relatively complete query problem with the default
-// checker.
-func RCQP(q qlang.Query, dm *relation.Database, v *cc.Set, schemas map[string]*relation.Schema) (*RCQPResult, error) {
-	return (&QPChecker{}).RCQP(q, dm, v, schemas)
-}
-
 // RCQPCtx decides the relatively complete query problem with the
 // default checker under context/budget governance. See
 // QPChecker.RCQPCtx.
@@ -102,8 +96,8 @@ func RCQPCtx(ctx context.Context, q qlang.Query, dm *relation.Database, v *cc.Se
 	return (&QPChecker{}).RCQPCtx(ctx, q, dm, v, schemas)
 }
 
-// RCQP decides RCQP(L_Q, L_C) for monotone L_Q: given Q, Dm and V, is
-// there any database complete for Q relative to (Dm, V)?
+// RCQPCtx decides RCQP(L_Q, L_C) for monotone L_Q: given Q, Dm and V,
+// is there any database complete for Q relative to (Dm, V)?
 //
 // When V consists of INDs the syntactic characterization of Proposition
 // 4.3 (conditions E3/E4) decides the problem exactly. For CQ-class
@@ -115,28 +109,13 @@ func RCQPCtx(ctx context.Context, q qlang.Query, dm *relation.Database, v *cc.Se
 // is confirmed with an RCDP check, so a Yes always carries a verified
 // witness. schemas must cover every relation of the database schema R
 // that Q or V mentions.
-func (ck *QPChecker) RCQP(q qlang.Query, dm *relation.Database, v *cc.Set, schemas map[string]*relation.Schema) (*RCQPResult, error) {
-	res, err := ck.RCQPCtx(context.Background(), q, dm, v, schemas)
-	if err != nil {
-		return nil, err
-	}
-	if res.Status == Unknown && res.Reason != ReasonNone {
-		return nil, res.Reason.Err()
-	}
-	return res, nil
-}
-
-// RCQPCtx is RCQP under context/budget governance (the budget is
+//
+// The check runs under context/budget governance (the budget is
 // ck.Checker.Budget). A governance stop returns Status=Unknown with the
-// Reason set and a nil error; the pre-existing caps-exhausted Unknown
-// keeps ReasonNone. See Checker.RCDPCtx for the determinism contract.
+// Reason set and a nil error; the caps-exhausted Unknown of the
+// certificate search keeps ReasonNone. See Checker.RCDPCtx for the
+// determinism contract.
 func (ck *QPChecker) RCQPCtx(ctx context.Context, q qlang.Query, dm *relation.Database, v *cc.Set, schemas map[string]*relation.Schema) (*RCQPResult, error) {
-	if !q.Lang().Monotone() {
-		return nil, fmt.Errorf("core: RCQP is undecidable for L_Q = %v (Theorem 4.1); use BoundedRCQP", q.Lang())
-	}
-	if v != nil && !v.AllMonotone() {
-		return nil, fmt.Errorf("core: RCQP is undecidable for L_C = %v (Theorem 4.1); use BoundedRCQP", v.MaxLang())
-	}
 	cfg := ck.withDefaults()
 	co := startCheck("rcqp", cfg.Checker.effectiveWorkers())
 	gv := newGovernor(ctx, cfg.Checker.Budget)
@@ -149,9 +128,14 @@ func (ck *QPChecker) RCQPCtx(ctx context.Context, q qlang.Query, dm *relation.Da
 	var res *RCQPResult
 	var valuations int
 	var err error
-	if v.AllINDs() {
+	switch {
+	case !q.Lang().Monotone():
+		err = fmt.Errorf("core: RCQP is undecidable for L_Q = %v (Theorem 4.1); use BoundedRCQPCtx", q.Lang())
+	case v != nil && !v.AllMonotone():
+		err = fmt.Errorf("core: RCQP is undecidable for L_C = %v (Theorem 4.1); use BoundedRCQPCtx", v.MaxLang())
+	case v.AllINDs():
 		res, valuations, err = cfg.rcqpINDs(q, dm, v, schemas, wp, gv)
-	} else {
+	default:
 		res, err = cfg.rcqpGeneral(q, dm, v, schemas, wp, gv)
 	}
 	if err != nil {
@@ -462,7 +446,7 @@ func (cfg QPChecker) searchWitness(q qlang.Query, dm *relation.Database, v *cc.S
 			}
 			return nil, err
 		}
-		if r.Complete {
+		if r.Verdict == VerdictComplete {
 			return cand, nil
 		}
 		return nil, nil
@@ -498,7 +482,7 @@ func (cfg QPChecker) searchWitness(q qlang.Query, dm *relation.Database, v *cc.S
 				}
 				break
 			}
-			if r.Complete {
+			if r.Verdict == VerdictComplete {
 				return cur, tried, nil
 			}
 			diverges := false
@@ -604,7 +588,7 @@ func (cfg QPChecker) deepenParallel(wp *workerPool, q qlang.Query, dm *relation.
 					}
 					return
 				}
-				if r.Complete {
+				if r.Verdict == VerdictComplete {
 					ctl.claim(key, cand)
 				}
 			}

@@ -225,14 +225,6 @@ func (ck *Checker) RecheckDeltaCtx(ctx context.Context, q qlang.Query, d, dm *re
 	return res, false, err
 }
 
-// RecheckDelta is RecheckDeltaCtx with context.Background(). Unlike the
-// legacy RCDP wrapper it keeps the three-valued result: a reused
-// Unknown is an answer, not an error.
-func (ck *Checker) RecheckDelta(q qlang.Query, d, dm *relation.Database,
-	v *cc.Set, prev *RCDPResult, dl *Delta) (*RCDPResult, bool, error) {
-	return ck.RecheckDeltaCtx(context.Background(), q, d, dm, v, prev, dl)
-}
-
 // revalidateWitness re-verifies a cached incompleteness witness against
 // the mutated data: D ∪ Δ must still satisfy V. Under the invisibility
 // gate this cannot fail; it is a cheap guard against gate bugs, and a

@@ -116,9 +116,9 @@ func TestRecheckDeltaMatchesColdCRM(t *testing.T) {
 				t.Fatalf("%s step %d (reused=%v): incremental and cold disagree\ndelta: %+v\nincremental: %+v\ncold: %+v",
 					name, step, didReuse, dl, got, want)
 			}
-			if workers == 1 && got.Valuations != want.Valuations {
+			if workers == 1 && got.Stats.Valuations != want.Stats.Valuations {
 				t.Fatalf("%s step %d (reused=%v): valuation counts diverge: incremental %d cold %d",
-					name, step, didReuse, got.Valuations, want.Valuations)
+					name, step, didReuse, got.Stats.Valuations, want.Stats.Valuations)
 			}
 			if didReuse {
 				reused++
@@ -251,8 +251,8 @@ func TestRecheckDeltaReuseProperty(t *testing.T) {
 				t.Fatalf("%s step %d (reused=%v): results diverge\nincremental: %+v\ncold: %+v",
 					name, step, didReuse, got, want)
 			}
-			if workers == 1 && got.Valuations != want.Valuations {
-				t.Fatalf("%s step %d: valuations diverge: %d vs %d", name, step, got.Valuations, want.Valuations)
+			if workers == 1 && got.Stats.Valuations != want.Stats.Valuations {
+				t.Fatalf("%s step %d: valuations diverge: %d vs %d", name, step, got.Stats.Valuations, want.Stats.Valuations)
 			}
 			if didReuse {
 				reuses++

@@ -9,8 +9,9 @@ import (
 	"repro/internal/relation"
 )
 
-// ErrBudgetExceeded is returned when a search visits more candidate
-// valuations than the configured cap.
+// ErrBudgetExceeded stops a search that visits more candidate
+// valuations than the configured cap; the entry points report it as an
+// Unknown result with ReasonValuations.
 var ErrBudgetExceeded = errors.New("core: valuation budget exceeded")
 
 // errStop signals early termination of a search from a callback.

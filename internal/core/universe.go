@@ -22,13 +22,12 @@
 //     semi-decision procedures that are sound for "incomplete" and
 //     report completeness only up to an explicit bound.
 //
-// Two engine families are exposed. The plain entry points (RCDP, RCQP,
-// BoundedRCDP) run to completion and return booleans. The governed
-// entry points (Checker.RCDPCtx, RCQPCtx, BoundedRCDPCtx,
-// BoundedRCQPCtx) accept a context and a Budget, stop the search the
-// moment a resource cap trips, and answer with a three-valued Verdict
-// plus the exhausted-dimension Reason and the BudgetStats actually
-// consumed — unknown is an answer, not an error. Checker.Workers
+// Each decision procedure has exactly one entry point, its governed
+// form (Checker.RCDPCtx, QPChecker.RCQPCtx, BoundedRCDPCtx,
+// BoundedRCQPCtx, DegreeCtx): it accepts a context and a Budget, stops
+// the search the moment a resource cap trips, and answers with a
+// three-valued Verdict plus the exhausted-dimension Reason and the
+// BudgetStats actually consumed — unknown is an answer, not an error. Checker.Workers
 // selects between the strictly sequential engine (Workers=1) and the
 // deterministic parallel engine, which returns scheduling-independent
 // verdicts and witnesses.

@@ -1,6 +1,7 @@
 package mdm
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cc"
@@ -68,14 +69,14 @@ func TestIncompleteScenarioDetected(t *testing.T) {
 	s := Generate(cfg)
 	v := cc.NewSet(Phi0())
 	q := Q0("908")
-	r, err := core.RCDP(q, s.D, s.Dm, v)
+	r, err := core.RCDPCtx(context.Background(), q, s.D, s.Dm, v)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// With half the domestic customers missing, Q0 over any populated
 	// area code is very likely incomplete; assert the checker runs and,
 	// when incomplete, produces a verifiable witness.
-	if !r.Complete {
+	if r.Verdict != core.VerdictComplete {
 		union := s.D.Union(r.Extension)
 		if ok, _ := v.Satisfied(union, s.Dm); !ok {
 			t.Fatal("counterexample not partially closed")
@@ -97,11 +98,11 @@ func TestCompleteScenarioQ1(t *testing.T) {
 	}
 	v := cc.NewSet(Phi0())
 	q := Q1("e00", "908")
-	r, err := core.RCDP(q, s.D, s.Dm, v)
+	r, err := core.RCDPCtx(context.Background(), q, s.D, s.Dm, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Complete {
+	if r.Verdict != core.VerdictComplete {
 		t.Fatalf("saturated Q1 must be complete; extension %v", r.Extension)
 	}
 }
@@ -118,11 +119,11 @@ func TestQ2WithAtMostK(t *testing.T) {
 		s.D.MustAdd(Supt, "e00", "sales", string(rune('a'+i)))
 	}
 	v := cc.NewSet(Phi1(k))
-	r, err := core.RCDP(Q2("e00"), s.D, s.Dm, v)
+	r, err := core.RCDPCtx(context.Background(), Q2("e00"), s.D, s.Dm, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Complete {
+	if r.Verdict != core.VerdictComplete {
 		t.Fatalf("Q2 at the k bound must be complete; extension %v", r.Extension)
 	}
 }
@@ -164,7 +165,7 @@ func TestQ3RelativeCompleteness(t *testing.T) {
 	v := cc.NewSet(ManageIND())
 	q := Q3CQ("e00", 2)
 
-	res, err := core.RCQP(q, s.Dm, v, s.Schemas)
+	res, err := core.RCQPCtx(context.Background(), q, s.Dm, v, s.Schemas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,19 +177,19 @@ func TestQ3RelativeCompleteness(t *testing.T) {
 	// restores it.
 	d := s.D.Clone()
 	d.Instance(Manage).Remove(relation.T("e02", "e01"))
-	r, err := core.RCDP(q, d, s.Dm, v)
+	r, err := core.RCDPCtx(context.Background(), q, d, s.Dm, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Complete {
+	if r.Verdict == core.VerdictComplete {
 		t.Fatal("database missing a management edge must be incomplete")
 	}
 	done, _, err := core.MakeComplete(q, d, s.Dm, v, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err = core.RCDP(q, done, s.Dm, v)
-	if err != nil || !r.Complete {
+	r, err = core.RCDPCtx(context.Background(), q, done, s.Dm, v)
+	if err != nil || r.Verdict != core.VerdictComplete {
 		t.Fatalf("MakeComplete failed: %v %v", r, err)
 	}
 }

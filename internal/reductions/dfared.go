@@ -19,8 +19,8 @@ import (
 // CQ well-formedness constraints V₁–V₃, and an FP query Q that holds on
 // a well-formed instance iff it encodes a string accepted by A. The
 // empty D is complete for Q iff L(A) = ∅ — undecidable, so the
-// instance is consumed by core.BoundedRCDP; the companion function
-// DFAQueryAcceptsEncoding validates the heart of the reduction (the
+// instance is consumed by core.BoundedRCDPCtx; the companion function
+// DFAQueryAcceptsEncodingCtx validates the heart of the reduction (the
 // datalog simulation) directly against the automaton.
 func DFAToRCDP(a *automata.DFA) (*RCDPInstance, error) {
 	if err := a.Validate(); err != nil {
@@ -127,18 +127,12 @@ func addHeadConds(body *[]datalog.Literal, in automata.Symbol, move automata.Mov
 	return pos
 }
 
-// DFAQueryAcceptsEncoding evaluates the reduction's FP query on the
+// DFAQueryAcceptsEncodingCtx evaluates the reduction's FP query on the
 // relational encoding of w, which must coincide with A accepting w —
-// the executable content of the Theorem 3.1(3) simulation.
-func DFAQueryAcceptsEncoding(a *automata.DFA, w []automata.Symbol) (bool, error) {
-	return DFAQueryAcceptsEncodingCtx(context.Background(), a, w)
-}
-
-// DFAQueryAcceptsEncodingCtx is DFAQueryAcceptsEncoding under context
-// governance: the fixpoint simulation stops within one rule-body row of
-// ctx being cancelled. The bounded simulators are where undecidable
-// instances (Theorem 3.1) can genuinely diverge, so this is the entry
-// point interactive callers should use.
+// the executable content of the Theorem 3.1(3) simulation. The fixpoint
+// simulation stops within one rule-body row of ctx being cancelled: the
+// bounded simulators are where undecidable instances (Theorem 3.1) can
+// genuinely diverge.
 func DFAQueryAcceptsEncodingCtx(ctx context.Context, a *automata.DFA, w []automata.Symbol) (bool, error) {
 	prog, err := DFAProgram(a)
 	if err != nil {

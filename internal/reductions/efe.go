@@ -131,7 +131,7 @@ func ExistsForallExistsToRCQP(phi *sat.CNF, nX, nY int) (*RCQPInstance, error) {
 // Corollary 4.6 proof for a given X assignment: the fixed truth tables,
 // R_X pinning the assignment, and R_b = {(1, 0)}. When ∃X∀Y∃Z ϕ holds
 // with this X witness, the database is complete for the reduction's
-// query (verify with core.RCDP).
+// query (verify with core.RCDPCtx).
 func EFEWitness(inst *RCQPInstance, xAssign map[int]bool) *relation.Database {
 	var ss []*relation.Schema
 	for _, name := range []string{"R1", "R2", "R3", "R4", "RX", "Rb"} {

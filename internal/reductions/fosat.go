@@ -18,7 +18,7 @@ import (
 // completeness says no extension satisfies q).
 //
 // RCDP is undecidable here, so the instance is consumed by
-// core.BoundedRCDP: finding an extension certifies satisfiability;
+// core.BoundedRCDPCtx: finding an extension certifies satisfiability;
 // exhausting the bound certifies unsatisfiability up to that bound.
 func FOSatToRCDP(q *fo.Query) (*RCDPInstance, error) {
 	e := relation.NewSchema("E", relation.Attr("a"), relation.Attr("b"))

@@ -1,6 +1,7 @@
 package reductions
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -41,13 +42,13 @@ func TestForallExistsReduction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		r, err := core.RCDP(inst.Q, inst.D, inst.Dm, inst.V)
+		r, err := core.RCDPCtx(context.Background(), inst.Q, inst.D, inst.Dm, inst.V)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if r.Complete != want {
+		if (r.Verdict == core.VerdictComplete) != want {
 			t.Fatalf("trial %d: RCDP complete=%v but ∀∃ = %v\nφ = %s (nX=%d)",
-				trial, r.Complete, want, phi, nX)
+				trial, r.Verdict == core.VerdictComplete, want, phi, nX)
 		}
 	}
 }
@@ -60,11 +61,11 @@ func TestForallExistsKnown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := core.RCDP(inst.Q, inst.D, inst.Dm, inst.V)
+	r, err := core.RCDPCtx(context.Background(), inst.Q, inst.D, inst.Dm, inst.V)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Complete {
+	if r.Verdict != core.VerdictComplete {
 		t.Fatalf("true sentence must yield a complete database; extension %v", r.Extension)
 	}
 	// ∀x1 ∃x2 (x1): false.
@@ -73,11 +74,11 @@ func TestForallExistsKnown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err = core.RCDP(inst.Q, inst.D, inst.Dm, inst.V)
+	r, err = core.RCDPCtx(context.Background(), inst.Q, inst.D, inst.Dm, inst.V)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Complete {
+	if r.Verdict == core.VerdictComplete {
 		t.Fatal("false sentence must yield an incomplete database")
 	}
 	// The counterexample extension must include the R6 switch tuple (0).
@@ -100,7 +101,7 @@ func TestThreeSATReduction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		res, err := core.RCQP(inst.Q, inst.Dm, inst.V, inst.Schemas)
+		res, err := core.RCQPCtx(context.Background(), inst.Q, inst.Dm, inst.V, inst.Schemas)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -133,11 +134,11 @@ func TestEFEReduction(t *testing.T) {
 		witnessX, holds := sat.ExistsWitness(phi, nX, nY)
 		if holds {
 			d := EFEWitness(inst, witnessX)
-			r, err := core.RCDP(inst.Q, d, inst.Dm, inst.V)
+			r, err := core.RCDPCtx(context.Background(), inst.Q, d, inst.Dm, inst.V)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			if !r.Complete {
+			if r.Verdict != core.VerdictComplete {
 				t.Fatalf("trial %d: ϕ true via X=%v but witness incomplete (ext %v)\nφ = %s",
 					trial, witnessX, r.Extension, phi)
 			}
@@ -149,11 +150,11 @@ func TestEFEReduction(t *testing.T) {
 					assign[i] = mask&(1<<(i-1)) != 0
 				}
 				d := EFEWitness(inst, assign)
-				r, err := core.RCDP(inst.Q, d, inst.Dm, inst.V)
+				r, err := core.RCDPCtx(context.Background(), inst.Q, d, inst.Dm, inst.V)
 				if err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
-				if r.Complete {
+				if r.Verdict == core.VerdictComplete {
 					t.Fatalf("trial %d: ϕ false but witness X=%v complete\nφ = %s", trial, assign, phi)
 				}
 			}
@@ -200,7 +201,7 @@ func TestDFASimulation(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := a.Accepts(sym)
-			got, err := DFAQueryAcceptsEncoding(a, sym)
+			got, err := DFAQueryAcceptsEncodingCtx(context.Background(), a, sym)
 			if err != nil {
 				t.Fatalf("%s/%q: %v", name, ws, err)
 			}
@@ -252,11 +253,11 @@ func TestDFABoundedRCDP(t *testing.T) {
 	}
 	// The empty word is accepted: its encoding is the single tuple
 	// F(0,0), so a 1-tuple extension must be found.
-	r, err := core.BoundedRCDP(inst.Q, inst.D, inst.Dm, inst.V, core.BoundedOpts{MaxAdd: 1, FreshValues: 2})
+	r, err := core.BoundedRCDPCtx(context.Background(), inst.Q, inst.D, inst.Dm, inst.V, core.BoundedOpts{MaxAdd: 1, FreshValues: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Incomplete {
+	if r.Verdict != core.VerdictIncomplete {
 		t.Fatal("accepting automaton: empty D must be incomplete")
 	}
 	dead := automata.New(2, 0, 1) // no transitions: L(A) = ∅
@@ -264,11 +265,11 @@ func TestDFABoundedRCDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err = core.BoundedRCDP(inst.Q, inst.D, inst.Dm, inst.V, core.BoundedOpts{MaxAdd: 1, FreshValues: 2})
+	r, err = core.BoundedRCDPCtx(context.Background(), inst.Q, inst.D, inst.Dm, inst.V, core.BoundedOpts{MaxAdd: 1, FreshValues: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Incomplete {
+	if r.Verdict == core.VerdictIncomplete {
 		t.Fatal("empty-language automaton: empty D complete up to bound")
 	}
 }

@@ -1,6 +1,7 @@
 package reductions
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -32,11 +33,11 @@ func TestTilingWitnessComplete2x2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := core.RCDP(inst.Q, w, inst.Dm, inst.V)
+	r, err := core.RCDPCtx(context.Background(), inst.Q, w, inst.Dm, inst.V)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Complete {
+	if r.Verdict != core.VerdictComplete {
 		t.Fatalf("tiling witness must be complete; extension %v", r.Extension)
 	}
 }
@@ -61,22 +62,22 @@ func TestTilingUnsolvableIncomplete(t *testing.T) {
 		ss = append(ss, s)
 	}
 	empty := relation.NewDatabase(ss...)
-	r, err := core.RCDP(inst.Q, empty, inst.Dm, inst.V)
+	r, err := core.RCDPCtx(context.Background(), inst.Q, empty, inst.Dm, inst.V)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Complete {
+	if r.Verdict == core.VerdictComplete {
 		t.Fatal("empty database must be incomplete when no tiling exists")
 	}
 	// A database with only the bound tuple is still incomplete: without
 	// a stored tiling the φ constraint never fires, so R_b stays open.
 	d2 := empty.Clone()
 	d2.MustAdd("Rb", "bound")
-	r, err = core.RCDP(inst.Q, d2, inst.Dm, inst.V)
+	r, err = core.RCDPCtx(context.Background(), inst.Q, d2, inst.Dm, inst.V)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Complete {
+	if r.Verdict == core.VerdictComplete {
 		t.Fatal("bound-only database must be incomplete when no tiling exists")
 	}
 }
@@ -142,11 +143,11 @@ func TestTilingWitnessComplete4x4(t *testing.T) {
 	if ok, err := inst.V.Satisfied(w, inst.Dm); err != nil || !ok {
 		t.Fatalf("4x4 witness not partially closed: %v %v", ok, err)
 	}
-	r, err := core.RCDP(inst.Q, w, inst.Dm, inst.V)
+	r, err := core.RCDPCtx(context.Background(), inst.Q, w, inst.Dm, inst.V)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Complete {
+	if r.Verdict != core.VerdictComplete {
 		t.Fatalf("4x4 tiling witness must be complete; extension %v", r.Extension)
 	}
 }
@@ -176,11 +177,11 @@ func TestTilingRandom(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := core.RCDP(inst.Q, w, inst.Dm, inst.V)
+			r, err := core.RCDPCtx(context.Background(), inst.Q, w, inst.Dm, inst.V)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !r.Complete {
+			if r.Verdict != core.VerdictComplete {
 				t.Fatalf("trial %d: witness incomplete; ext %v", trial, r.Extension)
 			}
 		}
@@ -211,24 +212,24 @@ func TestFOSatReductions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := core.BoundedRCDP(inst.Q, inst.D, inst.Dm, inst.V, opts)
+		r, err := core.BoundedRCDPCtx(context.Background(), inst.Q, inst.D, inst.Dm, inst.V, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Incomplete != tc.sat {
-			t.Fatalf("%s: 3.1(1) incomplete=%v want %v", tc.name, r.Incomplete, tc.sat)
+		if (r.Verdict == core.VerdictIncomplete) != tc.sat {
+			t.Fatalf("%s: 3.1(1) incomplete=%v want %v", tc.name, r.Verdict == core.VerdictIncomplete, tc.sat)
 		}
 		// Theorem 3.1(2): L_C = FO.
 		inst, err = FOSatToRCDPviaCC(tc.q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err = core.BoundedRCDP(inst.Q, inst.D, inst.Dm, inst.V, opts)
+		r, err = core.BoundedRCDPCtx(context.Background(), inst.Q, inst.D, inst.Dm, inst.V, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Incomplete != tc.sat {
-			t.Fatalf("%s: 3.1(2) incomplete=%v want %v", tc.name, r.Incomplete, tc.sat)
+		if (r.Verdict == core.VerdictIncomplete) != tc.sat {
+			t.Fatalf("%s: 3.1(2) incomplete=%v want %v", tc.name, r.Verdict == core.VerdictIncomplete, tc.sat)
 		}
 		// Theorem 4.1(2): RCQP with the FO constraint. For unsat q the
 		// empty database is complete (bounded search finds it); for sat
@@ -239,13 +240,13 @@ func TestFOSatReductions(t *testing.T) {
 		}
 		// Exposing incompleteness of a candidate takes two tuples here
 		// (an E pair plus an Ru tuple), so the inner bound must be 2.
-		br, err := core.BoundedRCQP(qinst.Q, qinst.Dm, qinst.V, qinst.Schemas, 1,
+		br, err := core.BoundedRCQPCtx(context.Background(), qinst.Q, qinst.Dm, qinst.V, qinst.Schemas, 1,
 			core.BoundedOpts{MaxAdd: 2, FreshValues: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if br.Found == tc.sat {
-			t.Fatalf("%s: 4.1(2) witness found=%v want %v", tc.name, br.Found, !tc.sat)
+		if (br.Verdict == core.VerdictComplete) == tc.sat {
+			t.Fatalf("%s: 4.1(2) witness found=%v want %v", tc.name, br.Verdict == core.VerdictComplete, !tc.sat)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -242,6 +243,89 @@ func TestRouterForwarding(t *testing.T) {
 	}
 }
 
+// TestRouterRequestIDs: one id names a request on both hops. Broadcast
+// and forwarded legs carry the router's X-Request-Id, the backend adopts
+// it, and a routed check reports it as X-Backend-Request-Id and in the
+// body; a malformed incoming id is not adopted.
+func TestRouterRequestIDs(t *testing.T) {
+	b := New(Config{})
+	var mu sync.Mutex
+	legs := map[string]string{} // backend path -> X-Request-Id of its last leg
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		legs[r.URL.Path] = r.Header.Get("X-Request-Id")
+		mu.Unlock()
+		b.Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	rt, err := NewRouter(RouterConfig{Backends: []string{ts.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	send := func(url string, body any, id string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(mustJSON(t, body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		if id != "" {
+			req.Header.Set("X-Request-Id", id)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	resp := send(front.URL+"/v1/catalog", CatalogRequest{
+		Name: "crm", Schemas: exSchemas, MasterSchemas: exMasterSchemas,
+		Master: exMaster, Constraints: exConstraints,
+	}, "")
+	resp.Body.Close()
+	mu.Lock()
+	leg := legs["/v1/catalog"]
+	mu.Unlock()
+	if resp.StatusCode != http.StatusCreated || leg == "" || leg != resp.Header.Get("X-Request-Id") {
+		t.Fatalf("broadcast: status %d, router id %q, backend leg id %q", resp.StatusCode, resp.Header.Get("X-Request-Id"), leg)
+	}
+
+	resp = send(front.URL+"/v1/rcdp", CheckRequest{Catalog: "crm", DB: exDB, Query: exQuery}, "")
+	var cr CheckResponse
+	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	id := resp.Header.Get("X-Request-Id")
+	if resp.StatusCode != http.StatusOK || id == "" || resp.Header.Get("X-Backend-Request-Id") != id || cr.RequestID != id {
+		t.Fatalf("routed check: status %d, X-Request-Id %q, X-Backend-Request-Id %q, body request_id %q",
+			resp.StatusCode, id, resp.Header.Get("X-Backend-Request-Id"), cr.RequestID)
+	}
+
+	// Directly at the backend: a well-formed id is adopted, a malformed
+	// or oversized one is replaced by a minted id.
+	for _, tc := range []struct {
+		id    string
+		adopt bool
+	}{
+		{"client-7.a_B", true},
+		{"bad id", false},
+		{"<script>", false},
+		{strings.Repeat("x", 65), false},
+	} {
+		resp := send(ts.URL+"/v1/rcdp", CheckRequest{Catalog: "crm", DB: exDB, Query: exQuery}, tc.id)
+		resp.Body.Close()
+		got := resp.Header.Get("X-Request-Id")
+		if adopted := got == tc.id; adopted != tc.adopt || got == "" {
+			t.Errorf("incoming id %q: backend answered with %q (adopt=%v)", tc.id, got, tc.adopt)
+		}
+	}
+}
+
 // TestRouterEjectOnFailure: a dead backend fails its forward with 502
 // and is ejected from the routing rotation — no blind resend; the next
 // request is refused without touching the wire until a reprobe heals
@@ -304,7 +388,14 @@ func TestRouterCatalogResync(t *testing.T) {
 	// as an unreachable backend (not an HTTP refusal).
 	s2 := New(Config{})
 	var down atomic.Bool
+	var mu sync.Mutex
+	var replayIDs []string // X-Request-Id of each POST leg backend 2 served
 	ts2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !down.Load() && r.Method == http.MethodPost {
+			mu.Lock()
+			replayIDs = append(replayIDs, r.Header.Get("X-Request-Id"))
+			mu.Unlock()
+		}
 		if down.Load() {
 			hj, ok := w.(http.Hijacker)
 			if !ok {
@@ -373,6 +464,13 @@ func TestRouterCatalogResync(t *testing.T) {
 	}
 	if s2.Catalog().Get("crm") == nil {
 		t.Fatal("rejoined backend did not receive the catalog")
+	}
+	// Each replay leg carries its own freshly minted router id.
+	mu.Lock()
+	ids := append([]string(nil), replayIDs...)
+	mu.Unlock()
+	if len(ids) != 2 || ids[0] == "" || ids[1] == "" || ids[0] == ids[1] {
+		t.Errorf("replay legs carried ids %q, want 2 distinct minted ids", ids)
 	}
 	_, vr := getVerdicts(t, ts2.URL+"/v1/catalog/crm/verdicts")
 	if v := verdictOf(t, vr, incompleteQuery); v.Verdict != "complete" {

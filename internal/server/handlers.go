@@ -181,7 +181,7 @@ func (s *Server) refuseDraining(w http.ResponseWriter, id string) {
 func handleAdmitted[Req any](s *Server, endpoint string, serve func(ctx context.Context, id string, req *Req, w http.ResponseWriter, r *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		obs.ServeRequests.Inc(endpoint)
-		id := s.nextRequestID()
+		id := s.requestID(r)
 		w.Header().Set("X-Request-Id", id)
 		if r.Method != http.MethodPost {
 			writeError(w, id, http.StatusMethodNotAllowed, "POST only")
@@ -485,10 +485,10 @@ func (s *Server) runBounded(ctx context.Context, in *checkInput) (*CheckResponse
 		Verdict:  res.Verdict.String(),
 		Reason:   res.Reason.String(),
 		Stats:    statsJSON(res.Stats),
-		Explored: res.Explored,
+		Explored: res.Stats.Valuations,
 		MaxAdd:   res.MaxAdd,
 	}
-	if res.Incomplete {
+	if res.Verdict == core.VerdictIncomplete {
 		out.Extension = textq.FormatDatabase(res.Extension)
 		out.NewTuple = tupleJSON(res.NewTuple)
 	}
@@ -525,7 +525,7 @@ type CatalogInfo struct {
 // catalogHandler registers entries (POST) and lists them (GET).
 func (s *Server) catalogHandler(w http.ResponseWriter, r *http.Request) {
 	obs.ServeRequests.Inc("catalog")
-	id := s.nextRequestID()
+	id := s.requestID(r)
 	w.Header().Set("X-Request-Id", id)
 	switch r.Method {
 	case http.MethodGet:

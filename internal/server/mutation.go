@@ -292,7 +292,7 @@ func factsTuples(src string, schemas map[string]*relation.Schema) (map[string][]
 // state, and a parked long-poll must not occupy a worker slot.
 func (s *Server) verdictsHandler(w http.ResponseWriter, r *http.Request) {
 	obs.ServeRequests.Inc("verdicts")
-	id := s.nextRequestID()
+	id := s.requestID(r)
 	w.Header().Set("X-Request-Id", id)
 	name := r.PathValue("name")
 	e := s.catalog.Get(name)

@@ -310,7 +310,7 @@ func (rt *Router) forwardHandler(endpoint string) http.HandlerFunc {
 				rt.health[b].retries.Add(1)
 				obs.RouteRetries.Inc(rt.cfg.Backends[b])
 			}
-			resp, err := rt.forward(r.Context(), b, r.URL.Path, r.Header.Get("Content-Type"), body)
+			resp, err := rt.forward(r.Context(), b, id, r.URL.Path, r.Header.Get("Content-Type"), body)
 			if err != nil {
 				lastErr, lastBackend = err, b
 				continue
@@ -333,12 +333,13 @@ func (rt *Router) forwardHandler(endpoint string) http.HandlerFunc {
 // caller's context caused it) and is returned to the caller — routed
 // traffic fails over to the next ring candidate, broadcasts leave the
 // entry in the replay log for syncBackend. An HTTP status from the
-// backend — any status — means it is alive and is relayed as-is.
-func (rt *Router) forward(ctx context.Context, backend int, path, contentType string, body []byte) (*http.Response, error) {
+// backend — any status — means it is alive and is relayed as-is. id is
+// the client request's router id, which the backend adopts.
+func (rt *Router) forward(ctx context.Context, backend int, id, path, contentType string, body []byte) (*http.Response, error) {
 	name := rt.cfg.Backends[backend]
 	rt.health[backend].forwards.Add(1)
 	obs.RouteRequests.Inc(name)
-	resp, err := rt.post(ctx, name+path, contentType, body)
+	resp, err := rt.post(ctx, name+path, id, contentType, body)
 	if err != nil {
 		rt.health[backend].failures.Add(1)
 		obs.RouteFailures.Inc(name)
@@ -350,11 +351,13 @@ func (rt *Router) forward(ctx context.Context, backend int, path, contentType st
 	return resp, nil
 }
 
-func (rt *Router) post(ctx context.Context, url, contentType string, body []byte) (*http.Response, error) {
+// post sends one leg to a backend, carrying id as its X-Request-Id.
+func (rt *Router) post(ctx context.Context, url, id, contentType string, body []byte) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
+	req.Header.Set("X-Request-Id", id)
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
@@ -528,7 +531,7 @@ func (rt *Router) broadcastCatalog(ctx context.Context, w http.ResponseWriter, i
 		if rt.applied[i] != n {
 			continue // already behind; syncBackend replays in order
 		}
-		resp, err := rt.forward(ctx, i, path, "application/json", body)
+		resp, err := rt.forward(ctx, i, id, path, "application/json", body)
 		if err != nil {
 			continue // unreachable: catches up on the next ready probe
 		}
@@ -565,7 +568,8 @@ func (rt *Router) broadcastCatalog(ctx context.Context, w http.ResponseWriter, i
 // syncBackend replays the catalog log entries a backend missed — it
 // was unreachable during a broadcast, or restarted empty. The replay
 // posts directly instead of going through forward, so the forwards
-// ledger keeps counting only client-driven traffic. Replaying onto a
+// ledger keeps counting only client-driven traffic; each replay leg
+// carries a freshly minted router id. Replaying onto a
 // backend holding any prefix of the log is sound: a registration it
 // already has comes back as a 409 conflict (treated as applied), and
 // mutation batches are idempotent at the tuple level (duplicate
@@ -576,7 +580,7 @@ func (rt *Router) syncBackend(ctx context.Context, backend int) int {
 	defer rt.catmu.Unlock()
 	for rt.applied[backend] < len(rt.catlog) {
 		e := rt.catlog[rt.applied[backend]]
-		resp, err := rt.post(ctx, rt.cfg.Backends[backend]+e.path, "application/json", e.body)
+		resp, err := rt.post(ctx, rt.cfg.Backends[backend]+e.path, rt.nextRequestID(), "application/json", e.body)
 		if err != nil {
 			break
 		}

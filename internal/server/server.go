@@ -210,10 +210,31 @@ func (s *Server) release() {
 	s.wg.Done()
 }
 
-// nextRequestID mints the per-process request id surfaced in the
-// X-Request-Id header, response bodies and trace events.
-func (s *Server) nextRequestID() string {
+// requestID names a request in the X-Request-Id header, response
+// bodies and trace events. It adopts a well-formed incoming
+// X-Request-Id — a router forwards its own id, so one id names the
+// request on both hops — and otherwise mints a per-process one.
+func (s *Server) requestID(r *http.Request) string {
+	if id := r.Header.Get("X-Request-Id"); validRequestID(id) {
+		return id
+	}
 	return fmt.Sprintf("r%06d", s.reqSeq.Add(1))
+}
+
+// validRequestID accepts 1–64 bytes of [A-Za-z0-9._-]: enough for any
+// minted id, and nothing that could smuggle markup or control bytes
+// into headers, bodies or traces.
+func validRequestID(id string) bool {
+	if id == "" || len(id) > 64 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '.' || c == '_' || c == '-') {
+			return false
+		}
+	}
+	return true
 }
 
 func (s *Server) readyzHandler(w http.ResponseWriter, _ *http.Request) {
