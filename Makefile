@@ -30,9 +30,10 @@ relperf-test:
 # naive reference evaluator (cq), and the approximation engine (approx:
 # oracle calls fan out through the same worker pool) plus the
 # constraint miner (mine: its oracle re-validation runs the parallel
-# checker across evidence pairs).
+# checker across evidence pairs), and the FO/FP reductions (reductions,
+# datalog: the bounded search evaluates one program from many workers).
 race:
-	$(GO) test -race ./internal/core/... ./internal/server/... ./internal/cq/... ./internal/cc/... ./internal/relation/... ./internal/approx/... ./internal/mine/...
+	$(GO) test -race ./internal/core/... ./internal/server/... ./internal/cq/... ./internal/cc/... ./internal/relation/... ./internal/approx/... ./internal/mine/... ./internal/reductions/... ./internal/datalog/...
 
 # End-to-end relserve smoke: random port, one Example 2.1 RCDP request
 # must come back "complete", /healthz must answer, SIGTERM must drain

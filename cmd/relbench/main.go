@@ -42,7 +42,7 @@ import (
 
 var (
 	// checker carries the -workers setting into every sweep (1 =
-	// sequential engine, >1 = parallel valuation search).
+	// search on the calling goroutine, >1 = parallel valuation search).
 	checker  core.Checker
 	jsonMode bool
 	records  []benchRecord

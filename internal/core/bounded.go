@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/cc"
 	"repro/internal/qlang"
@@ -36,10 +35,11 @@ type BoundedOpts struct {
 	MaxPool int
 	// Workers sizes the worker pool of BoundedRCDPCtx's subset
 	// enumeration with the same convention as Checker.Workers: 0 uses
-	// GOMAXPROCS, 1 forces sequential search. The witness is
-	// deterministic either way (first-tuple branches race on a raceCtl,
-	// smallest branch wins); Stats.Valuations becomes a total-work
-	// counter in parallel mode.
+	// GOMAXPROCS, 1 runs the first-tuple tasks in order on the calling
+	// goroutine. The witness is the same either way (the tasks race on
+	// a raceCtl, the smallest first tuple wins); with more than one
+	// worker Stats.Valuations also counts the speculative work of tasks
+	// that lost.
 	Workers int
 	// Budget bounds the resources of a governed search (see the Budget
 	// type). MaxValuations caps the number of candidate extensions
@@ -132,69 +132,99 @@ func boundedRCDPGov(q qlang.Query, d, dm *relation.Database, v *cc.Set, o Bounde
 	if err != nil {
 		return nil, err
 	}
-	if wp := newWorkerPool(o.Workers); wp != nil {
-		return boundedRCDPParallel(q, d, dm, v, o, pool, baseSet, len(base), wp, gate)
-	}
-	res := &BoundedRCDPResult{Verdict: VerdictComplete, MaxAdd: o.MaxAdd}
+	// Enumerate subsets of the pool of size 1..MaxAdd as one task per
+	// first tuple: task i explores exactly the subsets whose smallest
+	// pool index is i, which cuts the pre-order of the subset search
+	// into index-ordered segments, so the smallest claiming task's
+	// DFS-first counterexample is the pre-order-first one. delta carries
+	// just the added tuples, so the partial-closure recheck of each
+	// candidate can run differentially against the verified base (see
+	// boundedCounterexample). The explored-candidate cap is shared and
+	// claims the past-every-task key len(pool): in key order (a nil
+	// pool) it ends the search on the spot, on a pool any witness of a
+	// task that got there first beats it.
+	wp := newWorkerPool(o.Workers)
+	wp.warm(d, dm)
+	ctl := newRaceCtl()
+	bud := newBudgetCtl(o.Budget.MaxValuations)
 	deltaOK := v.AllMonotone()
-	expCap := o.Budget.MaxValuations
-
-	// Enumerate subsets of the pool of size 1..MaxAdd. delta carries just
-	// the added tuples, so the partial-closure recheck of each candidate
-	// can run differentially against the verified base (see
-	// boundedCounterexample).
-	var rec func(start int, cur, delta *relation.Database, added int) (*BoundedRCDPResult, error)
-	rec = func(start int, cur, delta *relation.Database, added int) (*BoundedRCDPResult, error) {
-		if added > 0 {
-			if err := gate.Poll(); err != nil {
-				return nil, err
+	tasks := make([]func(), 0, len(pool))
+	for bi := range pool {
+		bi := bi
+		tasks = append(tasks, func() {
+			key := int64(bi)
+			if ctl.cancelled(key) || bud.exhausted() {
+				return
 			}
-			res.Stats.Valuations++
-			if expCap > 0 && res.Stats.Valuations > expCap {
-				return nil, ErrBudgetExceeded
+			var rec func(start int, cur, delta *relation.Database, added int) error
+			rec = func(start int, cur, delta *relation.Database, added int) error {
+				if added > 0 {
+					if ctl.cancelled(key) {
+						return errAbandoned
+					}
+					if err := gate.Poll(); err != nil {
+						return err
+					}
+					if !bud.visit() {
+						ctl.claim(int64(len(pool)), nil)
+						return errBudgetStop
+					}
+					r, err := boundedCounterexample(q, d, dm, v, baseSet, len(base), cur, delta, deltaOK, o.MaxAdd, gate)
+					if err != nil {
+						return err
+					}
+					if r != nil {
+						ctl.claim(key, r)
+						return errStop
+					}
+				}
+				if added == o.MaxAdd {
+					return nil
+				}
+				// At the root the task extends by its own first tuple only.
+				for i := start; i < len(pool) && (added > 0 || i == bi); i++ {
+					if d.Contains(pool[i].rel, pool[i].tup) {
+						continue
+					}
+					next := cur.Clone()
+					if err := next.Add(pool[i].rel, pool[i].tup); err != nil {
+						continue // finite-domain violation: not a legal tuple
+					}
+					nd := delta.Clone()
+					if err := nd.Add(pool[i].rel, pool[i].tup); err != nil {
+						continue
+					}
+					if err := gate.ChargeTuples(1); err != nil {
+						return err
+					}
+					if err := rec(i+1, next, nd, added+1); err != nil {
+						return err
+					}
+				}
+				return nil
 			}
-			r, err := boundedCounterexample(q, d, dm, v, baseSet, len(base), cur, delta, deltaOK, o.MaxAdd, gate)
-			if err != nil {
-				return nil, err
+			switch err := rec(bi, d, emptyDatabase(schemasOf(d)), 0); err {
+			case nil, errStop, errAbandoned, errBudgetStop:
+			default:
+				ctl.fail(err)
 			}
-			if r != nil {
-				r.Stats.Valuations = res.Stats.Valuations
-				return r, nil
-			}
-		}
-		if added == o.MaxAdd {
-			return nil, nil
-		}
-		for i := start; i < len(pool); i++ {
-			if d.Contains(pool[i].rel, pool[i].tup) {
-				continue
-			}
-			next := cur.Clone()
-			if err := next.Add(pool[i].rel, pool[i].tup); err != nil {
-				continue // finite-domain violation: not a legal tuple
-			}
-			nd := delta.Clone()
-			if err := nd.Add(pool[i].rel, pool[i].tup); err != nil {
-				continue
-			}
-			if err := gate.ChargeTuples(1); err != nil {
-				return nil, err
-			}
-			r, err := rec(i+1, next, nd, added+1)
-			if err != nil || r != nil {
-				return r, err
-			}
-		}
-		return nil, nil
+		})
 	}
-	r, err := rec(0, d.Clone(), emptyDatabase(schemasOf(d)), 0)
+	wp.run(tasks)
+	val, key, err := ctl.result()
 	if err != nil {
 		return nil, err
 	}
-	if r != nil {
+	if val != nil {
+		r := val.(*BoundedRCDPResult)
+		r.Stats.Valuations = bud.count()
 		return r, nil
 	}
-	return res, nil
+	if key != noKey {
+		// A budget claim with no witness beating it.
+		return nil, ErrBudgetExceeded
+	}
+	return &BoundedRCDPResult{Verdict: VerdictComplete, MaxAdd: o.MaxAdd, Stats: BudgetStats{Valuations: bud.count()}}, nil
 }
 
 // boundedCounterexample checks one candidate extension: is cur partially
@@ -239,116 +269,6 @@ func boundedCounterexample(q qlang.Query, base, dm *relation.Database, v *cc.Set
 		return &BoundedRCDPResult{Verdict: VerdictIncomplete, Extension: ext, MaxAdd: maxAdd}, nil
 	}
 	return nil, nil
-}
-
-// boundedRCDPParallel fans the first-tuple branches of the subset
-// enumeration out to the pool: branch i explores exactly the subsets
-// whose smallest pool index is i, which partitions the sequential
-// search's pre-order into branch-major segments — so the smallest
-// claiming branch's DFS-first counterexample is the one the sequential
-// engine returns. Stats.Valuations becomes the total work across all
-// branches (the sequential early return makes the per-scheduling count
-// meaningless; the witness itself is scheduling-independent). An
-// explored-candidate cap claims the past-every-branch key
-// int64(len(pool)), so any genuine witness beats it — matching the
-// sequential engine's "budget surfaces only without a witness"
-// resolution for decisive budgets.
-func boundedRCDPParallel(q qlang.Query, d, dm *relation.Database, v *cc.Set, o BoundedOpts,
-	pool []poolTuple, baseSet map[string]bool, baseLen int, wp *workerPool, gate *query.Gate) (*BoundedRCDPResult, error) {
-	warmShared(d, dm)
-	ctl := newRaceCtl()
-	deltaOK := v.AllMonotone()
-	expCap := int64(o.Budget.MaxValuations)
-	var explored atomic.Int64
-	tasks := make([]func(), 0, len(pool))
-	for bi := range pool {
-		bi := bi
-		tasks = append(tasks, func() {
-			key := int64(bi)
-			if ctl.cancelled(key) {
-				return
-			}
-			if d.Contains(pool[bi].rel, pool[bi].tup) {
-				return
-			}
-			first := d.Clone()
-			if err := first.Add(pool[bi].rel, pool[bi].tup); err != nil {
-				return // finite-domain violation: not a legal tuple
-			}
-			firstDelta := emptyDatabase(schemasOf(d))
-			if err := firstDelta.Add(pool[bi].rel, pool[bi].tup); err != nil {
-				return
-			}
-			if err := gate.ChargeTuples(1); err != nil {
-				ctl.fail(err)
-				return
-			}
-			var rec func(start int, cur, delta *relation.Database, added int) error
-			rec = func(start int, cur, delta *relation.Database, added int) error {
-				if ctl.cancelled(key) {
-					return errAbandoned
-				}
-				if err := gate.Poll(); err != nil {
-					return err
-				}
-				if n := explored.Add(1); expCap > 0 && n > expCap {
-					ctl.claim(int64(len(pool)), nil)
-					return errBudgetStop
-				}
-				r, err := boundedCounterexample(q, d, dm, v, baseSet, baseLen, cur, delta, deltaOK, o.MaxAdd, gate)
-				if err != nil {
-					return err
-				}
-				if r != nil {
-					ctl.claim(key, r)
-					return errStop
-				}
-				if added == o.MaxAdd {
-					return nil
-				}
-				for i := start; i < len(pool); i++ {
-					if d.Contains(pool[i].rel, pool[i].tup) {
-						continue
-					}
-					next := cur.Clone()
-					if err := next.Add(pool[i].rel, pool[i].tup); err != nil {
-						continue
-					}
-					nd := delta.Clone()
-					if err := nd.Add(pool[i].rel, pool[i].tup); err != nil {
-						continue
-					}
-					if err := gate.ChargeTuples(1); err != nil {
-						return err
-					}
-					if err := rec(i+1, next, nd, added+1); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			switch err := rec(bi+1, first, firstDelta, 1); err {
-			case nil, errStop, errAbandoned, errBudgetStop:
-			default:
-				ctl.fail(err)
-			}
-		})
-	}
-	wp.run(tasks)
-	val, key, err := ctl.result()
-	if err != nil {
-		return nil, err
-	}
-	if val != nil {
-		r := val.(*BoundedRCDPResult)
-		r.Stats.Valuations = int(explored.Load())
-		return r, nil
-	}
-	if key != noKey {
-		// A budget claim with no witness beating it.
-		return nil, ErrBudgetExceeded
-	}
-	return &BoundedRCDPResult{Verdict: VerdictComplete, MaxAdd: o.MaxAdd, Stats: BudgetStats{Valuations: int(explored.Load())}}, nil
 }
 
 type poolTuple struct {

@@ -29,8 +29,8 @@ import (
 // deterministic prefix sample of the candidate space (the search order
 // is fixed), and the reported degree carries a Wilson 95% confidence
 // interval for the covered proportion; exhaustive runs report the exact
-// fraction with a collapsed interval. Sampling always runs the
-// sequential engine regardless of Checker.Workers so the sampled prefix
+// fraction with a collapsed interval. Sampling always enumerates on the
+// calling goroutine regardless of Checker.Workers so the sampled prefix
 // — and therefore the estimate — is scheduling-independent.
 
 // DegreeResult is the outcome of a quantitative completeness check.

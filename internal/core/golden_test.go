@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -24,11 +25,15 @@ import (
 // returns on seeded instances of both reduction families: the verdict,
 // the witness (disjunct, valuation, extension, new tuple), the number
 // of valuations visited, the RCQP status, method and detail, and the
-// degree counts. Valuations and the witness depend on the candidate
-// order, the pruning and the fresh-value symmetry breaking, so a
-// change to any of them fails this test. testdata/search_golden.json
-// was recorded on the string-keyed engine that the id-based engine
-// replaced; regenerate it with
+// degree counts; and by the bounded-RCDP subset search and the RCQP
+// certificate search on the micro instances of oracle_test.go (their
+// witnesses and explored-candidate counts). Valuations and the witness
+// depend on the candidate order, the pruning and the fresh-value
+// symmetry breaking, so a change to any of them fails this test.
+// testdata/search_golden.json was recorded on the string-keyed engine
+// that the id-based engine replaced (the bounded and certificate-search
+// records on the engine that still had a separate sequential loop for
+// each search); regenerate it with
 //
 //	go test ./internal/core -run TestGoldenSearchTree -update-golden
 //
@@ -242,6 +247,64 @@ func goldenRecords(t *testing.T) []goldenRecord {
 				t.Fatal(err)
 			}
 			out = append(out, rcdpRecord("rcdp/"+name, r))
+		}
+	}
+
+	// Bounded RCDP (the FO/FP semi-decision procedure and the oracle of
+	// the exact deciders) on the seed-31 micro instances of
+	// TestParallelBoundedRCDPMatchesSequential: the subset enumeration's
+	// witness and its explored-candidate count, plus the same searches
+	// under a small candidate cap.
+	rng := rand.New(rand.NewSource(31))
+	queries, sets := microQueries(), microConstraintSets()
+	for trial, kept := 0, 0; trial < 60 && kept < 30; trial++ {
+		q := queries[rng.Intn(len(queries))]
+		cs := sets[rng.Intn(len(sets))]
+		d := randomMicroDB(rng)
+		if ok, err := cs.v.Satisfied(d, cs.dm); err != nil || !ok {
+			continue
+		}
+		kept++
+		for _, capN := range []int{0, 4} {
+			opts := BoundedOpts{MaxAdd: 2, FreshValues: 3, Workers: 1, Budget: Budget{MaxValuations: capN}}
+			r, err := BoundedRCDPCtx(ctx, q, d, cs.dm, cs.v, opts)
+			if err != nil {
+				t.Fatalf("bounded trial %d: %v", trial, err)
+			}
+			rec := goldenRecord{Name: fmt.Sprintf("bounded-rcdp/micro/trial=%d/%s/%s/cap=%d", trial, cs.name, q, capN),
+				Verdict: r.Verdict.String(), Valuations: r.Stats.Valuations,
+				Extension: dbString(r.Extension)}
+			if r.Verdict == VerdictUnknown {
+				rec.Detail = r.Reason.String()
+			}
+			if r.NewTuple != nil {
+				rec.NewTuple = r.NewTuple.String()
+			}
+			out = append(out, rec)
+		}
+	}
+
+	// RCQP certificate search (Proposition 4.2) on the non-IND micro
+	// constraint pools: the status, the decision path, the number of
+	// candidate databases tried and the witness, under the default caps
+	// and under caps small enough to stop the iterative deepening.
+	r, f := microSchema()
+	schemas := map[string]*relation.Schema{"R": r, "F": f}
+	for _, cs := range sets {
+		if cs.v.AllINDs() {
+			continue
+		}
+		for _, q := range queries {
+			for _, maxCand := range []int{0, 3} {
+				qp := &QPChecker{MaxCandidates: maxCand, Checker: Checker{Workers: 1}}
+				res, err := qp.RCQPCtx(ctx, q, cs.dm, cs.v, schemas)
+				if err != nil {
+					t.Fatalf("rcqp %s/%s: %v", cs.name, q, err)
+				}
+				out = append(out, goldenRecord{Name: fmt.Sprintf("rcqp/micro/%s/%s/max-candidates=%d", cs.name, q, maxCand),
+					Status: res.Status.String(), Method: res.Method, Candidates: res.Candidates,
+					Witness: dbString(res.Witness)})
+			}
 		}
 	}
 	return out

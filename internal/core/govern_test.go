@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strconv"
 	"testing"
@@ -389,6 +390,42 @@ func TestBoundedCtxGovernance(t *testing.T) {
 		if qr, err := BoundedRCQPCtx(context.Background(), q, cs.dm, cs.v, schemas, 2, ropts); err != nil || qr.Verdict != VerdictUnknown || qr.Reason != ReasonJoinRows {
 			t.Fatalf("workers=%d: second bounded RCQP want unknown/join-rows, got %+v, %v", workers, qr, err)
 		}
+	}
+}
+
+// TestBoundedValuationCapStopsPromptly: once the bounded search's
+// explored-candidate cap trips, no further first-tuple task may clone D
+// and charge a tuple. With a cap of 1, every worker charges at most
+// MaxAdd tuples before it sees the exhausted budget, whatever the pool
+// size, so Stats.Tuples stays within Workers×MaxAdd.
+func TestBoundedValuationCapStopsPromptly(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	queries := microQueries()
+	sets := microConstraintSets()
+	checked := 0
+	for trial := 0; trial < 60 && checked < 30; trial++ {
+		q := queries[rng.Intn(len(queries))]
+		cs := sets[rng.Intn(len(sets))]
+		d := randomMicroDB(rng)
+		if ok, err := cs.v.Satisfied(d, cs.dm); err != nil || !ok {
+			continue
+		}
+		checked++
+		for _, workers := range []int{1, 2, 8} {
+			opts := BoundedOpts{MaxAdd: 2, FreshValues: 3, Workers: workers,
+				Budget: Budget{MaxValuations: 1, MaxTuples: 1 << 40}}
+			r, err := BoundedRCDPCtx(context.Background(), q, d, cs.dm, cs.v, opts)
+			if err != nil {
+				t.Fatalf("trial %d (%s/%s) workers=%d: %v", trial, cs.name, q, workers, err)
+			}
+			if limit := int64(workers * opts.MaxAdd); r.Stats.Tuples > limit {
+				t.Fatalf("trial %d (%s/%s) workers=%d: %s after charging %d tuples, want at most %d",
+					trial, cs.name, q, workers, r.Verdict, r.Stats.Tuples, limit)
+			}
+		}
+	}
+	if checked < 15 {
+		t.Fatalf("too few partially closed trials: %d", checked)
 	}
 }
 

@@ -5,23 +5,25 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/relation"
 )
 
-// Parallel valuation search.
+// Keyed-task search.
 //
-// The top-level variable's candidate branches of a valuationSearch are
-// fanned out to a workerPool; every branch runs the same backtracking
-// recursion as the sequential engine. Determinism does not come from
-// scheduling (there is none to rely on) but from *keys*: each branch is
+// Every search of the package that looks for a first witness — the RCDP
+// disjunct searches, the RCQP E3/E4 search, the bounded subset
+// enumeration and the certificate search's candidate checks — runs as
+// a list of keyed tasks on a workerPool. Determinism does not come from
+// scheduling (there is none to rely on) but from *keys*: each task is
 // tagged with a packed (disjunct, branch-index) key, a raceCtl resolves
 // competing witness claims to the lexicographically smallest key, and a
-// branch whose key is already beaten abandons at its next search node.
-// Within one branch the recursion is sequential, so the claim it makes
-// is the DFS-first witness of that branch — together the winning claim
-// is exactly the witness the sequential engine would return: lowest
-// disjunct, then lowest top-level branch, then depth-first order.
+// task whose key is already beaten abandons at its next search node.
+// Within one task the recursion is sequential, so the claim it makes is
+// the DFS-first witness of that task, and the winning claim is the
+// DFS-first witness of the whole search: lowest disjunct, then lowest
+// top-level branch, then depth-first order. A nil pool runs the tasks
+// in key order on the calling goroutine, where each claim cancels every
+// later key: that is the sequential search, with the same witness and
+// the same work counts, so there is no separate sequential loop.
 //
 // State discipline (see also the valuationSearch field comments):
 //
@@ -29,10 +31,12 @@ import (
 //	                   order, candidate ids, inequalities, IND pruner
 //	                   with its p(Dm) key sets, head, slot templates),
 //	                   D/Dm (warmed), schemas, answer key sets
-//	shared mutable:    raceCtl (atomics + mutex), budgetCtl (atomic)
-//	per-worker:        the slot array, the IND probe scratch, the
-//	                   freshUsed symmetry counter, the RCDP witness
-//	                   checker or Δ-fragment scratch
+//	shared mutable:    raceCtl (atomics + mutex), budgetCtl (atomic),
+//	                   the RCDP witness-checker pool (mutex)
+//	per-task:          the slot array, the IND probe scratch, the
+//	                   freshUsed symmetry counter, the Δ-fragment
+//	                   scratch, the RCDP witness checker taken from
+//	                   the pool
 var (
 	// errAbandoned aborts a branch whose key can no longer win.
 	errAbandoned = errors.New("core: branch abandoned")
@@ -52,9 +56,9 @@ func packKey(disjunct, branch int) int64 {
 
 // budgetKey is the key a disjunct's budget exhaustion claims: it beats
 // every later disjunct but loses to every witness inside its own
-// disjunct, which is exactly the sequential engine's resolution (a
-// budget error surfaces only if the disjunct produced no witness, and
-// only if no earlier disjunct resolved first).
+// disjunct. In key order (a nil pool) the exhaustion ends the search
+// on the spot; on a pool it surfaces only if no earlier task claims a
+// witness, so for decisive budgets both give the same verdict.
 func budgetKey(disjunct int) int64 {
 	return int64(disjunct)<<32 | int64(math.MaxUint32)
 }
@@ -118,8 +122,8 @@ func (c *raceCtl) result() (any, int64, error) {
 	return c.val, c.bestKey.Load(), nil
 }
 
-// budgetCtl is the shared valuation budget of one disjunct's parallel
-// search: every worker that completes a candidate valuation charges the
+// budgetCtl is the shared valuation budget of one disjunct's search:
+// every task that completes a candidate valuation charges the
 // same atomic counter, so the MaxValuations cap bounds the disjunct's
 // total work no matter how it is scheduled.
 type budgetCtl struct {
@@ -155,22 +159,24 @@ func (bc *budgetCtl) inspected() int {
 	return n
 }
 
-// parallelFn is the complete-valuation callback of a parallel search.
-// It runs concurrently on worker goroutines, so it must only read
-// shared state that is warmed/immutable, plus the calling worker's own
-// state (w). The slot array it receives is worker-owned and changes
+// parallelFn is the complete-valuation callback of a keyed-task
+// search. It may run concurrently on worker goroutines, so it must only
+// read shared state that is warmed/immutable, plus the calling task's
+// own state (w). The slot array it receives is task-owned and changes
 // after the call returns, so anything kept must be derived from it
-// (valuationSearch.binding, headTuple). A non-nil claim ends the
-// branch.
+// (valuationSearch.binding, headTuple). A non-nil claim ends the task.
 type parallelFn func(w *searchWorker, slots []int32) (claim any, err error)
 
-// branchTasks builds one pool task per top-level candidate branch of
-// the search, tagged (disjunct, branchIndex). Every branch runs the
-// sequential engine's recursion (searchWorker.rec: same candidate
-// order, same pruning, same fresh-value symmetry) below its first
-// binding, with the budget/stop bookkeeping on the shared controllers.
-// Must be called on the coordinating goroutine before the tasks run.
-func (s *valuationSearch) branchTasks(ctl *raceCtl, bud *budgetCtl, disjunct int, fn parallelFn) []func() {
+// branchTasks builds the pool tasks of the search, tagged (disjunct,
+// branchIndex): one per top-level candidate branch, or — on a nil pool,
+// which runs them in order on one goroutine anyway, and for a
+// variable-free tableau — one root task walking the whole search. Every
+// task runs the one recursion (searchWorker.rec: candidate order,
+// pruning, fresh-value symmetry) below its first binding, with the
+// budget/stop bookkeeping on the shared controllers. A task skips
+// itself when its key is already beaten or the budget is spent. Must be
+// called on the coordinating goroutine before the tasks run.
+func (s *valuationSearch) branchTasks(pool *workerPool, ctl *raceCtl, bud *budgetCtl, disjunct int, fn parallelFn) []func() {
 	leaf := func(w *searchWorker) error {
 		claim, err := fn(w, w.slots)
 		if err != nil {
@@ -189,8 +195,8 @@ func (s *valuationSearch) branchTasks(ctl *raceCtl, bud *budgetCtl, disjunct int
 			}
 			w := s.newWorker()
 			w.leaf, w.budget, w.ctl, w.key = leaf, bud, ctl, key
-			// A closure: w.wc is set during the walk, after this defer.
-			defer func() { w.wc.flush() }()
+			// A closure: w.wc is taken during the walk, after this defer.
+			defer func() { w.wc.release() }()
 			switch err := walk(w); err {
 			case nil, errStop, errAbandoned, errBudgetStop:
 				// Branch outcome (if any) is recorded in ctl.
@@ -200,9 +206,7 @@ func (s *valuationSearch) branchTasks(ctl *raceCtl, bud *budgetCtl, disjunct int
 		}
 	}
 
-	if len(s.order) == 0 {
-		// Variable-free tableau: a single "branch" checking the empty
-		// valuation.
+	if pool == nil || len(s.order) == 0 {
 		return []func(){launch(packKey(disjunct, 0), func(w *searchWorker) error { return w.rec(0, 0) })}
 	}
 	c := &s.cands[0]
@@ -213,15 +217,4 @@ func (s *valuationSearch) branchTasks(ctl *raceCtl, bud *budgetCtl, disjunct int
 		tasks[bi] = launch(packKey(disjunct, bi), func(w *searchWorker) error { return w.descend(0, id, 0) })
 	}
 	return tasks
-}
-
-// warmShared populates the lazy caches of the read-only inputs a
-// parallel search shares across workers (the per-instance tuple order
-// of D and Dm). Query/constraint-side lazy state (∃FO⁺ → UCQ expansion,
-// IND shapes, datalog arities) is already forced by the sequential
-// entry work every decision procedure performs before fanning out.
-func warmShared(dbs ...*relation.Database) {
-	for _, d := range dbs {
-		d.Warm()
-	}
 }

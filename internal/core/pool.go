@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/relation"
 )
 
 // workerPool bounds the number of goroutines a (possibly nested) family
@@ -94,4 +95,20 @@ spawn:
 	}
 	work()
 	wg.Wait()
+}
+
+// warm populates the lazy caches of the read-only databases the pool's
+// tasks share (the per-instance tuple order of D and Dm), so that
+// concurrent tasks only read them. Query/constraint-side lazy state
+// (∃FO⁺ → UCQ expansion, IND shapes, datalog arities) is already forced
+// by the entry work every decision procedure performs before it builds
+// its tasks. A nil pool runs its tasks on one goroutine, so it warms
+// nothing: materialising those caches would only grow the heap.
+func (p *workerPool) warm(dbs ...*relation.Database) {
+	if p == nil {
+		return
+	}
+	for _, d := range dbs {
+		d.Warm()
+	}
 }

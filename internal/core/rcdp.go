@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 
 	"repro/internal/cc"
 	"repro/internal/cq"
@@ -23,8 +24,8 @@ type RCDPResult struct {
 	// Stats reports the resources consumed (JoinRows/Tuples are counted
 	// only on governed runs). Stats.Valuations, the number of candidate
 	// valuations inspected, is a work counter, not part of the verdict:
-	// the parallel engine counts speculative work that the sequential
-	// engine's early return skips, so only Workers=1 runs reproduce it
+	// with more than one worker it also counts the speculative work of
+	// tasks that lost the race, so only Workers=1 runs reproduce it
 	// exactly.
 	Stats BudgetStats
 	// Extension, when incomplete, is a set Δ of tuples such that
@@ -45,17 +46,18 @@ type RCDPResult struct {
 
 // Checker configures the decision procedures. The zero value uses
 // pruned backtracking with no budget and one search worker per CPU
-// (Workers=0); set Workers=1 for the strictly sequential engine.
+// (Workers=0); set Workers=1 to search on the calling goroutine alone.
 type Checker struct {
 	// Naive disables inequality pruning and fresh-value symmetry
 	// breaking in the valuation search (ablation ABL-1 of DESIGN.md).
 	Naive bool
 	// Workers is the size of the valuation-search worker pool: 0 uses
-	// runtime.GOMAXPROCS(0), 1 forces the sequential engine, n > 1 fans
-	// the top-level candidate branches of every disjunct out to n
-	// goroutines. Verdicts and witnesses are scheduling-independent
-	// (see DESIGN.md, "Parallel search"): the parallel engine returns
-	// byte-identical verdict/Extension/NewTuple/Disjunct to Workers=1.
+	// runtime.GOMAXPROCS(0), 1 runs every disjunct search as one task
+	// on the calling goroutine, n > 1 fans the top-level candidate
+	// branches of every disjunct out to n goroutines. Verdicts and
+	// witnesses are scheduling-independent (see DESIGN.md, "Parallel
+	// search"): every worker count returns byte-identical
+	// verdict/Extension/NewTuple/Disjunct.
 	Workers int
 	// Budget bounds every check this checker runs (see Budget); the
 	// zero value is unlimited.
@@ -125,8 +127,8 @@ func (ck *Checker) RCDPCtx(ctx context.Context, q qlang.Query, d, dm *relation.D
 // tableaux, the per-disjunct valuation searches (nil entries are
 // disjuncts unsatisfiable under domain constraints), the database
 // schemas and the already-answered head set. Built once per check by
-// prepareRCDP and then read-only, it is shared by the sequential and
-// parallel engines.
+// prepareRCDP and then read-only, it is shared by every task of the
+// RCDP search (rcdp) and by the degree enumeration.
 type rcdpPrep struct {
 	tableaux []*cq.Tableau
 	searches []*valuationSearch
@@ -201,6 +203,12 @@ func (ck *Checker) prepareRCDP(q qlang.Query, d, dm *relation.Database, v *cc.Se
 // draw goroutines from one shared pool instead of multiplying — and an
 // optional governor (nil = ungoverned, zero instrumentation cost).
 // Governance stops surface as the gate's errors / ErrBudgetExceeded.
+//
+// The disjunct searches become one flat, lexicographically ordered
+// task list: a shared raceCtl arbitrates claims to the smallest
+// (disjunct, branch) key and per-disjunct budget controllers keep the
+// MaxValuations semantics. See DESIGN.md, "Parallel search", for the
+// determinism argument.
 func (ck *Checker) rcdp(q qlang.Query, d, dm *relation.Database, v *cc.Set, pool *workerPool, gv *governor) (*RCDPResult, error) {
 	gate := gv.gateOf()
 	prep, err := ck.prepareRCDP(q, d, dm, v, gate)
@@ -210,64 +218,74 @@ func (ck *Checker) rcdp(q qlang.Query, d, dm *relation.Database, v *cc.Set, pool
 	if prep == nil {
 		return &RCDPResult{Verdict: VerdictComplete}, nil
 	}
-
-	if workers := ck.effectiveWorkers(); workers > 1 {
-		if pool == nil {
-			pool = newWorkerPool(workers)
-		}
-		if pool != nil {
-			return ck.rcdpParallel(pool, prep, d, dm, v, gate)
-		}
+	if pool == nil {
+		pool = newWorkerPool(ck.effectiveWorkers())
 	}
-
-	wc := newWitnessChecker(prep, d, dm, v, gate)
-	defer wc.flush()
-	res := &RCDPResult{Verdict: VerdictComplete}
+	pool.warm(d, dm)
+	ctl := newRaceCtl()
+	checkers := &witnessPool{build: func() *witnessChecker { return newWitnessChecker(prep, d, dm, v, gate) }}
+	budgets := make([]*budgetCtl, len(prep.tableaux))
+	var tasks []func()
 	for di, search := range prep.searches {
 		if search == nil {
 			continue
 		}
-		var found *RCDPResult
-		var cbErr error
-		err := search.run(func(slots []int32) bool {
-			r, err := wc.witness(di, slots)
-			if err != nil {
-				cbErr = err
-				return false
+		budgets[di] = newBudgetCtl(ck.Budget.MaxValuations)
+		fn := func(w *searchWorker, slots []int32) (any, error) {
+			if w.wc == nil {
+				w.wc = checkers.get()
 			}
-			if r == nil {
-				return true // not a counterexample; keep searching
+			r, err := w.wc.witness(di, slots)
+			if err != nil || r == nil {
+				return nil, err
 			}
-			found = r
-			return false
-		})
-		res.Stats.Valuations += search.visited
-		noteDisjunct(di, search.visited, found != nil)
-		if cbErr != nil {
-			return nil, cbErr
+			return r, nil
 		}
-		if err != nil {
-			return nil, err
-		}
-		if found != nil {
-			// Valuations counts everything inspected up to and
-			// including this disjunct; later disjuncts are never
-			// searched (see TestRCDPValuationsAccounting).
-			found.Stats.Valuations = res.Stats.Valuations
-			return found, nil
+		tasks = append(tasks, search.branchTasks(pool, ctl, budgets[di], di, fn)...)
+	}
+	pool.run(tasks)
+
+	val, key, err := ctl.result()
+	// Every disjunct up to the deciding one was searched; a later one
+	// only if a pool task speculated into it.
+	last := len(budgets) - 1
+	if key != noKey {
+		last = keyDisjunct(key)
+	}
+	total, witnessDisjunct := 0, -1
+	if err == nil && val != nil {
+		witnessDisjunct = val.(*RCDPResult).Disjunct
+	}
+	for di, bud := range budgets {
+		if bud != nil && (di <= last || bud.count() > 0) {
+			total += bud.count()
+			noteDisjunct(di, bud.count(), di == witnessDisjunct)
 		}
 	}
-	return res, nil
+	if err != nil {
+		return nil, err
+	}
+	if key == noKey {
+		return &RCDPResult{Verdict: VerdictComplete, Stats: BudgetStats{Valuations: total}}, nil
+	}
+	if val == nil {
+		// A budget-exhaustion claim won: some disjunct ran out of
+		// budget and no witness with a smaller key exists.
+		return nil, ErrBudgetExceeded
+	}
+	r := val.(*RCDPResult)
+	r.Stats.Valuations = total
+	return r, nil
 }
 
-// witnessChecker decides, for one search, whether complete valuations
-// are counterexamples to completeness: μ(u) ∉ Q(D) and (D ∪ μ(T), Dm) ⊨
-// V. It is built once per search (per worker branch in the parallel
-// engine) and owns the prepared cc.DeltaChecker over (D, Dm), one
-// scratch Δ-fragment per disjunct tableau, refilled in place from the
-// slot array for every valuation, and the head-key scratch. Besides
-// those it reads only the warmed, read-only shared state of rcdpPrep.
-// Single-goroutine.
+// witnessChecker decides whether complete valuations are
+// counterexamples to completeness: μ(u) ∉ Q(D) and (D ∪ μ(T), Dm) ⊨ V.
+// An RCDP check takes its checkers from a witnessPool, one per running
+// task; a degree computation builds one. A checker owns the prepared
+// cc.DeltaChecker over (D, Dm), one scratch Δ-fragment per disjunct
+// tableau, refilled in place from the slot array for every valuation,
+// and the head-key scratch. Besides those it reads only the warmed,
+// read-only shared state of rcdpPrep. Single-goroutine.
 type witnessChecker struct {
 	prep  *rcdpPrep
 	dc    *cc.DeltaChecker
@@ -275,6 +293,7 @@ type witnessChecker struct {
 	frags []*relation.Database // per disjunct; nil until first use
 	ids   []int32
 	kb    []byte
+	pool  *witnessPool // the pool it returns to; nil outside one
 }
 
 func newWitnessChecker(prep *rcdpPrep, d, dm *relation.Database, v *cc.Set, gate *query.Gate) *witnessChecker {
@@ -335,73 +354,44 @@ func (w *witnessChecker) witness(di int, slots []int32) (*RCDPResult, error) {
 	}, nil
 }
 
-// flush charges the checker's batched join counters to obs. Nil-safe
-// for workers that never reached a complete valuation.
-func (w *witnessChecker) flush() {
+// flush charges the checker's batched join counters to obs.
+func (w *witnessChecker) flush() { w.dc.Flush() }
+
+// release flushes the checker and returns it to the pool it was taken
+// from. Nil-safe for tasks that never reached a complete valuation.
+func (w *witnessChecker) release() {
 	if w != nil {
-		w.dc.Flush()
+		w.flush()
+		w.pool.put(w)
 	}
 }
 
-// rcdpParallel runs the disjunct searches on the worker pool: the
-// top-level candidate branches of every disjunct become one flat,
-// lexicographically ordered task list, a shared raceCtl arbitrates
-// claims to the smallest (disjunct, branch) key, and per-disjunct
-// budget controllers preserve the MaxValuations semantics. See
-// DESIGN.md, "Parallel search", for the determinism argument.
-func (ck *Checker) rcdpParallel(pool *workerPool, prep *rcdpPrep, d, dm *relation.Database, v *cc.Set,
-	gate *query.Gate) (*RCDPResult, error) {
-	warmShared(d, dm)
-	ctl := newRaceCtl()
-	budgets := make([]*budgetCtl, len(prep.tableaux))
-	var tasks []func()
-	for di, search := range prep.searches {
-		if search == nil {
-			continue
-		}
-		budgets[di] = newBudgetCtl(ck.Budget.MaxValuations)
-		fn := func(w *searchWorker, slots []int32) (any, error) {
-			if w.wc == nil {
-				w.wc = newWitnessChecker(prep, d, dm, v, gate)
-			}
-			r, err := w.wc.witness(di, slots)
-			if err != nil || r == nil {
-				return nil, err
-			}
-			return r, nil
-		}
-		tasks = append(tasks, search.branchTasks(ctl, budgets[di], di, fn)...)
-	}
-	pool.run(tasks)
+// witnessPool holds the witness checkers of one RCDP check. A task
+// takes one at its first complete valuation and releases it when the
+// task ends, so a check builds one checker per concurrently running
+// task: exactly one on a nil pool, where the tasks run in turn.
+type witnessPool struct {
+	build func() *witnessChecker
+	mu    sync.Mutex
+	free  []*witnessChecker
+}
 
-	total := 0
-	for _, bud := range budgets {
-		if bud != nil {
-			total += bud.count()
-		}
+func (p *witnessPool) get() *witnessChecker {
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		w := p.free[n-1]
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
+		return w
 	}
-	val, key, err := ctl.result()
-	witnessDisjunct := -1
-	if err == nil && key != noKey && val != nil {
-		witnessDisjunct = val.(*RCDPResult).Disjunct
-	}
-	for di, bud := range budgets {
-		if bud != nil {
-			noteDisjunct(di, bud.count(), di == witnessDisjunct)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	if key == noKey {
-		return &RCDPResult{Verdict: VerdictComplete, Stats: BudgetStats{Valuations: total}}, nil
-	}
-	if val == nil {
-		// A budget-exhaustion claim won: some disjunct ran out of
-		// budget and no witness with a smaller key exists.
-		return nil, ErrBudgetExceeded
-	}
-	r := val.(*RCDPResult)
-	r.Stats.Valuations = total
-	return r, nil
+	p.mu.Unlock()
+	w := p.build()
+	w.pool = p
+	return w
+}
+
+func (p *witnessPool) put(w *witnessChecker) {
+	p.mu.Lock()
+	p.free = append(p.free, w)
+	p.mu.Unlock()
 }

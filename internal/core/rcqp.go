@@ -265,9 +265,9 @@ func (cfg QPChecker) rcqpINDs(q qlang.Query, dm *relation.Database, v *cc.Set, s
 	// The branches of every unbounded disjunct race on one raceCtl: the
 	// smallest (disjunct, branch) claim is the DFS-first witness, and a
 	// disjunct's budget claim beats every later disjunct. On a nil pool
-	// (one worker) the branches run in order on this goroutine and a
-	// claim cancels every later branch, which is the sequential search.
-	warmShared(dm)
+	// (one worker) each disjunct is one task, the tasks run in order on
+	// this goroutine and a claim cancels every later one.
+	wp.warm(dm)
 	ctl := newRaceCtl()
 	names := make(map[int]string, len(pending))
 	budgets := make([]*budgetCtl, len(pending))
@@ -283,7 +283,7 @@ func (cfg QPChecker) rcqpINDs(q qlang.Query, dm *relation.Database, v *cc.Set, s
 			}
 			return ud.search.binding(slots), nil
 		}
-		tasks = append(tasks, ud.search.branchTasks(ctl, budgets[k], ud.di, fn)...)
+		tasks = append(tasks, ud.search.branchTasks(wp, ctl, budgets[k], ud.di, fn)...)
 	}
 	wp.run(tasks)
 	valuations := 0
@@ -423,38 +423,33 @@ func emptyDatabase(schemas map[string]*relation.Schema) *relation.Database {
 // searchWitness enumerates candidate witness databases and returns the
 // first one confirmed complete by RCDP, with the number of candidates
 // tried. A nil result with nil error means no witness was found within
-// the caps. With a non-nil worker pool the iterative-deepening stage
-// checks candidates in parallel chunks; the winner (and the reported
-// candidate count) is the pre-order-first witness either way.
+// the caps.
 func (cfg QPChecker) searchWitness(q qlang.Query, dm *relation.Database, v *cc.Set, schemas map[string]*relation.Schema, wp *workerPool, gv *governor) (*relation.Database, int, error) {
 	pool, base, err := cfg.buildFragmentPool(q, dm, v, schemas, gv)
 	if err != nil {
 		return nil, 0, err
 	}
-	tried := 0
-	check := func(cand *relation.Database) (*relation.Database, error) {
-		tried++
+	// confirm reports whether cand is a witness: partially closed and
+	// complete by RCDP. A candidate whose RCDP check runs out of its
+	// valuation budget is skipped; global governance stops propagate.
+	confirm := func(cand *relation.Database) (bool, error) {
 		if ok, err := v.SatisfiedGate(cand, dm, gv.gateOf()); err != nil || !ok {
-			return nil, err
+			return false, err
 		}
 		r, err := cfg.Checker.rcdp(q, cand, dm, v, wp, gv)
-		if err != nil {
-			// Per-candidate valuation-budget errors just skip the
-			// candidate; global governance stops propagate.
-			if err == ErrBudgetExceeded {
-				return nil, nil
-			}
-			return nil, err
+		if err == ErrBudgetExceeded {
+			return false, nil
 		}
-		if r.Verdict == VerdictComplete {
-			return cand, nil
-		}
-		return nil, nil
+		return err == nil && r.Verdict == VerdictComplete, err
 	}
 
 	// Size 0: the base candidate (constant templates only).
-	if w, err := check(base.Clone()); err != nil || w != nil {
-		return w, tried, err
+	tried := 1
+	first := base.Clone()
+	if ok, err := confirm(first); err != nil {
+		return nil, tried, err
+	} else if ok {
+		return first, tried, nil
 	}
 	// Constructive strategy: grow the base candidate by repeatedly
 	// adding the RCDP counterexample (the Proposition 4.2 construction
@@ -498,66 +493,24 @@ func (cfg QPChecker) searchWitness(q qlang.Query, dm *relation.Database, v *cc.S
 			cur.UnionInto(r.Extension)
 		}
 	}
-	if wp != nil {
-		w, n, err := cfg.deepenParallel(wp, q, dm, v, schemas, pool, base, tried, gv)
-		return w, n, err
-	}
-	// Iterative deepening over fragment combinations.
-	var rec func(start int, acc *relation.Database, depth int) (*relation.Database, error)
-	rec = func(start int, acc *relation.Database, depth int) (*relation.Database, error) {
-		if depth == 0 {
-			return nil, nil
-		}
-		for i := start; i < len(pool); i++ {
-			if tried >= cfg.MaxCandidates {
-				return nil, nil
-			}
-			cand := acc.Union(pool[i])
-			if w, err := check(cand); err != nil || w != nil {
-				return w, err
-			}
-			if w, err := rec(i+1, cand, depth-1); err != nil || w != nil {
-				return w, err
-			}
-		}
-		return nil, nil
-	}
-	for depth := 1; depth <= cfg.MaxSetSize; depth++ {
-		w, err := rec(0, base, depth)
-		if err != nil || w != nil {
-			return w, tried, err
-		}
-		if tried >= cfg.MaxCandidates {
-			break
-		}
-	}
-	return nil, tried, nil
-}
-
-// deepenParallel is the iterative-deepening stage of searchWitness on a
-// worker pool. Candidates are generated on the coordinating goroutine
-// in exactly the sequential pre-order, tagged with their enumeration
-// index, and checked in chunks; within a chunk a raceCtl resolves to
-// the smallest index that confirms, so the returned witness — and the
-// reported candidate count, which replays the sequential accounting
-// "everything up to and including the winner" — match Workers=1.
-func (cfg QPChecker) deepenParallel(wp *workerPool, q qlang.Query, dm *relation.Database, v *cc.Set,
-	schemas map[string]*relation.Schema, pool []*relation.Database, base *relation.Database, pretried int,
-	gv *governor) (*relation.Database, int, error) {
-	limit := cfg.MaxCandidates - pretried // checks the sequential engine would still allow
+	// Iterative deepening over fragment combinations. Candidates are
+	// generated on this goroutine in pre-order, tagged with their
+	// enumeration index, and checked in chunks of keyed tasks; within a
+	// chunk a raceCtl resolves to the smallest index that confirms, so
+	// the witness and the reported count ("everything up to and
+	// including the winner") are the pre-order-first ones whatever the
+	// pool.
+	limit := cfg.MaxCandidates - tried
 	if limit <= 0 {
-		return nil, pretried, nil
+		return nil, tried, nil
 	}
-	warmShared(dm)
-	chunkSize := cfg.Checker.effectiveWorkers() * 4
-	if chunkSize < 4 {
-		chunkSize = 4
-	}
+	wp.warm(dm)
+	chunkSize := 4 * cfg.Checker.effectiveWorkers()
 	var (
 		winner    *relation.Database
 		winnerIdx = -1
 		chunk     []*relation.Database
-		idx       int // global enumeration index of the next candidate
+		idx       int // enumeration index of the next candidate
 	)
 	flush := func() error {
 		if len(chunk) == 0 {
@@ -573,22 +526,9 @@ func (cfg QPChecker) deepenParallel(wp *workerPool, q qlang.Query, dm *relation.
 				if ctl.cancelled(key) {
 					return
 				}
-				ok, err := v.SatisfiedGate(cand, dm, gv.gateOf())
-				if err != nil {
+				if ok, err := confirm(cand); err != nil {
 					ctl.fail(err)
-					return
-				}
-				if !ok {
-					return
-				}
-				r, err := cfg.Checker.rcdp(q, cand, dm, v, wp, gv)
-				if err != nil {
-					if err != ErrBudgetExceeded { // valuation budget skips the candidate
-						ctl.fail(err)
-					}
-					return
-				}
-				if r.Verdict == VerdictComplete {
+				} else if ok {
 					ctl.claim(key, cand)
 				}
 			}
@@ -596,14 +536,10 @@ func (cfg QPChecker) deepenParallel(wp *workerPool, q qlang.Query, dm *relation.
 		wp.run(tasks)
 		chunk = chunk[:0]
 		val, key, err := ctl.result()
-		if err != nil {
-			return err
-		}
 		if val != nil {
-			winner = val.(*relation.Database)
-			winnerIdx = int(key)
+			winner, winnerIdx = val.(*relation.Database), int(key)
 		}
-		return nil
+		return err
 	}
 	var gen func(start int, acc *relation.Database, depth int) error
 	gen = func(start int, acc *relation.Database, depth int) error {
@@ -635,16 +571,16 @@ func (cfg QPChecker) deepenParallel(wp *workerPool, q qlang.Query, dm *relation.
 		if err := gen(0, base, depth); err == errStop {
 			break
 		} else if err != nil {
-			return nil, pretried + idx, err
+			return nil, tried + idx, err
 		}
 	}
 	if err := flush(); err != nil {
-		return nil, pretried + idx, err
+		return nil, tried + idx, err
 	}
 	if winner != nil {
-		return winner, pretried + winnerIdx + 1, nil
+		return winner, tried + winnerIdx + 1, nil
 	}
-	return nil, pretried + idx, nil
+	return nil, tried + idx, nil
 }
 
 // buildFragmentPool assembles the candidate fragments: instantiations

@@ -41,10 +41,11 @@ const unassigned int32 = -1
 // only where a valuation leaves the package (binding).
 //
 // Sharing discipline: after newValuationSearch everything here except
-// visited is read-only and may be shared across the worker goroutines
-// of a parallel search (see parallel.go); the per-goroutine state is a
-// searchWorker. budget/visited are only used by the sequential run
-// path (parallel searches use a shared budgetCtl).
+// visited is read-only and may be shared across the tasks of a
+// keyed-task search (see parallel.go); the per-task state is a
+// searchWorker. budget/visited serve only run, the plain enumeration
+// behind degree, the fragment pool and completeDatabaseINDs; the
+// keyed-task searches charge a shared budgetCtl instead.
 type valuationSearch struct {
 	u     *Universe
 	t     *cq.Tableau
@@ -78,14 +79,14 @@ type valuationSearch struct {
 	naive bool
 
 	// budget, when positive, caps the number of complete candidate
-	// valuations visited.
+	// valuations run visits.
 	budget  int
 	visited int
 
 	// gate, when non-nil, is the check's governance gate: every search
 	// node polls it so cancellation and cross-cutting budgets (rows,
-	// tuples) stop the search promptly. Shared (atomics only) between
-	// the sequential engine and parallel branch workers.
+	// tuples) stop the search promptly. Shared (atomics only) by every
+	// walk over the search.
 	gate *query.Gate
 }
 
@@ -136,7 +137,8 @@ type searchConfig struct {
 	// fixed, when non-nil, replaces the candidates of the variables it
 	// names with the given lists, tried in order, with no fresh pool.
 	fixed map[string][]relation.Value
-	// budget caps complete valuations on the sequential engine.
+	// budget caps the complete valuations of run (see
+	// valuationSearch.budget).
 	budget int
 	gate   *query.Gate
 }
@@ -328,10 +330,10 @@ func (s *valuationSearch) headTuple(slots []int32) relation.Tuple {
 	return out
 }
 
-// searchWorker is the per-goroutine state of one walk over a
-// valuationSearch: the slot array and the probe scratch, plus — in a
-// branch of a parallel search — the shared controllers. The sequential
-// engine is one worker with ctl == nil walking from the root.
+// searchWorker is the state of one walk over a valuationSearch: the
+// slot array and the probe scratch, plus — in a task of a keyed-task
+// search — the shared controllers. run is one worker with ctl == nil
+// walking from the root.
 type searchWorker struct {
 	s     *valuationSearch // shared, read-only during the search
 	slots []int32
@@ -342,14 +344,15 @@ type searchWorker struct {
 	// ends the walk.
 	leaf func(w *searchWorker) error
 
-	// Parallel branches only (nil ctl on the sequential engine).
-	budget *budgetCtl // shared with the disjunct's other branches
-	ctl    *raceCtl   // shared with the whole engine
-	key    int64      // this branch's claim key
+	// Keyed tasks only (nil ctl on run).
+	budget *budgetCtl // shared with the disjunct's other tasks
+	ctl    *raceCtl   // shared with the whole search
+	key    int64      // this task's claim key
 
-	// Callback scratch owned by this worker: wc is the RCDP witness
-	// checker, built at the first complete valuation and flushed when
-	// the walk ends; frag is a reusable Δ-fragment.
+	// Callback scratch owned by this walk: wc is the RCDP witness
+	// checker, taken from the check's witnessPool at the first complete
+	// valuation and released when the walk ends; frag is a reusable
+	// Δ-fragment.
 	wc   *witnessChecker
 	frag *relation.Database
 }
@@ -362,9 +365,9 @@ func (w *searchWorker) rec(i, freshUsed int) error {
 	}
 	s := w.s
 	if err := s.gate.Poll(); err != nil {
-		// Governance stop: a parallel branch surfaces it through
-		// ctl.fail (via branchTasks' error path) so every other branch
-		// abandons promptly.
+		// Governance stop: a keyed task surfaces it through ctl.fail
+		// (via branchTasks' error path) so every other task abandons
+		// promptly.
 		return err
 	}
 	if i == len(w.slots) {

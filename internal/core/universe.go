@@ -28,9 +28,9 @@
 // the search the moment a resource cap trips, and answers with a
 // three-valued Verdict plus the exhausted-dimension Reason and the
 // BudgetStats actually consumed — unknown is an answer, not an error. Checker.Workers
-// selects between the strictly sequential engine (Workers=1) and the
-// deterministic parallel engine, which returns scheduling-independent
-// verdicts and witnesses.
+// sizes the worker pool of the one keyed-task search engine; Workers=1
+// runs its tasks in order on the calling goroutine, and every worker
+// count returns the same verdicts and witnesses.
 //
 // Every check reports into the internal/obs registry (check counts,
 // verdict and exhaustion vectors, a latency histogram, valuation

@@ -69,9 +69,6 @@ type Program struct {
 	Name   string
 	Rules  []Rule
 	Output string // output IDB predicate name
-	// IDBArity records the arity of each IDB predicate; computed by
-	// Validate and by Eval on demand.
-	idbArity map[string]int
 }
 
 // NewProgram builds a program.
@@ -226,7 +223,6 @@ func (p *Program) EvalAllGate(d *relation.Database, g *query.Gate) (map[string]m
 	if err != nil {
 		return nil, err
 	}
-	p.idbArity = idbAr
 	idb := make(map[string]map[string]relation.Tuple, len(idbAr))
 	delta := make(map[string]map[string]relation.Tuple, len(idbAr))
 	for name := range idbAr {
