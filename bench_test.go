@@ -582,8 +582,10 @@ func batchBenchServer(b *testing.B) (*httptest.Server, string, string) {
 
 // BenchmarkBatchAmortization compares N checks sent as N sequential
 // POST /v1/rcdp requests against the same N sent as one POST /v1/batch:
-// the batch pays the HTTP round-trip, JSON decode, catalog resolution
-// and db-facts parse once instead of N times. Both report ns/query for
+// the batch pays the HTTP round-trip, JSON decode, catalog resolution,
+// db-facts parse and the checks' (D, Dm, V) setup — partial closure,
+// relevant values, the constants of Adom — once instead of N times, so
+// its later items also charge fewer join rows. Both report ns/query for
 // direct comparison; the ratio is the amortization factor recorded in
 // EXPERIMENTS.md.
 func BenchmarkBatchAmortization(b *testing.B) {

@@ -163,7 +163,10 @@ func Approximate(ctx context.Context, q qlang.Query, d, dm *relation.Database, v
 		return nil, fmt.Errorf("approx: approximation requires a CQ query, got %v", q.Lang())
 	}
 	ck := opts.checker()
-	base, err := ck.RCDPCtx(ctx, q, d, dm, v)
+	// The base check and every lattice candidate share one (D, Dm, V)
+	// setup.
+	prep := core.Prepare(d, dm, v)
+	base, err := ck.RCDPPreparedCtx(ctx, q, prep)
 	if err != nil {
 		return nil, err
 	}
@@ -180,6 +183,7 @@ func Approximate(ctx context.Context, q qlang.Query, d, dm *relation.Database, v
 		d:       d,
 		dm:      dm,
 		v:       v,
+		prep:    prep,
 		schemas: schemas,
 		budget:  opts.maxCandidates(),
 	}
@@ -199,6 +203,7 @@ type engine struct {
 	qc      *cq.CQ
 	d, dm   *relation.Database
 	v       *cc.Set
+	prep    *core.Prepared
 	schemas map[string]*relation.Schema
 	budget  int // remaining oracle calls
 }
@@ -211,7 +216,7 @@ func (e *engine) oracle(cand *cq.CQ) (core.Verdict, error) {
 	}
 	e.budget--
 	obs.ApproxCandidates.Inc()
-	res, err := e.ck.RCDPCtx(e.ctx, qlang.FromCQ(cand), e.d, e.dm, e.v)
+	res, err := e.ck.RCDPPreparedCtx(e.ctx, qlang.FromCQ(cand), e.prep)
 	if err != nil {
 		return core.VerdictUnknown, err
 	}

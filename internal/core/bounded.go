@@ -117,7 +117,7 @@ func boundedRCDPGov(q qlang.Query, d, dm *relation.Database, v *cc.Set, o Bounde
 	if ok, err := v.SatisfiedGate(d, dm, gate); err != nil {
 		return nil, err
 	} else if !ok {
-		return nil, fmt.Errorf("core: D is not partially closed with respect to (Dm, V)")
+		return nil, errNotPartiallyClosed
 	}
 	base, err := q.EvalGate(d, gate)
 	if err != nil {

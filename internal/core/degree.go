@@ -85,7 +85,7 @@ func (ck *Checker) DegreeCtx(ctx context.Context, q qlang.Query, d, dm *relation
 	co := startCheck("degree", 1)
 	gv := newGovernor(ctx, ck.Budget)
 	defer gv.close()
-	res, err := ck.degree(q, d, dm, v, gv)
+	res, err := ck.degree(q, Prepare(d, dm, v), gv)
 	if err != nil {
 		co.done("error", ReasonNone, gv.stats(0))
 		return nil, err
@@ -102,12 +102,12 @@ func (ck *Checker) DegreeCtx(ctx context.Context, q qlang.Query, d, dm *relation
 }
 
 // degree runs the counting enumeration under an optional governor.
-func (ck *Checker) degree(q qlang.Query, d, dm *relation.Database, v *cc.Set, gv *governor) (*DegreeResult, error) {
+func (ck *Checker) degree(q qlang.Query, p *Prepared, gv *governor) (*DegreeResult, error) {
 	gate := gv.gateOf()
 	res := &DegreeResult{Exact: true}
 	visited := 0
 	defer func() { res.Stats = gv.stats(visited) }()
-	prep, err := ck.prepareRCDP(q, d, dm, v, gate)
+	prep, err := ck.prepareRCDP(q, p, gate)
 	if err != nil {
 		if r := reasonOf(err); r != ReasonNone {
 			// Governance ended the run during setup (constraint check or
@@ -125,7 +125,7 @@ func (ck *Checker) degree(q qlang.Query, d, dm *relation.Database, v *cc.Set, gv
 		res.finish()
 		return res, nil
 	}
-	wc := newWitnessChecker(prep, d, dm, v, gate)
+	wc := newWitnessChecker(prep, gate)
 	defer wc.flush()
 	for di, search := range prep.searches {
 		if search == nil {

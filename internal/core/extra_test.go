@@ -248,7 +248,7 @@ func TestRelevantValues(t *testing.T) {
 		query.Eq(v("cc"), c("01")))
 	vset := cc.NewSet(cc.FromCQ("phi", q, cc.Proj("DCust", 0)))
 
-	rv := computeRelevantValues(qlang.FromCQ(q), vset, d, dm)
+	rv := computeRelevantValues(vset, d, dm).forQuery(qlang.FromCQ(q))
 	cands := relation.Shared().Values(rv.candidatesFor([]varPosition{{Rel: "Supt", Col: 2}}))
 	has := func(val relation.Value) bool {
 		for _, x := range cands {

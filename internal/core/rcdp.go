@@ -105,10 +105,19 @@ func RCDPCtx(ctx context.Context, q qlang.Query, d, dm *relation.Database, v *cc
 // Workers=N; near the boundary the parallel engine's speculative work
 // can tip a run to either side (see DESIGN.md "Resource governance").
 func (ck *Checker) RCDPCtx(ctx context.Context, q qlang.Query, d, dm *relation.Database, v *cc.Set) (*RCDPResult, error) {
+	return ck.RCDPPreparedCtx(ctx, q, Prepare(d, dm, v))
+}
+
+// RCDPPreparedCtx is RCDPCtx over a prepared (D, Dm, V): checks of many
+// queries over one database share the handle's setup (see Prepared),
+// and only the first of them pays for the partial-closure test. Use it
+// whenever more than one query is checked against the same D; a single
+// check gains nothing over RCDPCtx, which builds a one-use handle.
+func (ck *Checker) RCDPPreparedCtx(ctx context.Context, q qlang.Query, p *Prepared) (*RCDPResult, error) {
 	co := startCheck("rcdp", ck.effectiveWorkers())
 	gv := newGovernor(ctx, ck.Budget)
 	defer gv.close()
-	res, err := ck.rcdp(q, d, dm, v, nil, gv)
+	res, err := ck.rcdp(q, p, nil, gv)
 	if err != nil {
 		if r := reasonOf(err); r != ReasonNone {
 			out := &RCDPResult{Verdict: VerdictUnknown, Reason: r, Stats: gv.stats(0)}
@@ -123,13 +132,14 @@ func (ck *Checker) RCDPCtx(ctx context.Context, q qlang.Query, d, dm *relation.D
 	return res, nil
 }
 
-// rcdpPrep is the shared setup of a disjunct search: the compiled
-// tableaux, the per-disjunct valuation searches (nil entries are
-// disjuncts unsatisfiable under domain constraints), the database
-// schemas and the already-answered head set. Built once per check by
-// prepareRCDP and then read-only, it is shared by every task of the
-// RCDP search (rcdp) and by the degree enumeration.
+// rcdpPrep is the shared setup of a disjunct search: the (D, Dm, V)
+// handle, the compiled tableaux, the per-disjunct valuation searches
+// (nil entries are disjuncts unsatisfiable under domain constraints),
+// the database schemas and the already-answered head set. Built once
+// per check by prepareRCDP and then read-only, it is shared by every
+// task of the RCDP search (rcdp) and by the degree enumeration.
 type rcdpPrep struct {
+	p        *Prepared
 	tableaux []*cq.Tableau
 	searches []*valuationSearch
 	schemas  map[string]*relation.Schema
@@ -138,24 +148,23 @@ type rcdpPrep struct {
 }
 
 // prepareRCDP performs the disjunct-independent setup of an RCDP check:
-// the decidability guards, the partial-closure precondition, the Q(D)
-// answer set and one valuation search per disjunct tableau. A nil prep
-// with a nil error means the query is unsatisfiable (trivially
-// complete).
-func (ck *Checker) prepareRCDP(q qlang.Query, d, dm *relation.Database, v *cc.Set, gate *query.Gate) (*rcdpPrep, error) {
+// the decidability guards, the (D, Dm, V) setup of p (the
+// partial-closure precondition among it), the Q(D) answer set and one
+// valuation search per disjunct tableau. A nil prep with a nil error
+// means the query is unsatisfiable (trivially complete).
+func (ck *Checker) prepareRCDP(q qlang.Query, p *Prepared, gate *query.Gate) (*rcdpPrep, error) {
 	if !q.Lang().Monotone() {
 		return nil, fmt.Errorf("core: RCDP is undecidable for L_Q = %v (Theorem 3.1); use BoundedRCDPCtx", q.Lang())
 	}
-	if v != nil && !v.AllMonotone() {
-		return nil, fmt.Errorf("core: RCDP is undecidable for L_C = %v (Theorem 3.1); use BoundedRCDPCtx", v.MaxLang())
+	if p.v != nil && !p.v.AllMonotone() {
+		return nil, fmt.Errorf("core: RCDP is undecidable for L_C = %v (Theorem 3.1); use BoundedRCDPCtx", p.v.MaxLang())
 	}
-	if ok, err := v.SatisfiedGate(d, dm, gate); err != nil {
+	st, err := p.state(gate)
+	if err != nil {
 		return nil, err
-	} else if !ok {
-		return nil, fmt.Errorf("core: D is not partially closed with respect to (Dm, V)")
 	}
 
-	answers, err := q.EvalGate(d, gate)
+	answers, err := q.EvalGate(p.d, gate)
 	if err != nil {
 		return nil, err
 	}
@@ -177,25 +186,24 @@ func (ck *Checker) prepareRCDP(q qlang.Query, d, dm *relation.Database, v *cc.Se
 		// Unsatisfiable query: trivially complete.
 		return nil, nil
 	}
-	schemas := schemasOf(d)
-	u := NewUniverse(d, dm, q, v, tableauVarCount(tableaux))
+	u := newUniverse(st.adom, q, tableauVarCount(tableaux))
 
-	// The inert-position and relevant-value analyses depend only on
-	// (Q, V, D, Dm), not on the disjunct: compute them once here and
-	// share them read-only across disjuncts (and workers).
+	// The inert-position and relevant-value analyses come from the
+	// handle; only Q's constants are merged in here, once per check, and
+	// shared read-only across disjuncts (and workers).
 	cfg := searchConfig{naive: ck.Naive, budget: ck.Budget.MaxValuations, gate: gate}
 	if !ck.Naive {
-		cfg.v, cfg.dm = v, dm
-		cfg.constrained = inertPositions(v)
-		cfg.rv = computeRelevantValues(q, v, d, dm)
+		cfg.v, cfg.dm = p.v, p.dm
+		cfg.constrained = st.constrained
+		cfg.rv = st.rv.forQuery(q)
 	}
 	searches := make([]*valuationSearch, len(tableaux))
 	for di, t := range tableaux {
-		if search, ok := newValuationSearch(u, t, schemas, cfg); ok {
+		if search, ok := newValuationSearch(u, t, st.schemas, cfg); ok {
 			searches[di] = search
 		} // else: disjunct unsatisfiable under domain constraints
 	}
-	return &rcdpPrep{tableaux: tableaux, searches: searches, schemas: schemas, answerKeys: answerKeys}, nil
+	return &rcdpPrep{p: p, tableaux: tableaux, searches: searches, schemas: st.schemas, answerKeys: answerKeys}, nil
 }
 
 // rcdp is RCDP with an optional externally-owned worker pool — so that
@@ -209,9 +217,9 @@ func (ck *Checker) prepareRCDP(q qlang.Query, d, dm *relation.Database, v *cc.Se
 // (disjunct, branch) key and per-disjunct budget controllers keep the
 // MaxValuations semantics. See DESIGN.md, "Parallel search", for the
 // determinism argument.
-func (ck *Checker) rcdp(q qlang.Query, d, dm *relation.Database, v *cc.Set, pool *workerPool, gv *governor) (*RCDPResult, error) {
+func (ck *Checker) rcdp(q qlang.Query, p *Prepared, pool *workerPool, gv *governor) (*RCDPResult, error) {
 	gate := gv.gateOf()
-	prep, err := ck.prepareRCDP(q, d, dm, v, gate)
+	prep, err := ck.prepareRCDP(q, p, gate)
 	if err != nil {
 		return nil, err
 	}
@@ -221,9 +229,9 @@ func (ck *Checker) rcdp(q qlang.Query, d, dm *relation.Database, v *cc.Set, pool
 	if pool == nil {
 		pool = newWorkerPool(ck.effectiveWorkers())
 	}
-	pool.warm(d, dm)
+	pool.warm(p.d, p.dm)
 	ctl := newRaceCtl()
-	checkers := &witnessPool{build: func() *witnessChecker { return newWitnessChecker(prep, d, dm, v, gate) }}
+	checkers := &witnessPool{build: func() *witnessChecker { return newWitnessChecker(prep, gate) }}
 	budgets := make([]*budgetCtl, len(prep.tableaux))
 	var tasks []func()
 	for di, search := range prep.searches {
@@ -296,10 +304,10 @@ type witnessChecker struct {
 	pool  *witnessPool // the pool it returns to; nil outside one
 }
 
-func newWitnessChecker(prep *rcdpPrep, d, dm *relation.Database, v *cc.Set, gate *query.Gate) *witnessChecker {
+func newWitnessChecker(prep *rcdpPrep, gate *query.Gate) *witnessChecker {
 	return &witnessChecker{
 		prep:  prep,
-		dc:    v.NewDeltaChecker(d, dm),
+		dc:    prep.p.v.NewDeltaChecker(prep.p.d, prep.p.dm),
 		gate:  gate,
 		frags: make([]*relation.Database, len(prep.tableaux)),
 	}

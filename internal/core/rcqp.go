@@ -206,7 +206,7 @@ func (cfg QPChecker) rcqpINDs(q qlang.Query, dm *relation.Database, v *cc.Set, s
 	scfg := searchConfig{
 		v: v, dm: dm,
 		constrained: inertPositions(v),
-		rv:          computeRelevantValues(q, v, nil, dm),
+		rv:          computeRelevantValues(v, nil, dm).forQuery(q),
 		gate:        gate,
 	}
 
@@ -436,7 +436,7 @@ func (cfg QPChecker) searchWitness(q qlang.Query, dm *relation.Database, v *cc.S
 		if ok, err := v.SatisfiedGate(cand, dm, gv.gateOf()); err != nil || !ok {
 			return false, err
 		}
-		r, err := cfg.Checker.rcdp(q, cand, dm, v, wp, gv)
+		r, err := cfg.Checker.rcdp(q, Prepare(cand, dm, v), wp, gv)
 		if err == ErrBudgetExceeded {
 			return false, nil
 		}
@@ -470,7 +470,7 @@ func (cfg QPChecker) searchWitness(q qlang.Query, dm *relation.Database, v *cc.S
 		cur := base.Clone()
 		for round := 0; round < 64; round++ {
 			tried++
-			r, err := cfg.Checker.rcdp(q, cur, dm, v, wp, gv)
+			r, err := cfg.Checker.rcdp(q, Prepare(cur, dm, v), wp, gv)
 			if err != nil {
 				if isGovernErr(err) && err != ErrBudgetExceeded {
 					return nil, tried, err
@@ -608,7 +608,7 @@ func (cfg QPChecker) buildFragmentPool(q qlang.Query, dm *relation.Database, v *
 	scfg := searchConfig{
 		v: v, dm: dm,
 		constrained: inertPositions(v),
-		rv:          computeRelevantValues(q, v, nil, dm),
+		rv:          computeRelevantValues(v, nil, dm).forQuery(q),
 		gate:        gv.gateOf(),
 	}
 

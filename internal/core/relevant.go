@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/cc"
 	"repro/internal/relation"
 )
@@ -28,13 +30,14 @@ type relevantValues struct {
 	// that position's linked group (database values + master feeds),
 	// ascending by value.
 	perPosition map[string]map[int][]int32
-	// base holds the ids of the constants of Q and V, ascending by
-	// value.
+	// base holds the ids of the constants of V — and, after forQuery,
+	// of Q — ascending by value.
 	base []int32
 }
 
-// computeRelevantValues runs the linked-position analysis.
-func computeRelevantValues(q interface{ Constants() []relation.Value }, v *cc.Set, d, dm *relation.Database) *relevantValues {
+// computeRelevantValues runs the linked-position analysis. It depends
+// on (V, D, Dm) alone; forQuery adds a query's constants.
+func computeRelevantValues(v *cc.Set, d, dm *relation.Database) *relevantValues {
 	// Union-find over positions.
 	type pos struct {
 		rel string
@@ -154,6 +157,8 @@ func computeRelevantValues(q interface{ Constants() []relation.Value }, v *cc.Se
 
 	rv := &relevantValues{perPosition: make(map[string]map[int][]int32)}
 	dict := relation.Shared()
+	// Positions in one linked group share one sorted slice.
+	sorted := make(map[pos][]int32)
 	for p := range parent {
 		root := find(p)
 		m := rv.perPosition[p.rel]
@@ -161,27 +166,27 @@ func computeRelevantValues(q interface{ Constants() []relation.Value }, v *cc.Se
 			m = make(map[int][]int32)
 			rv.perPosition[p.rel] = m
 		}
-		var ids []int32
-		if set := groupSets[root]; set != nil {
+		ids, done := sorted[root]
+		if set := groupSets[root]; !done && set != nil {
 			ids = dict.SortedIDs(set)
+			sorted[root] = ids
 		}
 		m[p.col] = ids
 	}
-	var consts []uint64
-	if q != nil {
-		for _, val := range q.Constants() {
-			consts = relation.SetIDBit(consts, dict.Intern(val))
-		}
-	}
-	if v != nil {
-		for _, val := range v.Constants() {
-			consts = relation.SetIDBit(consts, dict.Intern(val))
-		}
-	}
-	if consts != nil {
-		rv.base = dict.SortedIDs(consts)
-	}
+	rv.base = sortedConstIDs(v, func(int32) bool { return false })
 	return rv
+}
+
+// forQuery returns the analysis with q's constants merged into base.
+// The receiver is only read, so one analysis serves many queries.
+func (rv *relevantValues) forQuery(q interface{ Constants() []relation.Value }) *relevantValues {
+	extra := sortedConstIDs(q, func(id int32) bool { return slices.Contains(rv.base, id) })
+	if len(extra) == 0 {
+		return rv
+	}
+	out := *rv
+	out.base = mergeSortedIDs(relation.Shared().Snapshot(), rv.base, extra)
+	return &out
 }
 
 // candidatesFor returns the restricted candidate ids (without the fresh

@@ -24,13 +24,15 @@
 //
 // Each decision procedure has exactly one entry point, its governed
 // form (Checker.RCDPCtx, QPChecker.RCQPCtx, BoundedRCDPCtx,
-// BoundedRCQPCtx, DegreeCtx): it accepts a context and a Budget, stops
-// the search the moment a resource cap trips, and answers with a
-// three-valued Verdict plus the exhausted-dimension Reason and the
-// BudgetStats actually consumed — unknown is an answer, not an error. Checker.Workers
-// sizes the worker pool of the one keyed-task search engine; Workers=1
-// runs its tasks in order on the calling goroutine, and every worker
-// count returns the same verdicts and witnesses.
+// BoundedRCQPCtx, DegreeCtx; Checker.RCDPPreparedCtx is RCDPCtx over
+// a Prepared (D, Dm, V) shared by many queries): it accepts a context
+// and a Budget, stops the search the moment a resource cap trips, and
+// answers with a three-valued Verdict plus the exhausted-dimension
+// Reason and the BudgetStats actually consumed — unknown is an answer,
+// not an error. Checker.Workers sizes the worker pool of the one
+// keyed-task search engine; Workers=1 runs its tasks in order on the
+// calling goroutine, and every worker count returns the same verdicts
+// and witnesses.
 //
 // Every check reports into the internal/obs registry (check counts,
 // verdict and exhaustion vectors, a latency histogram, valuation
@@ -56,7 +58,9 @@ import (
 // construction, which the valuation search exploits for symmetry
 // breaking.
 type Universe struct {
-	// Consts are the sorted constants of D, Dm, Q and V.
+	// Consts are the sorted constants of D, Dm, Q and V. The slice may
+	// be shared with other universes over the same (D, Dm, V): read it,
+	// do not modify it.
 	Consts []relation.Value
 	// Fresh are the New values, disjoint from Consts.
 	Fresh []relation.Value
@@ -70,28 +74,52 @@ type Universe struct {
 // nFresh controls how many New values are created; pass the maximum
 // number of variables over the tableaux that will be instantiated.
 func NewUniverse(d, dm *relation.Database, q qlang.Query, v *cc.Set, nFresh int) *Universe {
-	u := &Universe{}
-	// The active ids of d and dm and the interned Q/V constants merge
-	// into one bitset and materialize in value order by scanning the
-	// dictionary's cached sort permutation — no string sort, no value
-	// map.
+	return newUniverse(newAdomBase(d, dm, v), q, nFresh)
+}
+
+// adomBase is the part of Adom that depends on (D, Dm, V) alone: the
+// constants of D, Dm and V, as an id bitset, as ids ascending by value
+// and as those values. A Prepared computes it once for every query it
+// checks.
+type adomBase struct {
+	set  []uint64
+	ids  []int32
+	vals []relation.Value
+}
+
+// newAdomBase merges the active ids of d and dm and the interned V
+// constants into one bitset and materializes it in value order by
+// scanning the dictionary's cached sort permutation — no string sort,
+// no value map.
+func newAdomBase(d, dm *relation.Database, v *cc.Set) adomBase {
 	dict := relation.Shared()
 	set := dm.InternedIDs(d.InternedIDs(nil))
-	if q != nil {
-		for _, val := range q.Constants() {
-			set = relation.SetIDBit(set, dict.Intern(val))
-		}
-	}
 	if v != nil {
 		for _, val := range v.Constants() {
 			set = relation.SetIDBit(set, dict.Intern(val))
 		}
 	}
-	u.constIDs = dict.SortedIDs(set)
-	u.Consts = dict.Values(u.constIDs)
+	ids := dict.SortedIDs(set)
+	return adomBase{set: set, ids: ids, vals: dict.Values(ids)}
+}
+
+// newUniverse completes base with the constants of q and nFresh New
+// values. base is only read, so one base serves many queries; when q
+// adds no constant, the universe shares base's slices.
+func newUniverse(base adomBase, q qlang.Query, nFresh int) *Universe {
+	dict := relation.Shared()
+	var extra []int32
+	if q != nil {
+		extra = sortedConstIDs(q, func(id int32) bool { return relation.HasIDBit(base.set, id) })
+	}
+	u := &Universe{Consts: base.vals, constIDs: base.ids}
+	if len(extra) > 0 {
+		u.constIDs = mergeSortedIDs(dict.Snapshot(), base.ids, extra)
+		u.Consts = dict.Values(u.constIDs)
+	}
 	isConst := func(val relation.Value) bool {
 		id, ok := dict.ID(val)
-		return ok && relation.HasIDBit(set, id)
+		return ok && (relation.HasIDBit(base.set, id) || slices.Contains(extra, id))
 	}
 	i := 0
 	for len(u.Fresh) < nFresh {
@@ -106,6 +134,23 @@ func NewUniverse(d, dm *relation.Database, q qlang.Query, v *cc.Set, nFresh int)
 		u.freshIDs = append(u.freshIDs, dict.Intern(cand))
 	}
 	return u
+}
+
+// sortedConstIDs interns the constants of src (a query or a constraint
+// set) and returns the ids for which have is false, ascending by value
+// and without duplicates: the few values a query adds to a prepared
+// base, merged in with mergeSortedIDs instead of re-sorting the base.
+func sortedConstIDs(src interface{ Constants() []relation.Value }, have func(int32) bool) []int32 {
+	dict := relation.Shared()
+	var out []int32
+	for _, val := range src.Constants() {
+		if id := dict.Intern(val); !have(id) && !slices.Contains(out, id) {
+			out = append(out, id)
+		}
+	}
+	vals := dict.Snapshot()
+	slices.SortFunc(out, func(a, b int32) int { return strings.Compare(string(vals[a]), string(vals[b])) })
+	return out
 }
 
 // IsFreshValue reports whether val is shaped like a placeholder the

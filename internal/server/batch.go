@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"repro/internal/cc"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/qlang"
 	"repro/internal/relation"
@@ -55,13 +56,16 @@ type BatchLine struct {
 // batchShared is the once-resolved context every item of a batch runs
 // against. release, when non-nil, must be called after the last item:
 // catalog-backed batches hold the entry's read lock for their whole
-// run so a concurrent mutation cannot patch Dm or V mid-stream.
+// run so a concurrent mutation cannot patch Dm or V mid-stream. prep is
+// the batch's (D, Dm, V) handle: partial closure, the relevant-value
+// groups and the base of Adom are set up once for all its RCDP items.
 type batchShared struct {
 	entry   *Entry // non-nil on the catalog path (query cache)
 	schemas map[string]*relation.Schema
 	d       *relation.Database
 	dm      *relation.Database
 	v       *cc.Set
+	prep    *core.Prepared
 	release func()
 }
 
@@ -83,7 +87,8 @@ func (s *Server) resolveBatchShared(req *BatchRequest) (*batchShared, error) {
 			e.mu.RUnlock()
 			return nil, httpErrorf(http.StatusBadRequest, "db: %v", err)
 		}
-		return &batchShared{entry: e, schemas: e.Schemas, d: d, dm: e.Dm, v: e.V, release: e.mu.RUnlock}, nil
+		return &batchShared{entry: e, schemas: e.Schemas, d: d, dm: e.Dm, v: e.V,
+			prep: core.Prepare(d, e.Dm, e.V), release: e.mu.RUnlock}, nil
 	}
 	p, err := textq.ParseProblemData(textq.ProblemSource{
 		Schemas:       req.Schemas,
@@ -98,7 +103,7 @@ func (s *Server) resolveBatchShared(req *BatchRequest) (*batchShared, error) {
 	if err != nil {
 		return nil, httpErrorf(http.StatusBadRequest, "db: %v", err)
 	}
-	return &batchShared{schemas: p.Schemas, d: d, dm: p.Dm, v: p.V}, nil
+	return &batchShared{schemas: p.Schemas, d: d, dm: p.Dm, v: p.V, prep: core.Prepare(d, p.Dm, p.V)}, nil
 }
 
 // query parses one item's query against the shared context, through
@@ -128,8 +133,9 @@ func (s *Server) batchRunner(endpoint string) (func(ctx context.Context, in *che
 
 // serveBatch streams the batch's responses as JSONL in submission
 // order. The whole batch holds one admission and one worker slot:
-// parse, catalog lookup and HTTP overhead are paid once, and the
-// queries run back-to-back on the already-warm shared objects.
+// parse, catalog lookup, HTTP overhead and the (D, Dm, V) setup of the
+// RCDP checks are paid once, and the queries run back-to-back on the
+// already-warm shared objects.
 // Request-level failures (bad shared parts, unknown endpoint) are
 // ordinary JSON errors; per-item failures are error lines in the
 // stream, which always carries exactly len(queries) lines.
@@ -174,7 +180,7 @@ func (s *Server) serveBatch(ctx context.Context, id string, req *BatchRequest, w
 		} else {
 			in := &checkInput{
 				schemas: shared.schemas, d: shared.d, dm: shared.dm, v: shared.v,
-				q: q, budget: budget, req: creq,
+				prep: shared.prep, q: q, budget: budget, req: creq,
 			}
 			resp, err := run(ctx, in)
 			if err != nil {

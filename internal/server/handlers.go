@@ -128,12 +128,14 @@ type ErrorResponse struct {
 // effective budget. release, when non-nil, must be called once the
 // check is done with the parts — catalog-backed inputs hold the
 // entry's read lock so a concurrent mutation cannot patch (D)m or V
-// mid-search.
+// mid-search. prep, when non-nil, is the (D, Dm, V) handle the items
+// of a batch share; a single check leaves it nil.
 type checkInput struct {
 	schemas map[string]*relation.Schema
 	d       *relation.Database
 	dm      *relation.Database
 	v       *cc.Set
+	prep    *core.Prepared
 	q       qlang.Query
 	budget  core.Budget
 	req     *CheckRequest
@@ -393,7 +395,11 @@ func (s *Server) runRCDP(ctx context.Context, in *checkInput) (*CheckResponse, e
 		return nil, err
 	}
 	ck := core.Checker{Workers: s.cfg.CheckWorkers, Budget: in.budget}
-	res, err := ck.RCDPCtx(ctx, in.q, in.d, in.dm, in.v)
+	prep := in.prep
+	if prep == nil {
+		prep = core.Prepare(in.d, in.dm, in.v)
+	}
+	res, err := ck.RCDPPreparedCtx(ctx, in.q, prep)
 	if err != nil {
 		return nil, err
 	}

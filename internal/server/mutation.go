@@ -97,6 +97,7 @@ type mutationOutcome struct {
 func (e *Entry) Watch(ctx context.Context, ck *core.Checker, queries []string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	prep := core.Prepare(e.D, e.Dm, e.V)
 	for _, src := range queries {
 		if _, ok := e.verdicts[src]; ok {
 			continue
@@ -108,7 +109,7 @@ func (e *Entry) Watch(ctx context.Context, ck *core.Checker, queries []string) e
 		if !q.Lang().Monotone() || !e.V.AllMonotone() {
 			return fmt.Errorf("watch query %q: undecidable fragment", src)
 		}
-		res, err := ck.RCDPCtx(ctx, q, e.D, e.Dm, e.V)
+		res, err := ck.RCDPPreparedCtx(ctx, q, prep)
 		if err != nil {
 			return fmt.Errorf("watch query %q: %w", src, err)
 		}
@@ -151,6 +152,8 @@ func (e *Entry) Mutate(ctx context.Context, ck *core.Checker, dl *core.Delta) (m
 	if out.ins, out.del, err = dl.Apply(e.D, e.Dm, e.V); err != nil {
 		return mutationOutcome{}, err
 	}
+	// The cold rechecks share one (D, Dm, V) setup of the mutated data.
+	prep := core.Prepare(e.D, e.Dm, e.V)
 	var firstErr error
 	for _, src := range e.watched {
 		wv := e.verdicts[src]
@@ -163,7 +166,7 @@ func (e *Entry) Mutate(ctx context.Context, ck *core.Checker, dl *core.Delta) (m
 		obs.RecheckCold.Inc()
 		wv.reused = false
 		out.rechecked++
-		res, rerr := ck.RCDPCtx(ctx, wv.q, e.D, e.Dm, e.V)
+		res, rerr := ck.RCDPPreparedCtx(ctx, wv.q, prep)
 		if rerr != nil {
 			wv.prev = nil
 			if firstErr == nil {
