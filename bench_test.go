@@ -25,6 +25,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/approx"
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/cq"
@@ -653,4 +654,31 @@ func BenchmarkBatchAmortization(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nQueries), "ns/query")
 	})
+}
+
+// BenchmarkWitnessApproximate is one approximation run on an incomplete
+// 40-customer CRM instance (seed 1, completeness 0.5; Q0("908"),
+// φ₀ + φ₁(3), 64 lattice candidates, one worker). Every candidate is an
+// RCDP oracle call, and most of each call is the per-valuation witness
+// test (D ∪ μ(T), Dm) ⊨ V, so this measures that test's cost per
+// valuation (see EXPERIMENTS.md, "Witness test on rows").
+func BenchmarkWitnessApproximate(b *testing.B) {
+	cfg := mdm.DefaultConfig()
+	cfg.DomesticCustomers = 40
+	cfg.Employees = 4
+	cfg.Completeness = 0.5
+	s := mdm.Generate(cfg)
+	v := cc.NewSet(mdm.Phi0(), mdm.Phi1(3))
+	q := mdm.Q0("908")
+	opts := approx.Options{Checker: &core.Checker{Workers: 1}, MaxCandidates: 64}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := approx.Approximate(context.Background(), q, s.D, s.Dm, v, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Explored == 0 {
+			b.Fatal("no lattice candidate explored")
+		}
+	}
 }

@@ -358,21 +358,25 @@ func (s *Set) SatisfiedDelta(d, delta, dm *relation.Database) (bool, error) {
 }
 
 // SatisfiedDeltaGate is SatisfiedDelta under gate governance (see
-// SatisfiedGate). It is a one-shot DeltaChecker.
+// SatisfiedGate). It is a one-shot DeltaChecker over delta's rows;
+// non-monotone constraints are re-evaluated over D ∪ Δ.
 func (s *Set) SatisfiedDeltaGate(d, delta, dm *relation.Database, g *query.Gate) (bool, error) {
 	dc := s.NewDeltaChecker(d, dm)
-	ok, err := dc.SatisfiedGate(delta, g)
+	ok, err := dc.satisfied(cq.DeltaRowsOf(delta), delta, g)
 	dc.Flush()
 	return ok, err
 }
 
 // DeltaChecker is Set.SatisfiedDeltaGate prepared for one partially
 // closed D and one Dm and run for many deltas, as the decision
-// procedures do once per candidate valuation. Each monotone forward
-// constraint holds one cq.DeltaProbe per tableau of its query plus its
-// id-keyed p(Dm) memo, both resolved on the constraint's first use;
-// reverse and non-monotone constraints go through
-// Constraint.SatisfiedDeltaGate on every call.
+// procedures do once per candidate valuation, each given as id rows
+// (cq.DeltaRows). Each monotone forward constraint holds one
+// cq.DeltaProbe per tableau of its query plus its id-keyed p(Dm) memo,
+// both resolved on the constraint's first use. A monotone reverse
+// constraint holds on every extension of a D that satisfies it, so it
+// is never evaluated; a non-monotone constraint cannot be checked
+// differentially, so SatisfiedGate refuses it (RCDP rejects such sets
+// before it searches).
 //
 // D and Dm must not change while the checker is in use — a check holds
 // its catalog entry's read lock for its whole run and mutations take
@@ -409,11 +413,23 @@ func (s *Set) NewDeltaChecker(d, dm *relation.Database) *DeltaChecker {
 // SatisfiedGate reports whether (D ∪ Δ, Dm) ⊨ V, assuming (D, Dm) ⊨ V,
 // under gate governance (see Set.SatisfiedDeltaGate). Constraints are
 // tested in order and the first violated one ends the call.
-func (dc *DeltaChecker) SatisfiedGate(delta *relation.Database, g *query.Gate) (bool, error) {
+func (dc *DeltaChecker) SatisfiedGate(delta *cq.DeltaRows, g *query.Gate) (bool, error) {
+	return dc.satisfied(delta, nil, g)
+}
+
+// satisfied is SatisfiedGate with the Δ database, when the caller has
+// one, for the non-monotone constraints (nil refuses them).
+func (dc *DeltaChecker) satisfied(delta *cq.DeltaRows, db *relation.Database, g *query.Gate) (bool, error) {
 	for i := range dc.cs {
 		x := &dc.cs[i]
 		if !x.fast {
-			ok, err := x.c.SatisfiedDeltaGate(dc.d, delta, dc.dm, g)
+			if x.c.Reverse && x.c.Q.Lang().Monotone() {
+				continue // p(Dm) ⊆ q(D) carries over to every extension
+			}
+			if db == nil {
+				return false, fmt.Errorf("cc %s: a %v constraint has no differential check", x.c.Name, x.c.Q.Lang())
+			}
+			ok, err := x.c.satisfiedUnion(dc.d, db, dc.dm, g)
 			if err != nil || !ok {
 				return false, err
 			}

@@ -82,10 +82,18 @@ func DegreeCtx(ctx context.Context, q qlang.Query, d, dm *relation.Database, v *
 // sequential for deterministic sampling; ck.Budget governs it
 // (MaxValuations caps inspected valuations per disjunct).
 func (ck *Checker) DegreeCtx(ctx context.Context, q qlang.Query, d, dm *relation.Database, v *cc.Set) (*DegreeResult, error) {
+	return ck.DegreePreparedCtx(ctx, q, Prepare(d, dm, v))
+}
+
+// DegreePreparedCtx is DegreeCtx over a prepared (D, Dm, V): a degree
+// measured beside an RCDP check of the same database shares that
+// check's handle, so the setup and the partial-closure test run once
+// for both (see Prepared).
+func (ck *Checker) DegreePreparedCtx(ctx context.Context, q qlang.Query, p *Prepared) (*DegreeResult, error) {
 	co := startCheck("degree", 1)
 	gv := newGovernor(ctx, ck.Budget)
 	defer gv.close()
-	res, err := ck.degree(q, Prepare(d, dm, v), gv)
+	res, err := ck.degree(q, p, gv)
 	if err != nil {
 		co.done("error", ReasonNone, gv.stats(0))
 		return nil, err
@@ -134,7 +142,7 @@ func (ck *Checker) degree(q qlang.Query, p *Prepared, gv *governor) (*DegreeResu
 		var cbErr error
 		err := search.run(func(slots []int32) bool {
 			// The witness extension is never surfaced — counting
-			// continues past it — so test keeps the scratch fragment.
+			// continues past it — so test suffices: no Extension.
 			ok, err := wc.test(di, slots)
 			if err != nil {
 				cbErr = err

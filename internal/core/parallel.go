@@ -34,9 +34,9 @@ import (
 //	shared mutable:    raceCtl (atomics + mutex), budgetCtl (atomic),
 //	                   the RCDP witness-checker pool (mutex)
 //	per-task:          the slot array, the IND probe scratch, the
-//	                   freshUsed symmetry counter, the Δ-fragment
-//	                   scratch, the RCDP witness checker taken from
-//	                   the pool
+//	                   freshUsed symmetry counter, RCQP's μ(T)
+//	                   fragment scratch, the RCDP witness checker
+//	                   (with its μ(T) rows) taken from the pool
 var (
 	// errAbandoned aborts a branch whose key can no longer win.
 	errAbandoned = errors.New("core: branch abandoned")

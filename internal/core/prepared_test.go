@@ -70,6 +70,48 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 	}
 }
 
+// TestPreparedDegreeMatchesOneShot: a degree measured on the handle an
+// RCDP check already used — the serving layer's degree-requesting
+// /v1/rcdp — equals a one-shot DegreeCtx, exact and under a valuation
+// cap, and does not charge the partial-closure join rows again.
+func TestPreparedDegreeMatchesOneShot(t *testing.T) {
+	s, vset, qs := crmPrepared()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel() // governed checks count join rows
+	exact := map[bool]int{}
+	for _, budget := range []Budget{{}, {MaxValuations: 3}} {
+		ck := &Checker{Workers: 1, Budget: budget}
+		for _, q := range qs {
+			p := Prepare(s.D, s.Dm, vset)
+			if _, err := ck.RCDPPreparedCtx(ctx, q, p); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ck.DegreePreparedCtx(ctx, q, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ck.DegreeCtx(ctx, q, s.D, s.Dm, vset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Verdict != want.Verdict || got.Degree != want.Degree || got.Lo != want.Lo || got.Hi != want.Hi ||
+				got.Exact != want.Exact || got.Candidates != want.Candidates ||
+				got.Counterexamples != want.Counterexamples || got.Reason != want.Reason ||
+				got.Stats.Valuations != want.Stats.Valuations {
+				t.Fatalf("%s, budget %+v: handle %+v, one-shot %+v", q, budget, got, want)
+			}
+			if got.Stats.JoinRows >= want.Stats.JoinRows {
+				t.Fatalf("%s, budget %+v: degree on the used handle charged %d join rows, one-shot %d",
+					q, budget, got.Stats.JoinRows, want.Stats.JoinRows)
+			}
+			exact[got.Exact]++
+		}
+	}
+	if exact[true] == 0 || exact[false] == 0 {
+		t.Fatalf("exact/sampled degrees: %v; want both", exact)
+	}
+}
+
 // TestPreparedKeepsNotClosedError: a D that is not partially closed
 // gives every check on the handle the same error.
 func TestPreparedKeepsNotClosedError(t *testing.T) {

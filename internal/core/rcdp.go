@@ -290,31 +290,30 @@ func (ck *Checker) rcdp(q qlang.Query, p *Prepared, pool *workerPool, gv *govern
 // counterexamples to completeness: μ(u) ∉ Q(D) and (D ∪ μ(T), Dm) ⊨ V.
 // An RCDP check takes its checkers from a witnessPool, one per running
 // task; a degree computation builds one. A checker owns the prepared
-// cc.DeltaChecker over (D, Dm), one scratch Δ-fragment per disjunct
-// tableau, refilled in place from the slot array for every valuation,
-// and the head-key scratch. Besides those it reads only the warmed,
-// read-only shared state of rcdpPrep. Single-goroutine.
+// cc.DeltaChecker over (D, Dm), the id rows of μ(T), refilled in place
+// from the slot array for every valuation, and the head-key scratch.
+// Besides those it reads only the warmed, read-only shared state of
+// rcdpPrep. Single-goroutine.
 type witnessChecker struct {
-	prep  *rcdpPrep
-	dc    *cc.DeltaChecker
-	gate  *query.Gate
-	frags []*relation.Database // per disjunct; nil until first use
-	ids   []int32
-	kb    []byte
-	pool  *witnessPool // the pool it returns to; nil outside one
+	prep *rcdpPrep
+	dc   *cc.DeltaChecker
+	gate *query.Gate
+	rows cq.DeltaRows
+	ids  []int32
+	kb   []byte
+	pool *witnessPool // the pool it returns to; nil outside one
 }
 
 func newWitnessChecker(prep *rcdpPrep, gate *query.Gate) *witnessChecker {
 	return &witnessChecker{
-		prep:  prep,
-		dc:    prep.p.v.NewDeltaChecker(prep.p.d, prep.p.dm),
-		gate:  gate,
-		frags: make([]*relation.Database, len(prep.tableaux)),
+		prep: prep,
+		dc:   prep.p.v.NewDeltaChecker(prep.p.d, prep.p.dm),
+		gate: gate,
 	}
 }
 
 // test reports whether the complete valuation slots of disjunct di is
-// a counterexample; the disjunct's scratch fragment then holds μ(T).
+// a counterexample. It charges one tuple per distinct row of μ(T).
 func (w *witnessChecker) test(di int, slots []int32) (bool, error) {
 	s := w.prep.searches[di]
 	w.ids = w.ids[:0]
@@ -325,34 +324,31 @@ func (w *witnessChecker) test(di int, slots []int32) (bool, error) {
 	if w.prep.answerKeys[string(w.kb)] {
 		return false, nil // already answered; cannot change Q(D)
 	}
-	delta := w.frags[di]
-	if delta == nil {
-		var err error
-		if delta, err = s.t.NewFragment(w.prep.schemas); err != nil {
-			return false, err
-		}
-		w.frags[di] = delta
-	}
-	if err := s.tpls.ApplyInto(delta, slots); err != nil {
+	if err := s.tpls.Ground(&w.rows, slots); err != nil {
 		return false, err
 	}
-	if err := w.gate.ChargeTuples(delta.TupleCount()); err != nil {
+	if err := w.gate.ChargeTuples(w.rows.Len()); err != nil {
 		return false, err
 	}
-	return w.dc.SatisfiedGate(delta, w.gate)
+	return w.dc.SatisfiedGate(&w.rows, w.gate)
 }
 
-// witness is test building the result for a counterexample. The
-// result takes the scratch fragment as its Extension, so the disjunct
-// starts a fresh one at its next valuation.
+// witness is test building the result for a counterexample: its
+// Extension is the one relation.Database of the check, μ(T) in the
+// shape of Tableau.NewFragment.
 func (w *witnessChecker) witness(di int, slots []int32) (*RCDPResult, error) {
 	ok, err := w.test(di, slots)
 	if err != nil || !ok {
 		return nil, err
 	}
 	s := w.prep.searches[di]
-	ext := w.frags[di]
-	w.frags[di] = nil
+	ext, err := s.t.NewFragment(w.prep.schemas)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.tpls.AddInto(ext, slots); err != nil {
+		return nil, err
+	}
 	return &RCDPResult{
 		Verdict:   VerdictIncomplete,
 		Extension: ext,

@@ -430,14 +430,13 @@ func (cfg QPChecker) searchWitness(q qlang.Query, dm *relation.Database, v *cc.S
 		return nil, 0, err
 	}
 	// confirm reports whether cand is a witness: partially closed and
-	// complete by RCDP. A candidate whose RCDP check runs out of its
-	// valuation budget is skipped; global governance stops propagate.
+	// complete by RCDP. The RCDP setup tests partial closure, so a
+	// candidate that fails it is no witness; so is one whose RCDP check
+	// runs out of its valuation budget. Global governance stops
+	// propagate.
 	confirm := func(cand *relation.Database) (bool, error) {
-		if ok, err := v.SatisfiedGate(cand, dm, gv.gateOf()); err != nil || !ok {
-			return false, err
-		}
 		r, err := cfg.Checker.rcdp(q, Prepare(cand, dm, v), wp, gv)
-		if err == ErrBudgetExceeded {
+		if err == errNotPartiallyClosed || err == ErrBudgetExceeded {
 			return false, nil
 		}
 		return err == nil && r.Verdict == VerdictComplete, err

@@ -351,8 +351,8 @@ type searchWorker struct {
 
 	// Callback scratch owned by this walk: wc is the RCDP witness
 	// checker, taken from the check's witnessPool at the first complete
-	// valuation and released when the walk ends; frag is a reusable
-	// Δ-fragment.
+	// valuation and released when the walk ends; frag is the reusable
+	// μ(T) fragment of RCQP's E3/E4 search (satisfiesV).
 	wc   *witnessChecker
 	frag *relation.Database
 }

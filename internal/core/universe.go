@@ -24,8 +24,9 @@
 //
 // Each decision procedure has exactly one entry point, its governed
 // form (Checker.RCDPCtx, QPChecker.RCQPCtx, BoundedRCDPCtx,
-// BoundedRCQPCtx, DegreeCtx; Checker.RCDPPreparedCtx is RCDPCtx over
-// a Prepared (D, Dm, V) shared by many queries): it accepts a context
+// BoundedRCQPCtx, DegreeCtx; Checker.RCDPPreparedCtx and
+// Checker.DegreePreparedCtx are RCDPCtx and DegreeCtx over a Prepared
+// (D, Dm, V) shared by many checks): it accepts a context
 // and a Budget, stops the search the moment a resource cap trips, and
 // answers with a three-valued Verdict plus the exhausted-dimension
 // Reason and the BudgetStats actually consumed — unknown is an answer,

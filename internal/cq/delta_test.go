@@ -39,7 +39,7 @@ func probeIndex(in *relation.Instance, col int, v relation.Value) []relation.Tup
 	all := in.Tuples()
 	var out []relation.Tuple
 	if ix.Small() {
-		for r, got := range ix.Col(col) {
+		for r, got := range ix.Cols()[col] {
 			if got == id {
 				out = append(out, all[r])
 			}

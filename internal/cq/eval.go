@@ -280,7 +280,7 @@ func (t *Tableau) EvalFuncDeltaGate(d, delta *relation.Database, g *query.Gate, 
 	gs := gate(g)
 	es := evalStats{evals: 1}
 	st := t.isetup(d, gs, &es)
-	st.bindDelta(t, delta)
+	st.bindDelta(t, DeltaRowsOf(delta))
 	st.leaf = st.bindingLeaf(t.Vars, fn)
 	if !st.ip.unsat {
 		st.runDeltaAll(len(t.Templates))
@@ -296,7 +296,7 @@ func (t *Tableau) EvalFuncDeltaGate(d, delta *relation.Database, g *query.Gate, 
 // without any per-leaf string work. It is a one-shot DeltaProbe.
 func (t *Tableau) EvalFuncDeltaIDsGate(d, delta *relation.Database, g *query.Gate, fn func(head []int32) bool) error {
 	p := t.NewDeltaProbe(d)
-	err := p.Run(delta, g, fn)
+	err := p.Run(DeltaRowsOf(delta), g, fn)
 	p.Flush()
 	return err
 }
@@ -305,8 +305,8 @@ func (t *Tableau) EvalFuncDeltaIDsGate(d, delta *relation.Database, g *query.Gat
 // database d and run for many deltas: the base instances and their
 // index views, the constant ids, the slot, trail and head buffers and
 // the gate state are set up once, and each Run only rebinds the delta
-// instances. The decision procedures test one delta per candidate
-// valuation against the same d, which is what this amortizes.
+// rows. The decision procedures test one delta per candidate valuation
+// against the same d, which is what this amortizes.
 //
 // d must not be mutated while the probe is in use (the views it holds
 // are per generation). A probe is single-goroutine. Its join counters
@@ -330,11 +330,12 @@ func (t *Tableau) NewDeltaProbe(d *relation.Database) *DeltaProbe {
 }
 
 // Run enumerates the head tuples (as ids, in a reused slice) of the
-// matches over d ∪ delta that use at least one delta tuple, with the
+// matches over d ∪ delta that use at least one delta row, with the
 // semantics of EvalFuncDeltaIDsGate: each candidate tuple charges one
 // row-step on g, the first gate error aborts the run and is returned,
-// and fn returning false stops it. A nil gate is free.
-func (p *DeltaProbe) Run(delta *relation.Database, g *query.Gate, fn func(head []int32) bool) error {
+// and fn returning false stops it. A nil gate is free. delta is read,
+// not kept: the caller may refill it once Run returns.
+func (p *DeltaProbe) Run(delta *DeltaRows, g *query.Gate, fn func(head []int32) bool) error {
 	p.es.evals++
 	st := p.st
 	if st.ip.unsat || !st.ip.headBound {

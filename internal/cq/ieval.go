@@ -97,8 +97,9 @@ func (t *Tableau) plan() *iplan {
 
 // ijoin is one enumeration's state: the slot binding (ids, -1
 // unbound), resolved constant ids, the trail of newly bound slots for
-// unwinding, and the per-template instances of the base (and, for delta
-// evaluation, delta) database. A nil instance contributes no rows.
+// unwinding, the per-template instances of the base database and, for
+// delta evaluation, the per-template rows of the delta. A nil instance
+// or row set contributes no rows.
 type ijoin struct {
 	ip   *iplan
 	vals []relation.Value // dictionary snapshot for materialization
@@ -106,8 +107,7 @@ type ijoin struct {
 	ins []*relation.Instance
 	ixs []relation.IDIndex
 
-	dins []*relation.Instance // delta instances (delta evaluation only)
-	dixs []relation.IDIndex
+	drs []*deltaRel // delta rows (delta evaluation only; nil until bindDelta)
 
 	cids  []int32 // constant index -> id
 	slots []int32 // var slot -> id, -1 unbound
@@ -121,24 +121,19 @@ type ijoin struct {
 // isetup prepares one enumeration over d. A relation missing from d,
 // or whose arity differs from the template's, contributes no rows —
 // exactly as no tuple of it could match the template. Differential
-// evaluation binds its delta instances afterwards with bindDelta.
+// evaluation binds its delta rows afterwards with bindDelta.
 func (t *Tableau) isetup(d *relation.Database, gs *gateState, es *evalStats) *ijoin {
 	ip := t.plan()
 	dict := relation.Shared()
 	n := len(t.Templates)
 	nc, nv := len(ip.consts), len(t.Vars)
 	// One backing array serves cids, slots and the (bounded by nv)
-	// trail; one instance slice and one index slice each serve both the
-	// base and the delta halves.
+	// trail.
 	ibuf := make([]int32, nc+nv, nc+2*nv)
-	insbuf := make([]*relation.Instance, 2*n)
-	ixbuf := make([]relation.IDIndex, 2*n)
 	st := &ijoin{
 		ip:    ip,
-		ins:   insbuf[:n],
-		ixs:   ixbuf[:n],
-		dins:  insbuf[n:],
-		dixs:  ixbuf[n:],
+		ins:   make([]*relation.Instance, n),
+		ixs:   make([]relation.IDIndex, n),
 		cids:  ibuf[:nc],
 		slots: ibuf[nc : nc+nv],
 		trail: ibuf[nc+nv : nc+nv : nc+2*nv],
@@ -161,16 +156,15 @@ func (t *Tableau) isetup(d *relation.Database, gs *gateState, es *evalStats) *ij
 	return st
 }
 
-// bindDelta (re)binds the delta instances of a differential
-// enumeration, under the same missing-relation and arity rules as the
-// base instances of isetup.
-func (st *ijoin) bindDelta(t *Tableau, delta *relation.Database) {
+// bindDelta (re)binds the delta rows of a differential enumeration,
+// under the same missing-relation and arity rules as the base
+// instances of isetup.
+func (st *ijoin) bindDelta(t *Tableau, delta *DeltaRows) {
+	if st.drs == nil {
+		st.drs = make([]*deltaRel, len(t.Templates))
+	}
 	for i, a := range t.Templates {
-		st.dins[i], st.dixs[i] = nil, relation.IDIndex{}
-		if in := delta.Instance(a.Rel); in != nil && in.Schema.Arity() == len(a.Args) {
-			st.dins[i] = in
-			st.dixs[i] = in.IDs()
-		}
+		st.drs[i] = delta.rel(a.Rel, len(a.Args))
 	}
 }
 
@@ -224,8 +218,8 @@ func (st *ijoin) run(order []int, k int) bool {
 // runDelta matches template idx[k] for differential evaluation: the
 // deltaAt template reads only delta, every other template reads d and
 // then delta. Template order is positional after the leading deltaAt
-// template: delta instances are typically tiny, so it binds its
-// variables first.
+// template: deltas are typically tiny, so it binds its variables
+// first.
 func (st *ijoin) runDelta(idx []int, k, deltaAt int) bool {
 	if k == len(idx) {
 		return st.leaf()
@@ -234,15 +228,15 @@ func (st *ijoin) runDelta(idx []int, k, deltaAt int) bool {
 	args := st.ip.tmpls[ti]
 	f := iframe{delta: true, order: idx, k: k, deltaAt: deltaAt}
 	if ti == deltaAt {
-		if st.dins[ti] == nil {
+		if st.drs[ti] == nil {
 			return true
 		}
-		return st.enum(st.dixs[ti], args, f)
+		return st.enumRows(st.drs[ti], args, f)
 	}
 	if st.ins[ti] != nil && !st.enum(st.ixs[ti], args, f) {
 		return false
 	}
-	if st.dins[ti] != nil && !st.enum(st.dixs[ti], args, f) {
+	if st.drs[ti] != nil && !st.enumRows(st.drs[ti], args, f) {
 		return false
 	}
 	return true
@@ -294,23 +288,15 @@ func (st *ijoin) enum(ix relation.IDIndex, args []iterm, f iframe) bool {
 			probeCol, probeID, bestDc = i, id, dc
 		}
 	}
+	cols := ix.Cols()
 	if probeCol >= 0 {
 		st.es.probes++
 		if ix.Small() {
-			// Tiny instance (a per-valuation Δ): filter the rank scan
-			// instead of building posting containers. Skipped rows are
-			// not charged, exactly as rows outside a posting bucket
-			// never were.
-			col := ix.Col(probeCol)
-			for r := range col {
-				if col[r] != probeID {
-					continue
-				}
-				if !st.tryRank(ix, args, int32(r), f) {
-					return false
-				}
-			}
-			return true
+			// A small instance (a relation of a toy or test database, a
+			// hard-search truth table, an RCQP candidate fragment):
+			// filtering the rank scan costs less than building posting
+			// containers for it.
+			return st.filterScan(cols, ix.Rows(), probeCol, probeID, args, f)
 		}
 		p := ix.Postings(probeCol, probeID)
 		if p.Bits != nil {
@@ -318,7 +304,7 @@ func (st *ijoin) enum(ix relation.IDIndex, args []iterm, f iframe) bool {
 				for word != 0 {
 					r := int32(w<<6 + bits.TrailingZeros64(word))
 					word &= word - 1
-					if !st.tryRank(ix, args, r, f) {
+					if !st.tryRank(cols, args, r, f) {
 						return false
 					}
 				}
@@ -326,34 +312,76 @@ func (st *ijoin) enum(ix relation.IDIndex, args []iterm, f iframe) bool {
 			return true
 		}
 		for _, r := range p.Ranks {
-			if !st.tryRank(ix, args, r, f) {
+			if !st.tryRank(cols, args, r, f) {
 				return false
 			}
 		}
 		return true
 	}
 	st.es.scans++
-	n := int32(ix.Rows())
-	for r := int32(0); r < n; r++ {
-		if !st.tryRank(ix, args, r, f) {
+	return st.scan(cols, ix.Rows(), args, f)
+}
+
+// enumRows is enum over the rows of one delta relation. A delta holds a
+// handful of rows, so a bound column is probed by filtering the scan;
+// the probe column is chosen exactly as enum chooses it, so the rows
+// visited and charged are those of enum over an Instance holding the
+// same rows.
+func (st *ijoin) enumRows(dr *deltaRel, args []iterm, f iframe) bool {
+	probeCol, bestDc := -1, -1
+	var probeID int32
+	for i, a := range args {
+		id, bound := st.resolve(a)
+		if !bound {
+			continue
+		}
+		if dc := dr.distinct[i]; dc > bestDc {
+			probeCol, probeID, bestDc = i, id, dc
+		}
+	}
+	if probeCol >= 0 {
+		st.es.probes++
+		return st.filterScan(dr.cols, dr.n, probeCol, probeID, args, f)
+	}
+	st.es.scans++
+	return st.scan(dr.cols, dr.n, args, f)
+}
+
+// filterScan tries those of the n rows whose column probeCol holds
+// probeID. Skipped rows are not charged, exactly as rows outside a
+// posting container never are.
+func (st *ijoin) filterScan(cols [][]int32, n, probeCol int, probeID int32, args []iterm, f iframe) bool {
+	for r, id := range cols[probeCol][:n] {
+		if id == probeID && !st.tryRank(cols, args, int32(r), f) {
 			return false
 		}
 	}
 	return true
 }
 
-// tryRank charges one candidate row, matches the template args against
-// it by integer compare, checks the inequalities that just became
-// decidable, and recurses. Returning false stops the whole enumeration
-// (gate trip or fn stop); a mere match failure returns true.
-func (st *ijoin) tryRank(ix relation.IDIndex, args []iterm, rank int32, f iframe) bool {
+// scan tries all n rows.
+func (st *ijoin) scan(cols [][]int32, n int, args []iterm, f iframe) bool {
+	for r := int32(0); r < int32(n); r++ {
+		if !st.tryRank(cols, args, r, f) {
+			return false
+		}
+	}
+	return true
+}
+
+// tryRank charges one candidate row (rank in the columns cols), matches
+// the template args against it by integer compare, checks the
+// inequalities that just became decidable, and recurses. Returning
+// false stops the whole enumeration (gate trip or fn stop); a mere
+// match failure returns true.
+func (st *ijoin) tryRank(cols [][]int32, args []iterm, rank int32, f iframe) bool {
 	st.es.rows++
 	if !st.gs.step() {
 		return false
 	}
 	mark := len(st.trail)
 	for i, a := range args {
-		cid := ix.Col(i)[rank]
+		cid := cols[i][rank]
 		if a < 0 {
 			if st.cids[-a-1] != cid {
 				st.unwind(mark)

@@ -2,6 +2,7 @@ package cq
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -223,8 +224,8 @@ func (t *Tableau) Apply(b query.Binding, schemas map[string]*relation.Schema) (*
 }
 
 // NewFragment returns an empty database holding one relation per
-// template relation, the shape Apply returns and SlotTemplates.ApplyInto
-// refills.
+// template relation, the shape Apply returns, SlotTemplates.ApplyInto
+// refills and an RCDP witness Extension has.
 func (t *Tableau) NewFragment(schemas map[string]*relation.Schema) (*relation.Database, error) {
 	ss := make([]*relation.Schema, 0, len(t.Templates))
 outer:
@@ -244,16 +245,25 @@ outer:
 }
 
 // SlotTemplates is the tableau's templates compiled against a caller's
-// numbering of its variables ("slots"): ApplyInto grounds them from a
-// slot array of shared-dictionary ids, with no Binding, no Value and
-// no interning per call. A compiled plan is read-only and may be
-// shared across goroutines.
+// numbering of its variables ("slots"): Ground and AddInto instantiate
+// them from a slot array of shared-dictionary ids, with no Binding, no
+// Value and no interning per call. A compiled plan is read-only and may
+// be shared across goroutines.
 type SlotTemplates struct {
 	tpls []slotTemplate
+	// rels holds the schemas of the distinct template relations in
+	// first-use order, and relTpls their template counts (the bound on
+	// their rows in μ(T_Q)); slotTemplate.rel indexes both.
+	rels    []*relation.Schema
+	relTpls []int
+	// unknown is the first template relation missing from the schemas,
+	// "" when there is none.
+	unknown string
 }
 
 type slotTemplate struct {
-	rel string
+	name string
+	rel  int // index into SlotTemplates.rels; -1 for an unknown relation
 	// args holds one operand per column: a slot index when ≥ 0, the
 	// complement ^id of a constant's id when < 0.
 	args []int32
@@ -270,14 +280,28 @@ func (t *Tableau) SlotTemplates(slotOf map[string]int, schemas map[string]*relat
 	dict := relation.Shared()
 	st := &SlotTemplates{tpls: make([]slotTemplate, len(t.Templates))}
 	for i, a := range t.Templates {
-		tp := slotTemplate{rel: a.Rel, args: make([]int32, len(a.Args)), fin: make([][]uint64, len(a.Args))}
+		tp := slotTemplate{name: a.Rel, rel: -1, args: make([]int32, len(a.Args)), fin: make([][]uint64, len(a.Args))}
+		s := schemas[a.Rel]
+		if s == nil {
+			if st.unknown == "" {
+				st.unknown = a.Rel
+			}
+		} else {
+			tp.rel = slices.Index(st.rels, s)
+			if tp.rel < 0 {
+				tp.rel = len(st.rels)
+				st.rels = append(st.rels, s)
+				st.relTpls = append(st.relTpls, 0)
+			}
+			st.relTpls[tp.rel]++
+		}
 		for c, arg := range a.Args {
 			if arg.IsVar {
 				tp.args[c] = int32(slotOf[arg.Name])
 			} else {
 				tp.args[c] = ^dict.Intern(arg.Val)
 			}
-			if s := schemas[a.Rel]; s != nil && c < s.Arity() && s.Attrs[c].Domain.Kind == relation.Finite {
+			if s != nil && c < s.Arity() && s.Attrs[c].Domain.Kind == relation.Finite {
 				var set []uint64
 				for _, v := range s.Attrs[c].Domain.Values {
 					set = relation.SetIDBit(set, dict.Intern(v))
@@ -293,12 +317,67 @@ func (t *Tableau) SlotTemplates(slotOf map[string]int, schemas map[string]*relat
 	return st
 }
 
+// ground resolves template tp's operands under slots into dst (which
+// must have room for them) and reports whether every id lies in its
+// column's finite domain.
+func (tp *slotTemplate) ground(dst []int32, slots []int32) ([]int32, bool) {
+	valid := true
+	for c, op := range tp.args {
+		id := ^op
+		if op >= 0 {
+			id = slots[op]
+		}
+		if fin := tp.fin[c]; fin != nil && !relation.HasIDBit(fin, id) {
+			valid = false
+		}
+		dst = append(dst, id)
+	}
+	return dst, valid
+}
+
+// Ground refills dst with μ(T_Q) for the slot array: the witness Δ of
+// one candidate valuation, as id rows (see DeltaRows). Templates that
+// ground to one tuple give one row. It fails as Tableau.Apply does on
+// the same valuation: on a template relation missing from the schemas
+// the plan was compiled against, and with Database.Add's own error on
+// a wrong arity or a value outside its column's finite domain.
+func (st *SlotTemplates) Ground(dst *DeltaRows, slots []int32) error {
+	if st.unknown != "" {
+		return fmt.Errorf("cq: unknown relation %s", st.unknown)
+	}
+	dst.reset()
+	for i, s := range st.rels {
+		dst.group(s.Name, s.Arity(), st.relTpls[i])
+	}
+	var vals []relation.Value
+	var buf [16]int32
+	for i := range st.tpls {
+		tp := &st.tpls[i]
+		ids := buf[:0]
+		if len(tp.args) > len(buf) {
+			ids = make([]int32, 0, len(tp.args))
+		}
+		ids, valid := tp.ground(ids, slots)
+		s := st.rels[tp.rel]
+		if !valid || len(ids) != s.Arity() {
+			return s.Check(relation.Tuple(relation.Shared().Values(ids)))
+		}
+		dr := &dst.rels[tp.rel]
+		if dr.n > 0 && vals == nil {
+			vals = relation.Shared().Snapshot()
+		}
+		dst.n += dr.add(ids, vals)
+	}
+	return nil
+}
+
 // ApplyInto is Apply refilling dst in place from a slot array: dst is
 // emptied (see Database.Reset) and receives μ(T_Q). dst must hold a
 // relation for every template, as a NewFragment result does; callers
-// that test one valuation after another reuse one fragment this way
-// instead of allocating one per valuation. A value outside its
-// column's finite domain fails exactly as Database.Add does.
+// that evaluate queries over one valuation's instantiation after
+// another reuse one fragment this way instead of allocating one per
+// valuation. A value outside its column's finite domain fails exactly
+// as Database.Add does.
 func (st *SlotTemplates) ApplyInto(dst *relation.Database, slots []int32) error {
 	dst.Reset()
 	return st.AddInto(dst, slots)
@@ -314,27 +393,17 @@ func (st *SlotTemplates) AddInto(dst *relation.Database, slots []int32) error {
 		if len(tp.args) > len(buf) {
 			ids = make([]int32, 0, len(tp.args))
 		}
-		valid := true
-		for c, op := range tp.args {
-			id := ^op
-			if op >= 0 {
-				id = slots[op]
-			}
-			if fin := tp.fin[c]; fin != nil && !relation.HasIDBit(fin, id) {
-				valid = false
-			}
-			ids = append(ids, id)
-		}
+		ids, valid := tp.ground(ids, slots)
 		if !valid {
 			// Materialize the tuple so the error is Add's own.
-			if err := dst.Add(tp.rel, relation.Tuple(relation.Shared().Values(ids))); err != nil {
+			if err := dst.Add(tp.name, relation.Tuple(relation.Shared().Values(ids))); err != nil {
 				return err
 			}
 			continue
 		}
-		in := dst.Instance(tp.rel)
+		in := dst.Instance(tp.name)
 		if in == nil {
-			return fmt.Errorf("cq: fragment has no relation %s", tp.rel)
+			return fmt.Errorf("cq: fragment has no relation %s", tp.name)
 		}
 		in.AddIDs(ids)
 	}

@@ -210,7 +210,8 @@ func (in *Instance) rowLess(vals []Value, r1, r2 int32) bool {
 // postingSetForRank materializes the posting set for the current
 // generation from a precomputed rank permutation, following the same
 // small-instance conventions as buildPostingBase (n ≤ 1 aliases the
-// live columns; container slots only above smallIndexRows).
+// live columns; container slots only above smallIndexRows, distinct
+// counts only at or below it).
 func (in *Instance) postingSetForRank(rank []int32) *postingSet {
 	n, arity := in.n, len(in.cols)
 	if n <= 1 {
@@ -219,7 +220,11 @@ func (in *Instance) postingSetForRank(rank []int32) *postingSet {
 	ps := &postingSet{gen: in.gen, rank: rank, scols: make([][]int32, arity)}
 	if n > smallIndexRows {
 		ps.cols = make([]atomic.Pointer[postingCol], arity)
+		ps.fillCols(in, make([]int32, n*arity))
+		return ps
 	}
-	ps.fillCols(in, make([]int32, n*arity))
+	buf := make([]int32, (n+1)*arity)
+	ps.fillCols(in, buf[:n*arity])
+	ps.countDistinct(buf[n*arity:])
 	return ps
 }

@@ -27,7 +27,7 @@ func probe(in *Instance, col int, v Value) []Tuple {
 	all := in.Tuples()
 	var out []Tuple
 	if ix.Small() {
-		for r, got := range ix.Col(col) {
+		for r, got := range ix.Cols()[col] {
 			if got == id {
 				out = append(out, all[r])
 			}

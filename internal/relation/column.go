@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -98,6 +99,10 @@ type postingSet struct {
 	rank  []int32                      // rank (sorted position) -> row
 	scols [][]int32                    // [col][rank] -> id, in rank order
 	cols  []atomic.Pointer[postingCol] // lazily built per-column postings
+	// distinct counts the distinct ids per column of a set of 2 to
+	// smallIndexRows rows, which has no posting containers to read the
+	// count from (nil otherwise).
+	distinct []int32
 }
 
 // postingCol holds the posting containers of one column: for each
@@ -134,8 +139,9 @@ type Postings struct {
 // ordSortMinRows is the row count above which the rank sort goes
 // through per-column order codes (one string sort per distinct value
 // set, then integer row comparisons) instead of comparing value strings
-// per row pair. Small instances — the per-valuation Δ-deltas of the
-// decision procedures — skip the order-code allocation entirely.
+// per row pair. Smaller instances — toy and test relations, the
+// candidate databases and instantiation fragments of RCQP, bounded
+// RCDP's extensions — skip the order-code allocation entirely.
 const ordSortMinRows = 64
 
 // ensurePostings returns the posting set for the current generation,
@@ -169,12 +175,12 @@ var oneRank = []int32{0}
 //
 // Instances at or below smallIndexRows never receive posting-container
 // slots (ps.cols stays empty): the IDIndex view answers their probes by
-// scanning, so the slots would be dead weight — and the decision
-// procedures build one such instance per valuation, making every
-// skipped allocation count. Single-row instances additionally alias the
-// live columns instead of copying: the views are immutable-by-contract
-// (readers of a mutating instance are forbidden, and the next
-// generation rebuilds).
+// scanning, so the slots would be dead weight — and RCQP's E3/E4 search
+// refills one such fragment per valuation (satisfiesV) and evaluates V
+// over it, making every skipped allocation count. Single-row instances
+// additionally alias the live columns instead of copying: the views are
+// immutable-by-contract (readers of a mutating instance are forbidden,
+// and the next generation rebuilds).
 func (in *Instance) buildPostingBase() *postingSet {
 	n := in.n
 	arity := len(in.cols)
@@ -244,14 +250,15 @@ func (in *Instance) buildPostingBase() *postingSet {
 }
 
 // buildSmallPostingBase is buildPostingBase for 2..smallIndexRows rows,
-// the size of the per-valuation Δ-fragments: the rank permutation and
-// the rank-ordered columns share one allocation, and the rows are
+// the size of RCQP's per-valuation fragments and of most toy, test and
+// hard-search relations: the rank permutation, the rank-ordered columns
+// and the distinct counts share one allocation, and the rows are
 // ordered by insertion sort. Rows are distinct and the dictionary is
 // injective, so rowLess is a total order and the permutation is the
 // one any sort produces.
 func (in *Instance) buildSmallPostingBase() *postingSet {
 	n, arity := in.n, len(in.cols)
-	buf := make([]int32, n*(arity+1))
+	buf := make([]int32, n*(arity+1)+arity)
 	ps := &postingSet{gen: in.gen, rank: buf[:n:n], scols: make([][]int32, arity)}
 	vals := shared.Snapshot()
 	for r := 0; r < n; r++ {
@@ -261,8 +268,26 @@ func (in *Instance) buildSmallPostingBase() *postingSet {
 		}
 		ps.rank[k] = int32(r)
 	}
-	ps.fillCols(in, buf[n:])
+	ps.fillCols(in, buf[n:n*(arity+1)])
+	ps.countDistinct(buf[n*(arity+1):])
 	return ps
+}
+
+// countDistinct fills dst (one slot per column) with the distinct-id
+// counts of a small set's columns and keeps it as ps.distinct: the
+// join planner asks for them on every probe of the instance, so they
+// are counted once per generation, not per probe.
+func (ps *postingSet) countDistinct(dst []int32) {
+	for c, sc := range ps.scols {
+		n := int32(0)
+		for i, id := range sc {
+			if !slices.Contains(sc[:i], id) {
+				n++
+			}
+		}
+		dst[c] = n
+	}
+	ps.distinct = dst
 }
 
 // fillCols copies the columns into backing (n*arity ids) in rank
@@ -369,9 +394,9 @@ func (in *Instance) IDs() IDIndex {
 // Rows returns the number of rows.
 func (ix IDIndex) Rows() int { return len(ix.ps.rank) }
 
-// Col returns column c as ids in rank (deterministic tuple) order.
-// Callers must not modify it.
-func (ix IDIndex) Col(c int) []int32 { return ix.ps.scols[c] }
+// Cols returns the columns as ids in rank (deterministic tuple)
+// order, one slice per column. Callers must not modify them.
+func (ix IDIndex) Cols() [][]int32 { return ix.ps.scols }
 
 // Postings returns the posting container of id in column c, building
 // the column's containers on first use.
@@ -384,11 +409,13 @@ func (ix IDIndex) Postings(c int, id int32) Postings {
 }
 
 // smallIndexRows is the row count at or below which the index view
-// answers Distinct and probe enumeration by scanning the rank-ordered
-// column directly: the per-valuation Δ-instances of the decision
-// procedures have a handful of rows, and building posting containers
-// for them (two maps plus several slices per column) costs more than
-// every probe they will ever serve.
+// answers probe enumeration by scanning the rank-ordered column
+// directly and Distinct from counts taken when the view was built:
+// toy and test relations, the truth-table relations of the hardness
+// reductions and RCQP's per-valuation fragments have a handful of
+// rows, and building posting containers for them (two maps plus
+// several slices per column) costs more than every probe they will
+// ever serve.
 const smallIndexRows = 24
 
 // Small reports whether the view is small enough that callers should
@@ -402,21 +429,10 @@ func (ix IDIndex) Distinct(c int) int {
 		return 0
 	}
 	if ix.Small() {
-		sc := ix.ps.scols[c]
-		n := 0
-		for i, id := range sc {
-			dup := false
-			for j := 0; j < i; j++ {
-				if sc[j] == id {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				n++
-			}
+		if ix.ps.distinct == nil {
+			return ix.Rows() // 0 or 1 rows: n ≤ 1 sets keep no counts
 		}
-		return n
+		return int(ix.ps.distinct[c])
 	}
 	pc := ix.in.postingColFor(ix.ps, c)
 	if pc == nil {

@@ -155,6 +155,22 @@ func (s *Schema) Validate() error {
 	return nil
 }
 
+// Check reports whether t fits the schema: the error Instance.Add
+// returns for a tuple of the wrong arity or with a value outside its
+// attribute's finite domain, nil otherwise.
+func (s *Schema) Check(t Tuple) error {
+	if len(t) != s.Arity() {
+		return fmt.Errorf("relation: %s expects arity %d, got tuple %v", s.Name, s.Arity(), t)
+	}
+	for i, v := range t {
+		if !s.Attrs[i].Domain.Contains(v) {
+			return fmt.Errorf("relation: %s.%s: value %q outside finite domain %s",
+				s.Name, s.Attrs[i].Name, v, s.Attrs[i].Domain)
+		}
+	}
+	return nil
+}
+
 func (s *Schema) String() string {
 	parts := make([]string, len(s.Attrs))
 	for i, a := range s.Attrs {
@@ -276,9 +292,10 @@ type Instance struct {
 
 // NewInstance returns an empty instance of the schema.
 func NewInstance(s *Schema) *Instance {
-	// rows stays nil until the instance outgrows linear dedup: the
-	// decision procedures build one tiny Δ-instance per valuation, and
-	// for those the map (and its string keys) never needs to exist.
+	// rows stays nil until the instance outgrows linear dedup: RCQP's
+	// per-valuation fragments, witness extensions and most toy
+	// relations stay below it, and for those the map (and its string
+	// keys) never needs to exist.
 	return &Instance{Schema: s, cols: make([][]int32, s.Arity())}
 }
 
@@ -323,14 +340,8 @@ func (in *Instance) buildRows() {
 // Add inserts a tuple, validating arity and finite-domain membership.
 // Adding a duplicate is a no-op.
 func (in *Instance) Add(t Tuple) error {
-	if len(t) != in.Schema.Arity() {
-		return fmt.Errorf("relation: %s expects arity %d, got tuple %v", in.Schema.Name, in.Schema.Arity(), t)
-	}
-	for i, v := range t {
-		if !in.Schema.Attrs[i].Domain.Contains(v) {
-			return fmt.Errorf("relation: %s.%s: value %q outside finite domain %s",
-				in.Schema.Name, in.Schema.Attrs[i].Name, v, in.Schema.Attrs[i].Domain)
-		}
+	if err := in.Schema.Check(t); err != nil {
+		return err
 	}
 	in.addInterned(t)
 	return nil
@@ -443,10 +454,10 @@ func (in *Instance) Remove(t Tuple) {
 }
 
 // Reset empties the instance in place, keeping its column capacity, so
-// a reused scratch instance (see cq.SlotTemplates.ApplyInto) refills without
-// reallocating. It counts as
-// a mutation: any previously obtained view or cache is invalidated, and
-// the usual no-readers-during-mutation rule applies.
+// a reused scratch instance (RCQP's per-valuation fragments, refilled
+// by cq.SlotTemplates.ApplyInto) refills without reallocating. It
+// counts as a mutation: any previously obtained view or cache is
+// invalidated, and the usual no-readers-during-mutation rule applies.
 func (in *Instance) Reset() {
 	for c := range in.cols {
 		in.cols[c] = in.cols[c][:0]

@@ -413,7 +413,7 @@ func (s *Server) runRCDP(ctx context.Context, in *checkInput) (*CheckResponse, e
 		out.NewTuple = tupleJSON(res.NewTuple)
 	}
 	if in.req != nil && in.req.Degree {
-		dg, err := s.runDegree(ctx, in)
+		dg, err := s.runDegree(ctx, in, prep)
 		if err != nil {
 			return nil, err
 		}
@@ -423,11 +423,12 @@ func (s *Server) runRCDP(ctx context.Context, in *checkInput) (*CheckResponse, e
 }
 
 // runDegree measures the quantitative completeness score for a
-// degree-requesting /v1/rcdp call. The degree enumeration reuses the
-// request's effective budget except for its valuation dimension, which
-// is governed separately: the request's degree_valuations clamped to
-// the operator's MaxDegreeValuations ceiling.
-func (s *Server) runDegree(ctx context.Context, in *checkInput) (*DegreeJSON, error) {
+// degree-requesting /v1/rcdp call on the (D, Dm, V) handle its RCDP
+// check used. The degree enumeration reuses the request's effective
+// budget except for its valuation dimension, which is governed
+// separately: the request's degree_valuations clamped to the
+// operator's MaxDegreeValuations ceiling.
+func (s *Server) runDegree(ctx context.Context, in *checkInput, prep *core.Prepared) (*DegreeJSON, error) {
 	budget := in.budget
 	dv := in.req.DegreeValuations
 	if dv <= 0 || dv > s.cfg.MaxDegreeValuations {
@@ -435,7 +436,7 @@ func (s *Server) runDegree(ctx context.Context, in *checkInput) (*DegreeJSON, er
 	}
 	budget.MaxValuations = dv
 	ck := core.Checker{Workers: s.cfg.CheckWorkers, Budget: budget}
-	res, err := ck.DegreeCtx(ctx, in.q, in.d, in.dm, in.v)
+	res, err := ck.DegreePreparedCtx(ctx, in.q, prep)
 	if err != nil {
 		return nil, err
 	}
