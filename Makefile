@@ -81,6 +81,9 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 	$(GO) build -o /tmp/relbench-smoke ./cmd/relbench
 	/tmp/relbench-smoke -quick -json > /dev/null
+	# Under a budget every table must still finish: stopped checks are
+	# recorded as unknown, not reported as failures.
+	/tmp/relbench-smoke -quick -json -workers 1 -steps 500 > /dev/null
 	rm -f /tmp/relbench-smoke
 
 # Bench-regression gate: three quick single-worker relbench runs are

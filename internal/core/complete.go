@@ -26,10 +26,11 @@ import (
 //
 // The construction runs on the valuation search under governance: each
 // disjunct's valuations are enumerated in slot order with the IND
-// pruner, every node polls the gate, and budget (when positive) caps
-// the complete valuations per disjunct, like Budget.MaxValuations —
-// exhausting it returns ErrBudgetExceeded. It also returns the complete
-// valuations inspected.
+// pruner (the keyed-task search run in key order), every node polls the
+// gate, and budget (when positive) caps the complete valuations per
+// disjunct, like Budget.MaxValuations — exhausting it returns
+// ErrBudgetExceeded. It also returns the complete valuations inspected,
+// without the one the budget refused.
 //
 // The pruner tests every template with variables against the INDs of
 // its relation as soon as it is ground, which for all-IND V is exactly
@@ -80,7 +81,7 @@ func completeDatabaseINDs(q qlang.Query, dm *relation.Database, v *cc.Set, schem
 		} else if !ok {
 			continue // no valuation can satisfy V
 		}
-		search, ok := newValuationSearch(u, t, schemas, searchConfig{v: v, dm: dm, fixed: cand, budget: budget, gate: gate})
+		search, ok := newValuationSearch(u, t, schemas, searchConfig{v: v, dm: dm, fixed: cand, gate: gate})
 		if !ok {
 			continue
 		}
@@ -88,27 +89,19 @@ func completeDatabaseINDs(q qlang.Query, dm *relation.Database, v *cc.Set, schem
 		// stay finite; a blocked disjunct (no valid valuation satisfies
 		// V) contributes nothing.
 		added := 0
-		var addErr error
-		err := search.run(func(slots []int32) bool {
+		overCap, bud, err := search.inOrder(budget, func(_ *searchWorker, slots []int32) (any, error) {
 			if added == maxAnswers {
-				addErr = errStop
-				return false
-			}
-			if addErr = search.tpls.AddInto(out, slots); addErr != nil {
-				return false
+				return true, nil // claim: the witness exceeds the cap
 			}
 			added++
-			return true
+			return nil, search.tpls.AddInto(out, slots)
 		})
-		visited += search.inspected()
-		if addErr == errStop {
-			return nil, visited, nil // witness exceeds cap; caller treats as "not constructed"
-		}
-		if addErr != nil {
-			return nil, visited, addErr
-		}
+		visited += bud.inspected()
 		if err != nil {
 			return nil, visited, err
+		}
+		if overCap != nil {
+			return nil, visited, nil // caller treats as "not constructed"
 		}
 	}
 	if ok, err := v.SatisfiedGate(out, dm, gate); err != nil {

@@ -30,8 +30,9 @@ import (
 // is fixed), and the reported degree carries a Wilson 95% confidence
 // interval for the covered proportion; exhaustive runs report the exact
 // fraction with a collapsed interval. Sampling always enumerates on the
-// calling goroutine regardless of Checker.Workers so the sampled prefix
-// — and therefore the estimate — is scheduling-independent.
+// calling goroutine regardless of Checker.Workers — each disjunct is the
+// keyed-task search run in key order (valuationSearch.inOrder) — so the
+// sampled prefix, and therefore the estimate, is scheduling-independent.
 
 // DegreeResult is the outcome of a quantitative completeness check.
 type DegreeResult struct {
@@ -139,37 +140,33 @@ func (ck *Checker) degree(q qlang.Query, p *Prepared, gv *governor) (*DegreeResu
 		if search == nil {
 			continue
 		}
-		var cbErr error
-		err := search.run(func(slots []int32) bool {
+		// Each disjunct walks under its own controllers: its budget claim
+		// must not cancel the disjuncts after it.
+		_, bud, err := search.inOrder(ck.Budget.MaxValuations, func(_ *searchWorker, slots []int32) (any, error) {
 			// The witness extension is never surfaced — counting
 			// continues past it — so test suffices: no Extension.
 			ok, err := wc.test(di, slots)
 			if err != nil {
-				cbErr = err
-				return false
+				return nil, err
 			}
 			res.Candidates++
 			if ok {
 				res.Counterexamples++
 			}
-			return true
+			return nil, nil
 		})
-		visited += search.visited
-		noteDisjunct(di, search.visited, false)
-		if cbErr == nil && err == nil {
+		visited += bud.count()
+		noteDisjunct(di, bud.count(), false)
+		if err == nil {
 			continue
 		}
-		stop := cbErr
-		if stop == nil {
-			stop = err
-		}
-		r := reasonOf(stop)
+		r := reasonOf(err)
 		if r == ReasonNone {
-			return nil, stop
+			return nil, err
 		}
 		res.Exact = false
 		res.Reason = r
-		if stop == ErrBudgetExceeded {
+		if err == ErrBudgetExceeded {
 			// The per-disjunct valuation cap: later disjuncts still
 			// contribute their own sampled prefixes.
 			continue

@@ -6,7 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/cc"
+	"repro/internal/cq"
 	"repro/internal/mdm"
+	"repro/internal/qlang"
+	"repro/internal/query"
 	"repro/internal/relation"
 )
 
@@ -214,6 +217,63 @@ func TestWilsonInterval(t *testing.T) {
 		p := float64(tc.k) / float64(tc.n)
 		if lo < 0 || hi > 1 || lo > p || hi < p {
 			t.Fatalf("wilson(%d,%d) = [%v,%v] violates invariants around %v", tc.k, tc.n, lo, hi, p)
+		}
+	}
+}
+
+// areaUnion is the UCQ with one Q0 disjunct per area code: customers
+// with country code 01 in that area who have a support row.
+func areaUnion(acs ...string) qlang.Query {
+	ds := make([]*cq.CQ, len(acs))
+	for i, ac := range acs {
+		ds[i] = cq.New("U", []query.Term{v("c")},
+			[]query.RelAtom{
+				query.Atom(mdm.Cust, v("c"), v("n"), v("cc"), v("a"), v("p")),
+				query.Atom(mdm.Supt, v("e"), v("d"), v("c")),
+			},
+			query.Eq(v("cc"), query.C("01")),
+			query.Eq(v("a"), query.C(ac)))
+	}
+	return qlang.FromUCQ(cq.Union("U", ds...))
+}
+
+// TestDegreeBudgetedUnion pins the counts of a multi-disjunct degree
+// run under a valuation cap that every disjunct exhausts on its own:
+// each disjunct contributes its own sampled prefix (a cap run out in
+// one disjunct does not end the later ones), Stats.Valuations counts
+// the refused valuation of every capped disjunct, and the results are
+// the same at every worker count. Each disjunct has 20 candidates: the
+// exact runs (no cap, cap 20) are the reference rows.
+func TestDegreeBudgetedUnion(t *testing.T) {
+	cfg := mdm.DefaultConfig()
+	cfg.Completeness = 0.5
+	s := mdm.Generate(cfg)
+	vset := cc.NewSet(mdm.Phi0Cid(), mdm.CidIND(), mdm.ManageIND())
+	q := areaUnion("908", "973", "201")
+	for _, tc := range []struct {
+		cap                                     int
+		candidates, counterexamples, valuations int
+		reason                                  Reason
+		exact                                   bool
+	}{
+		{0, 60, 42, 60, ReasonNone, true},
+		{5, 15, 12, 18, ReasonValuations, false},
+		{12, 36, 27, 39, ReasonValuations, false},
+		{19, 57, 42, 60, ReasonValuations, false},
+		{20, 60, 42, 60, ReasonNone, true},
+	} {
+		for _, workers := range []int{1, 8} {
+			ck := &Checker{Workers: workers, Budget: Budget{MaxValuations: tc.cap}}
+			res, err := ck.DegreeCtx(context.Background(), q, s.D, s.Dm, vset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Candidates != tc.candidates || res.Counterexamples != tc.counterexamples ||
+				res.Stats.Valuations != tc.valuations || res.Reason != tc.reason || res.Exact != tc.exact {
+				t.Errorf("cap=%d workers=%d: got candidates=%d counterexamples=%d valuations=%d reason=%v exact=%v, want %d %d %d %v %v",
+					tc.cap, workers, res.Candidates, res.Counterexamples, res.Stats.Valuations, res.Reason, res.Exact,
+					tc.candidates, tc.counterexamples, tc.valuations, tc.reason, tc.exact)
+			}
 		}
 	}
 }

@@ -307,3 +307,70 @@ func TestRCDPWithReverseConstraint(t *testing.T) {
 		t.Fatalf("pinned Manage must be complete; ext %v", r.Extension)
 	}
 }
+
+// TestCompleteDatabaseINDsBudget: the witness construction charges
+// every complete valuation to its budget and, when the budget runs
+// out, stops with ErrBudgetExceeded and reports exactly the budget as
+// inspected — the refused valuation is not counted.
+func TestCompleteDatabaseINDsBudget(t *testing.T) {
+	schemas := map[string]*relation.Schema{"Supt": suptSchema()}
+	dm := relation.NewDatabase(relation.NewSchema("DCust", relation.Attr("cid")))
+	for _, c := range []string{"c1", "c2", "c3", "c4", "c5"} {
+		dm.MustAdd("DCust", c)
+	}
+	vset := cc.NewSet(cc.NewIND("i1", "Supt", []int{2}, 3, cc.Proj("DCust", 0)))
+	qc := qlang.FromCQ(cq.New("Qc", []query.Term{v("c")},
+		[]query.RelAtom{query.Atom("Supt", v("e"), v("d"), v("c"))}))
+
+	for _, tc := range []struct {
+		budget, inspected int
+		err               error
+	}{
+		{0, 5, nil},
+		{3, 3, ErrBudgetExceeded},
+		{5, 5, nil},
+	} {
+		w, n, err := completeDatabaseINDs(qc, dm, vset, schemas, 100, tc.budget, nil)
+		if err != tc.err || n != tc.inspected || (w == nil) != (tc.err != nil) {
+			t.Errorf("budget=%d: got witness=%v inspected=%d err=%v, want inspected=%d err=%v",
+				tc.budget, w != nil, n, err, tc.inspected, tc.err)
+		}
+	}
+}
+
+// TestFragmentPoolCapIsPrefix: a certificate-search fragment pool
+// capped at MaxPool holds exactly the first MaxPool fragments of the
+// uncapped pool, in order — stopping the enumeration once the pool is
+// full loses nothing the cap would have kept.
+func TestFragmentPoolCapIsPrefix(t *testing.T) {
+	r, f := microSchema()
+	schemas := map[string]*relation.Schema{"R": r, "F": f}
+	for _, cs := range microConstraintSets() {
+		if cs.v.AllINDs() {
+			continue
+		}
+		for _, q := range microQueries() {
+			full, _, err := QPChecker{MaxPool: 1 << 20}.buildFragmentPool(q, cs.dm, cs.v, schemas, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []int{1, 2, len(full) / 2, len(full) - 1} {
+				if n < 1 || n >= len(full) {
+					continue
+				}
+				got, _, err := QPChecker{MaxPool: n}.buildFragmentPool(q, cs.dm, cs.v, schemas, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != n {
+					t.Fatalf("%s/%v: MaxPool %d gave %d fragments", cs.name, q, n, len(got))
+				}
+				for i := range got {
+					if got[i].String() != full[i].String() {
+						t.Fatalf("%s/%v: MaxPool %d: fragment %d is %s, uncapped pool has %s", cs.name, q, n, i, got[i], full[i])
+					}
+				}
+			}
+		}
+	}
+}

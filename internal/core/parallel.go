@@ -23,7 +23,11 @@ import (
 // top-level branch, then depth-first order. A nil pool runs the tasks
 // in key order on the calling goroutine, where each claim cancels every
 // later key: that is the sequential search, with the same witness and
-// the same work counts, so there is no separate sequential loop.
+// the same work counts, so there is no separate sequential loop. The
+// enumerations that visit every valuation — degree counting, the E3/E4
+// witness construction and the certificate fragment pool — run the
+// same tasks on a nil pool (valuationSearch.inOrder), so branchTasks is
+// the one driver of the valuation search.
 //
 // State discipline (see also the valuationSearch field comments):
 //
@@ -177,24 +181,13 @@ type parallelFn func(w *searchWorker, slots []int32) (claim any, err error)
 // itself when its key is already beaten or the budget is spent. Must be
 // called on the coordinating goroutine before the tasks run.
 func (s *valuationSearch) branchTasks(pool *workerPool, ctl *raceCtl, bud *budgetCtl, disjunct int, fn parallelFn) []func() {
-	leaf := func(w *searchWorker) error {
-		claim, err := fn(w, w.slots)
-		if err != nil {
-			return err
-		}
-		if claim != nil {
-			w.ctl.claim(w.key, claim)
-			return errStop
-		}
-		return nil
-	}
 	launch := func(key int64, walk func(w *searchWorker) error) func() {
 		return func() {
 			if ctl.cancelled(key) || bud.exhausted() {
 				return
 			}
 			w := s.newWorker()
-			w.leaf, w.budget, w.ctl, w.key = leaf, bud, ctl, key
+			w.fn, w.budget, w.ctl, w.key = fn, bud, ctl, key
 			// A closure: w.wc is taken during the walk, after this defer.
 			defer func() { w.wc.release() }()
 			switch err := walk(w); err {
@@ -217,4 +210,22 @@ func (s *valuationSearch) branchTasks(pool *workerPool, ctl *raceCtl, bud *budge
 		tasks[bi] = launch(packKey(disjunct, bi), func(w *searchWorker) error { return w.descend(0, id, 0) })
 	}
 	return tasks
+}
+
+// inOrder walks the whole search on the calling goroutine: branchTasks
+// on a nil pool, one root task under its own race and budget
+// controllers (budget 0 = unlimited). It returns fn's claim, which ended
+// the walk (nil when fn never claimed); the budget controller, for the
+// counts; and ErrBudgetExceeded when the budget ran out, or the error
+// that stopped the walk.
+func (s *valuationSearch) inOrder(budget int, fn parallelFn) (any, *budgetCtl, error) {
+	ctl, bud := newRaceCtl(), newBudgetCtl(budget)
+	for _, task := range s.branchTasks(nil, ctl, bud, 0, fn) {
+		task()
+	}
+	claim, key, err := ctl.result()
+	if err == nil && key != noKey && claim == nil {
+		err = ErrBudgetExceeded
+	}
+	return claim, bud, err
 }

@@ -191,7 +191,7 @@ func (ck *Checker) prepareRCDP(q qlang.Query, p *Prepared, gate *query.Gate) (*r
 	// The inert-position and relevant-value analyses come from the
 	// handle; only Q's constants are merged in here, once per check, and
 	// shared read-only across disjuncts (and workers).
-	cfg := searchConfig{naive: ck.Naive, budget: ck.Budget.MaxValuations, gate: gate}
+	cfg := searchConfig{naive: ck.Naive, gate: gate}
 	if !ck.Naive {
 		cfg.v, cfg.dm = p.v, p.dm
 		cfg.constrained = st.constrained

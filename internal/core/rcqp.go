@@ -622,10 +622,12 @@ func (cfg QPChecker) buildFragmentPool(q qlang.Query, dm *relation.Database, v *
 		}
 	}
 
-	addFragment := func(db *relation.Database) {
+	// addFragment reports whether the pool has room for more.
+	addFragment := func(db *relation.Database) bool {
 		if len(pool) < cfg.MaxPool && !db.IsEmpty() {
 			pool = append(pool, db)
 		}
+		return len(pool) < cfg.MaxPool
 	}
 
 	// Partial valuations of V: every nonempty subset of each constraint
@@ -690,8 +692,9 @@ func subsetTableau(t *cq.Tableau, mask int) *cq.Tableau {
 
 // enumerateInstantiations enumerates valid valuations of the tableau
 // over Adom under the search configuration and emits each
-// instantiation μ(T) as a database fragment.
-func enumerateInstantiations(u *Universe, t *cq.Tableau, schemas map[string]*relation.Schema, cfg searchConfig, emit func(*relation.Database)) error {
+// instantiation μ(T) as a database fragment, until emit reports that
+// it wants no more.
+func enumerateInstantiations(u *Universe, t *cq.Tableau, schemas map[string]*relation.Schema, cfg searchConfig, emit func(*relation.Database) bool) error {
 	if t == nil {
 		return nil
 	}
@@ -699,15 +702,18 @@ func enumerateInstantiations(u *Universe, t *cq.Tableau, schemas map[string]*rel
 	if !ok {
 		return nil
 	}
-	return search.run(func(slots []int32) bool {
+	_, _, err := search.inOrder(0, func(_ *searchWorker, slots []int32) (any, error) {
 		db, err := t.NewFragment(schemas)
 		if err != nil {
-			return true
+			return nil, nil
 		}
 		if err := search.tpls.AddInto(db, slots); err != nil {
-			return true
+			return nil, nil
 		}
-		emit(db)
-		return true
+		if !emit(db) {
+			return true, nil // claim: emit is done, end the walk
+		}
+		return nil, nil
 	})
+	return err
 }

@@ -40,12 +40,11 @@ const unassigned int32 = -1
 // []int32 slot array of shared-dictionary ids; a query.Binding is built
 // only where a valuation leaves the package (binding).
 //
-// Sharing discipline: after newValuationSearch everything here except
-// visited is read-only and may be shared across the tasks of a
-// keyed-task search (see parallel.go); the per-task state is a
-// searchWorker. budget/visited serve only run, the plain enumeration
-// behind degree, the fragment pool and completeDatabaseINDs; the
-// keyed-task searches charge a shared budgetCtl instead.
+// Sharing discipline: after newValuationSearch everything here is
+// read-only and may be shared across the tasks of a keyed-task search
+// (see parallel.go), the one driver every walk over the search goes
+// through; the per-task state is a searchWorker, and the valuation
+// budget is the search's budgetCtl.
 type valuationSearch struct {
 	u     *Universe
 	t     *cq.Tableau
@@ -77,11 +76,6 @@ type valuationSearch struct {
 	// collapsing, relevant-value restriction and fresh-value symmetry
 	// breaking; kept for the ablation benchmarks.
 	naive bool
-
-	// budget, when positive, caps the number of complete candidate
-	// valuations run visits.
-	budget  int
-	visited int
 
 	// gate, when non-nil, is the check's governance gate: every search
 	// node polls it so cancellation and cross-cutting budgets (rows,
@@ -137,10 +131,7 @@ type searchConfig struct {
 	// fixed, when non-nil, replaces the candidates of the variables it
 	// names with the given lists, tried in order, with no fresh pool.
 	fixed map[string][]relation.Value
-	// budget caps the complete valuations of run (see
-	// valuationSearch.budget).
-	budget int
-	gate   *query.Gate
+	gate  *query.Gate
 }
 
 // newValuationSearch prepares a search over the tableau's variables.
@@ -172,7 +163,7 @@ func newValuationSearch(u *Universe, t *cq.Tableau, schemas map[string]*relation
 	}
 	s := &valuationSearch{
 		u: u, t: t, doms: doms, order: order,
-		naive: cfg.naive, budget: cfg.budget, gate: cfg.gate,
+		naive: cfg.naive, gate: cfg.gate,
 	}
 	s.compileCandidates(cfg)
 	operand := func(tm query.Term) int32 {
@@ -278,34 +269,6 @@ func (s *valuationSearch) newWorker() *searchWorker {
 	return w
 }
 
-// run enumerates valid valuations and invokes fn for each; fn returning
-// false stops the search. The slot array fn receives is the search's
-// own and changes after fn returns. run returns ErrBudgetExceeded when
-// the budget runs out before the space is exhausted.
-func (s *valuationSearch) run(fn func(slots []int32) bool) error {
-	w := s.newWorker()
-	w.leaf = func(w *searchWorker) error {
-		if !fn(w.slots) {
-			return errStop
-		}
-		return nil
-	}
-	err := w.rec(0, 0)
-	if err == errStop {
-		return nil
-	}
-	return err
-}
-
-// inspected is visited without the valuation refused for exceeding
-// the budget.
-func (s *valuationSearch) inspected() int {
-	if s.budget > 0 && s.visited > s.budget {
-		return s.budget
-	}
-	return s.visited
-}
-
 // binding converts a slot array to a query.Binding over the assigned
 // slots — the only place a valuation leaves its id form.
 func (s *valuationSearch) binding(slots []int32) query.Binding {
@@ -330,21 +293,16 @@ func (s *valuationSearch) headTuple(slots []int32) relation.Tuple {
 	return out
 }
 
-// searchWorker is the state of one walk over a valuationSearch: the
-// slot array and the probe scratch, plus — in a task of a keyed-task
-// search — the shared controllers. run is one worker with ctl == nil
-// walking from the root.
+// searchWorker is the state of one task of a keyed-task search (see
+// branchTasks): the slot array and the probe scratch, the task's
+// complete-valuation callback and key, and the shared controllers.
 type searchWorker struct {
 	s     *valuationSearch // shared, read-only during the search
 	slots []int32
 	ids   []int32 // IND projection scratch
 	kb    []byte  // IND key scratch
 
-	// leaf handles a complete valuation that passed the budget; errStop
-	// ends the walk.
-	leaf func(w *searchWorker) error
-
-	// Keyed tasks only (nil ctl on run).
+	fn     parallelFn // the callback every admitted complete valuation reaches
 	budget *budgetCtl // shared with the disjunct's other tasks
 	ctl    *raceCtl   // shared with the whole search
 	key    int64      // this task's claim key
@@ -360,7 +318,7 @@ type searchWorker struct {
 // rec extends the valuation at slot i. freshUsed is the number of fresh
 // values the bound slots use (the symmetry level).
 func (w *searchWorker) rec(i, freshUsed int) error {
-	if w.ctl != nil && w.ctl.cancelled(w.key) {
+	if w.ctl.cancelled(w.key) {
 		return errAbandoned
 	}
 	s := w.s
@@ -425,15 +383,11 @@ func (w *searchWorker) assign(i int, id int32) bool {
 }
 
 // complete charges one complete valuation to the budget and hands it to
-// the leaf callback.
+// the task's callback. A budget that runs out claims the disjunct's
+// budget key; a claim from the callback ends the task.
 func (w *searchWorker) complete() error {
 	s := w.s
-	if w.ctl == nil {
-		s.visited++
-		if s.budget > 0 && s.visited > s.budget {
-			return ErrBudgetExceeded
-		}
-	} else if !w.budget.visit() {
+	if !w.budget.visit() {
 		w.ctl.claim(budgetKey(keyDisjunct(w.key)), nil)
 		return errBudgetStop
 	}
@@ -445,5 +399,13 @@ func (w *searchWorker) complete() error {
 			}
 		}
 	}
-	return w.leaf(w)
+	claim, err := w.fn(w, w.slots)
+	if err != nil {
+		return err
+	}
+	if claim != nil {
+		w.ctl.claim(w.key, claim)
+		return errStop
+	}
+	return nil
 }
