@@ -192,4 +192,5 @@ cover-check:
 	check ./internal/cc/ 84.5; \
 	check ./internal/server/ 81; \
 	check ./internal/approx/ 83; \
-	check ./internal/mine/ 80
+	check ./internal/mine/ 80; \
+	check ./internal/datalog/ 95

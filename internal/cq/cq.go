@@ -60,9 +60,6 @@ func New(name string, head []query.Term, atoms []query.RelAtom, conds ...query.E
 // Arity returns the output arity.
 func (q *CQ) Arity() int { return len(q.Head) }
 
-// Boolean reports whether the query has an empty head.
-func (q *CQ) Boolean() bool { return len(q.Head) == 0 }
-
 // Vars returns the sorted set of variables occurring anywhere in the
 // query.
 func (q *CQ) Vars() []string {

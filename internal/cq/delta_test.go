@@ -10,15 +10,15 @@ import (
 	"repro/internal/relation"
 )
 
-// These tests pin the differential-evaluation contract of EvalFuncDelta
+// These tests pin the differential-evaluation contract of EvalFuncDeltaGate
 // (every answer of d ∪ delta that uses a delta tuple is produced at
 // least once, and nothing else) and the compiled-query cache (each CQ
 // builds its tableau exactly once, failures included).
 
-// deltaHeads collects the distinct head tuples EvalFuncDelta produces.
+// deltaHeads collects the distinct head tuples EvalFuncDeltaGate produces.
 func deltaHeads(t *Tableau, d, delta *relation.Database) map[string]bool {
 	out := make(map[string]bool)
-	t.EvalFuncDelta(d, delta, func(b query.Binding) bool {
+	t.EvalFuncDeltaGate(d, delta, nil, func(b query.Binding) bool {
 		if h, ok := t.HeadTuple(b); ok {
 			out[h.Key()] = true
 		}
@@ -176,7 +176,7 @@ func TestEvalFuncDeltaDuplicateInvocations(t *testing.T) {
 	}
 	calls := 0
 	heads := make(map[string]int)
-	tb.EvalFuncDelta(d, delta, func(b query.Binding) bool {
+	tb.EvalFuncDeltaGate(d, delta, nil, func(b query.Binding) bool {
 		calls++
 		if h, ok := tb.HeadTuple(b); ok {
 			heads[h.Key()]++

@@ -83,16 +83,12 @@ func (t *Tableau) EvalGate(d *relation.Database, g *query.Gate) ([]relation.Tupl
 	return out, nil
 }
 
-// EvalFunc enumerates all satisfying bindings of the tableau over d,
-// invoking fn for each; enumeration stops early when fn returns false.
-// The binding passed to fn is reused between calls — clone it to keep.
-func (t *Tableau) EvalFunc(d *relation.Database, fn func(query.Binding) bool) {
-	t.EvalFuncGate(d, nil, fn)
-}
-
-// EvalFuncGate is EvalFunc under gate governance: each candidate tuple
-// enumerated by the join charges one row-step on g, and the first gate
-// error aborts enumeration and is returned. A nil gate is free.
+// EvalFuncGate enumerates all satisfying bindings of the tableau over
+// d, invoking fn for each; enumeration stops early when fn returns
+// false. The binding passed to fn is reused between calls — clone it to
+// keep. Each candidate tuple enumerated by the join charges one
+// row-step on g, and the first gate error aborts enumeration and is
+// returned. A nil gate is free.
 func (t *Tableau) EvalFuncGate(d *relation.Database, g *query.Gate, fn func(query.Binding) bool) error {
 	gs := gate(g)
 	es := evalStats{evals: 1}
@@ -260,7 +256,7 @@ func templateCost(d *relation.Database, atom query.RelAtom, bound map[string]boo
 	return cost, newVars
 }
 
-// EvalFuncDelta enumerates bindings of the tableau over d ∪ delta
+// EvalFuncDeltaGate enumerates bindings of the tableau over d ∪ delta
 // restricted to matches that use at least one delta tuple, without ever
 // materializing the union. It implements one step of semi-naive
 // (differential) evaluation: for each template position j it enumerates
@@ -268,14 +264,9 @@ func templateCost(d *relation.Database, atom query.RelAtom, bound map[string]boo
 // match d and then delta, which covers every new match at least once
 // (possibly invoking fn more than once per binding, e.g. when several
 // templates match delta tuples or a delta tuple already occurs in d).
-// fn returning false stops enumeration.
-func (t *Tableau) EvalFuncDelta(d, delta *relation.Database, fn func(query.Binding) bool) {
-	t.EvalFuncDeltaGate(d, delta, nil, fn)
-}
-
-// EvalFuncDeltaGate is EvalFuncDelta under gate governance: each
-// candidate tuple charges one row-step; the first gate error aborts
-// enumeration and is returned. A nil gate is free.
+// fn returning false stops enumeration. Each candidate tuple charges
+// one row-step; the first gate error aborts enumeration and is
+// returned. A nil gate is free.
 func (t *Tableau) EvalFuncDeltaGate(d, delta *relation.Database, g *query.Gate, fn func(query.Binding) bool) error {
 	gs := gate(g)
 	es := evalStats{evals: 1}

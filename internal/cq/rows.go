@@ -42,30 +42,20 @@ type deltaRel struct {
 func (r *DeltaRows) Len() int { return r.n }
 
 // DeltaRowsOf reads the instances of delta, empty ones included, into
-// a fresh DeltaRows.
+// a fresh DeltaRows: an instance's index view already holds its rows
+// deduplicated and in value order, so they are copied as they are.
 func DeltaRowsOf(delta *relation.Database) *DeltaRows {
 	r := &DeltaRows{}
-	vals := relation.Shared().Snapshot()
-	var buf [16]int32
 	for _, name := range delta.Relations() {
-		in := delta.Instance(name)
-		arity := in.Schema.Arity()
-		dr := r.group(name, arity, in.Len())
-		cols := make([][]int32, arity)
-		for c := range cols {
-			cols[c] = in.InternedCol(c)
+		ix := delta.Instance(name).IDs()
+		cols := ix.Cols()
+		dr := r.group(name, len(cols), ix.Rows())
+		for c, col := range cols {
+			copy(dr.cols[c], col)
+			dr.distinct[c] = ix.Distinct(c)
 		}
-		ids := buf[:0]
-		if arity > len(buf) {
-			ids = make([]int32, 0, arity)
-		}
-		for row := 0; row < in.Len(); row++ {
-			ids = ids[:0]
-			for c := range cols {
-				ids = append(ids, cols[c][row])
-			}
-			r.n += dr.add(ids, vals)
-		}
+		dr.n = ix.Rows()
+		r.n += dr.n
 	}
 	return r
 }

@@ -7,9 +7,11 @@ package datalog
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 
+	"repro/internal/cq"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
@@ -69,6 +71,11 @@ type Program struct {
 	Name   string
 	Rules  []Rule
 	Output string // output IDB predicate name
+
+	// the compiled rules, built on the first evaluation (see EvalGate)
+	compileOnce sync.Once
+	compiled    *plan
+	compileErr  error
 }
 
 // NewProgram builds a program.
@@ -87,99 +94,158 @@ func (p *Program) String() string {
 	return strings.Join(parts, "\n")
 }
 
-// idbs computes the IDB predicates (all head predicates) and their
-// arities.
-func (p *Program) idbs() (map[string]int, error) {
-	out := make(map[string]int)
+// idbSchemas returns one schema per IDB predicate (every head
+// predicate), in order of first head occurrence. It fails when one IDB
+// heads rules of two arities.
+func (p *Program) idbSchemas() ([]*relation.Schema, error) {
+	var out []*relation.Schema
+	at := make(map[string]int)
 	for _, r := range p.Rules {
-		if ar, ok := out[r.Head.Rel]; ok {
-			if ar != len(r.Head.Args) {
-				return nil, fmt.Errorf("datalog %s: IDB %s used with arities %d and %d", p.Name, r.Head.Rel, ar, len(r.Head.Args))
-			}
-			continue
+		i, ok := at[r.Head.Rel]
+		if !ok {
+			at[r.Head.Rel] = len(out)
+			out = append(out, anySchema(r.Head.Rel, len(r.Head.Args)))
+		} else if ar := out[i].Arity(); ar != len(r.Head.Args) {
+			return nil, fmt.Errorf("datalog %s: IDB %s used with arities %d and %d", p.Name, r.Head.Rel, ar, len(r.Head.Args))
 		}
-		out[r.Head.Rel] = len(r.Head.Args)
 	}
 	return out, nil
 }
 
-// Validate checks the program against the EDB schemas: body atoms are
-// either EDB relations with matching arity or IDB predicates with
-// consistent arity; rules are safe (every head variable and every
-// inequality variable occurs in a positive body atom); the output
-// predicate is an IDB.
+// anySchema returns a schema of the given arity whose attributes all
+// have the infinite domain.
+func anySchema(name string, arity int) *relation.Schema {
+	attrs := make([]relation.Attribute, arity)
+	for i := range attrs {
+		attrs[i] = relation.Attr(fmt.Sprintf("c%d", i))
+	}
+	return relation.NewSchema(name, attrs...)
+}
+
+// ruleCQs returns each rule as a CQ named after its head predicate: the
+// head, the relation and IDB atoms, and the (in)equality literals as
+// conditions. Each is checked by cq.CQ.Validate against edb plus the
+// IDB schemas, which rejects unknown predicates, wrong arities and
+// unsafe rules.
+func (p *Program) ruleCQs(edb map[string]*relation.Schema, idb []*relation.Schema) ([]*cq.CQ, error) {
+	schemas := make(map[string]*relation.Schema, len(edb)+len(idb))
+	for name, s := range edb {
+		schemas[name] = s
+	}
+	for _, s := range idb {
+		schemas[s.Name] = s
+	}
+	qs := make([]*cq.CQ, len(p.Rules))
+	for i, r := range p.Rules {
+		var atoms []query.RelAtom
+		var conds []query.EqAtom
+		for _, l := range r.Body {
+			if l.Atom != nil {
+				atoms = append(atoms, *l.Atom)
+			} else {
+				conds = append(conds, *l.Cond)
+			}
+		}
+		qs[i] = cq.New(r.Head.Rel, r.Head.Args, atoms, conds...)
+		if err := qs[i].Validate(schemas); err != nil {
+			return nil, fmt.Errorf("datalog %s: rule %s: %w", p.Name, r, err)
+		}
+	}
+	return qs, nil
+}
+
+// Validate checks the program against the EDB schemas: IDB predicates
+// have one arity each, the output predicate is an IDB, no rule head is
+// an EDB relation, and every rule passes cq.CQ.Validate against the
+// EDB and IDB schemas (known predicates, matching arities, safety).
 func (p *Program) Validate(schemas map[string]*relation.Schema) error {
-	idbs, err := p.idbs()
+	idb, err := p.idbSchemas()
 	if err != nil {
 		return err
 	}
-	if _, ok := idbs[p.Output]; !ok {
+	if !slices.ContainsFunc(idb, func(s *relation.Schema) bool { return s.Name == p.Output }) {
 		return fmt.Errorf("datalog %s: output %s is not the head of any rule", p.Name, p.Output)
 	}
 	for _, r := range p.Rules {
 		if _, isEDB := schemas[r.Head.Rel]; isEDB {
 			return fmt.Errorf("datalog %s: rule head %s is an EDB relation", p.Name, r.Head.Rel)
 		}
-		bound := make(map[string]bool)
+	}
+	_, err = p.ruleCQs(schemas, idb)
+	return err
+}
+
+// plan is a program compiled for evaluation: the IDB schemas and each
+// satisfiable rule's tableau, split by whether its body reads an IDB.
+type plan struct {
+	idb  []*relation.Schema
+	init []rule // no IDB body atom: joined once, in round one
+	rec  []rule // joined on each later round's delta
+	// joined marks the IDBs that some rule reads beside another IDB
+	// atom: only those are read from the base of a differential join,
+	// which reads every other IDB atom from the delta alone.
+	joined []bool
+}
+
+// rule is one compiled rule: its tableau and the index of its head's
+// IDB in plan.idb.
+type rule struct {
+	t    *cq.Tableau
+	head int
+}
+
+// compile builds the evaluation plan. It does not depend on the
+// database: each EDB relation is typed by the arity of its first atom,
+// and an EDB relation that a database lacks, or holds with another
+// arity, contributes no rows.
+func (p *Program) compile() (*plan, error) {
+	idb, err := p.idbSchemas()
+	if err != nil {
+		return nil, err
+	}
+	idbAt := make(map[string]int, len(idb))
+	for i, s := range idb {
+		idbAt[s.Name] = i
+	}
+	edb := make(map[string]*relation.Schema)
+	for _, r := range p.Rules {
 		for _, l := range r.Body {
-			if l.Atom == nil {
-				continue
-			}
-			if s, ok := schemas[l.Atom.Rel]; ok {
-				if len(l.Atom.Args) != s.Arity() {
-					return fmt.Errorf("datalog %s: atom %s has arity %d, schema wants %d", p.Name, l.Atom, len(l.Atom.Args), s.Arity())
-				}
-			} else if ar, ok := idbs[l.Atom.Rel]; ok {
-				if len(l.Atom.Args) != ar {
-					return fmt.Errorf("datalog %s: IDB atom %s has arity %d, rules want %d", p.Name, l.Atom, len(l.Atom.Args), ar)
-				}
-			} else {
-				return fmt.Errorf("datalog %s: unknown predicate %s", p.Name, l.Atom.Rel)
-			}
-			for _, t := range l.Atom.Args {
-				if t.IsVar {
-					bound[t.Name] = true
-				}
-			}
-		}
-		// Equalities can bind: propagate like in cq.Validate.
-		changed := true
-		for changed {
-			changed = false
-			for _, l := range r.Body {
-				if l.Cond == nil || l.Cond.Neg {
-					continue
-				}
-				c := *l.Cond
-				lSafe := !c.L.IsVar || bound[c.L.Name]
-				rSafe := !c.R.IsVar || bound[c.R.Name]
-				if lSafe && c.R.IsVar && !bound[c.R.Name] {
-					bound[c.R.Name] = true
-					changed = true
-				}
-				if rSafe && c.L.IsVar && !bound[c.L.Name] {
-					bound[c.L.Name] = true
-					changed = true
-				}
-			}
-		}
-		for _, t := range r.Head.Args {
-			if t.IsVar && !bound[t.Name] {
-				return fmt.Errorf("datalog %s: unsafe head variable %s in rule %s", p.Name, t.Name, r)
-			}
-		}
-		for _, l := range r.Body {
-			if l.Cond == nil {
-				continue
-			}
-			for _, t := range []query.Term{l.Cond.L, l.Cond.R} {
-				if t.IsVar && !bound[t.Name] {
-					return fmt.Errorf("datalog %s: unsafe condition variable %s in rule %s", p.Name, t.Name, r)
+			if a := l.Atom; a != nil && edb[a.Rel] == nil {
+				if _, isIDB := idbAt[a.Rel]; !isIDB {
+					edb[a.Rel] = anySchema(a.Rel, len(a.Args))
 				}
 			}
 		}
 	}
-	return nil
+	qs, err := p.ruleCQs(edb, idb)
+	if err != nil {
+		return nil, err
+	}
+	pl := &plan{idb: idb, joined: make([]bool, len(idb))}
+	for _, q := range qs {
+		t, err := cq.BuildTableau(q)
+		if err != nil {
+			continue // ErrUnsatisfiable: the rule derives nothing
+		}
+		var reads []int
+		for _, a := range t.Templates {
+			if i, ok := idbAt[a.Rel]; ok {
+				reads = append(reads, i)
+			}
+		}
+		r := rule{t: t, head: idbAt[q.Name]}
+		if len(reads) == 0 {
+			pl.init = append(pl.init, r)
+			continue
+		}
+		pl.rec = append(pl.rec, r)
+		if len(reads) > 1 {
+			for _, i := range reads {
+				pl.joined[i] = true
+			}
+		}
+	}
+	return pl, nil
 }
 
 // Eval computes the inflationary fixpoint over the database and returns
@@ -188,215 +254,89 @@ func (p *Program) Eval(d *relation.Database) ([]relation.Tuple, error) {
 	return p.EvalGate(d, nil)
 }
 
-// EvalGate is Eval under gate governance: each candidate tuple
-// enumerated by a rule body charges one row-step and the first gate
-// error aborts the fixpoint. A nil gate is free.
+// EvalGate is Eval under gate governance, evaluated semi-naively on the
+// cq join engine. Each IDB is an interned instance read through an
+// overlay of d. Round one joins the rules with no IDB body atom; every
+// later round runs each other rule's tableau through the differential
+// join, over base d ∪ (the IDB facts before the last round) and delta
+// (the facts that round added), until a round adds nothing. Every join
+// row charges one row-step, batched as in every cq evaluation, so a
+// stop is seen within gateFlushRows rows; the first gate error aborts
+// the fixpoint with no answer. A nil gate is free.
+//
+// The rules are compiled and checked for safety on the first call,
+// whatever d holds, so Rules must not change after it.
 func (p *Program) EvalGate(d *relation.Database, g *query.Gate) ([]relation.Tuple, error) {
-	idb, err := p.EvalAllGate(d, g)
-	if err != nil {
-		return nil, err
+	p.compileOnce.Do(func() { p.compiled, p.compileErr = p.compile() })
+	if p.compileErr != nil {
+		return nil, p.compileErr
 	}
-	tuples := idb[p.Output]
-	out := make([]relation.Tuple, 0, len(tuples))
-	for _, t := range tuples {
-		out = append(out, t)
+	pl := p.compiled
+	// seen holds every fact derived so far, delta the facts the last
+	// round added, base the facts before it (kept for joined IDBs only;
+	// the others stay empty there, hiding any relation of d so named).
+	seen := make([]*relation.Instance, len(pl.idb))
+	base := make([]*relation.Instance, len(pl.idb))
+	for i, s := range pl.idb {
+		seen[i], base[i] = relation.NewInstance(s), relation.NewInstance(s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out, nil
+	db := d.Overlay(base...)
+	delta := relation.NewDatabase(pl.idb...)
+	for _, r := range pl.init {
+		ts, err := r.t.EvalGate(db, g)
+		if err != nil {
+			return nil, err
+		}
+		s := seen[r.head]
+		for _, t := range ts {
+			n := s.Len()
+			if s.MustAdd(t); s.Len() > n {
+				delta.Instance(s.Schema.Name).MustAdd(t)
+			}
+		}
+	}
+	for !delta.IsEmpty() {
+		rows := cq.DeltaRowsOf(delta)
+		next := relation.NewDatabase(pl.idb...)
+		for _, r := range pl.rec {
+			s := seen[r.head]
+			added := next.Instance(s.Schema.Name)
+			probe := r.t.NewDeltaProbe(db)
+			err := probe.Run(rows, g, func(head []int32) bool {
+				n := s.Len()
+				if s.AddIDs(head); s.Len() > n {
+					added.AddIDs(head)
+				}
+				return true
+			})
+			probe.Flush()
+			if err != nil {
+				return nil, err
+			}
+		}
+		facts := relation.Batch{Inserts: make(map[string][]relation.Tuple)}
+		for i, s := range pl.idb {
+			if pl.joined[i] {
+				facts.Inserts[s.Name] = delta.Instance(s.Name).Tuples()
+			}
+		}
+		if _, _, err := db.ApplyBatch(facts); err != nil {
+			return nil, err
+		}
+		delta = next
+	}
+	for i, s := range pl.idb {
+		if s.Name == p.Output {
+			return seen[i].Tuples(), nil
+		}
+	}
+	return []relation.Tuple{}, nil
 }
 
 // EvalBool evaluates a Boolean (nullary output) program.
 func (p *Program) EvalBool(d *relation.Database) (bool, error) {
 	ts, err := p.Eval(d)
 	return len(ts) > 0, err
-}
-
-// EvalAll computes the fixpoint and returns every IDB predicate's
-// tuples, keyed by predicate, each a map from tuple key to tuple.
-func (p *Program) EvalAll(d *relation.Database) (map[string]map[string]relation.Tuple, error) {
-	return p.EvalAllGate(d, nil)
-}
-
-// EvalAllGate is EvalAll under gate governance (see EvalGate).
-func (p *Program) EvalAllGate(d *relation.Database, g *query.Gate) (map[string]map[string]relation.Tuple, error) {
-	idbAr, err := p.idbs()
-	if err != nil {
-		return nil, err
-	}
-	idb := make(map[string]map[string]relation.Tuple, len(idbAr))
-	delta := make(map[string]map[string]relation.Tuple, len(idbAr))
-	for name := range idbAr {
-		idb[name] = make(map[string]relation.Tuple)
-		delta[name] = make(map[string]relation.Tuple)
-	}
-
-	// Naive-with-delta loop: in each round, fire every rule requiring
-	// (for rules with IDB body atoms, after round one) at least one
-	// delta atom; accumulate new facts until no rule produces any.
-	round := 0
-	for {
-		round++
-		next := make(map[string]map[string]relation.Tuple, len(idbAr))
-		for name := range idbAr {
-			next[name] = make(map[string]relation.Tuple)
-		}
-		produced := false
-		for _, r := range p.Rules {
-			if err := fireRule(r, d, idb, delta, round, next, g); err != nil {
-				return nil, err
-			}
-		}
-		for name, facts := range next {
-			nd := make(map[string]relation.Tuple)
-			for k, t := range facts {
-				if _, ok := idb[name][k]; !ok {
-					idb[name][k] = t
-					nd[k] = t
-					produced = true
-				}
-			}
-			delta[name] = nd
-		}
-		if !produced {
-			break
-		}
-	}
-	return idb, nil
-}
-
-// fireRule enumerates all satisfying bindings of a rule body. For rounds
-// after the first, rules whose bodies contain IDB atoms only fire with
-// at least one atom matched against the delta (semi-naive restriction);
-// rules over pure EDB bodies fire in round one only.
-func fireRule(r Rule, d *relation.Database, idb, delta map[string]map[string]relation.Tuple, round int, next map[string]map[string]relation.Tuple, g *query.Gate) error {
-	// Identify IDB body atoms.
-	var idbPositions []int
-	for i, l := range r.Body {
-		if l.Atom != nil {
-			if _, ok := idb[l.Atom.Rel]; ok {
-				idbPositions = append(idbPositions, i)
-			}
-		}
-	}
-	if round > 1 && len(idbPositions) == 0 {
-		return nil // EDB-only rules contribute nothing after round one
-	}
-
-	emit := func(b query.Binding) error {
-		// Re-verify every condition: some may have been deferred while
-		// their variables were unbound.
-		for _, l := range r.Body {
-			if l.Cond == nil {
-				continue
-			}
-			holds, ok := l.Cond.Holds(b)
-			if !ok {
-				return fmt.Errorf("datalog: unsafe condition %s in rule %s", l.Cond, r)
-			}
-			if !holds {
-				return nil
-			}
-		}
-		tup, ok := r.Head.Ground(b)
-		if !ok {
-			return fmt.Errorf("datalog: unsafe rule slipped through validation: %s", r)
-		}
-		next[r.Head.Rel][tup.Key()] = tup
-		return nil
-	}
-
-	// join enumerates bindings; deltaAt = index of the body atom that
-	// must match against delta (-1: none; all IDB atoms read full idb).
-	var join func(i int, b query.Binding, deltaAt int) error
-	join = func(i int, b query.Binding, deltaAt int) error {
-		if i == len(r.Body) {
-			return emit(b)
-		}
-		l := r.Body[i]
-		if l.Cond != nil {
-			if holds, ok := l.Cond.Holds(b); ok {
-				// Both sides bound: prune now.
-				if holds {
-					return join(i+1, b, deltaAt)
-				}
-				return nil
-			}
-			// A binding equality x = t with exactly one side unbound
-			// binds the variable; everything else is deferred to emit.
-			if !l.Cond.Neg {
-				lv, lok := b.Resolve(l.Cond.L)
-				rv, rok := b.Resolve(l.Cond.R)
-				switch {
-				case lok && !rok:
-					b[l.Cond.R.Name] = lv
-					err := join(i+1, b, deltaAt)
-					delete(b, l.Cond.R.Name)
-					return err
-				case rok && !lok:
-					b[l.Cond.L.Name] = rv
-					err := join(i+1, b, deltaAt)
-					delete(b, l.Cond.L.Name)
-					return err
-				}
-			}
-			return join(i+1, b, deltaAt)
-		}
-		atom := *l.Atom
-		var source []relation.Tuple
-		if facts, isIDB := idb[atom.Rel]; isIDB {
-			if i == deltaAt {
-				source = tupleList(delta[atom.Rel])
-			} else {
-				source = tupleList(facts)
-			}
-		} else {
-			in := d.Instance(atom.Rel)
-			if in == nil {
-				return nil
-			}
-			source = in.Tuples()
-		}
-		for _, tup := range source {
-			if err := g.Step(); err != nil {
-				return err
-			}
-			newly := b.Match(atom, tup)
-			if newly == nil {
-				continue
-			}
-			err := join(i+1, b, deltaAt)
-			for _, v := range newly {
-				delete(b, v)
-			}
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	if round == 1 || len(idbPositions) == 0 {
-		return join(0, make(query.Binding), -1)
-	}
-	// Semi-naive: union over choices of which IDB atom reads the delta.
-	for _, pos := range idbPositions {
-		if len(delta[r.Body[pos].Atom.Rel]) == 0 {
-			continue
-		}
-		if err := join(0, make(query.Binding), pos); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func tupleList(m map[string]relation.Tuple) []relation.Tuple {
-	out := make([]relation.Tuple, 0, len(m))
-	for _, t := range m {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
 }
 
 // TransitiveClosure returns the canonical FP program computing the
@@ -413,11 +353,13 @@ func TransitiveClosure(edb, out string) *Program {
 // OutputArity returns the arity of the output predicate (0 when the
 // program has no rule for it, which Validate rejects).
 func (p *Program) OutputArity() int {
-	idbs, err := p.idbs()
-	if err != nil {
-		return 0
+	idb, _ := p.idbSchemas()
+	for _, s := range idb {
+		if s.Name == p.Output {
+			return s.Arity()
+		}
 	}
-	return idbs[p.Output]
+	return 0
 }
 
 // Constants returns all constants occurring in the program's rules.

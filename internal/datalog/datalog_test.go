@@ -1,6 +1,10 @@
 package datalog
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/query"
@@ -77,6 +81,77 @@ func TestBindingEquality(t *testing.T) {
 	}
 	if len(got) != 1 || got[0][1] != "k" {
 		t.Fatalf("Eval = %v", got)
+	}
+}
+
+func TestChainedEqualities(t *testing.T) {
+	d, ss := edgeDB([2]string{"1", "2"})
+	// P(z) <- E(x,y), z = w, w = x: z is bound only once both
+	// equalities are seen, in either order.
+	p := NewProgram("p", "P",
+		NewRule(query.Atom("P", v("z")), L("E", v("x"), v("y")), LEq(v("z"), v("w")), LEq(v("w"), v("x"))))
+	if err := p.Validate(ss); err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.Eval(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0][0] != "1" {
+		t.Fatalf("Eval = %v, want [(1)]", got)
+	}
+}
+
+func TestUnsafeProgramErrorsOnEmptyDatabase(t *testing.T) {
+	d, _ := edgeDB()
+	for _, p := range []*Program{
+		NewProgram("p", "P", NewRule(query.Atom("P", v("z")), L("E", v("x"), v("y")))),
+		NewProgram("p", "P", NewRule(query.Atom("P", v("x")), L("E", v("x"), v("y")), LNeq(v("w"), c("1")))),
+	} {
+		if got, err := p.Eval(d); err == nil {
+			t.Fatalf("unsafe %s evaluated to %v on an empty database", p, got)
+		}
+	}
+}
+
+func TestRowBudgetStopsFixpoint(t *testing.T) {
+	var edges [][2]string
+	for i := 0; i < 200; i++ {
+		edges = append(edges, [2]string{itoa(i), itoa(i + 1)})
+	}
+	d, _ := edgeDB(edges...)
+	g := query.NewGate(context.Background(), 1000, 0)
+	got, err := TransitiveClosure("E", "TC").EvalGate(d, g)
+	if !errors.Is(err, query.ErrRowBudget) || got != nil {
+		t.Fatalf("EvalGate under a 1000-row budget = %d tuples, %v; want no answer and ErrRowBudget", len(got), err)
+	}
+}
+
+// TestConcurrentEval shares one program and one database across
+// goroutines: the rules compile once and D's instances are only read.
+func TestConcurrentEval(t *testing.T) {
+	var edges [][2]string
+	for i := 0; i < 40; i++ {
+		edges = append(edges, [2]string{itoa(i), itoa(i + 1)})
+	}
+	d, _ := edgeDB(edges...)
+	p := TransitiveClosure("E", "TC")
+	var wg sync.WaitGroup
+	sizes := make([]int, 8)
+	errs := make([]error, 8)
+	for i := range sizes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := p.Eval(d)
+			sizes[i], errs[i] = len(got), err
+		}()
+	}
+	wg.Wait()
+	for i := range sizes {
+		if errs[i] != nil || sizes[i] != 41*40/2 {
+			t.Fatalf("goroutine %d: %d tuples, %v; want %d", i, sizes[i], errs[i], 41*40/2)
+		}
 	}
 }
 
@@ -188,6 +263,20 @@ func itoa(i int) string {
 		i /= 10
 	}
 	return string(b)
+}
+
+func TestOutputArityAndConstants(t *testing.T) {
+	p := NewProgram("p", "P",
+		NewRule(query.Atom("P", v("x"), c("k")), L("E", v("x"), c("1")), LNeq(v("x"), c("2")), LEq(c("3"), v("x"))))
+	if got := p.OutputArity(); got != 2 {
+		t.Fatalf("OutputArity = %d, want 2", got)
+	}
+	if got := NewProgram("p", "Nope", p.Rules...).OutputArity(); got != 0 {
+		t.Fatalf("OutputArity of a missing output = %d, want 0", got)
+	}
+	if got := fmt.Sprint(p.Constants()); got != "[k 1 2 3]" {
+		t.Fatalf("Constants = %s, want [k 1 2 3]", got)
+	}
 }
 
 func TestStringRendering(t *testing.T) {

@@ -183,12 +183,3 @@ func (g *Gate) Tuples() int64 {
 	}
 	return g.tuples.Load()
 }
-
-// IsGateErr reports whether err is one of the gate's stop conditions:
-// a budget sentinel or a context cancellation/deadline error. Engines
-// use it to distinguish governance stops (partial verdict) from genuine
-// evaluation failures (schema mismatch etc.).
-func IsGateErr(err error) bool {
-	return errors.Is(err, ErrRowBudget) || errors.Is(err, ErrTupleBudget) ||
-		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}

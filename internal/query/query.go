@@ -207,37 +207,3 @@ func MustVars(names ...string) []Term {
 func FormatHead(name string, head []Term) string {
 	return fmt.Sprintf("%s(%s)", name, TermsString(head))
 }
-
-// Match attempts to unify a relation atom against a concrete tuple under
-// the current binding, extending the binding in place. It returns the
-// names of newly bound variables on success (possibly empty but non-nil)
-// and nil on failure; on failure the binding is left unchanged.
-func (b Binding) Match(a RelAtom, tup relation.Tuple) []string {
-	if len(a.Args) != len(tup) {
-		return nil
-	}
-	newly := make([]string, 0, 4)
-	for i, t := range a.Args {
-		if !t.IsVar {
-			if t.Val != tup[i] {
-				for _, v := range newly {
-					delete(b, v)
-				}
-				return nil
-			}
-			continue
-		}
-		if v, ok := b[t.Name]; ok {
-			if v != tup[i] {
-				for _, nv := range newly {
-					delete(b, nv)
-				}
-				return nil
-			}
-			continue
-		}
-		b[t.Name] = tup[i]
-		newly = append(newly, t.Name)
-	}
-	return newly
-}

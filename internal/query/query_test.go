@@ -89,30 +89,6 @@ func TestApplyAndGround(t *testing.T) {
 	}
 }
 
-func TestMatch(t *testing.T) {
-	b := Binding{}
-	a := Atom("R", Var("x"), Var("x"), C("c"))
-	if nb := b.Match(a, relation.T("1", "2", "c")); nb != nil {
-		t.Fatal("repeated var mismatch must fail")
-	}
-	if len(b) != 0 {
-		t.Fatal("failed match must roll back")
-	}
-	nb := b.Match(a, relation.T("1", "1", "c"))
-	if nb == nil || b["x"] != "1" {
-		t.Fatalf("match failed: %v %v", nb, b)
-	}
-	if nb2 := b.Match(Atom("R", Var("x")), relation.T("2")); nb2 != nil {
-		t.Fatal("bound var mismatch must fail")
-	}
-	if nb3 := b.Match(a, relation.T("1", "1", "d")); nb3 != nil {
-		t.Fatal("const mismatch must fail")
-	}
-	if nb4 := b.Match(Atom("R", Var("x")), relation.T("1", "2")); nb4 != nil {
-		t.Fatal("arity mismatch must fail")
-	}
-}
-
 func TestSortedVarSet(t *testing.T) {
 	vs := SortedVarSet([]string{"b", "a", "b", "c", "a"})
 	if len(vs) != 3 || vs[0] != "a" || vs[2] != "c" {

@@ -130,8 +130,9 @@ func addHeadConds(body *[]datalog.Literal, in automata.Symbol, move automata.Mov
 // DFAQueryAcceptsEncodingCtx evaluates the reduction's FP query on the
 // relational encoding of w, which must coincide with A accepting w —
 // the executable content of the Theorem 3.1(3) simulation. The fixpoint
-// simulation stops within one rule-body row of ctx being cancelled: the
-// bounded simulators are where undecidable instances (Theorem 3.1) can
+// simulation stops within gateFlushRows join rows (the cq engine's
+// batching of row charges) of ctx being cancelled: the bounded
+// simulators are where undecidable instances (Theorem 3.1) can
 // genuinely diverge.
 func DFAQueryAcceptsEncodingCtx(ctx context.Context, a *automata.DFA, w []automata.Symbol) (bool, error) {
 	prog, err := DFAProgram(a)

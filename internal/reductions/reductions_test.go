@@ -2,6 +2,7 @@ package reductions
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -209,6 +210,22 @@ func TestDFASimulation(t *testing.T) {
 				t.Fatalf("%s/%q: FP query = %v, simulator = %v", name, ws, got, want)
 			}
 		}
+	}
+}
+
+// TestDFAQueryHonorsCancellation: the FP simulation under a context
+// cancelled before it starts returns context.Canceled, not a verdict.
+func TestDFAQueryHonorsCancellation(t *testing.T) {
+	a := automata.New(2, 0, 1)
+	a.Add(0, automata.Sym1, automata.Sym1, 1, automata.Advance, automata.Stay)
+	sym, err := automata.Word("1011")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if got, err := DFAQueryAcceptsEncodingCtx(ctx, a, sym); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled simulation = %v, %v; want context.Canceled", got, err)
 	}
 }
 

@@ -683,6 +683,26 @@ func (d *Database) AddSchema(s *Schema) {
 	sort.Strings(d.order)
 }
 
+// Overlay returns a database that reads d's instances, shared and not
+// copied, together with ins, each under its schema's name and hiding a
+// relation of d of the same name. Mutations through either database
+// reach the shared instances, so d's stay read-only while the overlay
+// is in use.
+func (d *Database) Overlay(ins ...*Instance) *Database {
+	o := &Database{rels: make(map[string]*Instance, len(d.rels)+len(ins))}
+	for name, in := range d.rels {
+		o.rels[name] = in
+	}
+	for _, in := range ins {
+		o.rels[in.Schema.Name] = in
+	}
+	for name := range o.rels {
+		o.order = append(o.order, name)
+	}
+	sort.Strings(o.order)
+	return o
+}
+
 // Relations returns the relation names in sorted order.
 func (d *Database) Relations() []string { return d.order }
 

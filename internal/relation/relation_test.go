@@ -232,6 +232,29 @@ func TestDatabaseCloneUnionSubset(t *testing.T) {
 	}
 }
 
+func TestDatabaseOverlay(t *testing.T) {
+	r := NewSchema("R", Attr("a"))
+	s := NewSchema("S", Attr("b"))
+	d := NewDatabase(r, s)
+	d.MustAdd("R", "1")
+	d.MustAdd("S", "2")
+	shadow, extra := NewInstance(NewSchema("S", Attr("b"))), NewInstance(NewSchema("Q", Attr("c")))
+	o := d.Overlay(shadow, extra)
+	if o.Instance("R") != d.Instance("R") {
+		t.Fatal("Overlay must share d's instances")
+	}
+	if o.Instance("S") != shadow || o.Contains("S", T("2")) || o.Instance("Q") != extra {
+		t.Fatal("Overlay must read ins in place of d's relations of the same name")
+	}
+	if rels := o.Relations(); len(rels) != 3 || rels[0] != "Q" || rels[1] != "R" || rels[2] != "S" {
+		t.Fatalf("Relations: %v", rels)
+	}
+	extra.MustAdd(T("3"))
+	if !o.Contains("Q", T("3")) || d.Instance("Q") != nil || !d.Contains("S", T("2")) {
+		t.Fatal("Overlay must leave d's relations as they are")
+	}
+}
+
 func TestDatabaseUnionIntoNewRelation(t *testing.T) {
 	r := NewSchema("R", Attr("a"))
 	s := NewSchema("S", Attr("b"))
