@@ -193,4 +193,5 @@ cover-check:
 	check ./internal/server/ 81; \
 	check ./internal/approx/ 83; \
 	check ./internal/mine/ 80; \
-	check ./internal/datalog/ 95
+	check ./internal/datalog/ 95; \
+	check ./internal/relation/ 80.5

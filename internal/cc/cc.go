@@ -114,9 +114,9 @@ type projCache struct {
 	inst *relation.Instance
 	gen  uint64
 	rhs  map[string]bool
-	// rhsIDs keys the same set on fixed-width interned id-keys over the
-	// shared dictionary, for the integer delta path.
-	rhsIDs map[string]bool
+	// rhsIDs holds the same set as id tuples over the shared
+	// dictionary, for the integer delta path.
+	rhsIDs *relation.IDTupleSet
 }
 
 // masterCache returns the memoized p(Dm) forms, keyed per (instance,
@@ -143,7 +143,7 @@ func (c *Constraint) masterCache(dm *relation.Database) *projCache {
 	pc := &projCache{inst: in, gen: gen, rhs: c.P.Eval(dm)}
 	if in == nil {
 		// Empty or absent master side: the id form is the empty set.
-		pc.rhsIDs = map[string]bool{}
+		pc.rhsIDs = relation.NewIDTupleSet(c.P.Arity(), 0)
 	} else {
 		pc.rhsIDs = in.ProjectIDSet(c.P.Cols)
 	}
@@ -151,11 +151,10 @@ func (c *Constraint) masterCache(dm *relation.Database) *projCache {
 	return pc
 }
 
-// MasterIDKeys returns p(Dm) as the set of fixed-width id-keys
-// (relation.AppendIDKey over the shared dictionary) of its tuples,
+// MasterIDs returns p(Dm) as id tuples over the shared dictionary,
 // memoized per master instance and generation. The set is shared and
 // must not be modified.
-func (c *Constraint) MasterIDKeys(dm *relation.Database) map[string]bool {
+func (c *Constraint) MasterIDs(dm *relation.Database) *relation.IDTupleSet {
 	return c.masterCache(dm).rhsIDs
 }
 
@@ -385,7 +384,6 @@ func (s *Set) SatisfiedDeltaGate(d, delta, dm *relation.Database, g *query.Gate)
 type DeltaChecker struct {
 	d, dm *relation.Database
 	cs    []deltaConstraint
-	kb    []byte // head id-key scratch
 }
 
 // deltaConstraint is one constraint's prepared state in a DeltaChecker.
@@ -440,8 +438,8 @@ func (dc *DeltaChecker) satisfied(delta *cq.DeltaRows, db *relation.Database, g 
 		}
 		for _, p := range x.probes {
 			// Heads arrive as interned ids and membership is one
-			// fixed-width key probe — no Binding, HeadTuple or string
-			// Key per differential match.
+			// integer-hashed set probe — no Binding, HeadTuple or key
+			// per differential match.
 			x.violated = false
 			if err := p.Run(delta, g, x.leaf); err != nil || x.violated {
 				return false, err
@@ -456,8 +454,7 @@ func (dc *DeltaChecker) satisfied(delta *cq.DeltaRows, db *relation.Database, g 
 func (dc *DeltaChecker) prepare(x *deltaConstraint) {
 	rhs := x.c.masterCache(dc.dm).rhsIDs
 	x.leaf = func(head []int32) bool {
-		dc.kb = relation.AppendIDKey(dc.kb[:0], head)
-		x.violated = !rhs[string(dc.kb)]
+		x.violated = !rhs.Has(head)
 		return !x.violated
 	}
 	ts := x.c.Q.Tableaux()

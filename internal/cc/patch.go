@@ -13,7 +13,7 @@ import (
 // leaves on the table is the warm-cache property after a small
 // insert-only batch — an O(|Dm|) projection rebuild for a handful of new
 // rows. PatchMaster closes the gap with copy-on-write: the old memo's
-// maps are cloned (they may be under concurrent read by in-flight
+// sets are cloned (they may be under concurrent read by in-flight
 // checkers holding the old *projCache), the inserted tuples' projections
 // are added, and the result is published at the new generation.
 // Constraints whose master relation the batch does not touch keep their
@@ -75,13 +75,9 @@ func (c *Constraint) patchMaster(dm *relation.Database, patches map[string]Maste
 	for k := range old.rhs {
 		rhs[k] = true
 	}
-	rhsIDs := make(map[string]bool, len(old.rhsIDs)+len(patch.Inserted))
-	for k := range old.rhsIDs {
-		rhsIDs[k] = true
-	}
+	rhsIDs := old.rhsIDs.Clone(len(patch.Inserted))
 	dict := relation.Shared()
 	var ib []int32
-	var kb []byte
 	for _, t := range patch.Inserted {
 		proj := t.Project(c.P.Cols)
 		rhs[proj.Key()] = true
@@ -96,8 +92,7 @@ func (c *Constraint) patchMaster(dm *relation.Database, patches map[string]Maste
 			}
 			ib = append(ib, id)
 		}
-		kb = relation.AppendIDKey(kb[:0], ib)
-		rhsIDs[string(kb)] = true
+		rhsIDs.Add(ib)
 	}
 	c.pcache.Store(&projCache{inst: in, gen: in.Generation(), rhs: rhs, rhsIDs: rhsIDs})
 	obs.PDmPatches.Inc()

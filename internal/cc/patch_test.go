@@ -1,9 +1,13 @@
 package cc
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
+	"repro/internal/cq"
 	"repro/internal/obs"
+	"repro/internal/query"
 	"repro/internal/relation"
 )
 
@@ -57,11 +61,11 @@ func TestPatchMasterExtendsMemo(t *testing.T) {
 			t.Fatalf("patched rhs missing key %q", k)
 		}
 	}
-	if len(warm.rhsIDs) != len(cold.rhsIDs) {
-		t.Fatalf("patched rhsIDs size %d, cold %d", len(warm.rhsIDs), len(cold.rhsIDs))
+	if warm.rhsIDs.Len() != cold.rhsIDs.Len() {
+		t.Fatalf("patched rhsIDs size %d, cold %d", warm.rhsIDs.Len(), cold.rhsIDs.Len())
 	}
-	for k := range cold.rhsIDs {
-		if !warm.rhsIDs[k] {
+	for i := 0; i < cold.rhsIDs.Len(); i++ {
+		if !warm.rhsIDs.Has(cold.rhsIDs.At(i)) {
 			t.Fatalf("patched rhsIDs missing a key")
 		}
 	}
@@ -148,5 +152,73 @@ func TestMasterProjectionHas(t *testing.T) {
 	empty := New("e", phi.Q, EmptySet())
 	if empty.MasterProjectionHas(dm, relation.T("c1")) {
 		t.Fatal("empty-set projection has no members")
+	}
+}
+
+// sameIDTuples reports whether two id-tuple sets hold the same tuples.
+func sameIDTuples(a, b *relation.IDTupleSet) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
+	for i := 0; i < a.Len(); i++ {
+		if !b.Has(a.At(i)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPatchMasterMatchesRebuildRandom patches the id-tuple p(Dm) memo
+// through seeded random insert batches — new customers, duplicates of
+// rows already in DCust and rows whose projection is already present —
+// for projections of widths 0 to 3. After each batch the memo must be
+// served without a rebuild and hold exactly the set a fresh constraint
+// rebuilds from the patched master relation.
+func TestPatchMasterMatchesRebuildRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	val := func(p string, n int) string { return fmt.Sprintf("%s%d", p, rng.Intn(n)) }
+	row := func() relation.Tuple {
+		return relation.T(val("c", 30), val("n", 4), val("a", 3), val("p", 5))
+	}
+	for _, cols := range [][]int{nil, {0}, {2, 0}, {1, 2, 3}} {
+		newPhi := func() *Constraint {
+			head := make([]query.Term, len(cols))
+			for i := range head {
+				head[i] = v(fmt.Sprintf("x%d", i))
+			}
+			q := cq.New("q", head, []query.RelAtom{query.Atom("Supt", v("x0"), v("x1"), v("x2"))})
+			return FromCQ("q", q, Proj("DCust", cols...))
+		}
+		_, dm := crmSchemas()
+		for i := 0; i < 5; i++ {
+			if err := dm.Add("DCust", row()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		phi := newPhi()
+		set := NewSet(phi)
+		phi.masterCache(dm)
+		for batch := 0; batch < 20; batch++ {
+			var ins []relation.Tuple
+			for i, n := 0, 1+rng.Intn(4); i < n; i++ {
+				ins = append(ins, row())
+			}
+			if existing := dm.Instance("DCust").Tuples(); rng.Intn(3) == 0 {
+				ins = append(ins, existing[rng.Intn(len(existing))])
+			}
+			pre := dm.Instance("DCust").Generation()
+			if _, _, err := dm.ApplyBatch(relation.Batch{Inserts: map[string][]relation.Tuple{"DCust": ins}}); err != nil {
+				t.Fatal(err)
+			}
+			set.PatchMaster(dm, map[string]MasterPatch{"DCust": {PreGen: pre, Inserted: ins}})
+			misses0 := obs.PDmMisses.Value()
+			warm := phi.masterCache(dm)
+			if got := obs.PDmMisses.Value() - misses0; got != 0 {
+				t.Fatalf("cols %v batch %d: memo rebuilt after the patch", cols, batch)
+			}
+			if cold := newPhi().masterCache(dm); !sameIDTuples(warm.rhsIDs, cold.rhsIDs) {
+				t.Fatalf("cols %v batch %d: patched set (%d tuples) differs from the rebuilt one (%d)", cols, batch, warm.rhsIDs.Len(), cold.rhsIDs.Len())
+			}
+		}
 	}
 }

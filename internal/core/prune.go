@@ -18,7 +18,7 @@ import (
 // The slot order is fixed, so a template becomes ground exactly when
 // its last slot is bound: the pruner is compiled once per (template,
 // IND) into the projected operands of that check, filed under that
-// slot, and probes the id-keyed p(Dm) memo of cc with no backtracking
+// slot, and probes the id-tuple p(Dm) memo of cc with no backtracking
 // state of its own. It is read-only after newINDPruner and shared by
 // every worker of a parallel search.
 type indPruner struct {
@@ -27,8 +27,8 @@ type indPruner struct {
 
 // indProbe is one IND π_X(R) ⊆ p(Dm) applied to one template over R.
 type indProbe struct {
-	ops     []int32         // the template's operands at X (see slotDiseq)
-	allowed map[string]bool // id-keys of p(Dm); empty for ⊆ ∅
+	ops     []int32              // the template's operands at X (see slotDiseq)
+	allowed *relation.IDTupleSet // p(Dm); empty for ⊆ ∅
 }
 
 // newINDPruner compiles the pruner for the tableau under the slot
@@ -38,12 +38,12 @@ type indProbe struct {
 func newINDPruner(t *cq.Tableau, slotOf map[string]int, operand func(query.Term) int32, v *cc.Set, dm *relation.Database) *indPruner {
 	type indCheck struct {
 		cols    []int
-		allowed map[string]bool
+		allowed *relation.IDTupleSet
 	}
 	byRel := make(map[string][]indCheck)
 	for _, c := range v.Constraints {
 		if shape, ok := c.IND(); ok {
-			byRel[shape.Rel] = append(byRel[shape.Rel], indCheck{cols: shape.Cols, allowed: c.MasterIDKeys(dm)})
+			byRel[shape.Rel] = append(byRel[shape.Rel], indCheck{cols: shape.Cols, allowed: c.MasterIDs(dm)})
 		}
 	}
 	p := &indPruner{at: make([][]indProbe, len(slotOf))}
@@ -82,8 +82,7 @@ func (p *indPruner) admit(w *searchWorker, i int) bool {
 		for _, op := range pr.ops {
 			w.ids = append(w.ids, operandID(op, w.slots))
 		}
-		w.kb = relation.AppendIDKey(w.kb[:0], w.ids)
-		if !pr.allowed[string(w.kb)] {
+		if !pr.allowed.Has(w.ids) {
 			return false
 		}
 	}

@@ -143,8 +143,8 @@ type rcdpPrep struct {
 	tableaux []*cq.Tableau
 	searches []*valuationSearch
 	schemas  map[string]*relation.Schema
-	// answerKeys holds the id-keys (relation.AppendIDKey) of Q(D).
-	answerKeys map[string]bool
+	// answers is Q(D) as head id tuples.
+	answers *relation.IDTupleSet
 }
 
 // prepareRCDP performs the disjunct-independent setup of an RCDP check:
@@ -164,27 +164,14 @@ func (ck *Checker) prepareRCDP(q qlang.Query, p *Prepared, gate *query.Gate) (*r
 		return nil, err
 	}
 
-	answers, err := q.EvalGate(p.d, gate)
-	if err != nil {
-		return nil, err
-	}
-	dict := relation.Shared()
-	answerKeys := make(map[string]bool, len(answers))
-	var ids []int32
-	var kb []byte
-	for _, t := range answers {
-		ids = ids[:0]
-		for _, val := range t {
-			ids = append(ids, dict.Intern(val))
-		}
-		kb = relation.AppendIDKey(kb[:0], ids)
-		answerKeys[string(kb)] = true
-	}
-
 	tableaux := q.Tableaux()
 	if len(tableaux) == 0 {
 		// Unsatisfiable query: trivially complete.
 		return nil, nil
+	}
+	answers, err := cq.AnswerIDsGate(tableaux, q.Arity(), p.d, gate)
+	if err != nil {
+		return nil, err
 	}
 	u := newUniverse(st.adom, q, tableauVarCount(tableaux))
 
@@ -203,7 +190,7 @@ func (ck *Checker) prepareRCDP(q qlang.Query, p *Prepared, gate *query.Gate) (*r
 			searches[di] = search
 		} // else: disjunct unsatisfiable under domain constraints
 	}
-	return &rcdpPrep{p: p, tableaux: tableaux, searches: searches, schemas: st.schemas, answerKeys: answerKeys}, nil
+	return &rcdpPrep{p: p, tableaux: tableaux, searches: searches, schemas: st.schemas, answers: answers}, nil
 }
 
 // rcdp is RCDP with an optional externally-owned worker pool — so that
@@ -291,7 +278,7 @@ func (ck *Checker) rcdp(q qlang.Query, p *Prepared, pool *workerPool, gv *govern
 // An RCDP check takes its checkers from a witnessPool, one per running
 // task; a degree computation builds one. A checker owns the prepared
 // cc.DeltaChecker over (D, Dm), the id rows of μ(T), refilled in place
-// from the slot array for every valuation, and the head-key scratch.
+// from the slot array for every valuation, and the head-id scratch.
 // Besides those it reads only the warmed, read-only shared state of
 // rcdpPrep. Single-goroutine.
 type witnessChecker struct {
@@ -300,7 +287,6 @@ type witnessChecker struct {
 	gate *query.Gate
 	rows cq.DeltaRows
 	ids  []int32
-	kb   []byte
 	pool *witnessPool // the pool it returns to; nil outside one
 }
 
@@ -320,8 +306,7 @@ func (w *witnessChecker) test(di int, slots []int32) (bool, error) {
 	for _, op := range s.head {
 		w.ids = append(w.ids, operandID(op, slots))
 	}
-	w.kb = relation.AppendIDKey(w.kb[:0], w.ids)
-	if w.prep.answerKeys[string(w.kb)] {
+	if w.prep.answers.Has(w.ids) {
 		return false, nil // already answered; cannot change Q(D)
 	}
 	if err := s.tpls.Ground(&w.rows, slots); err != nil {

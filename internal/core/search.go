@@ -300,7 +300,6 @@ type searchWorker struct {
 	s     *valuationSearch // shared, read-only during the search
 	slots []int32
 	ids   []int32 // IND projection scratch
-	kb    []byte  // IND key scratch
 
 	fn     parallelFn // the callback every admitted complete valuation reaches
 	budget *budgetCtl // shared with the disjunct's other tasks

@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/obs"
@@ -46,36 +47,26 @@ func (t *Tableau) Eval(d *relation.Database) []relation.Tuple {
 	return out
 }
 
-// EvalGate is Eval under gate governance (see CQ.EvalGate). Answers
-// dedup on fixed-width id-keys (no per-leaf Binding, HeadTuple or
-// string Key) and materialize to sorted tuples once at the end.
+// EvalGate is Eval under gate governance (see CQ.EvalGate): the
+// answer set of AnswerIDsGate, materialized and sorted.
 func (t *Tableau) EvalGate(d *relation.Database, g *query.Gate) ([]relation.Tuple, error) {
-	gs := gate(g)
-	es := evalStats{evals: 1}
-	st := t.isetup(d, gs, &es)
-	seen := make(map[string]bool)
-	var answers [][]int32
-	var kbuf []byte
-	st.leaf = st.headLeaf(func(head []int32) bool {
-		kbuf = relation.AppendIDKey(kbuf[:0], head)
-		if !seen[string(kbuf)] {
-			seen[string(kbuf)] = true
-			answers = append(answers, append([]int32(nil), head...))
-		}
-		return true
-	})
-	if !st.ip.unsat && st.ip.headBound {
-		st.run(t.planOrder(d), 0)
-	}
-	es.flush()
-	if err := gs.finish(); err != nil {
+	return evalGate([]*Tableau{t}, len(t.Head), d, g)
+}
+
+// evalGate materializes the answers of the union of ts over d as
+// sorted tuples.
+func evalGate(ts []*Tableau, width int, d *relation.Database, g *query.Gate) ([]relation.Tuple, error) {
+	set, err := AnswerIDsGate(ts, width, d, g)
+	if err != nil {
 		return nil, err
 	}
-	out := make([]relation.Tuple, len(answers))
-	for i, ids := range answers {
-		tp := make(relation.Tuple, len(ids))
-		for j, id := range ids {
-			tp[j] = st.vals[id]
+	vals := relation.Shared().Snapshot()
+	buf := make([]relation.Value, set.Len()*width)
+	out := make([]relation.Tuple, set.Len())
+	for i := range out {
+		tp := relation.Tuple(buf[i*width : (i+1)*width : (i+1)*width])
+		for j, id := range set.At(i) {
+			tp[j] = vals[id]
 		}
 		out[i] = tp
 	}
@@ -83,22 +74,34 @@ func (t *Tableau) EvalGate(d *relation.Database, g *query.Gate) ([]relation.Tupl
 	return out, nil
 }
 
-// EvalFuncGate enumerates all satisfying bindings of the tableau over
-// d, invoking fn for each; enumeration stops early when fn returns
-// false. The binding passed to fn is reused between calls — clone it to
-// keep. Each candidate tuple enumerated by the join charges one
-// row-step on g, and the first gate error aborts enumeration and is
-// returned. A nil gate is free.
-func (t *Tableau) EvalFuncGate(d *relation.Database, g *query.Gate, fn func(query.Binding) bool) error {
-	gs := gate(g)
-	es := evalStats{evals: 1}
-	st := t.isetup(d, gs, &es)
-	st.leaf = st.bindingLeaf(t.Vars, fn)
-	if !st.ip.unsat {
-		st.run(t.planOrder(d), 0)
+// AnswerIDsGate evaluates the union of the tableaux ts over d and
+// returns its answers as head id tuples of the given width, which every
+// tableau's head must have. Each join runs in plan order with the
+// existential cut (see ijoin.cut): once the head is bound, an answered
+// head is skipped and a new one needs only one binding of the remaining
+// variables, so the join visits far fewer rows than the full
+// enumeration of its bindings. Each candidate tuple charges one
+// row-step on g, and the first gate error stops the evaluation and is
+// returned with no answers (a partial answer set is not a sound answer
+// set). A nil gate is free.
+func AnswerIDsGate(ts []*Tableau, width int, d *relation.Database, g *query.Gate) (*relation.IDTupleSet, error) {
+	set := relation.NewIDTupleSet(width, 0)
+	for _, t := range ts {
+		if len(t.Head) != width {
+			return nil, fmt.Errorf("cq: %s has a head of %d terms, want %d", t.Query.Name, len(t.Head), width)
+		}
+		gs := gate(g)
+		es := evalStats{evals: 1}
+		st := t.isetup(d, gs, &es)
+		if !st.ip.unsat && st.ip.headBound {
+			st.answers(t.planOrder(d), set)
+		}
+		es.flush()
+		if err := gs.finish(); err != nil {
+			return nil, err
+		}
 	}
-	es.flush()
-	return gs.finish()
+	return set, nil
 }
 
 // evalStats accumulates observability counts in plain stack-local
@@ -201,11 +204,17 @@ func (gs *gateState) finish() error {
 // column of instance in is expected to match about
 // in.Len()/in.Distinct(col) tuples and an unbound template costs a full
 // scan. Ties break toward fewer newly-bound variables, then lowest
-// template position, keeping the order deterministic.
+// template position, keeping the order deterministic. It works on the
+// compiled slot plan, so the bound-variable set is one flag per slot.
 func (t *Tableau) planOrder(d *relation.Database) []int {
-	n := len(t.Templates)
+	ip := t.plan()
+	n := len(ip.tmpls)
 	used := make([]bool, n)
-	bound := make(map[string]bool)
+	bound := make([]bool, len(t.Vars))
+	ins := make([]*relation.Instance, n)
+	for i, a := range t.Templates {
+		ins[i] = d.Instance(a.Rel)
+	}
 	order := make([]int, 0, n)
 	for len(order) < n {
 		best, bestCost, bestNew := -1, 0, 0
@@ -213,38 +222,38 @@ func (t *Tableau) planOrder(d *relation.Database) []int {
 			if used[i] {
 				continue
 			}
-			cost, newVars := templateCost(d, t.Templates[i], bound)
+			cost, newVars := templateCost(ins[i], ip.tmpls[i], bound)
 			if best == -1 || cost < bestCost || (cost == bestCost && newVars < bestNew) {
 				best, bestCost, bestNew = i, cost, newVars
 			}
 		}
 		used[best] = true
 		order = append(order, best)
-		for _, a := range t.Templates[best].Args {
-			if a.IsVar {
-				bound[a.Name] = true
+		for _, a := range ip.tmpls[best] {
+			if a >= 0 {
+				bound[a] = true
 			}
 		}
 	}
 	return order
 }
 
-// templateCost estimates how many candidate tuples matching the atom
-// will be enumerated under the current bound-variable set, and counts
-// the variables the atom would newly bind.
-func templateCost(d *relation.Database, atom query.RelAtom, bound map[string]bool) (cost, newVars int) {
-	for _, arg := range atom.Args {
-		if arg.IsVar && !bound[arg.Name] {
+// templateCost estimates how many candidate tuples of instance in
+// (nil: the relation is missing) a template with the compiled
+// arguments args will enumerate under the current bound slots, and
+// counts the variable arguments it would newly bind.
+func templateCost(in *relation.Instance, args []iterm, bound []bool) (cost, newVars int) {
+	for _, a := range args {
+		if a >= 0 && !bound[a] {
 			newVars++
 		}
 	}
-	in := d.Instance(atom.Rel)
 	if in == nil || in.Len() == 0 {
 		return 0, newVars
 	}
 	cost = in.Len()
-	for col, arg := range atom.Args {
-		if arg.IsVar && !bound[arg.Name] {
+	for col, a := range args {
+		if a >= 0 && !bound[a] {
 			continue
 		}
 		if dc := in.Distinct(col); dc > 0 {
@@ -256,54 +265,19 @@ func templateCost(d *relation.Database, atom query.RelAtom, bound map[string]boo
 	return cost, newVars
 }
 
-// EvalFuncDeltaGate enumerates bindings of the tableau over d ∪ delta
-// restricted to matches that use at least one delta tuple, without ever
-// materializing the union. It implements one step of semi-naive
-// (differential) evaluation: for each template position j it enumerates
-// joins where template j matches only delta and the remaining templates
-// match d and then delta, which covers every new match at least once
-// (possibly invoking fn more than once per binding, e.g. when several
-// templates match delta tuples or a delta tuple already occurs in d).
-// fn returning false stops enumeration. Each candidate tuple charges
-// one row-step; the first gate error aborts enumeration and is
-// returned. A nil gate is free.
-func (t *Tableau) EvalFuncDeltaGate(d, delta *relation.Database, g *query.Gate, fn func(query.Binding) bool) error {
-	gs := gate(g)
-	es := evalStats{evals: 1}
-	st := t.isetup(d, gs, &es)
-	st.bindDelta(t, DeltaRowsOf(delta))
-	st.leaf = st.bindingLeaf(t.Vars, fn)
-	if !st.ip.unsat {
-		st.runDeltaAll(len(t.Templates))
-	}
-	es.flush()
-	return gs.finish()
-}
-
-// EvalFuncDeltaIDsGate is EvalFuncDeltaGate with fn receiving the head
-// tuple as dictionary ids (the slice is reused between calls) instead
-// of a materialized Binding, which is what lets cc's incremental
-// constraint check compare heads against its id-keyed p(Dm) memo
-// without any per-leaf string work. It is a one-shot DeltaProbe.
-func (t *Tableau) EvalFuncDeltaIDsGate(d, delta *relation.Database, g *query.Gate, fn func(head []int32) bool) error {
-	p := t.NewDeltaProbe(d)
-	err := p.Run(DeltaRowsOf(delta), g, fn)
-	p.Flush()
-	return err
-}
-
-// DeltaProbe is EvalFuncDeltaIDsGate prepared against one base
-// database d and run for many deltas: the base instances and their
-// index views, the constant ids, the slot, trail and head buffers and
-// the gate state are set up once, and each Run only rebinds the delta
+// DeltaProbe is differential (semi-naive) evaluation of a tableau,
+// prepared against one base database d and run for many deltas: each
+// Run enumerates the matches over d ∪ Δ that use at least one Δ row,
+// without materializing the union. The base instances and their index
+// views, the constant ids, the slot, trail and head buffers and the
+// gate state are set up once, and each Run only rebinds the delta
 // rows. The decision procedures test one delta per candidate valuation
 // against the same d, which is what this amortizes.
 //
 // d must not be mutated while the probe is in use (the views it holds
 // are per generation). A probe is single-goroutine. Its join counters
 // accumulate across runs and reach the obs metrics on Flush; each Run
-// counts as one evaluation, so the totals equal those of one
-// EvalFuncDeltaIDsGate per delta.
+// counts as one evaluation.
 type DeltaProbe struct {
 	t  *Tableau
 	st *ijoin
@@ -321,11 +295,15 @@ func (t *Tableau) NewDeltaProbe(d *relation.Database) *DeltaProbe {
 }
 
 // Run enumerates the head tuples (as ids, in a reused slice) of the
-// matches over d ∪ delta that use at least one delta row, with the
-// semantics of EvalFuncDeltaIDsGate: each candidate tuple charges one
-// row-step on g, the first gate error aborts the run and is returned,
-// and fn returning false stops it. A nil gate is free. delta is read,
-// not kept: the caller may refill it once Run returns.
+// matches over d ∪ delta that use at least one delta row. For each
+// template position j it joins template j against delta alone and the
+// other templates against d and then delta, which covers every new
+// match at least once (possibly more than once, e.g. when several
+// templates match delta rows or a delta row already occurs in d); it
+// enumerates every such binding, with no cut. Each candidate tuple
+// charges one row-step on g, the first gate error aborts the run and
+// is returned, and fn returning false stops it. A nil gate is free.
+// delta is read, not kept: the caller may refill it once Run returns.
 func (p *DeltaProbe) Run(delta *DeltaRows, g *query.Gate, fn func(head []int32) bool) error {
 	p.es.evals++
 	st := p.st

@@ -2,6 +2,7 @@ package cq
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -11,10 +12,11 @@ import (
 // dictionary ids and posting lists. Variables compile to slots, the
 // plain join follows the cost-based template order of planOrder and
 // probes the most selective bound column, differential evaluation leads
-// with the delta template. Its independent reference is the naive
+// with the delta template. Answer evaluation cuts the plain join once
+// the head is bound (see cut). Its independent reference is the naive
 // nested-loop evaluator of naive_test.go, which the randomized
-// differential test in reference_test.go checks every entry point
-// against.
+// differential tests in reference_test.go and cut_test.go check every
+// entry point against.
 
 // iterm is one compiled term: a non-negative value is an index into the
 // tableau's sorted Vars (a slot), a negative value encodes a constant
@@ -86,6 +88,27 @@ func (t *Tableau) buildIPlan() *iplan {
 	return ip
 }
 
+// headPrefix returns the length of the shortest prefix of the plan
+// order whose templates bind every head variable: from that position
+// on the head tuple is fixed, and the rest of the plan only decides
+// whether it is an answer. A head without variables gives 0. The plan
+// must bind the head (headBound).
+func (ip *iplan) headPrefix(order []int) int {
+	k := 0
+	for _, h := range ip.head {
+		if h < 0 {
+			continue
+		}
+		for p, ti := range order {
+			if slices.Contains(ip.tmpls[ti], h) {
+				k = max(k, p+1)
+				break
+			}
+		}
+	}
+	return k
+}
+
 // plan returns the compiled slot plan; tableaux not built by
 // BuildTableau compile theirs per call.
 func (t *Tableau) plan() *iplan {
@@ -99,10 +122,10 @@ func (t *Tableau) plan() *iplan {
 // unbound), resolved constant ids, the trail of newly bound slots for
 // unwinding, the per-template instances of the base database and, for
 // delta evaluation, the per-template rows of the delta. A nil instance
-// or row set contributes no rows.
+// or row set contributes no rows. Answer evaluation (answers) adds the
+// state of its existential cut.
 type ijoin struct {
-	ip   *iplan
-	vals []relation.Value // dictionary snapshot for materialization
+	ip *iplan
 
 	ins []*relation.Instance
 	ixs []relation.IDIndex
@@ -116,6 +139,15 @@ type ijoin struct {
 	gs   *gateState
 	es   *evalStats
 	leaf func() bool
+
+	// The existential cut: cutAt is the plan position where every head
+	// slot is bound (-1: no cut, every binding is enumerated), hbuf
+	// the head ids resolved there, ans the answer set the cut's leaf
+	// fills, and cutHit the signal of that leaf's stop.
+	cutAt  int
+	hbuf   []int32
+	ans    *relation.IDTupleSet
+	cutHit bool
 }
 
 // isetup prepares one enumeration over d. A relation missing from d,
@@ -139,6 +171,7 @@ func (t *Tableau) isetup(d *relation.Database, gs *gateState, es *evalStats) *ij
 		trail: ibuf[nc+nv : nc+nv : nc+2*nv],
 		gs:    gs,
 		es:    es,
+		cutAt: -1,
 	}
 	for i, a := range t.Templates {
 		if in := d.Instance(a.Rel); in != nil && in.Schema.Arity() == len(a.Args) {
@@ -152,7 +185,6 @@ func (t *Tableau) isetup(d *relation.Database, gs *gateState, es *evalStats) *ij
 	for i := range st.slots {
 		st.slots[i] = -1
 	}
-	st.vals = dict.Snapshot()
 	return st
 }
 
@@ -203,8 +235,18 @@ func (st *ijoin) next(f iframe) bool {
 	return st.run(f.order, f.k+1)
 }
 
-// run recursively matches template order[k].
+// run recursively matches template order[k], taking the existential
+// cut at its position.
 func (st *ijoin) run(order []int, k int) bool {
+	if k == st.cutAt {
+		return st.cut(order, k)
+	}
+	return st.match(order, k)
+}
+
+// match matches template order[k], or reaches the leaf past the last
+// template.
+func (st *ijoin) match(order []int, k int) bool {
 	if k == len(order) {
 		return st.leaf()
 	}
@@ -213,6 +255,44 @@ func (st *ijoin) run(order []int, k int) bool {
 		return true
 	}
 	return st.enum(st.ixs[ti], st.ip.tmpls[ti], iframe{order: order, k: k})
+}
+
+// answers runs the plain join in plan order with the existential cut,
+// adding the head of every answer to set.
+func (st *ijoin) answers(order []int, set *relation.IDTupleSet) {
+	st.ans = set
+	st.hbuf = make([]int32, len(st.ip.head))
+	st.cutAt = st.ip.headPrefix(order)
+	st.leaf = func() bool {
+		st.ans.Add(st.hbuf)
+		st.cutHit = true
+		return false
+	}
+	st.run(order, 0)
+}
+
+// cut is the existential cut at plan position k, where every head slot
+// is bound: the answer is fixed, and the rest of the plan only has to
+// show that some binding of the remaining variables exists. A head
+// already answered is skipped; any other one runs the rest of the plan
+// until its first leaf, which adds the head and stops with cutHit set.
+// The cut ends that stop here and clears the signal for the next head;
+// a stop without it — a gate trip — goes on up.
+func (st *ijoin) cut(order []int, k int) bool {
+	for i, h := range st.ip.head {
+		st.hbuf[i], _ = st.resolve(h)
+	}
+	if st.ans.Has(st.hbuf) {
+		return true
+	}
+	if st.match(order, k) {
+		return true // no binding of the rest: not an answer
+	}
+	if !st.cutHit {
+		return false
+	}
+	st.cutHit = false
+	return true
 }
 
 // runDelta matches template idx[k] for differential evaluation: the
@@ -408,22 +488,6 @@ func (st *ijoin) tryRank(cols [][]int32, args []iterm, rank int32, f iframe) boo
 	cont := st.next(f)
 	st.unwind(mark)
 	return cont
-}
-
-// bindingLeaf adapts a Binding-consuming fn to the slot engine: one
-// reused map is refreshed from the slots at each leaf. Every slot a
-// template binds is bound there; slots of variables no template binds
-// (unsafe, unvalidated queries) stay out of the binding.
-func (st *ijoin) bindingLeaf(vars []string, fn func(query.Binding) bool) func() bool {
-	b := make(query.Binding, len(vars))
-	return func() bool {
-		for s, name := range vars {
-			if id := st.slots[s]; id >= 0 {
-				b[name] = st.vals[id]
-			}
-		}
-		return fn(b)
-	}
 }
 
 // headLeaf resolves the head into hbuf at each leaf and hands it to fn.

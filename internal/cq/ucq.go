@@ -2,7 +2,6 @@ package cq
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -65,24 +64,10 @@ func (u *UCQ) Eval(d *relation.Database) []relation.Tuple {
 	return out
 }
 
-// EvalGate evaluates the union under gate governance (see CQ.EvalGate).
+// EvalGate evaluates the union under gate governance (see CQ.EvalGate):
+// one answer set over the disjunct tableaux, materialized and sorted.
 func (u *UCQ) EvalGate(d *relation.Database, g *query.Gate) ([]relation.Tuple, error) {
-	seen := make(map[string]relation.Tuple)
-	for _, q := range u.Disjuncts {
-		ts, err := q.EvalGate(d, g)
-		if err != nil {
-			return nil, err
-		}
-		for _, t := range ts {
-			seen[t.Key()] = t
-		}
-	}
-	out := make([]relation.Tuple, 0, len(seen))
-	for _, t := range seen {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out, nil
+	return evalGate(u.Tableaux(), u.Arity(), d, g)
 }
 
 // EvalBool evaluates a Boolean union.

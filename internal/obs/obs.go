@@ -54,12 +54,13 @@ var Default = NewRegistry()
 // process-global instruments; they are declared centrally so the
 // exposition names stay consistent and greppable.
 var (
-	// Evals counts completed tableau evaluations (cq.Tableau.EvalGate,
-	// EvalFuncGate and EvalFuncDeltaGate enumerations, and each
-	// cq.DeltaProbe.Run). Counts are batched: a one-shot evaluation
-	// charges them when it ends, a DeltaProbe when it is flushed — for
-	// an RCDP check, once per witness checker rather than once per
-	// valuation. The same holds for JoinRows, IndexProbes and FullScans.
+	// Evals counts completed tableau evaluations: one per tableau of a
+	// cq.AnswerIDsGate call (the answer evaluation of CQs, UCQs, ∃FO⁺
+	// and datalog rounds) and one per cq.DeltaProbe.Run. Counts are
+	// batched: a one-shot evaluation charges them when it ends, a
+	// DeltaProbe when it is flushed — for an RCDP check, once per
+	// witness checker rather than once per valuation. The same holds
+	// for JoinRows, IndexProbes and FullScans.
 	Evals = NewCounter("relcomp_cq_evals_total",
 		"completed tableau join enumerations")
 	// JoinRows counts candidate join rows enumerated by the cq join

@@ -441,21 +441,23 @@ func (ix IDIndex) Distinct(c int) int {
 	return len(pc.ids)
 }
 
-// ProjectIDSet returns the set of fixed-width id-keys of the distinct
-// projections of the instance onto cols. Keys are comparable across
-// instances because every instance shares the process-wide dictionary —
-// this is what the p(Dm) memo in internal/cc keys on.
-func (in *Instance) ProjectIDSet(cols []int) map[string]bool {
-	seen := make(map[string]bool, in.n)
-	kb := make([]byte, 0, 4*len(cols))
-	for r := 0; r < in.n; r++ {
-		kb = kb[:0]
-		for _, c := range cols {
-			kb = appendID(kb, in.cols[c][r])
-		}
-		if !seen[string(kb)] {
-			seen[string(kb)] = true
-		}
+// ProjectIDSet returns the distinct projections of the instance onto
+// cols as id tuples. Sets are comparable across instances because
+// every instance shares the process-wide dictionary — this is what the
+// p(Dm) memo in internal/cc holds.
+func (in *Instance) ProjectIDSet(cols []int) *IDTupleSet {
+	set := NewIDTupleSet(len(cols), in.n)
+	var ib [inlineArity]int32
+	ids := ib[:0]
+	if len(cols) > inlineArity {
+		ids = make([]int32, 0, len(cols))
 	}
-	return seen
+	for r := 0; r < in.n; r++ {
+		ids = ids[:0]
+		for _, c := range cols {
+			ids = append(ids, in.cols[c][r])
+		}
+		set.Add(ids)
+	}
+	return set
 }
