@@ -77,14 +77,20 @@ bench:
 # One iteration of every benchmark in every package: catches bit-rotted
 # benchmark code in CI without paying for real measurement runs, plus
 # one quick relbench sweep that must run to completion.
+# Every Table I ∀∃-3SAT record must carry a nonzero join_rows work
+# count: a zero means the counter no longer sees the check's join.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 	$(GO) build -o /tmp/relbench-smoke ./cmd/relbench
-	/tmp/relbench-smoke -quick -json > /dev/null
+	/tmp/relbench-smoke -quick -json > /tmp/relbench-smoke.json
+	awk '/"table":/ { t = $$2 } /"name":/ { n = $$2 } \
+		/"join_rows":/ && t == "\"I\"," && n == "\"forall-exists-3sat\"," { fe++; if ($$2 + 0 == 0) bad = 1 } \
+		END { if (fe == 0 || bad) { print "bench-smoke: no Table I forall-exists-3sat record, or one with join_rows 0"; exit 1 } }' \
+		/tmp/relbench-smoke.json
 	# Under a budget every table must still finish: stopped checks are
 	# recorded as unknown, not reported as failures.
 	/tmp/relbench-smoke -quick -json -workers 1 -steps 500 > /dev/null
-	rm -f /tmp/relbench-smoke
+	rm -f /tmp/relbench-smoke /tmp/relbench-smoke.json
 
 # Bench-regression gate: three quick single-worker relbench runs are
 # median-merged and compared against the committed BENCH_BASELINE.json

@@ -52,6 +52,9 @@ var (
 // and Reason report the governed outcome: verdict "unknown" plus the
 // exhausted dimension when -timeout/-steps stopped the check, empty
 // reason otherwise.
+// JoinRows and Valuations are the work counts of the timed check: the
+// deltas of the obs counters of cq join rows and of candidate
+// valuations around it.
 type benchRecord struct {
 	Table       string `json:"table"`
 	Name        string `json:"name"`
@@ -59,31 +62,42 @@ type benchRecord struct {
 	Workers     int    `json:"workers"`
 	DurationNS  int64  `json:"duration_ns"`
 	AllocsPerOp int64  `json:"allocs_per_op"`
+	JoinRows    int64  `json:"join_rows"`
+	Valuations  int64  `json:"valuations"`
 	Agree       *bool  `json:"agree,omitempty"`
 	Verdict     string `json:"verdict,omitempty"`
 	Reason      string `json:"reason,omitempty"`
 }
 
-func record(table, name string, param int, dur time.Duration, allocs int64, agree *bool, verdict string, reason core.Reason) {
+func record(table, name string, param int, sp spent, agree *bool, verdict string, reason core.Reason) {
 	records = append(records, benchRecord{
 		Table: table, Name: name, Param: param, Workers: checker.Workers,
-		DurationNS: dur.Nanoseconds(), AllocsPerOp: allocs, Agree: agree,
+		DurationNS: sp.dur.Nanoseconds(), AllocsPerOp: sp.allocs,
+		JoinRows: sp.joinRows, Valuations: sp.valuations, Agree: agree,
 		Verdict: verdict, Reason: reason.String(),
 	})
 }
 
-// timed runs f once, returning its wall time and the heap allocation
-// count attributable to the run (total Mallocs delta across all
-// goroutines — comparable between runs at equal -workers).
-func timed(f func() error) (time.Duration, int64, error) {
+// spent is what one timed run cost: its wall time, the heap
+// allocations attributable to it (total Mallocs delta across all
+// goroutines — comparable between runs at equal -workers) and its work
+// counts.
+type spent struct {
+	dur                          time.Duration
+	allocs, joinRows, valuations int64
+}
+
+// timed runs f once and returns what it spent.
+func timed(f func() error) (spent, error) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	before := ms.Mallocs
+	mallocs, rows, vals := ms.Mallocs, obs.JoinRows.Value(), obs.Valuations.Value()
 	start := time.Now()
 	err := f()
 	dur := time.Since(start)
 	runtime.ReadMemStats(&ms)
-	return dur, int64(ms.Mallocs - before), err
+	return spent{dur: dur, allocs: int64(ms.Mallocs - mallocs),
+		joinRows: obs.JoinRows.Value() - rows, valuations: obs.Valuations.Value() - vals}, err
 }
 
 func main() {
@@ -331,7 +345,7 @@ func sweepForallExists(nVars int) (time.Duration, bool, error) {
 		return 0, false, err
 	}
 	var r *core.RCDPResult
-	dur, allocs, err := timed(func() error {
+	sp, err := timed(func() error {
 		var e error
 		r, e = checker.RCDPCtx(context.Background(), inst.Q, inst.D, inst.Dm, inst.V)
 		return e
@@ -340,15 +354,15 @@ func sweepForallExists(nVars int) (time.Duration, bool, error) {
 		return 0, false, err
 	}
 	if r.Verdict == core.VerdictUnknown {
-		record("I", "forall-exists-3sat", nVars, dur, allocs, nil, r.Verdict.String(), r.Reason)
-		return dur, true, nil
+		record("I", "forall-exists-3sat", nVars, sp, nil, r.Verdict.String(), r.Reason)
+		return sp.dur, true, nil
 	}
 	agree := true
 	if nVars <= 10 {
 		agree = (r.Verdict == core.VerdictComplete) == sat.ForallExists(phi, nX)
 	}
-	record("I", "forall-exists-3sat", nVars, dur, allocs, &agree, r.Verdict.String(), r.Reason)
-	return dur, agree, nil
+	record("I", "forall-exists-3sat", nVars, sp, &agree, r.Verdict.String(), r.Reason)
+	return sp.dur, agree, nil
 }
 
 func sweepCRMData(customers int) (time.Duration, error) {
@@ -360,7 +374,7 @@ func sweepCRMData(customers int) (time.Duration, error) {
 	vset := cc.NewSet(mdm.Phi0(), mdm.Phi1(cfg.MaxSupport))
 	q := mdm.Q0("908")
 	var r *core.RCDPResult
-	dur, allocs, err := timed(func() error {
+	sp, err := timed(func() error {
 		var e error
 		r, e = checker.RCDPCtx(context.Background(), q, s.D, s.Dm, vset)
 		return e
@@ -368,8 +382,8 @@ func sweepCRMData(customers int) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	record("I", "crm-data", customers, dur, allocs, nil, r.Verdict.String(), r.Reason)
-	return dur, nil
+	record("I", "crm-data", customers, sp, nil, r.Verdict.String(), r.Reason)
+	return sp.dur, nil
 }
 
 func sweepUCQ(disjuncts int) (time.Duration, error) {
@@ -379,7 +393,7 @@ func sweepUCQ(disjuncts int) (time.Duration, error) {
 	vset := cc.NewSet(mdm.Phi0())
 	u := buildAreaUnion(disjuncts)
 	var r *core.RCDPResult
-	dur, allocs, err := timed(func() error {
+	sp, err := timed(func() error {
 		var e error
 		r, e = checker.RCDPCtx(context.Background(), u, s.D, s.Dm, vset)
 		return e
@@ -387,8 +401,8 @@ func sweepUCQ(disjuncts int) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	record("I", "ucq-union", disjuncts, dur, allocs, nil, r.Verdict.String(), r.Reason)
-	return dur, nil
+	record("I", "ucq-union", disjuncts, sp, nil, r.Verdict.String(), r.Reason)
+	return sp.dur, nil
 }
 
 func sweepEFO() (time.Duration, error) {
@@ -398,7 +412,7 @@ func sweepEFO() (time.Duration, error) {
 	vset := cc.NewSet(mdm.Phi0())
 	q := buildAreaEFO()
 	var r *core.RCDPResult
-	dur, allocs, err := timed(func() error {
+	sp, err := timed(func() error {
 		var e error
 		r, e = checker.RCDPCtx(context.Background(), q, s.D, s.Dm, vset)
 		return e
@@ -406,8 +420,8 @@ func sweepEFO() (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	record("I", "efo-dnf", 0, dur, allocs, nil, r.Verdict.String(), r.Reason)
-	return dur, nil
+	record("I", "efo-dnf", 0, sp, nil, r.Verdict.String(), r.Reason)
+	return sp.dur, nil
 }
 
 // ---------------------------------------------------------------------
@@ -441,7 +455,7 @@ func tableIncremental(quick bool) error {
 	s, vset := build()
 	q := mdm.Q0("908")
 	var prev *core.RCDPResult
-	durCold, allocs, err := timed(func() error {
+	cold, err := timed(func() error {
 		var e error
 		prev, e = checker.RCDPCtx(context.Background(), q, s.D, s.Dm, vset)
 		return e
@@ -449,8 +463,8 @@ func tableIncremental(quick bool) error {
 	if err != nil {
 		return err
 	}
-	record("inc", "crm-cold", customers, durCold, allocs, nil, prev.Verdict.String(), prev.Reason)
-	row("cold RCDP          |DCust| = %4d: %12v  (%s)", customers, durCold, prev.Verdict)
+	record("inc", "crm-cold", customers, cold, nil, prev.Verdict.String(), prev.Reason)
+	row("cold RCDP          |DCust| = %4d: %12v  (%s)", customers, cold.dur, prev.Verdict)
 	// A budget that stops the cold check leaves no verdict to reuse or
 	// compare: the series then records what the rechecks return and
 	// skips the reuse, oracle and speedup assertions.
@@ -488,7 +502,7 @@ func tableIncremental(quick bool) error {
 	dlDup := &core.Delta{Master: true, Inserts: map[string][]relation.Tuple{mdm.DCust: dup}}
 	var res *core.RCDPResult
 	var reused bool
-	durReuse, allocs, err := timed(func() error {
+	reuse, err := timed(func() error {
 		var e error
 		res, reused, e = checker.RecheckDeltaCtx(context.Background(), q, s.D, s.Dm, vset, prev, dlDup)
 		return e
@@ -503,15 +517,15 @@ func tableIncremental(quick bool) error {
 	if err != nil {
 		return err
 	}
-	record("inc", "crm-recheck-reused", customers, durReuse, allocs, agree, res.Verdict.String(), res.Reason)
-	row("recheck (reused)   |ΔDm|  = %4d: %12v  (%s)", len(dup), durReuse, note)
+	record("inc", "crm-recheck-reused", customers, reuse, agree, res.Verdict.String(), res.Reason)
+	row("recheck (reused)   |ΔDm|  = %4d: %12v  (%s)", len(dup), reuse.dur, note)
 
 	// Gate miss: a tuple with values outside the active domain forces a
 	// cold re-search, but over incrementally patched indexes and memos.
 	fresh := relation.Tuple{"x999", "fresh-customer", "908", "5559999"}
 	dlFresh := &core.Delta{Master: true, Inserts: map[string][]relation.Tuple{mdm.DCust: {fresh}}}
 	var res2 *core.RCDPResult
-	durMiss, allocs, err := timed(func() error {
+	miss, err := timed(func() error {
 		var e error
 		res2, reused, e = checker.RecheckDeltaCtx(context.Background(), q, s.D, s.Dm, vset, res, dlFresh)
 		return e
@@ -526,17 +540,17 @@ func tableIncremental(quick bool) error {
 	if err != nil {
 		return err
 	}
-	record("inc", "crm-recheck-cold", customers, durMiss, allocs, agree2, res2.Verdict.String(), res2.Reason)
-	row("recheck (cold)     |ΔDm|  = %4d: %12v  (%s)", 1, durMiss, note)
+	record("inc", "crm-recheck-cold", customers, miss, agree2, res2.Verdict.String(), res2.Reason)
+	row("recheck (cold)     |ΔDm|  = %4d: %12v  (%s)", 1, miss.dur, note)
 
 	if !decided {
 		return nil
 	}
-	if durReuse*5 > durCold {
+	if reuse.dur*5 > cold.dur {
 		return fmt.Errorf("incremental: reused recheck (%v) is not ≥5× faster than cold RCDP (%v)",
-			durReuse, durCold)
+			reuse.dur, cold.dur)
 	}
-	row("gate-hit speedup: %.0f× over cold", float64(durCold)/float64(durReuse))
+	row("gate-hit speedup: %.0f× over cold", float64(cold.dur)/float64(reuse.dur))
 	return nil
 }
 
@@ -628,7 +642,7 @@ func sweepThreeSAT(nVars int) (time.Duration, bool, error) {
 		return 0, false, err
 	}
 	var res *core.RCQPResult
-	dur, allocs, err := timed(func() error {
+	sp, err := timed(func() error {
 		var e error
 		res, e = (&core.QPChecker{Checker: checker}).RCQPCtx(context.Background(), inst.Q, inst.Dm, inst.V, inst.Schemas)
 		return e
@@ -637,13 +651,13 @@ func sweepThreeSAT(nVars int) (time.Duration, bool, error) {
 		return 0, false, err
 	}
 	if res.Status == core.Unknown && res.Reason != core.ReasonNone {
-		record("II", "3sat-rcqp", nVars, dur, allocs, nil, res.Status.String(), res.Reason)
-		return dur, true, nil
+		record("II", "3sat-rcqp", nVars, sp, nil, res.Status.String(), res.Reason)
+		return sp.dur, true, nil
 	}
 	_, satisfiable := phi.Solve()
 	agree := (res.Status == core.No) == satisfiable
-	record("II", "3sat-rcqp", nVars, dur, allocs, &agree, res.Status.String(), res.Reason)
-	return dur, agree, nil
+	record("II", "3sat-rcqp", nVars, sp, &agree, res.Status.String(), res.Reason)
+	return sp.dur, agree, nil
 }
 
 func sweepTiling(n int) (time.Duration, error) {
@@ -662,7 +676,7 @@ func sweepTiling(n int) (time.Duration, error) {
 	}
 	var verdict core.Verdict
 	var reason core.Reason
-	dur, allocs, err := timed(func() error {
+	sp, err := timed(func() error {
 		w, e := reductions.TilingWitness(inst, in, g)
 		if e != nil {
 			return e
@@ -683,8 +697,8 @@ func sweepTiling(n int) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	record("II", "tiling", n, dur, allocs, nil, verdict.String(), reason)
-	return dur, nil
+	record("II", "tiling", n, sp, nil, verdict.String(), reason)
+	return sp.dur, nil
 }
 
 func sweepEFE(nX, nY, nZ int) (time.Duration, bool, error) {
@@ -696,7 +710,7 @@ func sweepEFE(nX, nY, nZ int) (time.Duration, bool, error) {
 	agree := true
 	var verdict core.Verdict
 	var reason core.Reason
-	dur, allocs, err := timed(func() error {
+	sp, err := timed(func() error {
 		witnessX, holds := sat.ExistsWitness(phi, nX, nY)
 		if !holds {
 			witnessX = map[int]bool{}
@@ -715,6 +729,6 @@ func sweepEFE(nX, nY, nZ int) (time.Duration, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	record("II", "efe-3sat", nX+nY+nZ, dur, allocs, &agree, verdict.String(), reason)
-	return dur, agree, nil
+	record("II", "efe-3sat", nX+nY+nZ, sp, &agree, verdict.String(), reason)
+	return sp.dur, agree, nil
 }

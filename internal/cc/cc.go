@@ -109,17 +109,15 @@ type Constraint struct {
 	pcache atomic.Pointer[projCache]
 }
 
-// projCache is one memoized master-side projection; see masterSide.
+// projCache is one memoized master-side projection p(Dm), as id tuples
+// over the shared dictionary; see masterCache.
 type projCache struct {
-	inst *relation.Instance
-	gen  uint64
-	rhs  map[string]bool
-	// rhsIDs holds the same set as id tuples over the shared
-	// dictionary, for the integer delta path.
+	inst   *relation.Instance
+	gen    uint64
 	rhsIDs *relation.IDTupleSet
 }
 
-// masterCache returns the memoized p(Dm) forms, keyed per (instance,
+// masterCache returns the memoized p(Dm), keyed per (instance,
 // generation). Stores race benignly under concurrent checkers: every
 // store for one key holds the same set, and a lost overwrite merely
 // recomputes later.
@@ -140,7 +138,7 @@ func (c *Constraint) masterCache(dm *relation.Database) *projCache {
 	if obs.Tracing() {
 		obs.Emit("pdm_build", map[string]any{"constraint": c.Name, "rel": c.P.Rel})
 	}
-	pc := &projCache{inst: in, gen: gen, rhs: c.P.Eval(dm)}
+	pc := &projCache{inst: in, gen: gen}
 	if in == nil {
 		// Empty or absent master side: the id form is the empty set.
 		pc.rhsIDs = relation.NewIDTupleSet(c.P.Arity(), 0)
@@ -156,11 +154,6 @@ func (c *Constraint) masterCache(dm *relation.Database) *projCache {
 // must not be modified.
 func (c *Constraint) MasterIDs(dm *relation.Database) *relation.IDTupleSet {
 	return c.masterCache(dm).rhsIDs
-}
-
-// masterSide returns p(Dm) keyed on Tuple.Key (see masterCache).
-func (c *Constraint) masterSide(dm *relation.Database) map[string]bool {
-	return c.masterCache(dm).rhs
 }
 
 // New builds a containment constraint.
@@ -247,20 +240,85 @@ func (c *Constraint) ViolationGate(d, dm *relation.Database, g *query.Gate) (rel
 	if c.Reverse {
 		return c.reverseViolation(d, dm, g)
 	}
-	lhs, err := c.Q.EvalGate(d, g)
+	lhs, absent, err := answerIDs(c.Q, d, g)
 	if err != nil {
 		return nil, false, err
 	}
-	if len(lhs) == 0 {
+	if lhs.Len() == 0 && absent == nil {
 		return nil, false, nil
 	}
-	rhs := c.masterSide(dm)
-	for _, t := range lhs {
-		if !rhs[t.Key()] {
-			return t, true, nil
+	t, viol := leastOutside(lhs, c.MasterIDs(dm))
+	if absent != nil && (!viol || absent.Less(t)) {
+		t, viol = absent, true
+	}
+	return t, viol, nil
+}
+
+// answerIDs evaluates q over d as id tuples over the shared dictionary.
+// The tableau languages run on cq.AnswerIDsGate; FO and FP evaluate
+// their own way, and each answer is looked up with Dict.ID. An answer
+// holding a value the dictionary lacks is in no p(Dm), whose values are
+// all interned: it stays out of the set, and the least such answer is
+// returned as absent (nil when there is none).
+func answerIDs(q qlang.Query, d *relation.Database, g *query.Gate) (set *relation.IDTupleSet, absent relation.Tuple, err error) {
+	if q.Lang().Monotone() {
+		set, err = cq.AnswerIDsGate(q.Tableaux(), q.Arity(), d, g)
+		return set, nil, err
+	}
+	ts, err := q.EvalGate(d, g)
+	if err != nil {
+		return nil, nil, err
+	}
+	set = relation.NewIDTupleSet(q.Arity(), len(ts))
+	dict := relation.Shared()
+	ids := make([]int32, q.Arity())
+	for _, t := range ts {
+		interned := true
+		for i, v := range t {
+			ids[i], interned = dict.ID(v)
+			if !interned {
+				break
+			}
+		}
+		switch {
+		case interned:
+			set.Add(ids)
+		case absent == nil:
+			absent = t // ts is sorted: the first is the least
 		}
 	}
-	return nil, false, nil
+	return set, absent, nil
+}
+
+// leastOutside returns the least tuple, in tuple order, of a that b
+// does not hold; false when b holds all of a.
+func leastOutside(a, b *relation.IDTupleSet) (relation.Tuple, bool) {
+	vals := relation.Shared().Snapshot()
+	best := -1
+	for i := 0; i < a.Len(); i++ {
+		if !b.Has(a.At(i)) && (best < 0 || lessIDs(vals, a.At(i), a.At(best))) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil, false
+	}
+	ids := a.At(best)
+	t := make(relation.Tuple, len(ids))
+	for i, id := range ids {
+		t[i] = vals[id]
+	}
+	return t, true
+}
+
+// lessIDs is Tuple.Less on two id tuples of one width.
+func lessIDs(vals []relation.Value, a, b []int32) bool {
+	for i, id := range a {
+		if id != b[i] {
+			return vals[id] < vals[b[i]]
+		}
+	}
+	return false
 }
 
 // SatisfiedDelta reports whether (D ∪ Δ, Dm) ⊨ c, assuming (D, Dm) ⊨ c

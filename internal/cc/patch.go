@@ -71,31 +71,34 @@ func (c *Constraint) patchMaster(dm *relation.Database, patches map[string]Maste
 			}
 		}
 	}
-	rhs := make(map[string]bool, len(old.rhs)+len(patch.Inserted))
-	for k := range old.rhs {
-		rhs[k] = true
-	}
 	rhsIDs := old.rhsIDs.Clone(len(patch.Inserted))
-	dict := relation.Shared()
-	var ib []int32
+	ids := make([]int32, len(c.P.Cols))
 	for _, t := range patch.Inserted {
-		proj := t.Project(c.P.Cols)
-		rhs[proj.Key()] = true
-		ib = ib[:0]
-		for _, v := range proj {
-			id, found := dict.ID(v)
-			if !found {
-				// The tuple's values never reached the dictionary, so the
-				// instance cannot hold it in interned form; the id memo
-				// would go wrong — rebuild instead.
-				return
-			}
-			ib = append(ib, id)
+		if !c.projectIDs(t, ids) {
+			// The tuple's values never reached the dictionary, so the
+			// instance cannot hold it in interned form; the memo would
+			// go wrong — rebuild instead.
+			return
 		}
-		rhsIDs.Add(ib)
+		rhsIDs.Add(ids)
 	}
-	c.pcache.Store(&projCache{inst: in, gen: in.Generation(), rhs: rhs, rhsIDs: rhsIDs})
+	c.pcache.Store(&projCache{inst: in, gen: in.Generation(), rhsIDs: rhsIDs})
 	obs.PDmPatches.Inc()
+}
+
+// projectIDs fills ids with the dictionary ids of t's projection onto
+// the master-side columns, which must be in range, and reports false
+// when one of those values is not in the dictionary.
+func (c *Constraint) projectIDs(t relation.Tuple, ids []int32) bool {
+	dict := relation.Shared()
+	for i, col := range c.P.Cols {
+		id, found := dict.ID(t[col])
+		if !found {
+			return false
+		}
+		ids[i] = id
+	}
+	return true
 }
 
 // MasterProjectionHas reports whether the projection of t onto the
@@ -114,5 +117,6 @@ func (c *Constraint) MasterProjectionHas(dm *relation.Database, t relation.Tuple
 			return false
 		}
 	}
-	return c.masterSide(dm)[t.Project(c.P.Cols).Key()]
+	ids := make([]int32, len(c.P.Cols))
+	return c.projectIDs(t, ids) && c.MasterIDs(dm).Has(ids)
 }

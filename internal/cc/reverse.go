@@ -42,24 +42,15 @@ func (c *Constraint) reverseViolation(d, dm *relation.Database, g *query.Gate) (
 	if c.P.IsEmptySet() || dm == nil {
 		return nil, false, nil
 	}
-	in := dm.Instance(c.P.Rel)
-	if in == nil {
+	if dm.Instance(c.P.Rel) == nil {
 		return nil, false, nil
 	}
-	rhs, err := c.Q.EvalGate(d, g)
+	have, _, err := answerIDs(c.Q, d, g)
 	if err != nil {
 		return nil, false, err
 	}
-	have := make(map[string]bool, len(rhs))
-	for _, t := range rhs {
-		have[t.Key()] = true
-	}
-	for _, t := range in.Project(c.P.Cols) {
-		if !have[t.Key()] {
-			return t, true, nil
-		}
-	}
-	return nil, false, nil
+	t, viol := leastOutside(c.MasterIDs(dm), have)
+	return t, viol, nil
 }
 
 // validateReverse checks arity agreement for a reverse constraint.

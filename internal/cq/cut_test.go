@@ -45,7 +45,7 @@ func cutShape(t *Tableau, d *relation.Database) bool {
 	if ip.unsat || !ip.headBound {
 		return false
 	}
-	order := t.planOrder(d)
+	order := planFor(t, d)
 	k := ip.headPrefix(order)
 	if k == len(order) {
 		return false
@@ -89,19 +89,32 @@ func headVariants(q *CQ, konst string) []headVariant {
 
 // TestCutEvalMatchesReferenceRandom compares EvalGate, which runs the
 // cut, with the naive reference on seeded random queries and databases
-// (randomReferenceCase), each under its own head, the Boolean head and
-// a head repeating a variable around a constant. On every case the cut
-// join charges no more rows than the full enumeration of EvalFuncGate.
-// At least 300 cases must be ones the cut is for (cutShape), with each
-// head kind among them.
+// (600 randomReferenceCase draws, then 200 correlatedConstCase draws),
+// each under its own head, the Boolean head and a head repeating a
+// variable around a constant. On every case the cut join charges no
+// more rows than the full enumeration of EvalFuncGate. At least 300
+// cases must be ones the cut is for (cutShape), with each head kind
+// among them, and the correlated cases must put at least 40 plans on
+// each side of the small-view threshold, so that both ways of counting
+// a constant's rows order real joins.
 func TestCutEvalMatchesReferenceRandom(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(2425))
 	cuts := map[string]int{}
 	total := 0
-	for trial := 0; trial < 600; trial++ {
-		q0, schemas, d, delta := randomReferenceCase(rng)
-		full := d.Union(delta)
+	sides := map[bool]int{} // correlated cases by P's view being small
+	for trial := 0; trial < 800; trial++ {
+		var q0 *CQ
+		var schemas map[string]*relation.Schema
+		var full *relation.Database
+		if trial < 600 {
+			var d, delta *relation.Database
+			q0, schemas, d, delta = randomReferenceCase(rng)
+			full = d.Union(delta)
+		} else {
+			q0, schemas, full = correlatedConstCase(rng)
+			sides[full.Instance("P").IDs().Small()]++
+		}
 		for _, hv := range headVariants(q0, "b") {
 			kind, q := hv.kind, hv.q
 			if err := q.Validate(schemas); err != nil {
@@ -142,6 +155,77 @@ func TestCutEvalMatchesReferenceRandom(t *testing.T) {
 			t.Fatalf("only %d cut cases with the %s head; want at least 50", cuts[kind], kind)
 		}
 	}
+	t.Logf("correlated cases by small P view: %v", sides)
+	if sides[true] < 40 || sides[false] < 40 {
+		t.Fatalf("correlated cases by small P view: %v; want at least 40 on each side", sides)
+	}
+}
+
+// correlatedConstCase draws a reference case whose atoms hold two or
+// three constants over correlated columns, where the exact constant
+// counts of the planner decide the plan: P(k, a, b, v) holds 10 to 70
+// rows, on both sides of the small-view threshold, whose b column
+// follows its a column in four rows of five, and S(v, w) up to 30. The
+// query's first atom is a P atom with constants in two or three of a, b
+// and v (one in twelve a constant no row holds); up to two more atoms
+// are P atoms of the same kind or S atoms over variables.
+func correlatedConstCase(rng *rand.Rand) (*CQ, map[string]*relation.Schema, *relation.Database) {
+	p := relation.NewSchema("P", relation.Attr("k"), relation.Attr("a"), relation.Attr("b"), relation.Attr("v"))
+	s := relation.NewSchema("S", relation.Attr("v"), relation.Attr("w"))
+	schemas := map[string]*relation.Schema{"P": p, "S": s}
+	d := relation.NewDatabase(p, s)
+	pick := func(prefix string, n int) string { return fmt.Sprintf("%s%d", prefix, rng.Intn(n)) }
+	for i, n := 0, 10+rng.Intn(61); i < n; i++ {
+		a := pick("a", 4)
+		b := "b" + a[1:]
+		if rng.Intn(5) == 0 {
+			b = pick("b", 4)
+		}
+		d.MustAdd("P", pick("k", n), a, b, pick("v", 6))
+	}
+	for i, n := 0, rng.Intn(31); i < n; i++ {
+		d.MustAdd("S", pick("v", 6), pick("w", 5))
+	}
+	vars := []string{"x", "y", "z", "w"}
+	variable := func() query.Term { return query.Var(vars[rng.Intn(len(vars))]) }
+	constant := func(col int) query.Term {
+		if rng.Intn(12) == 0 {
+			return query.C("absent")
+		}
+		return query.C(pick([]string{"", "a", "b", "v"}[col], []int{0, 4, 4, 6}[col]))
+	}
+	pAtom := func() query.RelAtom {
+		args := make([]query.Term, 4)
+		args[0] = variable()
+		free := 1 + rng.Intn(4) // the column left to a variable; 4: none
+		for col := 1; col < 4; col++ {
+			if col == free {
+				args[col] = variable()
+			} else {
+				args[col] = constant(col)
+			}
+		}
+		return query.Atom("P", args...)
+	}
+	atoms := []query.RelAtom{pAtom()}
+	for i, n := 0, rng.Intn(3); i < n; i++ {
+		if rng.Intn(2) == 0 {
+			atoms = append(atoms, pAtom())
+		} else {
+			atoms = append(atoms, query.Atom("S", variable(), variable()))
+		}
+	}
+	var head []query.Term
+	seen := map[string]bool{}
+	for _, a := range atoms {
+		for _, tm := range a.Args {
+			if tm.IsVar && !seen[tm.Name] && rng.Intn(2) == 0 {
+				seen[tm.Name] = true
+				head = append(head, tm)
+			}
+		}
+	}
+	return New("qc", head, atoms), schemas, d
 }
 
 // cutDB builds R(x, y) and S(y, z, w) instances from rows.

@@ -344,7 +344,7 @@ func TestPlanOrderCostBased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := tb.planOrder(d)
+	order := planFor(tb, d)
 	if order[0] != 1 {
 		t.Fatalf("cost-based plan should lead with Small: got order %v", order)
 	}

@@ -94,7 +94,7 @@ func AnswerIDsGate(ts []*Tableau, width int, d *relation.Database, g *query.Gate
 		es := evalStats{evals: 1}
 		st := t.isetup(d, gs, &es)
 		if !st.ip.unsat && st.ip.headBound {
-			st.answers(t.planOrder(d), set)
+			st.answers(st.planOrder(), set)
 		}
 		es.flush()
 		if err := gs.finish(); err != nil {
@@ -199,36 +199,38 @@ func (gs *gateState) finish() error {
 }
 
 // planOrder orders the templates for the join, cost-based: each step
-// picks the unused template with the lowest estimated candidate count
-// given the variables bound so far, where an equality probe on a bound
-// column of instance in is expected to match about
-// in.Len()/in.Distinct(col) tuples and an unbound template costs a full
-// scan. Ties break toward fewer newly-bound variables, then lowest
-// template position, keeping the order deterministic. It works on the
-// compiled slot plan, so the bound-variable set is one flag per slot.
-func (t *Tableau) planOrder(d *relation.Database) []int {
-	ip := t.plan()
+// picks the unused template with the fewest estimated matching rows
+// given the slots bound so far (see templateCost). Ties break toward
+// fewer newly-bound variables, then lowest template position, keeping
+// the order deterministic. It also plans each template's probe column
+// (see planProbe) into st.probeAt. It reads the instances and constant
+// ids the enumeration was set up with, so it resolves nothing a second
+// time.
+func (st *ijoin) planOrder() []int {
+	ip := st.ip
 	n := len(ip.tmpls)
+	st.probeAt = make([]int, n)
 	used := make([]bool, n)
-	bound := make([]bool, len(t.Vars))
-	ins := make([]*relation.Instance, n)
-	for i, a := range t.Templates {
-		ins[i] = d.Instance(a.Rel)
+	bound := make([]bool, len(st.slots))
+	base := make([]float64, n)
+	for i := range base {
+		base[i] = st.constRows(i)
 	}
 	order := make([]int, 0, n)
 	for len(order) < n {
-		best, bestCost, bestNew := -1, 0, 0
+		best, bestCost, bestNew := -1, 0.0, 0
 		for i := 0; i < n; i++ {
 			if used[i] {
 				continue
 			}
-			cost, newVars := templateCost(ins[i], ip.tmpls[i], bound)
+			cost, newVars := st.templateCost(i, base[i], bound)
 			if best == -1 || cost < bestCost || (cost == bestCost && newVars < bestNew) {
 				best, bestCost, bestNew = i, cost, newVars
 			}
 		}
 		used[best] = true
 		order = append(order, best)
+		st.probeAt[best] = st.planProbe(best, bound)
 		for _, a := range ip.tmpls[best] {
 			if a >= 0 {
 				bound[a] = true
@@ -238,31 +240,84 @@ func (t *Tableau) planOrder(d *relation.Database) []int {
 	return order
 }
 
-// templateCost estimates how many candidate tuples of instance in
-// (nil: the relation is missing) a template with the compiled
-// arguments args will enumerate under the current bound slots, and
-// counts the variable arguments it would newly bind.
-func templateCost(in *relation.Instance, args []iterm, bound []bool) (cost, newVars int) {
-	for _, a := range args {
-		if a >= 0 && !bound[a] {
-			newVars++
+// constRows returns the estimated rows of template i before any
+// variable is bound: the instance's rows times, for each constant
+// column, the exact share of rows holding that constant. A missing
+// instance, or a constant no row of its column holds, gives 0.
+func (st *ijoin) constRows(i int) float64 {
+	if st.ins[i] == nil {
+		return 0
+	}
+	ix := st.ixs[i]
+	rows := float64(ix.Rows())
+	est := rows
+	for col, a := range st.ip.tmpls[i] {
+		if a < 0 && est > 0 {
+			est *= float64(idCount(ix, col, st.cids[-a-1])) / rows
 		}
 	}
-	if in == nil || in.Len() == 0 {
-		return 0, newVars
+	return est
+}
+
+// idCount returns how many rows of ix hold id in column col: a filtered
+// count over a small view's column, the posting container's size
+// otherwise (Distinct builds those containers anyway).
+func idCount(ix relation.IDIndex, col int, id int32) int {
+	if !ix.Small() {
+		return int(ix.Postings(col, id).N)
 	}
-	cost = in.Len()
-	for col, a := range args {
-		if a >= 0 && !bound[a] {
+	n := 0
+	for _, c := range ix.Cols()[col] {
+		if c == id {
+			n++
+		}
+	}
+	return n
+}
+
+// planProbe returns the column template i probes when it is joined
+// with the slots bound: the bound column expected to match the fewest
+// rows — a constant's exact count, rows/Distinct for a bound variable
+// — first on ties, or -1, a full scan, when no column is bound.
+func (st *ijoin) planProbe(i int, bound []bool) int {
+	if st.ins[i] == nil || st.ixs[i].Rows() == 0 {
+		return -1
+	}
+	ix := st.ixs[i]
+	best, bestRows := -1, 0.0
+	for col, a := range st.ip.tmpls[i] {
+		var rows float64
+		switch {
+		case a < 0:
+			rows = float64(idCount(ix, col, st.cids[-a-1]))
+		case bound[a]:
+			rows = float64(ix.Rows()) / float64(ix.Distinct(col))
+		default:
 			continue
 		}
-		if dc := in.Distinct(col); dc > 0 {
-			if est := (in.Len() + dc - 1) / dc; est < cost {
-				cost = est
-			}
+		if best < 0 || rows < bestRows {
+			best, bestRows = col, rows
 		}
 	}
-	return cost, newVars
+	return best
+}
+
+// templateCost estimates how many rows of template i match under the
+// bound slots — its constant-filtered rows est (constRows) times
+// 1/Distinct(col) for each column holding a bound variable, as if the
+// columns were independent — and counts the variable arguments it
+// would newly bind.
+func (st *ijoin) templateCost(i int, est float64, bound []bool) (cost float64, newVars int) {
+	for col, a := range st.ip.tmpls[i] {
+		switch {
+		case a < 0:
+		case !bound[a]:
+			newVars++
+		case est > 0:
+			est /= float64(st.ixs[i].Distinct(col))
+		}
+	}
+	return est, newVars
 }
 
 // DeltaProbe is differential (semi-naive) evaluation of a tableau,

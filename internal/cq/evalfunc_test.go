@@ -25,7 +25,7 @@ func (t *Tableau) EvalFuncGate(d *relation.Database, g *query.Gate, fn func(quer
 	st := t.isetup(d, gs, &es)
 	st.leaf = st.bindingLeaf(t.Vars, fn)
 	if !st.ip.unsat {
-		st.run(t.planOrder(d), 0)
+		st.run(st.planOrder(), 0)
 	}
 	es.flush()
 	return gs.finish()

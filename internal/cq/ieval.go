@@ -11,8 +11,9 @@ import (
 // This file is the join engine: a backtracking nested-loop join over
 // dictionary ids and posting lists. Variables compile to slots, the
 // plain join follows the cost-based template order of planOrder and
-// probes the most selective bound column, differential evaluation leads
-// with the delta template. Answer evaluation cuts the plain join once
+// probes the bound column it planned, differential evaluation leads
+// with the delta template and probes the bound column with the most
+// distinct ids. Answer evaluation cuts the plain join once
 // the head is bound (see cut). Its independent reference is the naive
 // nested-loop evaluator of naive_test.go, which the randomized
 // differential tests in reference_test.go and cut_test.go check every
@@ -131,6 +132,8 @@ type ijoin struct {
 	ixs []relation.IDIndex
 
 	drs []*deltaRel // delta rows (delta evaluation only; nil until bindDelta)
+
+	probeAt []int // template -> column the plain join probes, -1 a scan (planOrder)
 
 	cids  []int32 // constant index -> id
 	slots []int32 // var slot -> id, -1 unbound
@@ -254,7 +257,7 @@ func (st *ijoin) match(order []int, k int) bool {
 	if st.ins[ti] == nil {
 		return true
 	}
-	return st.enum(st.ixs[ti], st.ip.tmpls[ti], iframe{order: order, k: k})
+	return st.enum(st.ixs[ti], st.ip.tmpls[ti], st.probeAt[ti], iframe{order: order, k: k})
 }
 
 // answers runs the plain join in plan order with the existential cut,
@@ -313,7 +316,7 @@ func (st *ijoin) runDelta(idx []int, k, deltaAt int) bool {
 		}
 		return st.enumRows(st.drs[ti], args, f)
 	}
-	if st.ins[ti] != nil && !st.enum(st.ixs[ti], args, f) {
+	if st.ins[ti] != nil && !st.enum(st.ixs[ti], args, st.mostDistinct(st.ixs[ti], args), f) {
 		return false
 	}
 	if st.drs[ti] != nil && !st.enumRows(st.drs[ti], args, f) {
@@ -349,27 +352,32 @@ func (st *ijoin) runDeltaAll(n int) {
 	}
 }
 
-// enum enumerates the candidate rows of one template against one
-// instance: when some argument is bound (a constant or an already-bound
-// variable), the posting container of the bound column with the most
-// distinct values — the most selective equality probe, first such
-// column on ties — otherwise the full rank scan. Posting containers are
-// ascending rank subsequences of the scan, so candidate enumeration
-// order is the deterministic tuple order either way.
-func (st *ijoin) enum(ix relation.IDIndex, args []iterm, f iframe) bool {
+// mostDistinct returns the bound column of args with the most distinct
+// ids in ix, first on ties, or -1 when no argument is bound: the probe
+// of the differential join, whose bound slots differ from one delta
+// pass to the next.
+func (st *ijoin) mostDistinct(ix relation.IDIndex, args []iterm) int {
 	probeCol, bestDc := -1, -1
-	var probeID int32
 	for i, a := range args {
-		id, bound := st.resolve(a)
-		if !bound {
-			continue
-		}
-		if dc := ix.Distinct(i); dc > bestDc {
-			probeCol, probeID, bestDc = i, id, dc
+		if _, bound := st.resolve(a); bound {
+			if dc := ix.Distinct(i); dc > bestDc {
+				probeCol, bestDc = i, dc
+			}
 		}
 	}
+	return probeCol
+}
+
+// enum enumerates the candidate rows of one template against one
+// instance: the posting container of the bound column probeCol (a
+// constant or an already-bound variable), or the full rank scan when
+// probeCol is -1. Posting containers are ascending rank subsequences
+// of the scan, so candidate enumeration order is the deterministic
+// tuple order either way.
+func (st *ijoin) enum(ix relation.IDIndex, args []iterm, probeCol int, f iframe) bool {
 	cols := ix.Cols()
 	if probeCol >= 0 {
+		probeID, _ := st.resolve(args[probeCol])
 		st.es.probes++
 		if ix.Small() {
 			// A small instance (a relation of a toy or test database, a
@@ -404,9 +412,9 @@ func (st *ijoin) enum(ix relation.IDIndex, args []iterm, f iframe) bool {
 
 // enumRows is enum over the rows of one delta relation. A delta holds a
 // handful of rows, so a bound column is probed by filtering the scan;
-// the probe column is chosen exactly as enum chooses it, so the rows
-// visited and charged are those of enum over an Instance holding the
-// same rows.
+// the probe column is chosen as mostDistinct chooses it, so the rows
+// visited and charged are those of the differential join's enum over
+// an Instance holding the same rows.
 func (st *ijoin) enumRows(dr *deltaRel, args []iterm, f iframe) bool {
 	probeCol, bestDc := -1, -1
 	var probeID int32

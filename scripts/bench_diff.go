@@ -39,7 +39,9 @@ import (
 )
 
 // record mirrors the relbench -json record shape; unknown fields are
-// ignored so relbench can grow columns without breaking the gate.
+// ignored so relbench can grow columns without breaking the gate. The
+// work counts join_rows and valuations are among them: this gate
+// compares durations only.
 type record struct {
 	Table      string `json:"table"`
 	Name       string `json:"name"`
