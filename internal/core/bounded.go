@@ -123,9 +123,15 @@ func boundedRCDPGov(q qlang.Query, d, dm *relation.Database, v *cc.Set, o Bounde
 	if err != nil {
 		return nil, err
 	}
-	baseSet := make(map[string]bool, len(base))
+	dict := relation.Shared()
+	baseSet := relation.NewIDTupleSet(q.Arity(), len(base))
+	var ids []int32
 	for _, t := range base {
-		baseSet[t.Key()] = true
+		ids = ids[:0]
+		for _, val := range t {
+			ids = append(ids, dict.Intern(val))
+		}
+		baseSet.Add(ids)
 	}
 
 	pool, err := tuplePool(d, dm, q, v, o)
@@ -236,7 +242,7 @@ func boundedRCDPGov(q qlang.Query, d, dm *relation.Database, v *cc.Set, o Bounde
 // accounting) and reads only shared warmed/immutable inputs plus the
 // gate's atomics, so parallel branches may call it directly.
 func boundedCounterexample(q qlang.Query, base, dm *relation.Database, v *cc.Set,
-	baseSet map[string]bool, baseLen int, cur, delta *relation.Database, deltaOK bool, maxAdd int, gate *query.Gate) (*BoundedRCDPResult, error) {
+	baseSet *relation.IDTupleSet, baseLen int, cur, delta *relation.Database, deltaOK bool, maxAdd int, gate *query.Gate) (*BoundedRCDPResult, error) {
 	var ok bool
 	var err error
 	if deltaOK && delta != nil {
@@ -254,8 +260,10 @@ func boundedCounterexample(q qlang.Query, base, dm *relation.Database, v *cc.Set
 	if err != nil {
 		return nil, err
 	}
+	var ids []int32
 	for _, t := range ans {
-		if !baseSet[t.Key()] {
+		var known bool
+		if ids, known = tupleIDs(ids[:0], t); !known || !baseSet.Has(ids) {
 			ext := emptyDatabase(schemasOf(cur))
 			ext.UnionInto(cur)
 			return &BoundedRCDPResult{Verdict: VerdictIncomplete, Extension: ext, NewTuple: t, MaxAdd: maxAdd}, nil
@@ -269,6 +277,20 @@ func boundedCounterexample(q qlang.Query, base, dm *relation.Database, v *cc.Set
 		return &BoundedRCDPResult{Verdict: VerdictIncomplete, Extension: ext, MaxAdd: maxAdd}, nil
 	}
 	return nil, nil
+}
+
+// tupleIDs appends the ids of t's values to dst. known is false when
+// the dictionary lacks one of them: such a tuple is in no base answer.
+func tupleIDs(dst []int32, t relation.Tuple) (ids []int32, known bool) {
+	dict := relation.Shared()
+	for _, val := range t {
+		id, ok := dict.ID(val)
+		if !ok {
+			return dst, false
+		}
+		dst = append(dst, id)
+	}
+	return dst, true
 }
 
 type poolTuple struct {

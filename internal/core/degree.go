@@ -156,7 +156,7 @@ func (ck *Checker) degree(q qlang.Query, p *Prepared, gv *governor) (*DegreeResu
 			return nil, nil
 		})
 		visited += bud.count()
-		noteDisjunct(di, bud.count(), false)
+		noteDisjunct(di, bud.count(), 0, false)
 		if err == nil {
 			continue
 		}

@@ -166,6 +166,25 @@ func TestBoundedRCDPPreconditions(t *testing.T) {
 	}
 }
 
+// TestBooleanAnsweredHead pins both deciders on a Boolean query Q(D)
+// already answers: no extension can add an answer, so D is complete.
+// The bounded search probes the empty answer tuple in Q(D); the exact
+// search tests the variable-free head once and walks nothing.
+func TestBooleanAnsweredHead(t *testing.T) {
+	d := relation.NewDatabase(suptSchema())
+	d.MustAdd("Supt", "e0", "s", "c1")
+	dm := emptyMaster()
+	qb := qlang.FromCQ(cq.New("QB", nil, []query.RelAtom{query.Atom("Supt", v("e"), v("d"), v("c"))}))
+	br, err := BoundedRCDPCtx(context.Background(), qb, d, dm, cc.NewSet(), BoundedOpts{MaxAdd: 1, FreshValues: 2, Workers: 1})
+	if err != nil || br.Verdict != VerdictComplete {
+		t.Fatalf("bounded: want complete, got %+v, %v", br, err)
+	}
+	r, err := (&Checker{Workers: 1}).RCDPCtx(context.Background(), qb, d, dm, cc.NewSet())
+	if err != nil || r.Verdict != VerdictComplete || r.Stats.Valuations != 0 {
+		t.Fatalf("exact: want complete after 0 valuations, got %+v, %v", r, err)
+	}
+}
+
 // TestRCDPMonotonicityProperty: a randomized invariant — whenever RCDP
 // reports complete, a random legal single-tuple extension must not
 // change the answer (spot-checking the definition directly).

@@ -33,7 +33,9 @@ import (
 // testdata/search_golden.json was recorded on the string-keyed engine
 // that the id-based engine replaced (the bounded and certificate-search
 // records on the engine that still had a separate sequential loop for
-// each search); regenerate it with
+// each search), and its RCDP valuation counts were re-recorded when the
+// answered-head cut removed the leaves the witness test rejects (every
+// other field unchanged); regenerate it with
 //
 //	go test ./internal/core -run TestGoldenSearchTree -update-golden
 //

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cc"
 	"repro/internal/obs"
 	"repro/internal/qlang"
+	"repro/internal/query"
 	"repro/internal/relation"
 )
 
@@ -234,5 +235,50 @@ func TestMetricsDisabled(t *testing.T) {
 	}
 	if got := obs.Checks.Value("rcdp"); got != before {
 		t.Errorf("disabled check still counted: %d -> %d", before, got)
+	}
+}
+
+// TestHeadCutObserved checks the answered-head cut is visible where an
+// operator looks: the disjunct_done event carries the disjunct's cuts
+// and the relcomp_core_head_cuts_total counter moves by the same
+// amount. Q(D) answers x = a, so that branch is cut at its head; x = b
+// reaches its leaves, where the denial rejects every extension.
+func TestHeadCutObserved(t *testing.T) {
+	r, f := microSchema()
+	d := relation.NewDatabase(r, f)
+	d.MustAdd("R", "a", "b")
+	dm := relation.NewDatabase(relation.NewSchema("M", relation.Attr("x")))
+	dm.MustAdd("M", "a")
+	dm.MustAdd("M", "b")
+	vset := cc.NewSet(cc.NewIND("i0", "R", []int{0}, 2, cc.Proj("M", 0)),
+		(&cc.Denial{Name: "noB", Atoms: []query.RelAtom{query.Atom("R", v("x"), v("y"))},
+			Conds: []query.EqAtom{query.Eq(v("x"), c("b"))}}).ToCC())
+	q1 := microQueries()[0]
+
+	var b strings.Builder
+	prev := obs.SetTracer(obs.NewTracer(&b))
+	defer obs.SetTracer(prev)
+	before := obs.HeadCuts.Value()
+	res, err := (&Checker{Workers: 1}).RCDPCtx(context.Background(), q1, d, dm, vset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdict != VerdictComplete || res.Stats.Valuations == 0 {
+		t.Fatalf("want complete with leaves reached, got %+v", res)
+	}
+	var done struct {
+		HeadCuts   int `json:"head_cuts"`
+		Valuations int `json:"valuations"`
+	}
+	for _, l := range strings.Split(strings.TrimRight(b.String(), "\n"), "\n") {
+		if strings.Contains(l, `"ev":"disjunct_done"`) {
+			if err := json.Unmarshal([]byte(l), &done); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cuts := obs.HeadCuts.Value() - before
+	if done.HeadCuts != 1 || cuts != 1 || done.Valuations != res.Stats.Valuations {
+		t.Fatalf("disjunct_done %+v, counter moved %d, valuations %d; want 1 cut", done, cuts, res.Stats.Valuations)
 	}
 }

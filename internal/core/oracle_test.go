@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/cc"
 	"repro/internal/cq"
+	"repro/internal/obs"
 	"repro/internal/qlang"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -100,8 +102,9 @@ func microConstraintSets() []struct {
 	}
 }
 
-// TestRCDPAgainstOracle compares the exact RCDP decider with the
-// bounded brute-force oracle on enumerated random instances.
+// TestRCDPAgainstOracle compares the exact RCDP decider, at Workers 1
+// and 2, with the bounded brute-force oracle on enumerated random
+// instances.
 func TestRCDPAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	queries := microQueries()
@@ -117,21 +120,86 @@ func TestRCDPAgainstOracle(t *testing.T) {
 			continue // not partially closed; RCDP precondition fails
 		}
 		trials++
-		exact, err := RCDPCtx(context.Background(), q, d, cs.dm, cs.v)
-		if err != nil {
-			t.Fatalf("trial %d (%s): %v", trial, cs.name, err)
-		}
 		oracle, err := BoundedRCDPCtx(context.Background(), q, d, cs.dm, cs.v, opts)
 		if err != nil {
 			t.Fatalf("trial %d (%s): oracle: %v", trial, cs.name, err)
 		}
-		if exact.Verdict != oracle.Verdict {
-			t.Fatalf("trial %d (%s, query %s): exact complete=%v but oracle incomplete=%v\nD:\n%v\nexact ext: %v\noracle ext: %v",
-				trial, cs.name, q, exact.Verdict == VerdictComplete, oracle.Verdict == VerdictIncomplete, d, exact.Extension, oracle.Extension)
+		for _, workers := range []int{1, 2} {
+			exact, err := (&Checker{Workers: workers}).RCDPCtx(context.Background(), q, d, cs.dm, cs.v)
+			if err != nil {
+				t.Fatalf("trial %d (%s): %v", trial, cs.name, err)
+			}
+			if exact.Verdict != oracle.Verdict {
+				t.Fatalf("trial %d (%s, query %s, workers %d): exact complete=%v but oracle incomplete=%v\nD:\n%v\nexact ext: %v\noracle ext: %v",
+					trial, cs.name, q, workers, exact.Verdict == VerdictComplete, oracle.Verdict == VerdictIncomplete, d, exact.Extension, oracle.Extension)
+			}
 		}
 	}
 	if trials < 150 {
 		t.Fatalf("too few partially closed trials: %d", trials)
+	}
+}
+
+// TestRCDPHeadCutAgainstOracle runs the exact RCDP decider against the
+// bounded oracle on databases whose Q(D) answers some candidate heads
+// but not all, so the answered-head cut fires on some branches of a
+// search while others still reach their leaves. A cut that fired on an
+// unanswered head would drop the witnesses below it and turn
+// Incomplete verdicts Complete.
+func TestRCDPHeadCutAgainstOracle(t *testing.T) {
+	dbs := [][]string{
+		{"R a b"},
+		{"R a a", "R b a"},
+		{"R b b", "F 0"},
+		{"R a b", "R b a", "F 1"},
+		{"R a a", "R a b", "F 0", "F 1"},
+	}
+	opts := BoundedOpts{MaxAdd: 2, FreshValues: 4}
+	mixed := 0
+	for _, facts := range dbs {
+		r, f := microSchema()
+		d := relation.NewDatabase(r, f)
+		for _, fact := range facts {
+			fs := strings.Fields(fact)
+			d.MustAdd(fs[0], fs[1:]...)
+		}
+		for _, cs := range microConstraintSets() {
+			if ok, err := cs.v.Satisfied(d, cs.dm); err != nil || !ok {
+				continue
+			}
+			for _, q := range microQueries() {
+				oracle, err := BoundedRCDPCtx(context.Background(), q, d, cs.dm, cs.v, opts)
+				if err != nil {
+					t.Fatalf("%v/%s/%s: oracle: %v", facts, cs.name, q, err)
+				}
+				var seq *RCDPResult
+				for _, workers := range []int{1, 2} {
+					cuts := obs.HeadCuts.Value()
+					exact, err := (&Checker{Workers: workers}).RCDPCtx(context.Background(), q, d, cs.dm, cs.v)
+					if err != nil {
+						t.Fatalf("%v/%s/%s: %v", facts, cs.name, q, err)
+					}
+					if exact.Verdict != oracle.Verdict {
+						t.Fatalf("%v/%s/%s workers=%d: exact %v, oracle %v (oracle ext %v)",
+							facts, cs.name, q, workers, exact.Verdict, oracle.Verdict, oracle.Extension)
+					}
+					if workers == 1 {
+						seq = exact
+						if obs.HeadCuts.Value() > cuts && exact.Stats.Valuations > 0 {
+							mixed++
+						}
+					} else if !sameRCDP(seq, exact) {
+						t.Fatalf("%v/%s/%s: Workers=2 witness differs from Workers=1", facts, cs.name, q)
+					}
+				}
+			}
+		}
+	}
+	// Cut and uncut branches in one search must be common here, or the
+	// test would not exercise the boundary between them.
+	t.Logf("%d Workers=1 checks both cut a branch and reached a leaf", mixed)
+	if mixed < 20 {
+		t.Fatalf("only %d checks both cut a branch and reached a leaf", mixed)
 	}
 }
 

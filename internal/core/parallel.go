@@ -5,6 +5,8 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/relation"
 )
 
 // Keyed-task search.
@@ -35,12 +37,13 @@ import (
 //	                   order, candidate ids, inequalities, IND pruner
 //	                   with its p(Dm) key sets, head, slot templates),
 //	                   D/Dm (warmed), schemas, answer key sets
-//	shared mutable:    raceCtl (atomics + mutex), budgetCtl (atomic),
+//	shared mutable:    raceCtl (atomics + mutex), budgetCtl (atomics),
 //	                   the RCDP witness-checker pool (mutex)
-//	per-task:          the slot array, the IND probe scratch, the
-//	                   freshUsed symmetry counter, RCQP's μ(T)
-//	                   fragment scratch, the RCDP witness checker
-//	                   (with its μ(T) rows) taken from the pool
+//	per-task:          the slot array, the IND and head probe scratch,
+//	                   the freshUsed symmetry counter, the
+//	                   answered-head cut tally, RCQP's μ(T) fragment
+//	                   scratch, the RCDP witness checker (with its μ(T)
+//	                   rows) taken from the pool
 var (
 	// errAbandoned aborts a branch whose key can no longer win.
 	errAbandoned = errors.New("core: branch abandoned")
@@ -129,10 +132,12 @@ func (c *raceCtl) result() (any, int64, error) {
 // budgetCtl is the shared valuation budget of one disjunct's search:
 // every task that completes a candidate valuation charges the
 // same atomic counter, so the MaxValuations cap bounds the disjunct's
-// total work no matter how it is scheduled.
+// total work no matter how it is scheduled. It also sums the
+// answered-head cuts of the disjunct's walks, once per walk.
 type budgetCtl struct {
 	cap     int64 // 0 = unlimited
 	visited atomic.Int64
+	cuts    atomic.Int64
 }
 
 func newBudgetCtl(cap int) *budgetCtl { return &budgetCtl{cap: int64(cap)} }
@@ -151,6 +156,10 @@ func (bc *budgetCtl) exhausted() bool {
 
 // count returns the number of candidate valuations charged so far.
 func (bc *budgetCtl) count() int { return int(bc.visited.Load()) }
+
+// headCuts returns the number of answered-head cuts of the disjunct's
+// finished walks.
+func (bc *budgetCtl) headCuts() int { return int(bc.cuts.Load()) }
 
 // inspected is count without the charges refused for exceeding the
 // cap: the complete valuations actually handed to the callback or
@@ -180,16 +189,30 @@ type parallelFn func(w *searchWorker, slots []int32) (claim any, err error)
 // budget/stop bookkeeping on the shared controllers. A task skips
 // itself when its key is already beaten or the budget is spent. Must be
 // called on the coordinating goroutine before the tasks run.
-func (s *valuationSearch) branchTasks(pool *workerPool, ctl *raceCtl, bud *budgetCtl, disjunct int, fn parallelFn) []func() {
+//
+// answers, when non-nil, is Q(D), and every walk cuts the subtrees
+// whose head it answers (searchWorker.answers). A variable-free head is
+// tested here, once: when Q(D) answers it there are no tasks.
+func (s *valuationSearch) branchTasks(pool *workerPool, ctl *raceCtl, bud *budgetCtl, disjunct int, answers *relation.IDTupleSet, fn parallelFn) []func() {
+	if answers != nil && s.headAt < 0 && answers.Has(s.headIDs(nil, nil)) {
+		bud.cuts.Add(1)
+		return nil
+	}
 	launch := func(key int64, walk func(w *searchWorker) error) func() {
 		return func() {
 			if ctl.cancelled(key) || bud.exhausted() {
 				return
 			}
 			w := s.newWorker()
-			w.fn, w.budget, w.ctl, w.key = fn, bud, ctl, key
-			// A closure: w.wc is taken during the walk, after this defer.
-			defer func() { w.wc.release() }()
+			w.fn, w.budget, w.ctl, w.key, w.answers = fn, bud, ctl, key, answers
+			// A closure: w.wc is taken and w.cuts tallied during the walk,
+			// after this defer.
+			defer func() {
+				w.wc.release()
+				if w.cuts > 0 {
+					bud.cuts.Add(int64(w.cuts))
+				}
+			}()
 			switch err := walk(w); err {
 			case nil, errStop, errAbandoned, errBudgetStop:
 				// Branch outcome (if any) is recorded in ctl.
@@ -220,7 +243,7 @@ func (s *valuationSearch) branchTasks(pool *workerPool, ctl *raceCtl, bud *budge
 // that stopped the walk.
 func (s *valuationSearch) inOrder(budget int, fn parallelFn) (any, *budgetCtl, error) {
 	ctl, bud := newRaceCtl(), newBudgetCtl(budget)
-	for _, task := range s.branchTasks(nil, ctl, bud, 0, fn) {
+	for _, task := range s.branchTasks(nil, ctl, bud, 0, nil, fn) {
 		task()
 	}
 	claim, key, err := ctl.result()

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cc"
 	"repro/internal/cq"
 	"repro/internal/qlang"
 	"repro/internal/query"
@@ -155,17 +156,26 @@ func TestParallelRCQPMatchesSequential(t *testing.T) {
 // witness can pre-empt the budget claim), the parallel engine must
 // abandon too.
 func TestParallelBudgetExceeded(t *testing.T) {
-	// A tiny deterministic case first: F holds both values of its finite
-	// domain, so q5 is complete and the search space (2 valuations)
-	// exceeds a budget of 1.
+	// A tiny deterministic case first. F is empty and a denial forbids
+	// any F tuple beside an R tuple, so q5 is complete although neither
+	// head value of F's finite domain is answered: the search reaches
+	// both valuations (Q(D) answers no head, so none is cut before its
+	// leaf, where V rejects it) and exceeds a budget of 1. An F holding
+	// both values would answer both heads and leave the cut search
+	// nothing to count.
 	r, f := microSchema()
 	d := relation.NewDatabase(r, f)
-	d.MustAdd("F", "0")
-	d.MustAdd("F", "1")
+	d.MustAdd("R", "a", "a")
+	noF := cc.NewSet((&cc.Denial{Name: "noF",
+		Atoms: []query.RelAtom{query.Atom("R", v("x"), v("y")), query.Atom("F", v("p"))}}).ToCC())
 	q5 := microQueries()[4]
+	full, err := (&Checker{Workers: 1}).RCDPCtx(context.Background(), q5, d, nil, noF)
+	if err != nil || full.Verdict != VerdictComplete || full.Stats.Valuations != 2 {
+		t.Fatalf("want complete after 2 valuations, got %+v, %v", full, err)
+	}
 	for _, workers := range []int{1, 8} {
 		ck := &Checker{Budget: Budget{MaxValuations: 1}, Workers: workers}
-		if r, err := ck.RCDPCtx(context.Background(), q5, d, nil, nil); err != nil || r.Verdict != VerdictUnknown || r.Reason != ReasonValuations {
+		if r, err := ck.RCDPCtx(context.Background(), q5, d, nil, noF); err != nil || r.Verdict != VerdictUnknown || r.Reason != ReasonValuations {
 			t.Fatalf("workers=%d: want unknown/valuations, got %+v, %v", workers, r, err)
 		}
 	}
@@ -173,7 +183,10 @@ func TestParallelBudgetExceeded(t *testing.T) {
 	// Then randomized: find complete instances whose full search costs
 	// more than the budget and check both engines give up. MaxValuations
 	// caps each disjunct separately, so only single-disjunct queries let
-	// the cumulative Valuations counter predict budget exhaustion.
+	// the cumulative Valuations counter predict budget exhaustion. The
+	// answered-head cut leaves most complete micro instances at 3
+	// valuations or fewer, so the draw runs up to 4000 trials to find
+	// its 20.
 	rng := rand.New(rand.NewSource(23))
 	var queries []qlang.Query
 	for _, q := range microQueries() {
@@ -184,7 +197,7 @@ func TestParallelBudgetExceeded(t *testing.T) {
 	sets := microConstraintSets()
 	probe := &Checker{Workers: 1}
 	checked := 0
-	for trial := 0; trial < 400 && checked < 20; trial++ {
+	for trial := 0; trial < 4000 && checked < 20; trial++ {
 		q := queries[rng.Intn(len(queries))]
 		cs := sets[rng.Intn(len(sets))]
 		db := randomMicroDB(rng)

@@ -219,6 +219,13 @@ func (ck *Checker) rcdp(q qlang.Query, p *Prepared, pool *workerPool, gv *govern
 	pool.warm(p.d, p.dm)
 	ctl := newRaceCtl()
 	checkers := &witnessPool{build: func() *witnessChecker { return newWitnessChecker(prep, gate) }}
+	// Every walk cuts the subtrees whose head Q(D) already answers: they
+	// hold only valuations that test rejects. The ablation engine
+	// enumerates in full.
+	cut := prep.answers
+	if ck.Naive {
+		cut = nil
+	}
 	budgets := make([]*budgetCtl, len(prep.tableaux))
 	var tasks []func()
 	for di, search := range prep.searches {
@@ -236,7 +243,7 @@ func (ck *Checker) rcdp(q qlang.Query, p *Prepared, pool *workerPool, gv *govern
 			}
 			return r, nil
 		}
-		tasks = append(tasks, search.branchTasks(pool, ctl, budgets[di], di, fn)...)
+		tasks = append(tasks, search.branchTasks(pool, ctl, budgets[di], di, cut, fn)...)
 	}
 	pool.run(tasks)
 
@@ -254,7 +261,7 @@ func (ck *Checker) rcdp(q qlang.Query, p *Prepared, pool *workerPool, gv *govern
 	for di, bud := range budgets {
 		if bud != nil && (di <= last || bud.count() > 0) {
 			total += bud.count()
-			noteDisjunct(di, bud.count(), di == witnessDisjunct)
+			noteDisjunct(di, bud.count(), bud.headCuts(), di == witnessDisjunct)
 		}
 	}
 	if err != nil {
@@ -302,10 +309,7 @@ func newWitnessChecker(prep *rcdpPrep, gate *query.Gate) *witnessChecker {
 // a counterexample. It charges one tuple per distinct row of μ(T).
 func (w *witnessChecker) test(di int, slots []int32) (bool, error) {
 	s := w.prep.searches[di]
-	w.ids = w.ids[:0]
-	for _, op := range s.head {
-		w.ids = append(w.ids, operandID(op, slots))
-	}
+	w.ids = s.headIDs(w.ids[:0], slots)
 	if w.prep.answers.Has(w.ids) {
 		return false, nil // already answered; cannot change Q(D)
 	}

@@ -283,7 +283,7 @@ func (cfg QPChecker) rcqpINDs(q qlang.Query, dm *relation.Database, v *cc.Set, s
 			}
 			return ud.search.binding(slots), nil
 		}
-		tasks = append(tasks, ud.search.branchTasks(wp, ctl, budgets[k], ud.di, fn)...)
+		tasks = append(tasks, ud.search.branchTasks(wp, ctl, budgets[k], ud.di, nil, fn)...)
 	}
 	wp.run(tasks)
 	valuations := 0

@@ -68,9 +68,12 @@ type valuationSearch struct {
 	pruner *indPruner
 
 	// head holds the output summary u's operands; tpls grounds the
-	// templates from a slot array.
-	head []int32
-	tpls *cq.SlotTemplates
+	// templates from a slot array. headAt is the last slot the head
+	// reads, where a walk given Q(D) cuts answered heads (see
+	// searchWorker.answers); −1 when the head has no variables.
+	head   []int32
+	headAt int
+	tpls   *cq.SlotTemplates
 
 	// naive disables inequality pruning, IND pruning, inert-variable
 	// collapsing, relevant-value restriction and fresh-value symmetry
@@ -181,8 +184,10 @@ func newValuationSearch(u *Universe, t *cq.Tableau, schemas map[string]*relation
 		}
 	}
 	s.head = make([]int32, len(t.Head))
+	s.headAt = -1
 	for i, h := range t.Head {
 		s.head[i] = operand(h)
+		s.headAt = max(s.headAt, int(s.head[i]))
 	}
 	s.tpls = t.SlotTemplates(slotOf, schemas)
 	if !cfg.naive && cfg.v != nil {
@@ -282,6 +287,15 @@ func (s *valuationSearch) binding(slots []int32) query.Binding {
 	return b
 }
 
+// headIDs appends the head's ids under slots, which must bind every
+// slot up to headAt, to dst.
+func (s *valuationSearch) headIDs(dst, slots []int32) []int32 {
+	for _, op := range s.head {
+		dst = append(dst, operandID(op, slots))
+	}
+	return dst
+}
+
 // headTuple instantiates the output summary u under a complete slot
 // array.
 func (s *valuationSearch) headTuple(slots []int32) relation.Tuple {
@@ -295,11 +309,20 @@ func (s *valuationSearch) headTuple(slots []int32) relation.Tuple {
 
 // searchWorker is the state of one task of a keyed-task search (see
 // branchTasks): the slot array and the probe scratch, the task's
-// complete-valuation callback and key, and the shared controllers.
+// complete-valuation callback and key, the answered-head cut and the
+// shared controllers.
 type searchWorker struct {
 	s     *valuationSearch // shared, read-only during the search
 	slots []int32
-	ids   []int32 // IND projection scratch
+	ids   []int32 // IND and head projection scratch
+
+	// answers, when non-nil, is Q(D): a binding that completes an
+	// answered head (slot headAt) is rejected, since no extension of
+	// it can be a witness. Only the RCDP walk sets it; walks that count
+	// valuations (degree) or test other conditions on them (RCQP's
+	// E3/E4 search) leave it nil. cuts tallies the rejections.
+	answers *relation.IDTupleSet
+	cuts    int
 
 	fn     parallelFn // the callback every admitted complete valuation reaches
 	budget *budgetCtl // shared with the disjunct's other tasks
@@ -360,8 +383,9 @@ func (w *searchWorker) descend(i int, id int32, freshUsed int) error {
 }
 
 // assign binds slot i to id and checks what the binding decides: the
-// inequality conditions and the IND-pruned templates it completes. On
-// false the slot is unassigned again.
+// inequality conditions and the IND-pruned templates it completes, and
+// on a walk given Q(D) whether it completes an answered head. On false
+// the slot is unassigned again.
 func (w *searchWorker) assign(i int, id int32) bool {
 	w.slots[i] = id
 	s := w.s
@@ -377,6 +401,14 @@ func (w *searchWorker) assign(i int, id int32) bool {
 	if s.pruner != nil && !s.pruner.admit(w, i) {
 		w.slots[i] = unassigned
 		return false
+	}
+	if i == s.headAt && w.answers != nil {
+		w.ids = s.headIDs(w.ids[:0], w.slots)
+		if w.answers.Has(w.ids) {
+			w.cuts++
+			w.slots[i] = unassigned
+			return false
+		}
 	}
 	return true
 }

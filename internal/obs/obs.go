@@ -105,6 +105,11 @@ var (
 	// completeness search across all disjuncts and checks.
 	Valuations = NewCounter("relcomp_core_valuations_total",
 		"candidate valuations inspected by the completeness search")
+	// HeadCuts counts the subtrees the RCDP search cut because Q(D)
+	// already answers their head: each stands for every complete
+	// valuation below it, none of which could be a witness.
+	HeadCuts = NewCounter("relcomp_core_head_cuts_total",
+		"valuation subtrees cut at an already-answered head")
 	// RecheckReused counts incremental rechecks answered from the cached
 	// verdict because the mutation passed the invisibility gate
 	// (core.Delta.WitnessReusable).

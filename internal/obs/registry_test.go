@@ -258,6 +258,7 @@ func TestEnginesMetricsRegistered(t *testing.T) {
 		"relcomp_cc_pdm_cache_misses_total",
 		"relcomp_relation_index_builds_total",
 		"relcomp_core_valuations_total",
+		"relcomp_core_head_cuts_total",
 		"relcomp_core_pool_tasks_total",
 		"relcomp_core_pool_busy_nanoseconds_total",
 		"relcomp_core_pool_workers",

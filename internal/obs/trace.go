@@ -16,7 +16,8 @@ import (
 // The event vocabulary emitted by the engines:
 //
 //	check_start    check (rcdp|rcqp|bounded-rcdp|bounded-rcqp), workers
-//	disjunct_done  check=rcdp: disjunct index, valuations tried, witness?
+//	disjunct_done  check=rcdp: disjunct index, valuations tried,
+//	               answered-head cuts (head_cuts), witness?
 //	tableau_build  a compiled-query cache miss (query name)
 //	pdm_build      a master-side projection p(Dm) cache miss (relation)
 //	gate_trip      a governance gate tripped (reason)
