@@ -31,6 +31,7 @@ import (
 	"repro/internal/cq"
 	"repro/internal/datalog"
 	"repro/internal/mdm"
+	"repro/internal/mine"
 	"repro/internal/obs"
 	"repro/internal/qlang"
 	"repro/internal/query"
@@ -679,6 +680,36 @@ func BenchmarkWitnessApproximate(b *testing.B) {
 		}
 		if res.Explored == 0 {
 			b.Fatal("no lattice candidate explored")
+		}
+	}
+}
+
+// BenchmarkMine is one constraint-mining run on the evidence shape of
+// relperf's analyze workload: 4 mdm pairs (seed 1) of 8 domestic and 3
+// international customers with saturated support and 2 unregistered
+// domestic customers, mined with relserve's /v1/mine defaults (256
+// candidates, one oracle worker). It covers candidate scoring over
+// every pair and the RCDP oracle on the survivors (see EXPERIMENTS.md,
+// "Constraint mining").
+func BenchmarkMine(b *testing.B) {
+	cfg := mdm.DefaultConfig()
+	cfg.DomesticCustomers = 8
+	cfg.InternationalCustomers = 3
+	cfg.SaturateSupport = true
+	cfg.UnregisteredDomestic = 2
+	var pairs []mine.Pair
+	for _, s := range mdm.Evidence(cfg, 4) {
+		pairs = append(pairs, mine.Pair{D: s.D, Dm: s.Dm})
+	}
+	opt := mine.Options{MaxCandidates: 256, Workers: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := mine.Mine(context.Background(), pairs, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Mined) == 0 {
+			b.Fatal("nothing mined")
 		}
 	}
 }

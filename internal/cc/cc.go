@@ -46,23 +46,6 @@ func (p Projection) IsEmptySet() bool { return p.Rel == "" }
 // Arity is the projection's output arity.
 func (p Projection) Arity() int { return len(p.Cols) }
 
-// Eval returns the projected tuple set over the master data, keyed for
-// membership tests.
-func (p Projection) Eval(dm *relation.Database) map[string]bool {
-	out := make(map[string]bool)
-	if p.IsEmptySet() || dm == nil {
-		return out
-	}
-	in := dm.Instance(p.Rel)
-	if in == nil {
-		return out
-	}
-	for _, t := range in.Project(p.Cols) {
-		out[t.Key()] = true
-	}
-	return out
-}
-
 // Values returns the sorted distinct values occurring in the projected
 // columns of the master data.
 func (p Projection) Values(dm *relation.Database) []relation.Value {

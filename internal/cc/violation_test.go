@@ -15,7 +15,7 @@ import (
 
 // referenceViolation is the witness at the string level: the least
 // tuple, in tuple order, of q(D) \ p(Dm), or of p(Dm) \ q(D) for a
-// reverse constraint, from the sorted answers and Tuple.Key sets.
+// reverse constraint, from the sorted answers and string-keyed tuple sets.
 func referenceViolation(t *testing.T, c *Constraint, d, dm *relation.Database) (relation.Tuple, bool) {
 	t.Helper()
 	lhs, err := c.Q.Eval(d)
@@ -25,18 +25,23 @@ func referenceViolation(t *testing.T, c *Constraint, d, dm *relation.Database) (
 	if c.Reverse {
 		have := map[string]bool{}
 		for _, tu := range lhs {
-			have[tu.Key()] = true
+			have[tupleKey(tu)] = true
 		}
 		for _, tu := range dm.Instance(c.P.Rel).Project(c.P.Cols) {
-			if !have[tu.Key()] {
+			if !have[tupleKey(tu)] {
 				return tu, true
 			}
 		}
 		return nil, false
 	}
-	rhs := c.P.Eval(dm)
+	rhs := map[string]bool{}
+	if !c.P.IsEmptySet() {
+		for _, tu := range dm.Instance(c.P.Rel).Project(c.P.Cols) {
+			rhs[tupleKey(tu)] = true
+		}
+	}
 	for _, tu := range lhs {
-		if !rhs[tu.Key()] {
+		if !rhs[tupleKey(tu)] {
 			return tu, true
 		}
 	}
@@ -117,3 +122,7 @@ func TestViolationMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// tupleKey is a collision-free string encoding of a tuple, for keying
+// test maps by tuple: each value is quoted.
+func tupleKey(t relation.Tuple) string { return fmt.Sprintf("%q", []relation.Value(t)) }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -34,7 +35,7 @@ func sameRCDP(a, b *RCDPResult) bool {
 	if (a.NewTuple == nil) != (b.NewTuple == nil) {
 		return false
 	}
-	if a.NewTuple != nil && a.NewTuple.Key() != b.NewTuple.Key() {
+	if a.NewTuple != nil && tupleKey(a.NewTuple) != tupleKey(b.NewTuple) {
 		return false
 	}
 	return true
@@ -313,11 +314,11 @@ func TestParallelBoundedRCDPMatchesSequential(t *testing.T) {
 			}
 			sk := ""
 			if sr.NewTuple != nil {
-				sk = sr.NewTuple.Key()
+				sk = tupleKey(sr.NewTuple)
 			}
 			pk := ""
 			if pr.NewTuple != nil {
-				pk = pr.NewTuple.Key()
+				pk = tupleKey(pr.NewTuple)
 			}
 			if sk != pk {
 				t.Fatalf("trial %d (%s/%s): new tuples diverge: %q vs %q", trial, cs.name, q, sk, pk)
@@ -328,3 +329,7 @@ func TestParallelBoundedRCDPMatchesSequential(t *testing.T) {
 		t.Fatalf("too few partially closed trials: %d", trials)
 	}
 }
+
+// tupleKey is a collision-free string encoding of a tuple, for keying
+// test maps by tuple: each value is quoted.
+func tupleKey(t relation.Tuple) string { return fmt.Sprintf("%q", []relation.Value(t)) }

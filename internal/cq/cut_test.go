@@ -27,7 +27,7 @@ func referenceAnswers(q *CQ, db *relation.Database) []relation.Tuple {
 		for i, h := range q.Head {
 			tu[i], _ = b.Resolve(h)
 		}
-		seen[tu.Key()] = tu
+		seen[tupleKey(tu)] = tu
 	})
 	out := make([]relation.Tuple, 0, len(seen))
 	for _, tu := range seen {

@@ -88,10 +88,10 @@ func TestContainmentSemanticsRandom(t *testing.T) {
 		a1 := q1.Eval(d)
 		set2 := map[string]bool{}
 		for _, tu := range q2.Eval(d) {
-			set2[tu.Key()] = true
+			set2[tupleKey(tu)] = true
 		}
 		for _, tu := range a1 {
-			if !set2[tu.Key()] {
+			if !set2[tupleKey(tu)] {
 				t.Fatalf("containment %s ⊆ %s violated on\n%v", q1.Name, q2.Name, d)
 			}
 		}

@@ -40,10 +40,10 @@ func TestQuickMonotonicity(t *testing.T) {
 		}
 		after := map[string]bool{}
 		for _, tu := range q.Eval(ext) {
-			after[tu.Key()] = true
+			after[tupleKey(tu)] = true
 		}
 		for _, tu := range before {
-			if !after[tu.Key()] {
+			if !after[tupleKey(tu)] {
 				return false
 			}
 		}
@@ -123,17 +123,17 @@ func TestQuickUnionSemantics(t *testing.T) {
 		d := quickDB(rSeed, sSeed)
 		want := map[string]bool{}
 		for _, tu := range q1.Eval(d) {
-			want[tu.Key()] = true
+			want[tupleKey(tu)] = true
 		}
 		for _, tu := range q2.Eval(d) {
-			want[tu.Key()] = true
+			want[tupleKey(tu)] = true
 		}
 		got := u.Eval(d)
 		if len(got) != len(want) {
 			return false
 		}
 		for _, tu := range got {
-			if !want[tu.Key()] {
+			if !want[tupleKey(tu)] {
 				return false
 			}
 		}

@@ -129,7 +129,7 @@ func headKey(q *CQ, b query.Binding) string {
 	for i, h := range q.Head {
 		tu[i], _ = b.Resolve(h)
 	}
-	return tu.Key()
+	return tupleKey(tu)
 }
 
 // sameSet reports set equality of two key sets, naming one difference.
@@ -183,7 +183,7 @@ func TestIndexedEvalMatchesScanRandom(t *testing.T) {
 			for i, h := range q.Head {
 				tu[i], _ = b.Resolve(h)
 			}
-			wantAns[tu.Key()] = tu
+			wantAns[tupleKey(tu)] = tu
 		})
 		want := make([]relation.Tuple, 0, len(wantAns))
 		for _, tu := range wantAns {
@@ -289,7 +289,7 @@ func TestEvalInternedMatchesLegacy(t *testing.T) {
 			for i, id := range head {
 				tu[i] = vals[id]
 			}
-			gotHeads[tu.Key()]++
+			gotHeads[tupleKey(tu)]++
 			return true
 		}); err != nil {
 			t.Fatalf("trial %d: EvalFuncDeltaIDsGate: %v", trial, err)

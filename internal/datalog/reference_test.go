@@ -128,7 +128,7 @@ func refFire(r Rule, d *relation.Database, idb, delta map[string]map[string]rela
 		if !ok {
 			return fmt.Errorf("reference: unsafe rule %s", r)
 		}
-		next[r.Head.Rel][tup.Key()] = tup
+		next[r.Head.Rel][tupleKey(tup)] = tup
 		return nil
 	}
 
@@ -640,3 +640,7 @@ func TestEvalMatchesReferenceRandom(t *testing.T) {
 		}
 	}
 }
+
+// tupleKey is a collision-free string encoding of a tuple, for keying
+// test maps by tuple: each value is quoted.
+func tupleKey(t relation.Tuple) string { return fmt.Sprintf("%q", []relation.Value(t)) }

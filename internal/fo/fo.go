@@ -7,6 +7,7 @@ package fo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -308,19 +309,18 @@ func (q *Query) EvalGate(d *relation.Database, g *query.Gate, extra ...relation.
 		}
 	}
 	freeHead = query.SortedVarSet(freeHead)
-	results := make(map[string]relation.Tuple)
+	out := []relation.Tuple{}
 	b := make(query.Binding)
 	ec := newEvalCtx(g)
 	var assign func(i int)
 	assign = func(i int) {
 		if i == len(freeHead) {
 			if eval(q.Body, d, dom, b, ec) {
-				out := make(relation.Tuple, len(q.Head))
+				t := make(relation.Tuple, len(q.Head))
 				for j, h := range q.Head {
-					v, _ := b.Resolve(h)
-					out[j] = v
+					t[j], _ = b.Resolve(h)
 				}
-				results[out.Key()] = out
+				out = append(out, t)
 			}
 			return
 		}
@@ -337,12 +337,10 @@ func (q *Query) EvalGate(d *relation.Database, g *query.Gate, extra ...relation.
 	if ec != nil && ec.err != nil {
 		return nil, ec.err
 	}
-	out := make([]relation.Tuple, 0, len(results))
-	for _, t := range results {
-		out = append(out, t)
-	}
+	// Several assignments can project onto one head tuple: sort the
+	// answers and keep one of each run of equal ones.
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out, nil
+	return slices.CompactFunc(out, relation.Tuple.Equal), nil
 }
 
 // EvalBool evaluates a Boolean FO query (empty head).

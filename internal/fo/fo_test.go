@@ -29,6 +29,35 @@ func TestEvalAtomAndEq(t *testing.T) {
 	}
 }
 
+// TestEvalDedupsProjectedHeads: a body with several satisfying
+// assignments per head tuple answers each head tuple once, in
+// Tuple.Less order, whatever the insertion order of the facts; a
+// Boolean query with many satisfying assignments answers one empty
+// tuple.
+func TestEvalDedupsProjectedHeads(t *testing.T) {
+	d, _ := edgeDB([2]string{"b", "1"}, [2]string{"c", "2"}, [2]string{"a", "1"},
+		[2]string{"b", "2"}, [2]string{"a", "3"}, [2]string{"b", "3"})
+	// Q(x) :- E(x, y), with y free: a has 2 assignments, b 3, c 1.
+	q := NewQuery("Q", []query.Term{v("x")}, FAtom("E", v("x"), v("y")))
+	got, err := q.EvalGate(d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []relation.Tuple{relation.T("a"), relation.T("b"), relation.T("c")}
+	if len(got) != len(want) {
+		t.Fatalf("Eval = %v, want %v", got, want)
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("Eval = %v, want %v", got, want)
+		}
+	}
+	boolean := NewQuery("Q", nil, FAtom("E", v("x"), v("y")))
+	if got := boolean.Eval(d); len(got) != 1 || len(got[0]) != 0 {
+		t.Fatalf("Boolean Eval = %v, want one empty tuple", got)
+	}
+}
+
 func TestEvalNegation(t *testing.T) {
 	d, _ := edgeDB([2]string{"1", "2"}, [2]string{"2", "1"}, [2]string{"1", "3"})
 	// Nodes with an outgoing edge but no incoming edge from that target:

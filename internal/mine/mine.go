@@ -37,14 +37,12 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/obs"
-	"repro/internal/qlang"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
@@ -170,10 +168,11 @@ func (r *Result) Constraints() *cc.Set {
 	return s
 }
 
-// candidate is one scored constraint hypothesis.
+// candidate is one scored constraint hypothesis. Its constraint is
+// built once: scoring, the oracle and emission all use it.
 type candidate struct {
-	q    *cq.CQ
-	proj cc.Projection
+	q   *cq.CQ
+	con *cc.Constraint
 	// generality rank components for the emission order: selections
 	// after unconditioned shapes, single atoms before joins, wider
 	// right-hand sides first.
@@ -202,11 +201,10 @@ type engine struct {
 	pairs []Pair
 	// schemas is the union of database and master schemas, the
 	// vocabulary for containment checks and oracle validation.
-	schemas  map[string]*relation.Schema
-	dbRels   []string
-	mRels    []string
-	rhsCache []map[string]map[string]bool
-	stats    Stats
+	schemas map[string]*relation.Schema
+	dbRels  []string
+	mRels   []string
+	stats   Stats
 	// emitted carries, per emitted constraint, its implied projection
 	// closure for the subsumption check.
 	emitted []emittedC
@@ -251,8 +249,8 @@ func Mine(ctx context.Context, pairs []Pair, opt Options) (*Result, error) {
 		if a.natoms != b.natoms {
 			return a.natoms < b.natoms
 		}
-		if len(a.proj.Cols) != len(b.proj.Cols) {
-			return len(a.proj.Cols) > len(b.proj.Cols)
+		if a.con.P.Arity() != b.con.P.Arity() {
+			return a.con.P.Arity() > b.con.P.Arity()
 		}
 		return a.sig < b.sig
 	})
@@ -272,10 +270,9 @@ func Mine(ctx context.Context, pairs []Pair, opt Options) (*Result, error) {
 			obs.MineOracleRejections.Inc()
 			continue
 		}
-		name := fmt.Sprintf("mined%d", len(res.Mined))
-		con := cc.FromCQ(name, c.q, c.proj)
+		c.con.Name = fmt.Sprintf("mined%d", len(res.Mined))
 		res.Mined = append(res.Mined, Mined{
-			Constraint: con,
+			Constraint: c.con,
 			Support:    c.support(len(pairs)),
 			Confidence: c.confidence(),
 			Validated:  validated,
@@ -329,7 +326,6 @@ func (e *engine) init() error {
 			}
 		}
 	}
-	e.rhsCache = make([]map[string]map[string]bool, len(e.pairs))
 	return nil
 }
 
@@ -351,7 +347,9 @@ func (e *engine) enumerate() ([]*candidate, error) {
 		}
 		e.stats.Enumerated++
 		obs.MineCandidates.Inc()
-		e.score(c)
+		if err := e.score(c); err != nil {
+			return false, err
+		}
 		if c.support(len(e.pairs)) < e.opt.MinSupport {
 			return false, nil
 		}
@@ -516,7 +514,7 @@ func (e *engine) selections(parent *candidate) []*candidate {
 			for _, v := range e.topConstants(atom.Rel, col) {
 				q := parent.q.Clone()
 				q.Conds = append(q.Conds, query.Eq(query.Var(arg.Name), query.Const(v)))
-				out = append(out, e.finish(q, parent.proj))
+				out = append(out, e.finish(q, parent.con.P))
 			}
 		}
 	}
@@ -526,48 +524,37 @@ func (e *engine) selections(parent *candidate) []*candidate {
 func (e *engine) finish(q *cq.CQ, p cc.Projection) *candidate {
 	return &candidate{
 		q:      q,
-		proj:   p,
+		con:    cc.FromCQ("cand", q, p),
 		nconds: len(q.Conds),
 		natoms: len(q.Atoms),
 		sig:    canonSig(q, p),
 	}
 }
 
-// score evaluates the candidate's left-hand side on every pair and
-// counts firings and holds.
-func (e *engine) score(c *candidate) {
-	for pi, p := range e.pairs {
-		ans := c.q.Eval(p.D)
-		if len(ans) == 0 {
+// score evaluates the candidate's left-hand side on every pair as id
+// tuples and counts firings and holds: a pair holds when every answer
+// is in the constraint's memoized p(Dm).
+func (e *engine) score(c *candidate) error {
+	ts, width := c.con.Q.Tableaux(), c.con.Q.Arity()
+	for _, p := range e.pairs {
+		ans, err := cq.AnswerIDsGate(ts, width, p.D, nil)
+		if err != nil {
+			return err
+		}
+		if ans.Len() == 0 {
 			continue
 		}
 		c.fires++
-		rhs := e.rhs(pi, c.proj)
+		rhs := c.con.MasterIDs(p.Dm)
 		ok := true
-		for _, t := range ans {
-			if !rhs[t.Key()] {
-				ok = false
-				break
-			}
+		for i := 0; i < ans.Len() && ok; i++ {
+			ok = rhs.Has(ans.At(i))
 		}
 		if ok {
 			c.holds++
 		}
 	}
-}
-
-// rhs memoizes p(Dm) per evidence pair.
-func (e *engine) rhs(pi int, p cc.Projection) map[string]bool {
-	key := p.String()
-	if e.rhsCache[pi] == nil {
-		e.rhsCache[pi] = make(map[string]map[string]bool)
-	}
-	if s, ok := e.rhsCache[pi][key]; ok {
-		return s
-	}
-	s := p.Eval(e.pairs[pi].Dm)
-	e.rhsCache[pi][key] = s
-	return s
+	return nil
 }
 
 // overlap prefilters (R.i, M.a) pairs by shared values on the first
@@ -677,7 +664,7 @@ func (e *engine) topConstants(rel string, col int) []relation.Value {
 func (e *engine) subsumed(c *candidate) bool {
 	for _, em := range e.emitted {
 		for _, imp := range em.implied {
-			if !sameProj(imp.proj, c.proj) {
+			if !sameProj(imp.proj, c.con.P) {
 				continue
 			}
 			ok, err := cq.Specializes(c.q, imp.q, e.schemas)
@@ -693,7 +680,7 @@ func (e *engine) subsumed(c *candidate) bool {
 // subsumption basis: a width-k constraint implies each single-column
 // projection of its head and right-hand side.
 func (e *engine) emit(c *candidate) {
-	e.emitted = append(e.emitted, emittedC{implied: impliedShapes(c.q, c.proj)})
+	e.emitted = append(e.emitted, emittedC{implied: impliedShapes(c.q, c.con.P)})
 }
 
 func sameProj(a, b cc.Projection) bool {
@@ -710,24 +697,21 @@ func sameProj(a, b cc.Projection) bool {
 
 // oracle validates a candidate. Under OracleComplete every evidence
 // database must be Complete for the candidate's left-hand-side query
-// relative to (Dm, {candidate}); a partial-closure violation (the
-// candidate does not even hold on a pair) rejects it.
+// relative to (Dm, {candidate}). A candidate violated on some pair
+// (its score holds on fewer pairs than it fires) leaves that D not
+// partially closed, so it is rejected without a check; any error the
+// checker returns is real.
 func (e *engine) oracle(c *candidate) (bool, error) {
-	if e.opt.Oracle == OracleClosure {
+	if e.opt.Oracle == OracleClosure || c.holds < c.fires {
 		return false, nil
 	}
-	con := cc.FromCQ("oracle", c.q, c.proj)
-	v := cc.NewSet(con)
-	q := qlang.FromCQ(c.q)
+	v := cc.NewSet(c.con)
 	ck := &core.Checker{Workers: e.opt.Workers, Budget: e.opt.Budget}
 	for _, p := range e.pairs {
-		res, err := ck.RCDPCtx(e.ctx, q, p.D, p.Dm, v)
+		res, err := ck.RCDPCtx(e.ctx, c.con.Q, p.D, p.Dm, v)
 		if err != nil {
 			if e.ctx.Err() != nil {
 				return false, e.ctx.Err()
-			}
-			if strings.Contains(err.Error(), "not partially closed") {
-				return false, nil
 			}
 			return false, fmt.Errorf("mine: oracle: %w", err)
 		}

@@ -104,7 +104,7 @@ func TestApplyBatchMatchesModel(t *testing.T) {
 		wantIns, wantDel := 0, 0
 		for rel, ts := range b.Inserts {
 			for _, tu := range ts {
-				if k := tu.Key(); !has(model[rel], k) {
+				if k := tupleKey(tu); !has(model[rel], k) {
 					model[rel][k] = tu.Clone()
 					wantIns++
 				}
@@ -112,7 +112,7 @@ func TestApplyBatchMatchesModel(t *testing.T) {
 		}
 		for rel, ts := range b.Deletes {
 			for _, tu := range ts {
-				if k := tu.Key(); has(model[rel], k) {
+				if k := tupleKey(tu); has(model[rel], k) {
 					delete(model[rel], k)
 					wantDel++
 				}

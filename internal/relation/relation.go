@@ -13,7 +13,6 @@ package relation
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync/atomic"
 )
@@ -185,25 +184,6 @@ func (s *Schema) String() string {
 
 // Tuple is an ordered list of values.
 type Tuple []Value
-
-// Key returns a collision-free string encoding of the tuple, suitable as
-// a map key. Values are joined with a separator that cannot appear
-// inside a Value read from the public constructors' typical inputs; to
-// stay collision-free for arbitrary values each component is
-// length-prefixed.
-func (t Tuple) Key() string {
-	n := 0
-	for _, v := range t {
-		n += len(v) + 4 // value plus decimal length prefix and ':'
-	}
-	b := make([]byte, 0, n)
-	for _, v := range t {
-		b = strconv.AppendInt(b, int64(len(v)), 10)
-		b = append(b, ':')
-		b = append(b, string(v)...)
-	}
-	return string(b)
-}
 
 // Equal reports component-wise equality.
 func (t Tuple) Equal(o Tuple) bool {
