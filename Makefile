@@ -175,6 +175,7 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/textq/ -run='^$$' -fuzz=FuzzParseSchemas -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/textq/ -run='^$$' -fuzz=FuzzParseDatabase -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/textq/ -run='^$$' -fuzz=FuzzFactScanner -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/textq/ -run='^$$' -fuzz=FuzzParseQuery -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/textq/ -run='^$$' -fuzz=FuzzParseConstraints -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/textq/ -run='^$$' -fuzz=FuzzMutationBatch -fuzztime=$(FUZZTIME)

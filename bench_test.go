@@ -713,3 +713,25 @@ func BenchmarkMine(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkParseFacts parses a request-sized fact list: the D of a
+// CRM scenario with 400 domestic customers at completeness 0.85 (the
+// serving benchmark's catalog workload), in the textq grammar. Its
+// values are interned before the timer starts, as on a warm server.
+func BenchmarkParseFacts(b *testing.B) {
+	cfg := mdm.Config{Seed: 1, DomesticCustomers: 400, InternationalCustomers: 40,
+		Employees: 40, SupportPerEmployee: 3, MaxSupport: 3, Completeness: 0.85, ManageDepth: 4}
+	src := textq.FormatDatabase(mdm.Generate(cfg).D)
+	schemas := mdm.Schemas()
+	if _, err := textq.ParseFacts(src, schemas); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := textq.ParseFacts(src, schemas); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

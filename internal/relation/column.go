@@ -9,36 +9,16 @@ import (
 	"repro/internal/obs"
 )
 
-// This file holds the columnar side of Instance: fixed-width id keys,
-// the per-generation posting-list index, and the IDIndex view consumed
-// by the integer join engine in internal/cq. Posting containers
-// enumerate ranks in ascending order, i.e. in the relative order of the
-// full Instance.Tuples scan, so probe results are sorted subsequences
-// of the deterministic tuple order.
+// This file holds the columnar side of Instance: the per-generation
+// posting-list index and the IDIndex view consumed by the integer join
+// engine in internal/cq. Posting containers enumerate ranks in
+// ascending order, i.e. in the relative order of the full
+// Instance.Tuples scan, so probe results are sorted subsequences of the
+// deterministic tuple order.
 
 // inlineArity is the arity up to which id scratch buffers live on the
 // stack; wider tuples (rare) fall back to heap slices.
 const inlineArity = 16
-
-// appendID appends the fixed-width big-endian encoding of one id.
-func appendID(dst []byte, id int32) []byte {
-	u := uint32(id)
-	return append(dst, byte(u>>24), byte(u>>16), byte(u>>8), byte(u))
-}
-
-// AppendIDKey appends the fixed-width byte encoding of an id tuple to
-// dst and returns the extended slice. Each id occupies exactly four
-// bytes, so the encoding is collision-free for a fixed arity and —
-// unlike Tuple.Key — involves no per-value length formatting and no
-// string allocation on the lookup path (map probes use the compiler's
-// zero-copy m[string(b)] form). Keys are comparable across instances
-// exactly when they share a Dict.
-func AppendIDKey(dst []byte, ids []int32) []byte {
-	for _, id := range ids {
-		dst = appendID(dst, id)
-	}
-	return dst
-}
 
 // Bitset is a fixed-size bitmap over tuple ranks, the dense posting
 // container used for high-frequency column values where a sorted rank

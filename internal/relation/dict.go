@@ -3,6 +3,7 @@ package relation
 import (
 	"math/bits"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -64,17 +65,55 @@ func (d *Dict) Intern(v Value) int32 {
 		return id
 	}
 	d.mu.Lock()
-	defer d.mu.Unlock()
+	id = d.internLocked(v)
+	obs.DictSize.Set(int64(len(d.vals)))
+	d.mu.Unlock()
+	return id
+}
+
+// InternAll sets ids[i] to the id of vals[i], interning first-seen
+// values, for len(vals) ≤ len(ids). It takes the read lock once for
+// the hits and the write lock at most once for all the misses, which
+// is what a parser interning a whole fact list wants.
+func (d *Dict) InternAll(ids []int32, vals []Value) {
+	miss := false
+	d.mu.RLock()
+	for i, v := range vals {
+		id, ok := d.ids[v]
+		if !ok {
+			id, miss = -1, true
+		}
+		ids[i] = id
+	}
+	d.mu.RUnlock()
+	if !miss {
+		return
+	}
+	d.mu.Lock()
+	for i, v := range vals {
+		if ids[i] < 0 {
+			ids[i] = d.internLocked(v)
+		}
+	}
+	obs.DictSize.Set(int64(len(d.vals)))
+	d.mu.Unlock()
+}
+
+// internLocked is Intern under the write lock. A first-seen value is
+// stored as a copy: values are often substrings of a larger text (a
+// request body), and the dictionary lives as long as the process, so
+// storing the substring itself would keep the whole text alive.
+func (d *Dict) internLocked(v Value) int32 {
 	if id, ok := d.ids[v]; ok {
 		return id
 	}
-	id = int32(len(d.vals))
+	id := int32(len(d.vals))
 	if id < 0 {
 		panic("relation: dictionary overflow (2^31 distinct values)")
 	}
+	v = Value(strings.Clone(string(v)))
 	d.ids[v] = id
 	d.vals = append(d.vals, v)
-	obs.DictSize.Set(int64(len(d.vals)))
 	return id
 }
 

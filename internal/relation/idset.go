@@ -44,13 +44,25 @@ func tableSize(n int) int {
 
 // hashIDs mixes the ids of one tuple into a 64-bit hash: a
 // multiply-xor step per id and a final avalanche, so tuples that differ
-// in any id spread over the whole table.
+// in any id spread over the whole table. Instance.hashRow computes the
+// same hash from a row's columns.
 func hashIDs(ids []int32) uint64 {
-	h := uint64(len(ids))*0x9e3779b97f4a7c15 + 0x632be59bd9b4e019
+	h := hashSeed(len(ids))
 	for _, id := range ids {
-		h = (h ^ uint64(uint32(id))) * 0xff51afd7ed558ccd
-		h ^= h >> 29
+		h = hashMix(h, id)
 	}
+	return hashFinal(h)
+}
+
+// hashSeed, hashMix and hashFinal are the three steps of hashIDs.
+func hashSeed(width int) uint64 { return uint64(width)*0x9e3779b97f4a7c15 + 0x632be59bd9b4e019 }
+
+func hashMix(h uint64, id int32) uint64 {
+	h = (h ^ uint64(uint32(id))) * 0xff51afd7ed558ccd
+	return h ^ h>>29
+}
+
+func hashFinal(h uint64) uint64 {
 	h ^= h >> 32
 	h *= 0xc4ceb9fe1a85ec53
 	return h ^ h>>33

@@ -245,14 +245,21 @@ func (t Tuple) Project(cols []int) Tuple {
 // are sorted-rank posting lists (column.go), which is what the join
 // engine in internal/cq consumes. Every enumeration order is the
 // deterministic lexicographic tuple order.
+//
+// Duplicate detection probes an open-addressing row index over the
+// columns: rows hash as id tuples (hashIDs) and a hash hit is confirmed
+// by comparing the row's ids, so no insert or probe builds a key.
 type Instance struct {
 	Schema *Schema
 
-	// cols holds one dense id column per attribute, rows maps a tuple's
-	// fixed-width id-key to its row number, n counts rows.
+	// cols holds one dense id column per attribute, n counts rows.
 	cols [][]int32
-	rows map[string]int32
 	n    int
+
+	// index is the row index (linear probing): each slot holds 1 + a
+	// row number, 0 when empty. Its length is a power of two, at least
+	// twice n; nil until the first row.
+	index []int32
 
 	// sorted caches the deterministic tuple order; nil when dirty.
 	sorted []Tuple
@@ -272,49 +279,83 @@ type Instance struct {
 
 // NewInstance returns an empty instance of the schema.
 func NewInstance(s *Schema) *Instance {
-	// rows stays nil until the instance outgrows linear dedup: RCQP's
-	// per-valuation fragments, witness extensions and most toy
-	// relations stay below it, and for those the map (and its string
-	// keys) never needs to exist.
 	return &Instance{Schema: s, cols: make([][]int32, s.Arity())}
 }
 
-// linearRowsMax is the row count up to which an instance resolves
-// duplicates by scanning its columns instead of keeping the id-key row
-// map.
-const linearRowsMax = 8
-
-// rowOf returns the row holding exactly ids, or -1. Linear scan for
-// map-less small instances.
-func (in *Instance) rowOf(ids []int32) int32 {
-outer:
-	for r := 0; r < in.n; r++ {
-		for c := range in.cols {
-			if in.cols[c][r] != ids[c] {
-				continue outer
-			}
-		}
-		return int32(r)
+// hashRow is hashIDs of row r's ids, read from the columns.
+func (in *Instance) hashRow(r int32) uint64 {
+	h := hashSeed(len(in.cols))
+	for _, col := range in.cols {
+		h = hashMix(h, col[r])
 	}
-	return -1
+	return hashFinal(h)
 }
 
-// buildRows materializes the id-key row map from the columns when the
-// instance outgrows linear dedup.
-func (in *Instance) buildRows() {
-	in.rows = make(map[string]int32, in.n+1)
-	var kb [4 * inlineArity]byte
-	kbuf := kb[:0]
-	if len(in.cols) > inlineArity {
-		kbuf = make([]byte, 0, 4*len(in.cols))
-	}
-	for r := 0; r < in.n; r++ {
-		kbuf = kbuf[:0]
-		for c := range in.cols {
-			kbuf = appendID(kbuf, in.cols[c][r])
+// rowHolds reports whether row r holds exactly ids.
+func (in *Instance) rowHolds(r int32, ids []int32) bool {
+	for c, col := range in.cols {
+		if col[r] != ids[c] {
+			return false
 		}
-		in.rows[string(kbuf)] = int32(r)
 	}
+	return true
+}
+
+// findIDs returns the index slot holding the row of ids, or the empty
+// slot where it would go; the index must be non-nil.
+func (in *Instance) findIDs(ids []int32) (slot int, found bool) {
+	mask := len(in.index) - 1
+	for i := int(hashIDs(ids)) & mask; ; i = (i + 1) & mask {
+		e := in.index[i]
+		if e == 0 {
+			return i, false
+		}
+		if in.rowHolds(e-1, ids) {
+			return i, true
+		}
+	}
+}
+
+// slotOfRow returns the index slot that holds row r, which must be a
+// live row.
+func (in *Instance) slotOfRow(r int32) int {
+	mask := len(in.index) - 1
+	i := int(in.hashRow(r)) & mask
+	for in.index[i] != r+1 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// growIndex reallocates the row index for n+1 rows (tableSize keeps the
+// load at most one half) and reinserts every row.
+func (in *Instance) growIndex() {
+	in.index = make([]int32, tableSize(in.n+1))
+	mask := len(in.index) - 1
+	for r := int32(0); r < int32(in.n); r++ {
+		i := int(in.hashRow(r)) & mask
+		for in.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		in.index[i] = r + 1
+	}
+}
+
+// deleteSlot empties slot i of the row index by backward-shift
+// deletion: later entries of the probe run move back into the hole
+// unless their home slot lies cyclically in (hole, entry], so every
+// remaining row stays reachable from its home slot without tombstones.
+func (in *Instance) deleteSlot(i int) {
+	mask := len(in.index) - 1
+	for j := (i + 1) & mask; in.index[j] != 0; j = (j + 1) & mask {
+		home := int(in.hashRow(in.index[j]-1)) & mask
+		if (j-home)&mask < (j-i)&mask {
+			continue // home lies in (i, j]: the entry stays
+		}
+		in.index[i] = in.index[j]
+		i = j
+	}
+	in.index[i] = 0
 }
 
 // Add inserts a tuple, validating arity and finite-domain membership.
@@ -345,29 +386,21 @@ func (in *Instance) addInterned(t Tuple) {
 // duplicate is a no-op. Unlike Add it validates neither the arity nor
 // finite-domain membership: the caller vouches for both, as the slot
 // plans of cq.Tableau do by checking finite domains against id sets
-// compiled once per plan. The key scratch lives on the stack for
-// ordinary arities, so a duplicate insert allocates nothing.
+// compiled once per plan, and as the textq fact scanner does against
+// the schema. Apart from column and index growth it allocates nothing.
 func (in *Instance) AddIDs(ids []int32) {
-	if in.rows == nil {
-		if in.rowOf(ids) >= 0 {
-			return
-		}
-		if in.n >= linearRowsMax {
-			in.buildRows()
-		}
+	if 2*(in.n+1) > len(in.index) {
+		in.growIndex()
 	}
-	if in.rows != nil {
-		var kb [4 * inlineArity]byte
-		key := AppendIDKey(kb[:0], ids)
-		if _, dup := in.rows[string(key)]; dup {
-			return
-		}
-		in.rows[string(key)] = int32(in.n)
+	slot, found := in.findIDs(ids)
+	if found {
+		return
 	}
 	for c := range in.cols {
 		in.cols[c] = append(in.cols[c], ids[c])
 	}
 	in.n++
+	in.index[slot] = int32(in.n)
 	in.sorted = nil
 	in.gen++
 }
@@ -384,7 +417,7 @@ func (in *Instance) MustAdd(t Tuple) {
 // numbers carry no ordering — deterministic order lives in the posting
 // index's rank permutation, rebuilt per generation).
 func (in *Instance) Remove(t Tuple) {
-	if len(t) != len(in.cols) {
+	if len(t) != len(in.cols) || in.n == 0 {
 		return
 	}
 	var ib [inlineArity]int32
@@ -399,30 +432,17 @@ func (in *Instance) Remove(t Tuple) {
 		}
 		ids = append(ids, id)
 	}
-	var row int32
-	var kb [4 * inlineArity]byte
-	if in.rows == nil {
-		if row = in.rowOf(ids); row < 0 {
-			return
-		}
-	} else {
-		key := AppendIDKey(kb[:0], ids)
-		r, ok := in.rows[string(key)]
-		if !ok {
-			return
-		}
-		row = r
-		delete(in.rows, string(key))
+	slot, found := in.findIDs(ids)
+	if !found {
+		return
 	}
+	row := in.index[slot] - 1
+	in.deleteSlot(slot)
 	last := int32(in.n - 1)
 	if row != last {
-		mk := kb[:0] // scratch no longer needed: rebuild as the moved row's key
+		in.index[in.slotOfRow(last)] = row + 1
 		for c := range in.cols {
 			in.cols[c][row] = in.cols[c][last]
-			mk = appendID(mk, in.cols[c][row])
-		}
-		if in.rows != nil {
-			in.rows[string(mk)] = row
 		}
 	}
 	for c := range in.cols {
@@ -442,7 +462,7 @@ func (in *Instance) Reset() {
 	for c := range in.cols {
 		in.cols[c] = in.cols[c][:0]
 	}
-	in.rows = nil
+	clear(in.index)
 	in.n = 0
 	in.sorted = nil
 	in.gen++
@@ -485,13 +505,11 @@ func (in *Instance) Contains(t Tuple) bool {
 
 // hasIDs reports whether a row holds exactly ids.
 func (in *Instance) hasIDs(ids []int32) bool {
-	if in.rows == nil {
-		return in.rowOf(ids) >= 0
+	if in.n == 0 {
+		return false
 	}
-	var kb [4 * inlineArity]byte
-	key := AppendIDKey(kb[:0], ids)
-	_, ok := in.rows[string(key)]
-	return ok
+	_, found := in.findIDs(ids)
+	return found
 }
 
 // Len returns the number of tuples.
@@ -542,31 +560,17 @@ func (in *Instance) Clone() *Instance {
 	for c := range in.cols {
 		cp.cols[c] = append([]int32(nil), in.cols[c]...)
 	}
-	if in.rows != nil {
-		cp.rows = make(map[string]int32, len(in.rows))
-		for k, r := range in.rows {
-			cp.rows[k] = r
-		}
-	}
+	cp.index = append([]int32(nil), in.index...)
 	return cp
 }
 
 // SubsetOf reports whether every tuple of in occurs in o. Instances
-// compare by id-keys (every instance shares the process-wide
-// dictionary): through the row maps when both have one, otherwise by
-// probing o with each of in's rows. Neither path touches a shared
-// cache, so it is safe on instances read concurrently.
+// compare by ids (every instance shares the process-wide dictionary):
+// each of in's rows probes o's row index. Neither side's shared caches
+// are touched, so it is safe on instances read concurrently.
 func (in *Instance) SubsetOf(o *Instance) bool {
 	if in.Len() > o.Len() {
 		return false
-	}
-	if in.rows != nil && o.rows != nil {
-		for k := range in.rows {
-			if _, ok := o.rows[k]; !ok {
-				return false
-			}
-		}
-		return true
 	}
 	if len(in.cols) != len(o.cols) {
 		return in.n == 0
@@ -589,27 +593,23 @@ func (in *Instance) Equal(o *Instance) bool {
 }
 
 // Project returns the distinct projections of all tuples onto cols.
-// Duplicate detection reuses the interned ids (one fixed-width key
-// probe per row against a reused scratch buffer) instead of
-// materializing a projected tuple and rebuilding its string key per
-// row.
+// Duplicate detection hashes the projected ids (an IDTupleSet) instead
+// of materializing a projected tuple per row.
 func (in *Instance) Project(cols []int) []Tuple {
-	seen := make(map[string]bool, in.n)
+	seen := NewIDTupleSet(len(cols), 0)
 	vals := shared.Snapshot()
 	out := make([]Tuple, 0, 8)
-	kb := make([]byte, 0, 4*len(cols))
+	ids := make([]int32, len(cols))
 	for r := 0; r < in.n; r++ {
-		kb = kb[:0]
-		for _, c := range cols {
-			kb = appendID(kb, in.cols[c][r])
+		for i, c := range cols {
+			ids[i] = in.cols[c][r]
 		}
-		if seen[string(kb)] {
+		if !seen.Add(ids) {
 			continue
 		}
-		seen[string(kb)] = true
 		p := make(Tuple, len(cols))
-		for i, c := range cols {
-			p[i] = vals[in.cols[c][r]]
+		for i, id := range ids {
+			p[i] = vals[id]
 		}
 		out = append(out, p)
 	}

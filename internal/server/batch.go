@@ -81,12 +81,12 @@ func (s *Server) resolveBatchShared(req *BatchRequest) (*batchShared, error) {
 		if e == nil {
 			return nil, httpErrorf(http.StatusNotFound, "catalog %q is not registered", req.Catalog)
 		}
-		e.mu.RLock()
+		// Parse before locking: e.Schemas is fixed at registration.
 		d, err := textq.ParseFacts(req.DB, e.Schemas)
 		if err != nil {
-			e.mu.RUnlock()
 			return nil, httpErrorf(http.StatusBadRequest, "db: %v", err)
 		}
+		e.mu.RLock()
 		return &batchShared{entry: e, schemas: e.Schemas, d: d, dm: e.Dm, v: e.V,
 			prep: core.Prepare(d, e.Dm, e.V), release: e.mu.RUnlock}, nil
 	}

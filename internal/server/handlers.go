@@ -317,16 +317,21 @@ func (s *Server) resolveWith(req *CheckRequest, residentDefault bool) (*checkInp
 		if e == nil {
 			return nil, httpErrorf(http.StatusNotFound, "catalog %q is not registered", req.Catalog)
 		}
-		// Hold the entry's read side until the check releases it, so a
-		// concurrent mutation cannot patch Dm or V mid-search.
-		e.mu.RLock()
+		// The request's own D parses before the lock (e.Schemas is fixed
+		// at registration), so no mutation waits behind a parse. Then
+		// hold the entry's read side until the check releases it, so a
+		// concurrent mutation cannot patch D, Dm or V mid-search.
 		var d *relation.Database
-		var err error
-		if residentDefault && req.DB == "" {
+		resident := residentDefault && req.DB == ""
+		if !resident {
+			var err error
+			if d, err = textq.ParseFacts(req.DB, e.Schemas); err != nil {
+				return nil, httpErrorf(http.StatusBadRequest, "db: %v", err)
+			}
+		}
+		e.mu.RLock()
+		if resident {
 			d = e.D
-		} else if d, err = textq.ParseFacts(req.DB, e.Schemas); err != nil {
-			e.mu.RUnlock()
-			return nil, httpErrorf(http.StatusBadRequest, "db: %v", err)
 		}
 		q, err := e.Query(req.Query)
 		if err != nil {

@@ -104,16 +104,17 @@ func (s *Server) minePairs(req *MineRequest) ([]mine.Pair, func(), error) {
 	if e == nil {
 		return nil, nil, httpErrorf(http.StatusNotFound, "catalog %q is not registered", req.Catalog)
 	}
-	e.mu.RLock()
+	// Parse before locking: e.Schemas and the e.Dm pointer are fixed at
+	// registration; the lock guards what Dm holds while mining reads it.
 	pairs := make([]mine.Pair, 0, len(req.DBs))
 	for i, src := range req.DBs {
 		d, err := textq.ParseFacts(src, e.Schemas)
 		if err != nil {
-			e.mu.RUnlock()
 			return nil, nil, httpErrorf(http.StatusBadRequest, "dbs[%d]: %v", i, err)
 		}
 		pairs = append(pairs, mine.Pair{D: d, Dm: e.Dm})
 	}
+	e.mu.RLock()
 	return pairs, e.mu.RUnlock, nil
 }
 

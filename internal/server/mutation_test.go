@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -259,4 +260,52 @@ func TestCatalogChecksDuringMutations(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// TestRequestFactsParseOutsideEntryLock holds a catalog entry's write
+// lock, as a mutation does across apply and recheck, and sends each
+// request shape that carries its own facts for that entry with facts
+// that do not parse. The facts are parsed before the entry's read lock
+// is taken, so every request must be answered 400 while the writer
+// still holds the lock.
+func TestRequestFactsParseOutsideEntryLock(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 4})
+	registerMaintainedCRM(t, ts)
+	e := s.catalog.Get("crm")
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	bad := "Supt(e0, sales"
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/rcdp", CheckRequest{Catalog: "crm", DB: bad, Query: exQuery}},
+		{"/v1/approximate", CheckRequest{Catalog: "crm", DB: bad, Query: exQuery}},
+		{"/v1/batch", BatchRequest{Catalog: "crm", DB: bad, Queries: []string{exQuery}}},
+		{"/v1/mine", MineRequest{Catalog: "crm", DBs: []string{bad}}},
+	} {
+		buf, err := json.Marshal(c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		status := make(chan int, 1)
+		go func() {
+			resp, err := http.Post(ts.URL+c.path, "application/json", bytes.NewReader(buf))
+			if err != nil {
+				t.Error(err)
+				status <- 0
+				return
+			}
+			resp.Body.Close()
+			status <- resp.StatusCode
+		}()
+		select {
+		case code := <-status:
+			if code != http.StatusBadRequest {
+				t.Fatalf("%s: status %d, want 400", c.path, code)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: no answer while a writer holds the entry", c.path)
+		}
+	}
 }

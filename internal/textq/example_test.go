@@ -27,14 +27,14 @@ func ExampleParseQuery() {
 	// Q(I) :- Cust(I, A), A = '908'
 }
 
-// ExampleParseDatabase parses dot-terminated fact lines against a
+// ExampleParseFacts parses dot-terminated fact lines against a
 // schema and evaluates a query over the result.
-func ExampleParseDatabase() {
+func ExampleParseFacts() {
 	schemas, err := textq.ParseSchemas(`rel Cust(id, area: {"908", "212"})`)
 	if err != nil {
 		panic(err)
 	}
-	d, err := textq.ParseDatabase(`
+	d, err := textq.ParseFacts(`
 		Cust(c1, "908").
 		Cust(c2, "212").
 	`, schemas)
@@ -58,7 +58,7 @@ func ExampleParseConstraints() {
 	if err != nil {
 		panic(err)
 	}
-	dm, err := textq.ParseDatabase(`MCust(c1, "908").`, schemas)
+	dm, err := textq.ParseFacts(`MCust(c1, "908").`, schemas)
 	if err != nil {
 		panic(err)
 	}

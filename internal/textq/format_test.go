@@ -13,7 +13,7 @@ Supt(e0, sales, c1).
 Supt(e1, marketing, "c 2").
 F(1).
 `
-	d, err := ParseDatabase(src, ss)
+	d, err := ParseFacts(src, ss)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ F(1).
 		}
 	}
 	// database → text → database
-	d2, err := ParseDatabase(FormatDatabase(d), ss2)
+	d2, err := ParseFacts(FormatDatabase(d), ss2)
 	if err != nil {
 		t.Fatalf("db round trip: %v\n%s", err, FormatDatabase(d))
 	}

@@ -103,7 +103,7 @@ func FuzzParseDatabase(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := ParseDatabase(src, ss)
+		d, err := ParseFacts(src, ss)
 		if err != nil {
 			return
 		}
@@ -111,7 +111,7 @@ func FuzzParseDatabase(f *testing.F) {
 			return
 		}
 		out := FormatDatabase(d)
-		d2, err := ParseDatabase(out, ss)
+		d2, err := ParseFacts(out, ss)
 		if err != nil {
 			t.Fatalf("formatted database does not reparse: %v\n%s", err, out)
 		}
@@ -243,7 +243,7 @@ func FuzzParseConstraints(f *testing.F) {
 	f.Add("cc p(C) :- Supt(E, D, C)")
 	f.Fuzz(func(t *testing.T, src string) {
 		ss := fuzzContext(t)
-		dm, err := ParseDatabase("DCust(c1, Ann, 908, 5550001).",
+		dm, err := ParseFacts("DCust(c1, Ann, 908, 5550001).",
 			map[string]*relation.Schema{
 				"DCust": relation.NewSchema("DCust",
 					relation.Attr("cid"), relation.Attr("name"), relation.Attr("ac"), relation.Attr("phn")),

@@ -23,6 +23,13 @@
 //	# relation projection, or "empty" for ⊆ ∅
 //	cc phi0(C) :- Cust(C, N, CC, A, P), Supt(E, D, C), CC = 01 <= DCust[0]
 //	cc phi1()  :- Supt(E, D1, C1), Supt(E, D2, C2), C1 != C2 <= empty
+//
+// Schemas, queries and constraints go through the lexer and the
+// recursive-descent parser. Facts have their own single-pass scanner:
+// ParseFacts is the one fact parser, used for databases and master
+// data alike (ParseProblem, the server's request and mutation bodies,
+// mining evidence). It accepts the fact grammar of the lexer and
+// parser and reports the same errors.
 package textq
 
 import (

@@ -267,46 +267,6 @@ func ParseSchemas(src string) (map[string]*relation.Schema, error) {
 	return out, nil
 }
 
-// ParseDatabase parses fact lines "Name(v, v, …)." over the schemas.
-func ParseDatabase(src string, schemas map[string]*relation.Schema) (*relation.Database, error) {
-	p, err := newParser(src)
-	if err != nil {
-		return nil, err
-	}
-	var ss []*relation.Schema
-	for _, s := range schemas {
-		ss = append(ss, s)
-	}
-	d := relation.NewDatabase(ss...)
-	for p.tok.kind != tokEOF {
-		name, err := p.expect(tokIdent, "relation name")
-		if err != nil {
-			return nil, err
-		}
-		args, err := p.termList()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokDot, "'.'"); err != nil {
-			return nil, err
-		}
-		tup := make(relation.Tuple, len(args))
-		for i, a := range args {
-			// Facts carry constants only; identifiers that look like
-			// variables are read as constants of the same spelling.
-			if a.IsVar {
-				tup[i] = relation.Value(a.Name)
-			} else {
-				tup[i] = a.Val
-			}
-		}
-		if err := d.Add(name.text, tup); err != nil {
-			return nil, err
-		}
-	}
-	return d, nil
-}
-
 // rule is a parsed "Head(args) :- body" line.
 type rule struct {
 	head  query.RelAtom

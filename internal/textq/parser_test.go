@@ -55,7 +55,7 @@ func TestParseSchemasErrors(t *testing.T) {
 
 func TestParseDatabase(t *testing.T) {
 	ss := mustSchemas(t)
-	d, err := ParseDatabase(`
+	d, err := ParseFacts(`
 Supt(e0, sales, c1).
 Supt(e0, sales, "c 2").
 Cust(c1, Ann, 01, 908, 5550001).
@@ -81,7 +81,7 @@ func TestParseDatabaseErrors(t *testing.T) {
 		"F(7).",                // finite-domain violation
 		"Supt(e0, sales, 'c1'", // unterminated
 	} {
-		if _, err := ParseDatabase(src, ss); err == nil {
+		if _, err := ParseFacts(src, ss); err == nil {
 			t.Errorf("accepted bad fact source %q", src)
 		}
 	}
@@ -96,7 +96,7 @@ func TestParseQueryCQ(t *testing.T) {
 	if q.Lang() != qlang.CQ || q.Arity() != 1 {
 		t.Fatalf("lang %v arity %d", q.Lang(), q.Arity())
 	}
-	d, _ := ParseDatabase(`
+	d, _ := ParseFacts(`
 Supt(e0, s, c1).
 Supt(e0, s, c9).
 Supt(e1, s, c2).
@@ -122,7 +122,7 @@ Q(C) :- Supt(E, D, C), E = e1
 	if q.Lang() != qlang.UCQ {
 		t.Fatalf("lang %v", q.Lang())
 	}
-	d, _ := ParseDatabase(`
+	d, _ := ParseFacts(`
 Supt(e0, s, c1).
 Supt(e1, s, c2).
 Supt(e2, s, c3).
@@ -147,7 +147,7 @@ Above(X) :- Up(X, e0)
 	if q.Lang() != qlang.FP {
 		t.Fatalf("lang %v", q.Lang())
 	}
-	d, _ := ParseDatabase(`
+	d, _ := ParseFacts(`
 Manage(e1, e0).
 Manage(e2, e1).
 `, ss)
@@ -179,7 +179,7 @@ func TestParseQueryErrors(t *testing.T) {
 
 func TestParseConstraints(t *testing.T) {
 	ss := mustSchemas(t)
-	dm, err := ParseDatabase(`DCust(c1, Ann, 908, 5550001).`,
+	dm, err := ParseFacts(`DCust(c1, Ann, 908, 5550001).`,
 		map[string]*relation.Schema{
 			"DCust": relation.NewSchema("DCust",
 				relation.Attr("cid"), relation.Attr("name"), relation.Attr("ac"), relation.Attr("phn")),
@@ -197,7 +197,7 @@ cc phi1() :- Supt(E, D1, C1), Supt(E, D2, C2), C1 != C2 <= empty
 	if set.Len() != 2 {
 		t.Fatalf("constraints: %d", set.Len())
 	}
-	d, _ := ParseDatabase(`
+	d, _ := ParseFacts(`
 Cust(c1, Ann, 01, 908, 5550001).
 Supt(e0, s, c1).
 `, ss)

@@ -94,17 +94,3 @@ func ParseProblemData(src ProblemSource) (*Problem, error) {
 	}
 	return &Problem{Schemas: schemas, MasterSchemas: mSchemas, D: d, Dm: dm, V: vset}, nil
 }
-
-// ParseFacts parses a fact list against schemas; an empty source
-// yields an empty database over the schema set (ParseDatabase, by
-// contrast, requires at least the grammar's EOF on a real source).
-func ParseFacts(src string, schemas map[string]*relation.Schema) (*relation.Database, error) {
-	if src == "" {
-		ss := make([]*relation.Schema, 0, len(schemas))
-		for _, s := range schemas {
-			ss = append(ss, s)
-		}
-		return relation.NewDatabase(ss...), nil
-	}
-	return ParseDatabase(src, schemas)
-}
