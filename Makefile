@@ -169,8 +169,9 @@ vuln:
 
 # Native fuzz smoke: each fuzz target runs for a short budget (go test
 # accepts one -fuzz pattern per invocation), catching parser/formatter
-# regressions and server JSON-decoder panics or 5xx answers without a
-# long fuzz session.
+# regressions, server JSON-decoder panics or 5xx answers, and posting-set
+# builds that differ from the reference builder, without a long fuzz
+# session.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/textq/ -run='^$$' -fuzz=FuzzParseSchemas -fuzztime=$(FUZZTIME)
@@ -180,6 +181,7 @@ fuzz-smoke:
 	$(GO) test ./internal/textq/ -run='^$$' -fuzz=FuzzParseConstraints -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/textq/ -run='^$$' -fuzz=FuzzMutationBatch -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mine/ -run='^$$' -fuzz=FuzzMineEvidence -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/relation/ -run='^$$' -fuzz=FuzzPostingSet -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/server/ -run='^$$' -fuzz=FuzzDecoders -fuzztime=$(FUZZTIME)
 
 # Coverage floors for the decision-procedure packages (set ~2 points

@@ -714,14 +714,16 @@ func BenchmarkMine(b *testing.B) {
 	}
 }
 
-// BenchmarkParseFacts parses a request-sized fact list: the D of a
-// CRM scenario with 400 domestic customers at completeness 0.85 (the
-// serving benchmark's catalog workload), in the textq grammar. Its
-// values are interned before the timer starts, as on a warm server.
+// crm400 is the CRM scenario of the serving benchmark's catalog
+// workload: 400 domestic customers at completeness 0.85.
+var crm400 = mdm.Config{Seed: 1, DomesticCustomers: 400, InternationalCustomers: 40,
+	Employees: 40, SupportPerEmployee: 3, MaxSupport: 3, Completeness: 0.85, ManageDepth: 4}
+
+// BenchmarkParseFacts parses a request-sized fact list: the D of
+// crm400, in the textq grammar. Its values are interned before the
+// timer starts, as on a warm server.
 func BenchmarkParseFacts(b *testing.B) {
-	cfg := mdm.Config{Seed: 1, DomesticCustomers: 400, InternationalCustomers: 40,
-		Employees: 40, SupportPerEmployee: 3, MaxSupport: 3, Completeness: 0.85, ManageDepth: 4}
-	src := textq.FormatDatabase(mdm.Generate(cfg).D)
+	src := textq.FormatDatabase(mdm.Generate(crm400).D)
 	schemas := mdm.Schemas()
 	if _, err := textq.ParseFacts(src, schemas); err != nil {
 		b.Fatal(err)
@@ -733,5 +735,33 @@ func BenchmarkParseFacts(b *testing.B) {
 		if _, err := textq.ParseFacts(src, schemas); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkIndexBuild builds the columnar index of crm400's D the way
+// a request that carries D inline does: the rank permutation and
+// rank-ordered columns of every relation, then every column's posting
+// containers. Each iteration indexes fresh clones, made while the
+// timer is stopped.
+func BenchmarkIndexBuild(b *testing.B) {
+	d := mdm.Generate(crm400).D
+	build := func(db *relation.Database) {
+		for _, name := range db.Relations() {
+			ix := db.Instance(name).IDs()
+			for c, col := range ix.Cols() {
+				if len(col) > 0 {
+					ix.Postings(c, col[0])
+				}
+			}
+		}
+	}
+	build(d.Clone())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		db := d.Clone()
+		b.StartTimer()
+		build(db)
 	}
 }

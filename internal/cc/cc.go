@@ -85,12 +85,19 @@ type Constraint struct {
 
 	ind *INDShape // non-nil when the constraint is an IND (set by NewIND or DetectIND)
 
-	// pcache memoizes the master-side projection p(Dm). Dm is immutable
-	// during a Checker run, so the same set is recomputed thousands of
-	// times otherwise; the cache keys on the projected instance's
-	// identity and generation, so out-of-band mutation invalidates it.
-	pcache atomic.Pointer[projCache]
+	// pcache memoizes the master-side projection p(Dm) of the last
+	// pdmSlots master instances, refilled round-robin from pnext. Dm
+	// is immutable during a Checker run, so the same set is recomputed
+	// thousands of times otherwise, and a caller that cycles over a
+	// few Dm's (the miner's evidence pairs) keeps each one warm. Slots
+	// key on the projected instance's identity and generation, so
+	// out-of-band mutation invalidates them.
+	pcache [pdmSlots]atomic.Pointer[projCache]
+	pnext  atomic.Uint32
 }
+
+// pdmSlots is the number of p(Dm) memo slots per constraint.
+const pdmSlots = 4
 
 // projCache is one memoized master-side projection p(Dm), as id tuples
 // over the shared dictionary; see masterCache.
@@ -102,8 +109,8 @@ type projCache struct {
 
 // masterCache returns the memoized p(Dm), keyed per (instance,
 // generation). Stores race benignly under concurrent checkers: every
-// store for one key holds the same set, and a lost overwrite merely
-// recomputes later.
+// store for one key holds the same set, and a lost or overwritten slot
+// merely recomputes later.
 func (c *Constraint) masterCache(dm *relation.Database) *projCache {
 	var in *relation.Instance
 	if !c.P.IsEmptySet() && dm != nil {
@@ -113,7 +120,7 @@ func (c *Constraint) masterCache(dm *relation.Database) *projCache {
 	if in != nil {
 		gen = in.Generation()
 	}
-	if p := c.pcache.Load(); p != nil && p.inst == in && p.gen == gen {
+	if _, p := c.cachedProjection(in, gen); p != nil {
 		obs.PDmHits.Inc()
 		return p
 	}
@@ -128,8 +135,19 @@ func (c *Constraint) masterCache(dm *relation.Database) *projCache {
 	} else {
 		pc.rhsIDs = in.ProjectIDSet(c.P.Cols)
 	}
-	c.pcache.Store(pc)
+	c.pcache[(c.pnext.Add(1)-1)%pdmSlots].Store(pc)
 	return pc
+}
+
+// cachedProjection returns the memo slot holding p(Dm) for instance in
+// at generation gen, and its entry (-1 and nil when no slot does).
+func (c *Constraint) cachedProjection(in *relation.Instance, gen uint64) (int, *projCache) {
+	for i := range c.pcache {
+		if p := c.pcache[i].Load(); p != nil && p.inst == in && p.gen == gen {
+			return i, p
+		}
+	}
+	return -1, nil
 }
 
 // MasterIDs returns p(Dm) as id tuples over the shared dictionary,

@@ -7,7 +7,7 @@ import (
 
 // Incremental maintenance of the p(Dm) memo under master-data batches.
 //
-// The memo in Constraint.pcache keys on (instance identity, generation),
+// The memo slots in Constraint.pcache key on (instance identity, generation),
 // so any out-of-band mutation already invalidates it lazily: the next
 // masterCache call sees the generation mismatch and rebuilds. What that
 // leaves on the table is the warm-cache property after a small
@@ -57,8 +57,8 @@ func (c *Constraint) patchMaster(dm *relation.Database, patches map[string]Maste
 	if in == nil {
 		return
 	}
-	old := c.pcache.Load()
-	if old == nil || old.inst != in || old.gen != patch.PreGen {
+	slot, old := c.cachedProjection(in, patch.PreGen)
+	if old == nil {
 		return // no memo, or stale before the batch: leave to lazy rebuild
 	}
 	if in.Generation() == patch.PreGen {
@@ -82,7 +82,7 @@ func (c *Constraint) patchMaster(dm *relation.Database, patches map[string]Maste
 		}
 		rhsIDs.Add(ids)
 	}
-	c.pcache.Store(&projCache{inst: in, gen: in.Generation(), rhsIDs: rhsIDs})
+	c.pcache[slot].Store(&projCache{inst: in, gen: in.Generation(), rhsIDs: rhsIDs})
 	obs.PDmPatches.Inc()
 }
 

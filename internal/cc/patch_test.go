@@ -114,14 +114,17 @@ func TestPatchMasterSelective(t *testing.T) {
 	}
 	// Patch addressed to a relation neither memo projects: both stay.
 	set.PatchMaster(dm, map[string]MasterPatch{"Unrelated": {PreGen: pre, Inserted: ins}})
-	if other.pcache.Load() != before || phi.pcache.Load() == nil {
+	dcust := dm.Instance("DCust")
+	if _, pc := other.cachedProjection(dcust, pre); pc != before {
 		t.Fatal("memo over an untouched relation was replaced")
+	}
+	if _, pc := phi.cachedProjection(dcust, pre); pc == nil {
+		t.Fatal("memo over an untouched relation was dropped")
 	}
 	// Patch addressed to DCust updates both constraints projecting it.
 	set.PatchMaster(dm, map[string]MasterPatch{"DCust": {PreGen: pre, Inserted: ins}})
 	for _, c := range set.Constraints {
-		pc := c.pcache.Load()
-		if pc == nil || pc.gen != dm.Instance("DCust").Generation() {
+		if _, pc := c.cachedProjection(dcust, dcust.Generation()); pc == nil {
 			t.Fatalf("constraint %s memo not advanced", c.Name)
 		}
 	}
@@ -212,5 +215,29 @@ func TestPatchMasterMatchesRebuildRandom(t *testing.T) {
 				t.Fatalf("cols %v batch %d: patched set (%d tuples) differs from the rebuilt one (%d)", cols, batch, warm.rhsIDs.Len(), cold.rhsIDs.Len())
 			}
 		}
+	}
+}
+
+// TestMasterCacheAlternatingDm pins the memo's slots: a constraint
+// checked against two master databases in turn, as the miner scores a
+// candidate on each of its evidence pairs, builds p(Dm) once per
+// database and hits on every later switch.
+func TestMasterCacheAlternatingDm(t *testing.T) {
+	_, dm1 := crmSchemas()
+	dm1.MustAdd("DCust", "c1", "Ann", "908", "5550001")
+	_, dm2 := crmSchemas()
+	dm2.MustAdd("DCust", "c2", "Eve", "973", "5550002")
+	phi := phi0()
+	first := map[*relation.Database]*projCache{dm1: phi.masterCache(dm1), dm2: phi.masterCache(dm2)}
+	hits0, misses0 := obs.PDmHits.Value(), obs.PDmMisses.Value()
+	for i := 0; i < 6; i++ {
+		for _, dm := range []*relation.Database{dm1, dm2} {
+			if pc := phi.masterCache(dm); pc != first[dm] {
+				t.Fatalf("round %d: p(Dm) rebuilt on a switch of Dm", i)
+			}
+		}
+	}
+	if hits, misses := obs.PDmHits.Value()-hits0, obs.PDmMisses.Value()-misses0; hits < 12 || misses != 0 {
+		t.Fatalf("alternating Dm: %d hits, %d misses; want 12 hits, 0 misses", hits, misses)
 	}
 }

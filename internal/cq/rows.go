@@ -43,22 +43,17 @@ func (r *DeltaRows) Len() int { return r.n }
 
 // DeltaRowsOf reads the instances of delta, empty ones included, into
 // a fresh DeltaRows: an instance's index view already holds its rows
-// deduplicated and in value order, so they are copied as they are.
-// Each column's distinct ids are counted on a sorted scratch copy; the
-// view's own count would build the column's posting containers, which
-// nothing reads here.
+// deduplicated and in value order, and its distinct counts, so they
+// are copied as they are.
 func DeltaRowsOf(delta *relation.Database) *DeltaRows {
 	r := &DeltaRows{}
-	var scratch []int32
 	for _, name := range delta.Relations() {
 		ix := delta.Instance(name).IDs()
 		cols := ix.Cols()
 		dr := r.group(name, len(cols), ix.Rows())
 		for c, col := range cols {
 			copy(dr.cols[c], col)
-			scratch = append(scratch[:0], col...)
-			slices.Sort(scratch)
-			dr.distinct[c] = len(slices.Compact(scratch))
+			dr.distinct[c] = ix.Distinct(c)
 		}
 		dr.n = ix.Rows()
 		r.n += dr.n

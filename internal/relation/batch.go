@@ -2,7 +2,9 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 )
 
@@ -169,21 +171,22 @@ func (in *Instance) insertBatch(ts []Tuple) int {
 // merging the previous generation's rank permutation (rows < n0, whose
 // numbers an insert-only batch never changes) with the newly appended
 // rows [n0, in.n), sorted among themselves — O((n+b)·arity) id
-// comparisons instead of the O(n log n) re-sort of buildPostingBase.
-// Per-column posting containers rebuild lazily on demand, as always.
+// comparisons instead of a full rebuild by buildPostingBase. The
+// distinct counts are retaken on sorted copies; per-column posting
+// containers rebuild lazily on demand, as always.
 func (in *Instance) mergePostings(old *postingSet, n0 int) *postingSet {
 	vals := shared.Snapshot()
 	fresh := make([]int32, in.n-n0)
 	for i := range fresh {
 		fresh[i] = int32(n0 + i)
 	}
-	sort.Slice(fresh, func(i, j int) bool { return in.rowLess(vals, fresh[i], fresh[j]) })
+	slices.SortFunc(fresh, func(a, b int32) int { return in.rowCompare(vals, a, b) })
 	rank := make([]int32, 0, in.n)
 	oi, fi := 0, 0
 	for oi < len(old.rank) && fi < len(fresh) {
 		// The dictionary is injective and rows are deduplicated, so two
 		// distinct rows never compare equal; strict less suffices.
-		if in.rowLess(vals, old.rank[oi], fresh[fi]) {
+		if in.rowCompare(vals, old.rank[oi], fresh[fi]) < 0 {
 			rank = append(rank, old.rank[oi])
 			oi++
 		} else {
@@ -196,22 +199,21 @@ func (in *Instance) mergePostings(old *postingSet, n0 int) *postingSet {
 	return in.postingSetForRank(rank)
 }
 
-// rowLess orders two rows of an interned instance by their value
+// rowCompare orders two rows of an interned instance by their value
 // strings, exactly as Tuple.Less orders the materialized tuples.
-func (in *Instance) rowLess(vals []Value, r1, r2 int32) bool {
+func (in *Instance) rowCompare(vals []Value, r1, r2 int32) int {
 	for c := range in.cols {
 		if a, b := in.cols[c][r1], in.cols[c][r2]; a != b {
-			return vals[a] < vals[b]
+			return strings.Compare(string(vals[a]), string(vals[b]))
 		}
 	}
-	return false
+	return 0
 }
 
 // postingSetForRank materializes the posting set for the current
 // generation from a precomputed rank permutation, following the same
 // small-instance conventions as buildPostingBase (n ≤ 1 aliases the
-// live columns; container slots only above smallIndexRows, distinct
-// counts only at or below it).
+// live columns; container slots only above smallIndexRows).
 func (in *Instance) postingSetForRank(rank []int32) *postingSet {
 	n, arity := in.n, len(in.cols)
 	if n <= 1 {
@@ -220,8 +222,6 @@ func (in *Instance) postingSetForRank(rank []int32) *postingSet {
 	ps := &postingSet{gen: in.gen, rank: rank, scols: make([][]int32, arity)}
 	if n > smallIndexRows {
 		ps.cols = make([]atomic.Pointer[postingCol], arity)
-		ps.fillCols(in, make([]int32, n*arity))
-		return ps
 	}
 	buf := make([]int32, (n+1)*arity)
 	ps.fillCols(in, buf[:n*arity])

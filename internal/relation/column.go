@@ -3,7 +3,7 @@ package relation
 import (
 	"math/bits"
 	"slices"
-	"sort"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -79,9 +79,9 @@ type postingSet struct {
 	rank  []int32                      // rank (sorted position) -> row
 	scols [][]int32                    // [col][rank] -> id, in rank order
 	cols  []atomic.Pointer[postingCol] // lazily built per-column postings
-	// distinct counts the distinct ids per column of a set of 2 to
-	// smallIndexRows rows, which has no posting containers to read the
-	// count from (nil otherwise).
+	// distinct counts the distinct ids per column, taken when the set
+	// is built (nil for sets of 0 or 1 rows), so the join planner's
+	// selectivity statistic never builds posting containers.
 	distinct []int32
 }
 
@@ -92,11 +92,11 @@ type postingSet struct {
 // Instance.Tuples scan — the property every enumeration-order-sensitive
 // observation downstream relies on.
 type postingCol struct {
-	ids    []int32 // all distinct ids of the column, ascending
-	counts []int32 // counts[i] = frequency of ids[i]
-	offs   []int32 // offs[i] = start into ranks, or -1 for a Bitset
-	ranks  []int32 // concatenated rank arrays of the sparse ids
-	dense  map[int32]*Bitset
+	ids    []int32   // all distinct ids of the column, ascending
+	counts []int32   // counts[i] = frequency of ids[i]
+	offs   []int32   // offs[i] = start into ranks, or -1 for a Bitset
+	ranks  []int32   // concatenated rank arrays of the sparse ids
+	dense  []*Bitset // dense[i] is ids[i]'s Bitset (nil: no dense ids)
 }
 
 // denseWorthy decides the array-vs-bitmap switch-over: a value needs
@@ -115,14 +115,6 @@ type Postings struct {
 	Bits  *Bitset
 	N     int32
 }
-
-// ordSortMinRows is the row count above which the rank sort goes
-// through per-column order codes (one string sort per distinct value
-// set, then integer row comparisons) instead of comparing value strings
-// per row pair. Smaller instances — toy and test relations, the
-// candidate databases and instantiation fragments of RCQP, bounded
-// RCDP's extensions — skip the order-code allocation entirely.
-const ordSortMinRows = 64
 
 // ensurePostings returns the posting set for the current generation,
 // building and publishing it on first use. Publication uses
@@ -177,56 +169,111 @@ func (in *Instance) buildPostingBase() *postingSet {
 	if n <= smallIndexRows {
 		return in.buildSmallPostingBase()
 	}
+	backing := make([]int32, (n+1)*arity)
 	ps := &postingSet{
-		gen:   in.gen,
-		rank:  make([]int32, n),
-		scols: make([][]int32, arity),
-		cols:  make([]atomic.Pointer[postingCol], arity),
+		gen:      in.gen,
+		scols:    make([][]int32, arity),
+		cols:     make([]atomic.Pointer[postingCol], arity),
+		distinct: backing[n*arity:],
 	}
-	for r := range ps.rank {
-		ps.rank[r] = int32(r)
-	}
+	ps.rank = in.sortRows(backing[:n*arity], ps.distinct)
+	ps.fillCols(in, backing[:n*arity])
+	return ps
+}
+
+// sortRows returns the rank permutation of an instance above
+// smallIndexRows and fills distinct with each column's distinct-id
+// count, using codes (n ids per column) as scratch. Each column's rows
+// are grouped by id with one integer sort of id<<32|row; only the
+// column's distinct ids are sorted by value, which gives every row a
+// dense order code. The rows are then ordered by stable counting sorts
+// over the codes, last column first, each O(n + distinct). A column
+// with a distinct id per row orders the rows by itself, so its codes
+// place the rows directly and the columns after it are only counted.
+func (in *Instance) sortRows(codes, distinct []int32) []int32 {
+	n, arity := in.n, len(in.cols)
 	vals := shared.Snapshot()
-	if arity > 0 {
-		if n < ordSortMinRows {
-			sort.Slice(ps.rank, func(i, j int) bool {
-				return in.rowLess(vals, ps.rank[i], ps.rank[j])
-			})
-		} else {
-			ords := make([][]int32, arity)
-			for c := 0; c < arity; c++ {
-				col := in.cols[c]
-				idOrd := make(map[int32]int32, 64)
-				for _, id := range col {
-					idOrd[id] = 0
-				}
-				ids := make([]int32, 0, len(idOrd))
-				for id := range idOrd {
-					ids = append(ids, id)
-				}
-				sort.Slice(ids, func(i, j int) bool { return vals[ids[i]] < vals[ids[j]] })
-				for o, id := range ids {
-					idOrd[id] = int32(o)
-				}
-				oc := make([]int32, n)
-				for r, id := range col {
-					oc[r] = idOrd[id]
-				}
-				ords[c] = oc
+	keys := make([]uint64, n)
+	var gids, byVal []int32
+	last := arity - 1 // the last column whose codes order the rows
+	for c := 0; c < arity; c++ {
+		code := codes[c*n : (c+1)*n]
+		if c > last {
+			copy(code, in.cols[c])
+			slices.Sort(code)
+			distinct[c] = int32(len(slices.Compact(code)))
+			continue
+		}
+		for r, id := range in.cols[c] {
+			keys[r] = uint64(uint32(id))<<32 | uint64(r)
+		}
+		slices.Sort(keys)
+		gids = gids[:0]
+		for i, key := range keys {
+			if i == 0 || key>>32 != keys[i-1]>>32 {
+				gids = append(gids, int32(key>>32))
 			}
-			sort.Slice(ps.rank, func(i, j int) bool {
-				ri, rj := ps.rank[i], ps.rank[j]
-				for c := 0; c < arity; c++ {
-					if a, b := ords[c][ri], ords[c][rj]; a != b {
-						return a < b
-					}
-				}
-				return false
-			})
+		}
+		k := len(gids)
+		distinct[c] = int32(k)
+		// byVal lists the groups in value order; gids is then reused
+		// as each group's order code.
+		byVal = slices.Grow(byVal[:0], k)[:k]
+		for g := range byVal {
+			byVal[g] = int32(g)
+		}
+		slices.SortFunc(byVal, func(a, b int32) int {
+			return strings.Compare(string(vals[gids[a]]), string(vals[gids[b]]))
+		})
+		for o, g := range byVal {
+			gids[g] = int32(o)
+		}
+		g := -1
+		for i, key := range keys {
+			if i == 0 || key>>32 != keys[i-1]>>32 {
+				g++
+			}
+			code[uint32(key)] = gids[g]
+		}
+		if k == n {
+			last = c
 		}
 	}
-	ps.fillCols(in, make([]int32, n*arity))
-	return ps
+	rank := make([]int32, n)
+	from := last
+	if int(distinct[last]) == n {
+		for r, o := range codes[last*n : (last+1)*n] {
+			rank[o] = int32(r)
+		}
+		from--
+	} else {
+		for r := range rank {
+			rank[r] = int32(r)
+		}
+	}
+	if from < 0 {
+		return rank
+	}
+	tmp := make([]int32, n)
+	var count []int32
+	for c := from; c >= 0; c-- {
+		code := codes[c*n : (c+1)*n]
+		count = slices.Grow(count[:0], int(distinct[c])+1)[:distinct[c]+1]
+		clear(count)
+		for _, o := range code {
+			count[o+1]++
+		}
+		for o := 1; o < len(count); o++ {
+			count[o] += count[o-1]
+		}
+		for _, r := range rank {
+			o := code[r]
+			tmp[count[o]] = r
+			count[o]++
+		}
+		rank, tmp = tmp, rank
+	}
+	return rank
 }
 
 // buildSmallPostingBase is buildPostingBase for 2..smallIndexRows rows,
@@ -234,7 +281,7 @@ func (in *Instance) buildPostingBase() *postingSet {
 // hard-search relations: the rank permutation, the rank-ordered columns
 // and the distinct counts share one allocation, and the rows are
 // ordered by insertion sort. Rows are distinct and the dictionary is
-// injective, so rowLess is a total order and the permutation is the
+// injective, so rowCompare is a total order and the permutation is the
 // one any sort produces.
 func (in *Instance) buildSmallPostingBase() *postingSet {
 	n, arity := in.n, len(in.cols)
@@ -243,7 +290,7 @@ func (in *Instance) buildSmallPostingBase() *postingSet {
 	vals := shared.Snapshot()
 	for r := 0; r < n; r++ {
 		k := r
-		for ; k > 0 && in.rowLess(vals, int32(r), ps.rank[k-1]); k-- {
+		for ; k > 0 && in.rowCompare(vals, int32(r), ps.rank[k-1]) < 0; k-- {
 			ps.rank[k] = ps.rank[k-1]
 		}
 		ps.rank[k] = int32(r)
@@ -254,11 +301,19 @@ func (in *Instance) buildSmallPostingBase() *postingSet {
 }
 
 // countDistinct fills dst (one slot per column) with the distinct-id
-// counts of a small set's columns and keeps it as ps.distinct: the
-// join planner asks for them on every probe of the instance, so they
-// are counted once per generation, not per probe.
+// counts of the set's columns and keeps it as ps.distinct: the join
+// planner asks for them on every probe of the instance, so they are
+// counted once per generation, not per probe. Columns above
+// smallIndexRows are counted on a sorted copy.
 func (ps *postingSet) countDistinct(dst []int32) {
+	var scratch []int32
 	for c, sc := range ps.scols {
+		if len(sc) > smallIndexRows {
+			scratch = append(scratch[:0], sc...)
+			slices.Sort(scratch)
+			dst[c] = int32(len(slices.Compact(scratch)))
+			continue
+		}
 		n := int32(0)
 		for i, id := range sc {
 			if !slices.Contains(sc[:i], id) {
@@ -292,7 +347,7 @@ func (in *Instance) postingColFor(ps *postingSet, col int) *postingCol {
 	if pc := ps.cols[col].Load(); pc != nil {
 		return pc
 	}
-	pc := buildPostingCol(ps.scols[col], in.n)
+	pc := buildPostingCol(ps.scols[col], int(ps.distinct[col]))
 	ps.cols[col].CompareAndSwap(nil, pc)
 	if pub := ps.cols[col].Load(); pub != nil {
 		return pub
@@ -300,48 +355,55 @@ func (in *Instance) postingColFor(ps *postingSet, col int) *postingCol {
 	return pc
 }
 
-// buildPostingCol groups the rank-ordered id slice of one column into
-// per-id containers. Iterating sc in ascending rank order makes every
-// rank array ascending by construction.
-func buildPostingCol(sc []int32, n int) *postingCol {
+// buildPostingCol groups the rank-ordered id slice of one column,
+// which holds k distinct ids, into per-id containers. One integer sort
+// of id<<32|rank groups the ranks by id, ascending within each group,
+// so ids, counts, offsets and rank arrays fill in linear passes.
+func buildPostingCol(sc []int32, k int) *postingCol {
 	obs.IndexBuilds.Inc()
-	counts := make(map[int32]int32, 64)
-	for _, id := range sc {
-		counts[id]++
+	n := len(sc)
+	keys := make([]uint64, n)
+	for r, id := range sc {
+		keys[r] = uint64(uint32(id))<<32 | uint64(r)
 	}
-	ids := make([]int32, 0, len(counts))
-	for id := range counts {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	pc := &postingCol{ids: ids, counts: make([]int32, len(ids)), offs: make([]int32, len(ids))}
-	slot := make(map[int32]int32, len(ids))
+	slices.Sort(keys)
+	buf := make([]int32, 3*k)
+	pc := &postingCol{ids: buf[:k:k], counts: buf[k : 2*k : 2*k], offs: buf[2*k:]}
 	arrTotal := int32(0)
-	for i, id := range ids {
-		c := counts[id]
-		pc.counts[i] = c
-		slot[id] = int32(i)
+	for i, g := 0, 0; i < n; g++ {
+		j := i + 1
+		for j < n && keys[j]>>32 == keys[i]>>32 {
+			j++
+		}
+		c := int32(j - i)
+		pc.ids[g], pc.counts[g] = int32(keys[i]>>32), c
 		if denseWorthy(c, n) {
-			pc.offs[i] = -1
-			if pc.dense == nil {
-				pc.dense = make(map[int32]*Bitset)
-			}
-			pc.dense[id] = newBitset(n)
+			pc.offs[g] = -1
 		} else {
-			pc.offs[i] = arrTotal
+			pc.offs[g] = arrTotal
 			arrTotal += c
 		}
+		i = j
 	}
 	pc.ranks = make([]int32, arrTotal)
-	cur := append([]int32(nil), pc.offs...)
-	for k, id := range sc {
-		i := slot[id]
-		if pc.offs[i] < 0 {
-			pc.dense[id].set(int32(k))
+	i := 0
+	for g, c := range pc.counts {
+		group := keys[i : i+int(c)]
+		i += int(c)
+		if off := pc.offs[g]; off >= 0 {
+			for x, key := range group {
+				pc.ranks[off+int32(x)] = int32(uint32(key))
+			}
 			continue
 		}
-		pc.ranks[cur[i]] = int32(k)
-		cur[i]++
+		if pc.dense == nil {
+			pc.dense = make([]*Bitset, k)
+		}
+		b := newBitset(n)
+		for _, key := range group {
+			b.set(int32(uint32(key)))
+		}
+		pc.dense[g] = b
 	}
 	return pc
 }
@@ -349,12 +411,12 @@ func buildPostingCol(sc []int32, n int) *postingCol {
 // postings returns the container of one id, or an empty Postings when
 // the id does not occur in the column.
 func (pc *postingCol) postings(id int32) Postings {
-	i := sort.Search(len(pc.ids), func(i int) bool { return pc.ids[i] >= id })
-	if i >= len(pc.ids) || pc.ids[i] != id {
+	i, found := slices.BinarySearch(pc.ids, id)
+	if !found {
 		return Postings{}
 	}
 	if pc.offs[i] < 0 {
-		return Postings{Bits: pc.dense[id], N: pc.counts[i]}
+		return Postings{Bits: pc.dense[i], N: pc.counts[i]}
 	}
 	return Postings{Ranks: pc.ranks[pc.offs[i] : pc.offs[i]+pc.counts[i]], N: pc.counts[i]}
 }
@@ -408,17 +470,10 @@ func (ix IDIndex) Distinct(c int) int {
 	if c < 0 || c >= len(ix.ps.scols) {
 		return 0
 	}
-	if ix.Small() {
-		if ix.ps.distinct == nil {
-			return ix.Rows() // 0 or 1 rows: n ≤ 1 sets keep no counts
-		}
-		return int(ix.ps.distinct[c])
+	if ix.ps.distinct == nil {
+		return ix.Rows() // 0 or 1 rows: n ≤ 1 sets keep no counts
 	}
-	pc := ix.in.postingColFor(ix.ps, c)
-	if pc == nil {
-		return 0
-	}
-	return len(pc.ids)
+	return int(ix.ps.distinct[c])
 }
 
 // ProjectIDSet returns the distinct projections of the instance onto

@@ -2,7 +2,7 @@ package relation
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -168,7 +168,7 @@ func (d *Dict) sortOrder() *dictOrder {
 	for i := range fresh.byRank {
 		fresh.byRank[i] = int32(i)
 	}
-	sort.Slice(fresh.byRank, func(i, j int) bool { return vals[fresh.byRank[i]] < vals[fresh.byRank[j]] })
+	slices.SortFunc(fresh.byRank, func(a, b int32) int { return strings.Compare(string(vals[a]), string(vals[b])) })
 	d.order.Store(fresh)
 	return fresh
 }
