@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/automata"
@@ -546,12 +547,52 @@ func tableIncremental(quick bool) error {
 	if !decided {
 		return nil
 	}
-	if reuse.dur*5 > cold.dur {
-		return fmt.Errorf("incremental: reused recheck (%v) is not ≥5× faster than cold RCDP (%v)",
-			reuse.dur, cold.dur)
+	// The speedup gate compares medians over speedupReps timings of each
+	// side, so one host stall during a ~20 µs call cannot fail it. Every
+	// cold timing runs a fresh query on a freshly built scenario, as the
+	// first did; the reused side repeats the duplicate batch, a no-op
+	// that must keep passing the invisibility gate.
+	colds, reuses := []time.Duration{cold.dur}, []time.Duration{reuse.dur}
+	for len(colds) < speedupReps {
+		s3, v3 := build()
+		c, err := timed(func() error {
+			_, e := checker.RCDPCtx(context.Background(), mdm.Q0("908"), s3.D, s3.Dm, v3)
+			return e
+		})
+		if err != nil {
+			return err
+		}
+		r, err := timed(func() error {
+			var e error
+			_, reused, e = checker.RecheckDeltaCtx(context.Background(), q, s.D, s.Dm, vset, res2, dlDup)
+			return e
+		})
+		if err != nil {
+			return err
+		}
+		if !reused {
+			return fmt.Errorf("incremental: repeated duplicate master batch missed the invisibility gate")
+		}
+		colds, reuses = append(colds, c.dur), append(reuses, r.dur)
 	}
-	row("gate-hit speedup: %.0f× over cold", float64(cold.dur)/float64(reuse.dur))
+	coldMed, reuseMed := median(colds), median(reuses)
+	if reuseMed*5 > coldMed {
+		return fmt.Errorf("incremental: reused recheck (median %v) is not ≥5× faster than cold RCDP (median %v) over %d timings",
+			reuseMed, coldMed, speedupReps)
+	}
+	row("gate-hit speedup: %.0f× over cold (medians of %d)", float64(coldMed)/float64(reuseMed), speedupReps)
 	return nil
+}
+
+// speedupReps is how many timings of each side the incremental
+// series' speedup gate takes the median of.
+const speedupReps = 7
+
+// median returns the middle of ds (the upper middle for an even count).
+func median(ds []time.Duration) time.Duration {
+	s := slices.Clone(ds)
+	slices.Sort(s)
+	return s[len(s)/2]
 }
 
 // ---------------------------------------------------------------------

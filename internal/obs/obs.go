@@ -250,6 +250,12 @@ var (
 	// leading saturation indicator, visible before 429s start.
 	ServeQueueOccupancy = NewGauge("relserve_queue_occupancy",
 		"admitted completeness-service requests waiting for a worker slot")
+	// CatalogLockWait is the histogram of time spent waiting for a
+	// catalog entry's lock, read or write side: by checks, batches and
+	// mining before they read the entry, and by mutations before they
+	// apply or publish.
+	CatalogLockWait = NewHistogram("relcomp_catalog_lock_wait_seconds",
+		"wait for a catalog entry's lock", DefBuckets)
 	// RouteRequests counts router-mode forwards by backend.
 	RouteRequests = NewCounterVec("relserve_route_requests_total",
 		"router-mode requests forwarded, by backend", "backend")

@@ -86,7 +86,7 @@ func (s *Server) resolveBatchShared(req *BatchRequest) (*batchShared, error) {
 		if err != nil {
 			return nil, httpErrorf(http.StatusBadRequest, "db: %v", err)
 		}
-		e.mu.RLock()
+		e.rlock()
 		return &batchShared{entry: e, schemas: e.Schemas, d: d, dm: e.Dm, v: e.V,
 			prep: core.Prepare(d, e.Dm, e.V), release: e.mu.RUnlock}, nil
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/cc"
 	"repro/internal/obs"
@@ -27,8 +28,10 @@ import (
 // database D, which the mutation endpoints (mutation.go) patch in
 // place; watched queries maintain their verdicts across those
 // mutations. mu orders the mutations against the checks that read the
-// shared objects: a mutation holds the write side across apply+recheck,
-// every resolved check holds the read side across its run.
+// shared objects: every resolved check holds the read side across its
+// run, and a mutation holds the write side only to apply its batch and,
+// later, to publish the maintained verdicts it rechecked under the read
+// side (Entry.Mutate).
 type Entry struct {
 	Name          string
 	Schemas       map[string]*relation.Schema
@@ -42,8 +45,15 @@ type Entry struct {
 	D *relation.Database
 
 	// mu guards D, Dm, V and the maintained-verdict state below against
-	// concurrent mutation.
+	// concurrent mutation. Take it through lock and rlock, which record
+	// the wait.
 	mu sync.RWMutex
+	// maint makes mutations and Watch run one at a time, so verdicts
+	// are rechecked and published in the order batches are applied.
+	maint sync.Mutex
+	// inRecheck, when non-nil, runs in Mutate's recheck phase with the
+	// read side of mu held. Tests use it to park a mutation there.
+	inRecheck func()
 
 	// watched (registration order), verdicts, version and changed form
 	// the maintained verdict cache: version counts bumps, and changed is
@@ -54,6 +64,22 @@ type Entry struct {
 	changed  chan struct{}
 
 	queries queryCache
+}
+
+// lock takes the write side of e.mu, recording the wait in
+// obs.CatalogLockWait.
+func (e *Entry) lock() {
+	start := time.Now()
+	e.mu.Lock()
+	obs.CatalogLockWait.Observe(time.Since(start).Seconds())
+}
+
+// rlock takes the read side of e.mu, recording the wait in
+// obs.CatalogLockWait.
+func (e *Entry) rlock() {
+	start := time.Now()
+	e.mu.RLock()
+	obs.CatalogLockWait.Observe(time.Since(start).Seconds())
 }
 
 // Query returns the parsed (and therefore compiled-tableau-sharing)

@@ -329,7 +329,7 @@ func (s *Server) resolveWith(req *CheckRequest, residentDefault bool) (*checkInp
 				return nil, httpErrorf(http.StatusBadRequest, "db: %v", err)
 			}
 		}
-		e.mu.RLock()
+		e.rlock()
 		if resident {
 			d = e.D
 		}
@@ -576,7 +576,7 @@ func (s *Server) catalogHandler(w http.ResponseWriter, r *http.Request) {
 		}
 		if len(req.Queries) > 0 {
 			ck := &core.Checker{Workers: s.cfg.CheckWorkers, Budget: s.effectiveBudget(nil)}
-			if err := e.Watch(r.Context(), ck, req.Queries); err != nil {
+			if err := e.Watch(r.Context(), ck, s.workers, req.Queries); err != nil {
 				s.catalog.drop(req.Name)
 				writeError(w, id, http.StatusBadRequest, "%v", err)
 				return

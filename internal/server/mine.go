@@ -114,7 +114,7 @@ func (s *Server) minePairs(req *MineRequest) ([]mine.Pair, func(), error) {
 		}
 		pairs = append(pairs, mine.Pair{D: d, Dm: e.Dm})
 	}
-	e.mu.RLock()
+	e.rlock()
 	return pairs, e.mu.RUnlock, nil
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -28,6 +30,11 @@ import (
 // otherwise. GET /v1/catalog/{name}/verdicts reads (and optionally
 // long-polls) the maintained verdicts, so clients observe flips without
 // re-posting checks.
+//
+// A mutation takes the entry's write lock only to apply its batch and
+// to publish the result. The rechecks in between hold the read lock, so
+// the entry's checks keep running beside them, and they run in
+// parallel, up to the server's admission width (Config.Workers).
 
 // watchedVerdict is the maintained state of one watched query.
 type watchedVerdict struct {
@@ -93,15 +100,20 @@ type mutationOutcome struct {
 // Watch seeds maintained verdicts for queries against the entry's
 // resident database. Queries already watched are kept as they are;
 // like the exact check endpoints, non-monotone queries are refused
-// (the maintained verdict would be undecidable).
-func (e *Entry) Watch(ctx context.Context, ck *core.Checker, queries []string) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	prep := core.Prepare(e.D, e.Dm, e.V)
+// (the maintained verdict would be undecidable). The first checks run
+// like a mutation's rechecks: in parallel under the read side of e.mu,
+// published under the write side. Nothing is watched unless every
+// query checks.
+func (e *Entry) Watch(ctx context.Context, ck *core.Checker, workers int, queries []string) error {
+	e.maint.Lock()
+	defer e.maint.Unlock()
+	var fresh []*watchedVerdict
+	seen := make(map[string]bool, len(queries))
 	for _, src := range queries {
-		if _, ok := e.verdicts[src]; ok {
+		if _, ok := e.verdicts[src]; ok || seen[src] {
 			continue
 		}
+		seen[src] = true
 		q, err := e.Query(src)
 		if err != nil {
 			return fmt.Errorf("watch query %q: %w", src, err)
@@ -109,12 +121,22 @@ func (e *Entry) Watch(ctx context.Context, ck *core.Checker, queries []string) e
 		if !q.Lang().Monotone() || !e.V.AllMonotone() {
 			return fmt.Errorf("watch query %q: undecidable fragment", src)
 		}
-		res, err := ck.RCDPPreparedCtx(ctx, q, prep)
+		fresh = append(fresh, &watchedVerdict{src: src, q: q})
+	}
+	e.rlock()
+	results, errs := e.checkAll(ctx, ck, workers, fresh)
+	e.mu.RUnlock()
+	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("watch query %q: %w", src, err)
+			return fmt.Errorf("watch query %q: %w", fresh[i].src, err)
 		}
-		e.watched = append(e.watched, src)
-		e.verdicts[src] = &watchedVerdict{src: src, q: q, prev: res}
+	}
+	e.lock()
+	defer e.mu.Unlock()
+	for i, wv := range fresh {
+		wv.prev = results[i]
+		e.watched = append(e.watched, wv.src)
+		e.verdicts[wv.src] = wv
 	}
 	e.bump()
 	return nil
@@ -136,49 +158,113 @@ func (e *Entry) bump() {
 // rerun cold over the incrementally patched data. An apply error (e.g.
 // arity mismatch) leaves the entry unchanged; a recheck error keeps the
 // batch applied (it already happened), resets that query's verdict to
-// stale and is reported after the remaining queries are maintained.
-func (e *Entry) Mutate(ctx context.Context, ck *core.Checker, dl *core.Delta) (mutationOutcome, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// stale and is reported, first in watch order, after the remaining
+// queries are maintained.
+//
+// Mutations run one at a time (e.maint). Each holds the write side of
+// e.mu twice, briefly: to gate and apply the batch, so no check sees it
+// half applied, and to publish the new verdicts and version. The reuse
+// decisions and the cold rechecks run in between under the read side,
+// beside the entry's checks, spread over at most workers goroutines.
+// Until the publish, the verdicts endpoint serves the previous version.
+func (e *Entry) Mutate(ctx context.Context, ck *core.Checker, workers int, dl *core.Delta) (mutationOutcome, error) {
+	e.maint.Lock()
+	defer e.maint.Unlock()
 	var out mutationOutcome
 	if e.D == nil {
 		return out, fmt.Errorf("catalog %q has no resident database", e.Name)
 	}
-	gates := make(map[string]bool, len(e.watched))
-	for src, wv := range e.verdicts {
-		gates[src] = core.ResultReusable(wv.prev) && dl.WitnessReusable(wv.q, e.D, e.Dm, e.V)
+	watched := make([]*watchedVerdict, len(e.watched))
+	gates := make([]bool, len(e.watched))
+	e.lock()
+	for i, src := range e.watched {
+		wv := e.verdicts[src]
+		watched[i] = wv
+		gates[i] = core.ResultReusable(wv.prev) && dl.WitnessReusable(wv.q, e.D, e.Dm, e.V)
 	}
 	var err error
-	if out.ins, out.del, err = dl.Apply(e.D, e.Dm, e.V); err != nil {
+	out.ins, out.del, err = dl.Apply(e.D, e.Dm, e.V)
+	e.mu.Unlock()
+	if err != nil {
 		return mutationOutcome{}, err
 	}
-	// The cold rechecks share one (D, Dm, V) setup of the mutated data.
-	prep := core.Prepare(e.D, e.Dm, e.V)
-	var firstErr error
-	for _, src := range e.watched {
-		wv := e.verdicts[src]
-		if gates[src] && (wv.prev.Verdict != core.VerdictIncomplete || e.revalidate(wv.prev)) {
+
+	e.rlock()
+	if e.inRecheck != nil {
+		e.inRecheck()
+	}
+	reused := make([]bool, len(watched))
+	var cold []*watchedVerdict
+	for i, wv := range watched {
+		if gates[i] && (wv.prev.Verdict != core.VerdictIncomplete || e.revalidate(wv.prev)) {
 			obs.RecheckReused.Inc()
-			wv.reused = true
+			reused[i] = true
 			out.reused++
 			continue
 		}
 		obs.RecheckCold.Inc()
-		wv.reused = false
 		out.rechecked++
-		res, rerr := ck.RCDPPreparedCtx(ctx, wv.q, prep)
-		if rerr != nil {
-			wv.prev = nil
-			if firstErr == nil {
-				firstErr = fmt.Errorf("recheck %q: %w", src, rerr)
-			}
+		cold = append(cold, wv)
+	}
+	results, errs := e.checkAll(ctx, ck, workers, cold)
+	e.mu.RUnlock()
+
+	var firstErr error
+	e.lock()
+	defer e.mu.Unlock()
+	k := 0
+	for i, wv := range watched {
+		wv.reused = reused[i]
+		if reused[i] {
 			continue
 		}
-		wv.prev = res
+		wv.prev = results[k]
+		if errs[k] != nil && firstErr == nil {
+			firstErr = fmt.Errorf("recheck %q: %w", wv.src, errs[k])
+		}
+		k++
 	}
 	e.bump()
 	out.version = e.version
 	return out, firstErr
+}
+
+// checkAll runs a cold RCDP check of every watched query over the
+// entry's current (D, Dm, V), sharing one core.Prepare setup, on at
+// most workers goroutines (the caller's among them). Results and errors
+// come back in the order of wvs; a failed check's result is nil, and a
+// witness is warmed for concurrent readers.
+// Callers hold the read side of e.mu.
+func (e *Entry) checkAll(ctx context.Context, ck *core.Checker, workers int, wvs []*watchedVerdict) ([]*core.RCDPResult, []error) {
+	results := make([]*core.RCDPResult, len(wvs))
+	errs := make([]error, len(wvs))
+	prep := core.Prepare(e.D, e.Dm, e.V)
+	var next atomic.Int64
+	run := func() {
+		for i := int(next.Add(1)) - 1; i < len(wvs); i = int(next.Add(1)) - 1 {
+			res, err := ck.RCDPPreparedCtx(ctx, wvs[i].q, prep)
+			switch {
+			case err != nil:
+				res = nil
+			case res.Extension != nil:
+				// Verdict readers format the witness concurrently, and
+				// its lazily sorted tuples must be built before then.
+				res.Extension.Warm()
+			}
+			results[i], errs[i] = res, err
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, len(wvs)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	run()
+	wg.Wait()
+	return results, errs
 }
 
 // revalidate re-verifies a cached incompleteness witness against the
@@ -201,18 +287,24 @@ func (e *Entry) verdictsSnapshot() (uint64, <-chan struct{}, []WatchedVerdict) {
 	out := make([]WatchedVerdict, 0, len(e.watched))
 	for _, src := range e.watched {
 		wv := e.verdicts[src]
-		wj := WatchedVerdict{Query: src, Verdict: "stale", Reused: wv.reused}
-		if wv.prev != nil {
-			wj.Verdict = wv.prev.Verdict.String()
-			wj.Reason = wv.prev.Reason.String()
-			if wv.prev.Verdict == core.VerdictIncomplete {
-				wj.Extension = textq.FormatDatabase(wv.prev.Extension)
-				wj.NewTuple = tupleJSON(wv.prev.NewTuple)
-			}
-		}
-		out = append(out, wj)
+		out = append(out, watchedJSON(src, wv.prev, wv.reused))
 	}
 	return e.version, e.changed, out
+}
+
+// watchedJSON is the wire form of one maintained verdict; a nil result
+// (a failed recheck) reads "stale".
+func watchedJSON(src string, res *core.RCDPResult, reused bool) WatchedVerdict {
+	wj := WatchedVerdict{Query: src, Verdict: "stale", Reused: reused}
+	if res != nil {
+		wj.Verdict = res.Verdict.String()
+		wj.Reason = res.Reason.String()
+		if res.Verdict == core.VerdictIncomplete {
+			wj.Extension = textq.FormatDatabase(res.Extension)
+			wj.NewTuple = tupleJSON(res.NewTuple)
+		}
+	}
+	return wj
 }
 
 // serveMutation builds the insert/delete endpoint body for the shared
@@ -251,7 +343,7 @@ func (s *Server) serveMutation(op string) func(ctx context.Context, id string, r
 			dl.Deletes = tuples
 		}
 		ck := &core.Checker{Workers: s.cfg.CheckWorkers, Budget: s.effectiveBudget(nil)}
-		out, err := e.Mutate(ctx, ck, dl)
+		out, err := e.Mutate(ctx, ck, s.workers, dl)
 		if err != nil {
 			writeError(w, id, statusOf(err), "%s", err.Error())
 			return

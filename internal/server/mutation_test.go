@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -39,20 +40,29 @@ func registerMaintainedCRM(t *testing.T, ts *httptest.Server) CatalogInfo {
 // parameters appended to path.
 func getVerdicts(t *testing.T, url string) (int, *VerdictsResponse) {
 	t.Helper()
-	resp, err := http.Get(url)
+	code, vr, err := tryVerdicts(url)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return code, vr
+}
+
+// tryVerdicts is getVerdicts for goroutines other than the test's own.
+func tryVerdicts(url string) (int, *VerdictsResponse, error) {
+	resp, err := http.Get(url)
+	if err != nil {
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatal(err)
+		return resp.StatusCode, nil, err
 	}
 	var out VerdictsResponse
 	if err := json.Unmarshal(raw, &out); err != nil {
-		t.Fatalf("status %d: bad verdicts body %q: %v", resp.StatusCode, raw, err)
+		return resp.StatusCode, nil, fmt.Errorf("status %d: bad verdicts body %q: %v", resp.StatusCode, raw, err)
 	}
-	return resp.StatusCode, &out
+	return resp.StatusCode, &out, nil
 }
 
 // verdictOf picks one watched query's verdict out of a response.
@@ -263,7 +273,7 @@ func TestCatalogChecksDuringMutations(t *testing.T) {
 }
 
 // TestRequestFactsParseOutsideEntryLock holds a catalog entry's write
-// lock, as a mutation does across apply and recheck, and sends each
+// lock, as a mutation does while it applies or publishes, and sends each
 // request shape that carries its own facts for that entry with facts
 // that do not parse. The facts are parsed before the entry's read lock
 // is taken, so every request must be answered 400 while the writer

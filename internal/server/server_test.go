@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -60,25 +61,35 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // to CheckResponse or ErrorResponse), returning the status code.
 func post(t *testing.T, url string, body any, out any) int {
 	t.Helper()
-	buf, err := json.Marshal(body)
+	code, err := tryPost(url, body, out)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return code
+}
+
+// tryPost is post for goroutines other than the test's own: it returns
+// failures instead of stopping the test.
+func tryPost(url string, body any, out any) (int, error) {
+	buf, err := json.Marshal(body)
+	if err != nil {
+		return 0, err
+	}
 	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
 	if err != nil {
-		t.Fatal(err)
+		return 0, err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatal(err)
+		return resp.StatusCode, err
 	}
 	if out != nil {
 		if err := json.Unmarshal(raw, out); err != nil {
-			t.Fatalf("status %d: bad response %q: %v", resp.StatusCode, raw, err)
+			return resp.StatusCode, fmt.Errorf("status %d: bad response %q: %v", resp.StatusCode, raw, err)
 		}
 	}
-	return resp.StatusCode
+	return resp.StatusCode, nil
 }
 
 func TestRCDPInline(t *testing.T) {
