@@ -116,7 +116,7 @@ func TestSatisfiedDeltaAgreesWithFullRandom(t *testing.T) {
 		dc := set.NewDeltaChecker(d, dm)
 		for k := 0; k < 4; k++ {
 			delta := randDB(rng.Intn(3) + 1)
-			got, err := dc.SatisfiedGate(cq.DeltaRowsOf(delta), nil)
+			got, err := dc.SatisfiedGate(cq.DeltaRowsOf(delta), nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +129,7 @@ func TestSatisfiedDeltaAgreesWithFullRandom(t *testing.T) {
 		}
 		delta = randDB(rng.Intn(3) + 2)
 		want := full(d, delta)
-		got, err := dc.SatisfiedGate(cq.DeltaRowsOf(delta), query.NewGate(context.Background(), 1, 0))
+		got, err := dc.SatisfiedGate(cq.DeltaRowsOf(delta), query.NewGate(context.Background(), 1, 0), nil)
 		switch {
 		case errors.Is(err, query.ErrRowBudget):
 			trips++
@@ -138,7 +138,7 @@ func TestSatisfiedDeltaAgreesWithFullRandom(t *testing.T) {
 		case got != want:
 			t.Fatalf("trial %d: gated DeltaChecker=%v but full recheck=%v", trial, got, want)
 		}
-		if got, err := dc.SatisfiedGate(cq.DeltaRowsOf(delta), nil); err != nil || got != want {
+		if got, err := dc.SatisfiedGate(cq.DeltaRowsOf(delta), nil, nil); err != nil || got != want {
 			t.Fatalf("trial %d: ungated run after the gated one = %v, %v; full recheck=%v\nD:\n%v\ndelta:\n%v",
 				trial, got, err, want, d, delta)
 		}

@@ -420,7 +420,7 @@ func (s *Set) SatisfiedDelta(d, delta, dm *relation.Database) (bool, error) {
 // non-monotone constraints are re-evaluated over D ∪ Δ.
 func (s *Set) SatisfiedDeltaGate(d, delta, dm *relation.Database, g *query.Gate) (bool, error) {
 	dc := s.NewDeltaChecker(d, dm)
-	ok, err := dc.satisfied(cq.DeltaRowsOf(delta), delta, g)
+	ok, err := dc.satisfied(cq.DeltaRowsOf(delta), delta, g, nil)
 	dc.Flush()
 	return ok, err
 }
@@ -469,14 +469,19 @@ func (s *Set) NewDeltaChecker(d, dm *relation.Database) *DeltaChecker {
 
 // SatisfiedGate reports whether (D ∪ Δ, Dm) ⊨ V, assuming (D, Dm) ⊨ V,
 // under gate governance (see Set.SatisfiedDeltaGate). Constraints are
-// tested in order and the first violated one ends the call.
-func (dc *DeltaChecker) SatisfiedGate(delta *cq.DeltaRows, g *query.Gate) (bool, error) {
-	return dc.satisfied(delta, nil, g)
+// tested in order and the first violated one ends the call. When a
+// monotone forward constraint is violated, sup, if non-nil, receives
+// the delta rows its violating match read (see cq.Support): every
+// delta holding those rows violates the same constraint. sup is left
+// empty when V holds.
+func (dc *DeltaChecker) SatisfiedGate(delta *cq.DeltaRows, g *query.Gate, sup *cq.Support) (bool, error) {
+	return dc.satisfied(delta, nil, g, sup)
 }
 
 // satisfied is SatisfiedGate with the Δ database, when the caller has
 // one, for the non-monotone constraints (nil refuses them).
-func (dc *DeltaChecker) satisfied(delta *cq.DeltaRows, db *relation.Database, g *query.Gate) (bool, error) {
+func (dc *DeltaChecker) satisfied(delta *cq.DeltaRows, db *relation.Database, g *query.Gate, sup *cq.Support) (bool, error) {
+	sup.Reset()
 	for i := range dc.cs {
 		x := &dc.cs[i]
 		if !x.fast {
@@ -500,7 +505,7 @@ func (dc *DeltaChecker) satisfied(delta *cq.DeltaRows, db *relation.Database, g 
 			// integer-hashed set probe — no Binding, HeadTuple or key
 			// per differential match.
 			x.violated = false
-			if err := p.Run(delta, g, x.leaf); err != nil || x.violated {
+			if err := p.RunSupport(delta, g, x.leaf, sup); err != nil || x.violated {
 				return false, err
 			}
 		}

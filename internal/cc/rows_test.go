@@ -142,7 +142,7 @@ func TestDeltaRowsMatchFullRecheck(t *testing.T) {
 			if rows.Len() != delta.TupleCount() {
 				t.Fatalf("instance %d: %d rows, Apply built %d tuples\nΔ:\n%v", instances, rows.Len(), delta.TupleCount(), delta)
 			}
-			got, err := dc.SatisfiedGate(&rows, nil)
+			got, err := dc.SatisfiedGate(&rows, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,7 +181,7 @@ func TestDeltaCheckerRefusesNonMonotone(t *testing.T) {
 	d.MustAdd("E", "b", "a")
 	delta, _ := edgeFixture()
 	delta.MustAdd("E", "a", "c")
-	if _, err := set.NewDeltaChecker(d, dm).SatisfiedGate(cq.DeltaRowsOf(delta), nil); err == nil {
+	if _, err := set.NewDeltaChecker(d, dm).SatisfiedGate(cq.DeltaRowsOf(delta), nil, nil); err == nil {
 		t.Fatal("the row-delta checker accepted an FO constraint")
 	}
 	if ok, err := set.SatisfiedDelta(d, delta, dm); err != nil || ok {

@@ -453,18 +453,14 @@ func TestNaiveAgreesWithPruned(t *testing.T) {
 	}
 }
 
-// TestBudget: the valuation budget aborts cleanly. The at-most-k
-// constraint makes the database complete, so the search must exhaust
-// every candidate valuation and trip the one-valuation budget.
+// TestBudget: the valuation budget aborts cleanly. The CC to master
+// data makes the database complete, so the search must exhaust every
+// candidate valuation and trip the one-valuation budget; each
+// rejection reads the customer through the CC's head, so no nogood
+// settles the search in one valuation (see headFixture).
 func TestBudget(t *testing.T) {
-	k := 5
-	vset := cc.NewSet(cc.AtMostK("phi1", "Supt", 3, []int{0}, 2, k))
-	d := relation.NewDatabase(suptSchema())
-	for i := 0; i < k; i++ {
-		d.MustAdd("Supt", "e0", "s", string(rune('a'+i)))
-	}
-	dm := emptyMaster()
-	r, err := (&Checker{Budget: Budget{MaxValuations: 1}}).RCDPCtx(context.Background(), q2(), d, dm, vset)
+	q, d, dm, vset := headFixture(5)
+	r, err := (&Checker{Budget: Budget{MaxValuations: 1}}).RCDPCtx(context.Background(), q, d, dm, vset)
 	if err != nil || r.Verdict != VerdictUnknown || r.Reason != ReasonValuations {
 		t.Fatalf("want unknown/valuations, got %+v, %v", r, err)
 	}

@@ -134,7 +134,7 @@ func (ck *Checker) degree(q qlang.Query, p *Prepared, gv *governor) (*DegreeResu
 		res.finish()
 		return res, nil
 	}
-	wc := newWitnessChecker(prep, gate)
+	wc := newWitnessChecker(prep, gate, false)
 	defer wc.flush()
 	for di, search := range prep.searches {
 		if search == nil {
@@ -156,7 +156,7 @@ func (ck *Checker) degree(q qlang.Query, p *Prepared, gv *governor) (*DegreeResu
 			return nil, nil
 		})
 		visited += bud.count()
-		noteDisjunct(di, bud.count(), 0, false)
+		noteDisjunct(di, bud.count(), 0, 0, false)
 		if err == nil {
 			continue
 		}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cc"
+	"repro/internal/cq"
 	"repro/internal/qlang"
 	"repro/internal/query"
 	"repro/internal/reductions"
@@ -35,6 +36,28 @@ func completeFixture(n int) (qlang.Query, *relation.Database, *relation.Database
 		d.MustAdd("Supt", "e0", "s", "c"+strconv.Itoa(i))
 	}
 	return q2(), d, emptyMaster(), vset
+}
+
+// headFixture returns a complete (q, d, dm, vset) instance whose
+// every rejection reads the search's deepest slot through the head of
+// the violated constraint: e0 supports the n master customers, a CC
+// bounds e0's customers by master data, and Q₂ asks for them. Every
+// candidate customer outside the master data reaches its own leaf,
+// since the rejection needs the customer's value, so no nogood (see
+// nogood.go) skips one; completeFixture's at-most-n rejection reads
+// the customer only through inequalities and settles the search in one
+// valuation.
+func headFixture(n int) (qlang.Query, *relation.Database, *relation.Database, *cc.Set) {
+	dm := relation.NewDatabase(relation.NewSchema("Rm", relation.Attr("cid")))
+	d := relation.NewDatabase(suptSchema())
+	for i := 0; i < n; i++ {
+		d.MustAdd("Supt", "e0", "s", "c"+strconv.Itoa(i))
+		dm.MustAdd("Rm", "c"+strconv.Itoa(i))
+	}
+	cover := cc.FromCQ("cover", cq.New("cover", []query.Term{v("c")},
+		[]query.RelAtom{query.Atom("Supt", v("e"), v("d"), v("c"))}, query.Eq(v("e"), c("e0"))),
+		cc.Proj("Rm", 0))
+	return q2(), d, dm, cc.NewSet(cover)
 }
 
 // cancelledCtx returns an already-cancelled context.
@@ -142,7 +165,7 @@ func TestRCDPCtxRowBudget(t *testing.T) {
 // TestRCDPCtxTupleBudget: MaxTuples stops the scan with unknown/tuples
 // (candidate deltas charge their tuple counts) at both worker counts.
 func TestRCDPCtxTupleBudget(t *testing.T) {
-	q, d, dm, vset := completeFixture(5)
+	q, d, dm, vset := headFixture(5)
 	for _, workers := range []int{1, 8} {
 		ck := &Checker{Workers: workers, Budget: Budget{MaxTuples: 1}}
 		r, err := ck.RCDPCtx(context.Background(), q, d, dm, vset)
@@ -188,9 +211,10 @@ func TestRCDPCtxGenerousBudgetDecides(t *testing.T) {
 }
 
 // TestRCDPCtxBudgetReasons: each budget dimension stops the check with
-// its own Reason, at both worker counts.
+// its own Reason, at both worker counts. Thirty customers make the
+// check read more than the row cap.
 func TestRCDPCtxBudgetReasons(t *testing.T) {
-	q, d, dm, vset := completeFixture(5)
+	q, d, dm, vset := headFixture(30)
 	cases := []struct {
 		name   string
 		budget Budget

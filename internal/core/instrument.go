@@ -55,17 +55,19 @@ func (c checkObs) done(verdict string, reason Reason, stats BudgetStats) {
 	}
 }
 
-// noteDisjunct records one disjunct search's work: the global valuation
-// and answered-head cut counters plus a disjunct_done trace event.
-// witness reports whether the disjunct produced the counterexample
-// (always false on governed aborts, whose outcome the enclosing
-// check_done event carries).
-func noteDisjunct(disjunct, valuations, headCuts int, witness bool) {
+// noteDisjunct records one disjunct search's work: the global
+// valuation, answered-head cut and nogood jump counters plus a
+// disjunct_done trace event. witness reports whether the disjunct
+// produced the counterexample (always false on governed aborts, whose
+// outcome the enclosing check_done event carries).
+func noteDisjunct(disjunct, valuations, headCuts, nogoodJumps int, witness bool) {
 	obs.Valuations.Add(int64(valuations))
 	obs.HeadCuts.Add(int64(headCuts))
+	obs.NogoodJumps.Add(int64(nogoodJumps))
 	if obs.Tracing() {
 		obs.Emit("disjunct_done", map[string]any{
-			"disjunct": disjunct, "valuations": valuations, "head_cuts": headCuts, "witness": witness,
+			"disjunct": disjunct, "valuations": valuations, "head_cuts": headCuts,
+			"nogood_jumps": nogoodJumps, "witness": witness,
 		})
 	}
 }

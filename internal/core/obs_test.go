@@ -282,3 +282,38 @@ func TestHeadCutObserved(t *testing.T) {
 		t.Fatalf("disjunct_done %+v, counter moved %d, valuations %d; want 1 cut", done, cuts, res.Stats.Valuations)
 	}
 }
+
+// TestNogoodJumpObserved checks the nogoods are visible the way
+// answered-head cuts are: on completeFixture the at-most-n rejection of
+// the first candidate customer reads it only through inequalities, so
+// its nogood keeps only the customers e0 already supports (all cut at
+// their head) and the check ends after one valuation. The
+// disjunct_done event's nogood_jumps and the
+// relcomp_core_nogood_jumps_total counter both report that one jump.
+func TestNogoodJumpObserved(t *testing.T) {
+	q, d, dm, vset := completeFixture(5)
+	var b strings.Builder
+	prev := obs.SetTracer(obs.NewTracer(&b))
+	defer obs.SetTracer(prev)
+	before := obs.NogoodJumps.Value()
+	res, err := (&Checker{Workers: 1}).RCDPCtx(context.Background(), q, d, dm, vset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var done struct {
+		NogoodJumps int `json:"nogood_jumps"`
+		Valuations  int `json:"valuations"`
+	}
+	for _, l := range strings.Split(strings.TrimRight(b.String(), "\n"), "\n") {
+		if strings.Contains(l, `"ev":"disjunct_done"`) {
+			if err := json.Unmarshal([]byte(l), &done); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	jumps := obs.NogoodJumps.Value() - before
+	if res.Verdict != VerdictComplete || res.Stats.Valuations != 1 || done.Valuations != 1 || done.NogoodJumps != 1 || jumps != 1 {
+		t.Fatalf("got %v after %d valuations, disjunct_done %+v, counter moved %d; want complete, 1 valuation, 1 jump",
+			res.Verdict, res.Stats.Valuations, done, jumps)
+	}
+}

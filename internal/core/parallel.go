@@ -133,11 +133,13 @@ func (c *raceCtl) result() (any, int64, error) {
 // every task that completes a candidate valuation charges the
 // same atomic counter, so the MaxValuations cap bounds the disjunct's
 // total work no matter how it is scheduled. It also sums the
-// answered-head cuts of the disjunct's walks, once per walk.
+// answered-head cuts and the nogood jumps of the disjunct's walks, once
+// per walk.
 type budgetCtl struct {
 	cap     int64 // 0 = unlimited
 	visited atomic.Int64
 	cuts    atomic.Int64
+	jumps   atomic.Int64
 }
 
 func newBudgetCtl(cap int) *budgetCtl { return &budgetCtl{cap: int64(cap)} }
@@ -160,6 +162,10 @@ func (bc *budgetCtl) count() int { return int(bc.visited.Load()) }
 // headCuts returns the number of answered-head cuts of the disjunct's
 // finished walks.
 func (bc *budgetCtl) headCuts() int { return int(bc.cuts.Load()) }
+
+// nogoodJumps returns the number of nogoods that skipped valuations in
+// the disjunct's finished walks.
+func (bc *budgetCtl) nogoodJumps() int { return int(bc.jumps.Load()) }
 
 // inspected is count without the charges refused for exceeding the
 // cap: the complete valuations actually handed to the callback or
@@ -205,12 +211,15 @@ func (s *valuationSearch) branchTasks(pool *workerPool, ctl *raceCtl, bud *budge
 			}
 			w := s.newWorker()
 			w.fn, w.budget, w.ctl, w.key, w.answers = fn, bud, ctl, key, answers
-			// A closure: w.wc is taken and w.cuts tallied during the walk,
-			// after this defer.
+			// A closure: w.wc is taken and w.cuts and w.jumps tallied
+			// during the walk, after this defer.
 			defer func() {
 				w.wc.release()
 				if w.cuts > 0 {
 					bud.cuts.Add(int64(w.cuts))
+				}
+				if w.jumps > 0 {
+					bud.jumps.Add(int64(w.jumps))
 				}
 			}()
 			switch err := walk(w); err {

@@ -158,17 +158,21 @@ func TestParallelRCQPMatchesSequential(t *testing.T) {
 // abandon too.
 func TestParallelBudgetExceeded(t *testing.T) {
 	// A tiny deterministic case first. F is empty and a denial forbids
-	// any F tuple beside an R tuple, so q5 is complete although neither
-	// head value of F's finite domain is answered: the search reaches
-	// both valuations (Q(D) answers no head, so none is cut before its
-	// leaf, where V rejects it) and exceeds a budget of 1. An F holding
-	// both values would answer both heads and leave the cut search
-	// nothing to count.
+	// any F tuple whose value starts an R tuple; R holds one for each
+	// value of F's finite domain, so q5 is complete although neither
+	// head value is answered: the search reaches both valuations (Q(D)
+	// answers no head, so none is cut before its leaf, where V rejects
+	// it) and exceeds a budget of 1. An F holding both values would
+	// answer both heads and leave the cut search nothing to count. The
+	// denial joins F's value with R, so each rejection needs that value
+	// and its nogood skips no other valuation; a denial that reads F's
+	// value nowhere else would refute both with the first.
 	r, f := microSchema()
 	d := relation.NewDatabase(r, f)
-	d.MustAdd("R", "a", "a")
+	d.MustAdd("R", "0", "a")
+	d.MustAdd("R", "1", "a")
 	noF := cc.NewSet((&cc.Denial{Name: "noF",
-		Atoms: []query.RelAtom{query.Atom("R", v("x"), v("y")), query.Atom("F", v("p"))}}).ToCC())
+		Atoms: []query.RelAtom{query.Atom("R", v("p"), v("y")), query.Atom("F", v("p"))}}).ToCC())
 	q5 := microQueries()[4]
 	full, err := (&Checker{Workers: 1}).RCDPCtx(context.Background(), q5, d, nil, noF)
 	if err != nil || full.Verdict != VerdictComplete || full.Stats.Valuations != 2 {

@@ -218,10 +218,12 @@ func (ck *Checker) rcdp(q qlang.Query, p *Prepared, pool *workerPool, gv *govern
 	}
 	pool.warm(p.d, p.dm)
 	ctl := newRaceCtl()
-	checkers := &witnessPool{build: func() *witnessChecker { return newWitnessChecker(prep, gate) }}
-	// Every walk cuts the subtrees whose head Q(D) already answers: they
-	// hold only valuations that test rejects. The ablation engine
-	// enumerates in full.
+	// Every walk cuts the subtrees whose head Q(D) already answers and
+	// turns every rejection by V into a nogood (nogood.go): both skip
+	// only valuations that test rejects. The ablation engine enumerates
+	// in full.
+	nogoods := !ck.Naive
+	checkers := &witnessPool{build: func() *witnessChecker { return newWitnessChecker(prep, gate, nogoods) }}
 	cut := prep.answers
 	if ck.Naive {
 		cut = nil
@@ -233,17 +235,7 @@ func (ck *Checker) rcdp(q qlang.Query, p *Prepared, pool *workerPool, gv *govern
 			continue
 		}
 		budgets[di] = newBudgetCtl(ck.Budget.MaxValuations)
-		fn := func(w *searchWorker, slots []int32) (any, error) {
-			if w.wc == nil {
-				w.wc = checkers.get()
-			}
-			r, err := w.wc.witness(di, slots)
-			if err != nil || r == nil {
-				return nil, err
-			}
-			return r, nil
-		}
-		tasks = append(tasks, search.branchTasks(pool, ctl, budgets[di], di, cut, fn)...)
+		tasks = append(tasks, search.branchTasks(pool, ctl, budgets[di], di, cut, rcdpVisit(checkers, di))...)
 	}
 	pool.run(tasks)
 
@@ -261,7 +253,7 @@ func (ck *Checker) rcdp(q qlang.Query, p *Prepared, pool *workerPool, gv *govern
 	for di, bud := range budgets {
 		if bud != nil && (di <= last || bud.count() > 0) {
 			total += bud.count()
-			noteDisjunct(di, bud.count(), bud.headCuts(), di == witnessDisjunct)
+			noteDisjunct(di, bud.count(), bud.headCuts(), bud.nogoodJumps(), di == witnessDisjunct)
 		}
 	}
 	if err != nil {
@@ -280,6 +272,27 @@ func (ck *Checker) rcdp(q qlang.Query, p *Prepared, pool *workerPool, gv *govern
 	return r, nil
 }
 
+// rcdpVisit is the complete-valuation callback of disjunct di's RCDP
+// walks: it tests the valuation with the task's witness checker, taken
+// from checkers at the task's first complete valuation, claims a
+// counterexample, and turns a rejection into the walk's nogood.
+func rcdpVisit(checkers *witnessPool, di int) parallelFn {
+	return func(w *searchWorker, slots []int32) (any, error) {
+		if w.wc == nil {
+			w.wc = checkers.get()
+		}
+		r, err := w.wc.witness(di, slots)
+		if err != nil {
+			return nil, err
+		}
+		if r == nil {
+			w.refute(w.wc.sup)
+			return nil, nil
+		}
+		return r, nil
+	}
+}
+
 // witnessChecker decides whether complete valuations are
 // counterexamples to completeness: μ(u) ∉ Q(D) and (D ∪ μ(T), Dm) ⊨ V.
 // An RCDP check takes its checkers from a witnessPool, one per running
@@ -294,20 +307,31 @@ type witnessChecker struct {
 	gate *query.Gate
 	rows cq.DeltaRows
 	ids  []int32
+	// sup, when non-nil, receives the rows of μ(T) that the violating
+	// match of a rejected valuation read, for the RCDP walk's nogood
+	// (searchWorker.refute); it is empty after any other outcome.
+	sup  *cq.Support
 	pool *witnessPool // the pool it returns to; nil outside one
 }
 
-func newWitnessChecker(prep *rcdpPrep, gate *query.Gate) *witnessChecker {
-	return &witnessChecker{
+// newWitnessChecker builds a checker; support selects recording the
+// support of every V-rejection (RCDP walks, not degree counting).
+func newWitnessChecker(prep *rcdpPrep, gate *query.Gate, support bool) *witnessChecker {
+	w := &witnessChecker{
 		prep: prep,
 		dc:   prep.p.v.NewDeltaChecker(prep.p.d, prep.p.dm),
 		gate: gate,
 	}
+	if support {
+		w.sup = &cq.Support{}
+	}
+	return w
 }
 
 // test reports whether the complete valuation slots of disjunct di is
 // a counterexample. It charges one tuple per distinct row of μ(T).
 func (w *witnessChecker) test(di int, slots []int32) (bool, error) {
+	w.sup.Reset()
 	s := w.prep.searches[di]
 	w.ids = s.headIDs(w.ids[:0], slots)
 	if w.prep.answers.Has(w.ids) {
@@ -319,7 +343,7 @@ func (w *witnessChecker) test(di int, slots []int32) (bool, error) {
 	if err := w.gate.ChargeTuples(w.rows.Len()); err != nil {
 		return false, err
 	}
-	return w.dc.SatisfiedGate(&w.rows, w.gate)
+	return w.dc.SatisfiedGate(&w.rows, w.gate, w.sup)
 }
 
 // witness is test building the result for a counterexample: its

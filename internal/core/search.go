@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/cc"
 	"repro/internal/cq"
@@ -267,7 +268,7 @@ func (s *valuationSearch) freshCandidates(c *slotCandidates, freshUsed int) []in
 // newWorker returns the per-goroutine state of one walk over the
 // search, every slot unassigned.
 func (s *valuationSearch) newWorker() *searchWorker {
-	w := &searchWorker{s: s, slots: make([]int32, len(s.order))}
+	w := &searchWorker{s: s, slots: make([]int32, len(s.order)), jump: noJump}
 	for i := range w.slots {
 		w.slots[i] = unassigned
 	}
@@ -324,6 +325,17 @@ type searchWorker struct {
 	answers *relation.IDTupleSet
 	cuts    int
 
+	// The nogood of the last rejected valuation (RCDP walks only, see
+	// nogood.go): jump is the slot the walk unwinds to (noJump when
+	// none), keep[i], once allocated, restricts slot i's remaining
+	// candidates, and jumps tallies the nogoods that skipped
+	// valuations. pick and cmp are refute's scratch.
+	jump  int
+	keep  []slotKeep
+	jumps int
+	pick  []int
+	cmp   []int32
+
 	fn     parallelFn // the callback every admitted complete valuation reaches
 	budget *budgetCtl // shared with the disjunct's other tasks
 	ctl    *raceCtl   // shared with the whole search
@@ -353,15 +365,29 @@ func (w *searchWorker) rec(i, freshUsed int) error {
 	if i == len(w.slots) {
 		return w.complete()
 	}
+	if w.keep != nil {
+		w.keep[i].on = false // a restriction of an earlier prefix
+	}
 	c := &s.cands[i]
-	for _, id := range c.base {
+	base, fresh := c.base, s.freshCandidates(c, freshUsed)
+	for k := range len(base) + len(fresh) {
+		var id int32
+		if k < len(base) {
+			id = base[k]
+		} else {
+			id = fresh[k-len(base)]
+		}
+		if w.keep != nil && w.keep[i].on && !slices.Contains(w.keep[i].ids, id) {
+			continue // refuted by a nogood (see nogood.go)
+		}
 		if err := w.descend(i, id, freshUsed); err != nil {
 			return err
 		}
-	}
-	for _, id := range s.freshCandidates(c, freshUsed) {
-		if err := w.descend(i, id, freshUsed); err != nil {
-			return err
+		if w.jump <= i {
+			if w.jump < i {
+				return nil // a nogood refuted every candidate left here
+			}
+			w.jump = noJump
 		}
 	}
 	return nil

@@ -334,18 +334,27 @@ func (st *ijoin) templateCost(i int, est float64, bound []bool) (cost float64, n
 // accumulate across runs and reach the obs metrics on Flush; each Run
 // counts as one evaluation.
 type DeltaProbe struct {
-	t  *Tableau
-	st *ijoin
-	gs gateState
-	es evalStats
-	fn func(head []int32) bool
+	t   *Tableau
+	st  *ijoin
+	gs  gateState
+	es  evalStats
+	fn  func(head []int32) bool
+	sup *Support
 }
 
 // NewDeltaProbe prepares differential evaluation of t against d.
 func (t *Tableau) NewDeltaProbe(d *relation.Database) *DeltaProbe {
 	p := &DeltaProbe{t: t}
 	p.st = t.isetup(d, nil, &p.es)
-	p.st.leaf = p.st.headLeaf(func(head []int32) bool { return p.fn(head) })
+	p.st.leaf = p.st.headLeaf(func(head []int32) bool {
+		if p.fn(head) {
+			return true
+		}
+		if p.sup != nil {
+			p.st.support(t, p.sup)
+		}
+		return false
+	})
 	return p
 }
 
@@ -360,6 +369,14 @@ func (t *Tableau) NewDeltaProbe(d *relation.Database) *DeltaProbe {
 // is returned, and fn returning false stops it. A nil gate is free.
 // delta is read, not kept: the caller may refill it once Run returns.
 func (p *DeltaProbe) Run(delta *DeltaRows, g *query.Gate, fn func(head []int32) bool) error {
+	return p.RunSupport(delta, g, fn, nil)
+}
+
+// RunSupport is Run that, when fn stops the run, records in sup the
+// delta rows of the match whose head stopped it (see Support); sup is
+// left empty when fn never stops the run. A nil sup records nothing.
+func (p *DeltaProbe) RunSupport(delta *DeltaRows, g *query.Gate, fn func(head []int32) bool, sup *Support) error {
+	sup.Reset()
 	p.es.evals++
 	st := p.st
 	if st.ip.unsat || !st.ip.headBound {
@@ -371,9 +388,9 @@ func (p *DeltaProbe) Run(delta *DeltaRows, g *query.Gate, fn func(head []int32) 
 		p.gs = gateState{g: g}
 		st.gs = &p.gs
 	}
-	p.fn = fn
+	p.fn, p.sup = fn, sup
 	st.runDeltaAll(len(p.t.Templates))
-	p.fn = nil
+	p.fn, p.sup = nil, nil
 	return st.gs.finish()
 }
 

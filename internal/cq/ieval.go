@@ -38,6 +38,8 @@ type iplan struct {
 	diseqs    [][2]iterm
 	unsat     bool
 	headBound bool
+	// kinds classifies every template column (see ColKind).
+	kinds [][]ColKind
 }
 
 // buildIPlan compiles the tableau's terms into slots. It is cheap and
@@ -86,6 +88,7 @@ func (t *Tableau) buildIPlan() *iplan {
 		ip.diseqs = append(ip.diseqs, pair)
 		ip.unsat = ip.unsat || !bound(pair[0]) || !bound(pair[1])
 	}
+	ip.kinds = ip.columnKinds()
 	return ip
 }
 
@@ -132,6 +135,7 @@ type ijoin struct {
 	ixs []relation.IDIndex
 
 	drs []*deltaRel // delta rows (delta evaluation only; nil until bindDelta)
+	src []bool      // template -> its current row came from the delta (delta evaluation only)
 
 	probeAt []int // template -> column the plain join probes, -1 a scan (planOrder)
 
@@ -197,6 +201,7 @@ func (t *Tableau) isetup(d *relation.Database, gs *gateState, es *evalStats) *ij
 func (st *ijoin) bindDelta(t *Tableau, delta *DeltaRows) {
 	if st.drs == nil {
 		st.drs = make([]*deltaRel, len(t.Templates))
+		st.src = make([]bool, len(t.Templates))
 	}
 	for i, a := range t.Templates {
 		st.drs[i] = delta.rel(a.Rel, len(a.Args))
@@ -314,13 +319,20 @@ func (st *ijoin) runDelta(idx []int, k, deltaAt int) bool {
 		if st.drs[ti] == nil {
 			return true
 		}
+		st.src[ti] = true
 		return st.enumRows(st.drs[ti], args, f)
 	}
-	if st.ins[ti] != nil && !st.enum(st.ixs[ti], args, st.mostDistinct(st.ixs[ti], args), f) {
-		return false
+	if st.ins[ti] != nil {
+		st.src[ti] = false
+		if !st.enum(st.ixs[ti], args, st.mostDistinct(st.ixs[ti], args), f) {
+			return false
+		}
 	}
-	if st.drs[ti] != nil && !st.enumRows(st.drs[ti], args, f) {
-		return false
+	if st.drs[ti] != nil {
+		st.src[ti] = true
+		if !st.enumRows(st.drs[ti], args, f) {
+			return false
+		}
 	}
 	return true
 }

@@ -317,6 +317,16 @@ func (t *Tableau) SlotTemplates(slotOf map[string]int, schemas map[string]*relat
 	return st
 }
 
+// Len returns the number of templates.
+func (st *SlotTemplates) Len() int { return len(st.tpls) }
+
+// Template returns template i's relation and its operands: a slot index
+// when ≥ 0, the complement ^id of a constant's id when < 0. The slice
+// is shared and read-only.
+func (st *SlotTemplates) Template(i int) (rel string, args []int32) {
+	return st.tpls[i].name, st.tpls[i].args
+}
+
 // ground resolves template tp's operands under slots into dst (which
 // must have room for them) and reports whether every id lies in its
 // column's finite domain.

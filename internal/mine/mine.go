@@ -177,8 +177,9 @@ type candidate struct {
 	// after unconditioned shapes, single atoms before joins, wider
 	// right-hand sides first.
 	nconds, natoms int
-	sig            string
-	fires, holds   int
+	// sig is the canonical signature, computed for survivors only.
+	sig          string
+	fires, holds int
 }
 
 func (c *candidate) support(pairs int) float64 {
@@ -238,6 +239,11 @@ func Mine(ctx context.Context, pairs []Pair, opt Options) (*Result, error) {
 		return nil, err
 	}
 	e.stats.Survivors = len(survivors)
+	// Only survivors are sorted and emitted, so only they need the
+	// canonical signature.
+	for _, c := range survivors {
+		c.sig = canonSig(c.q, c.con.P)
+	}
 
 	// Emission order: most general first, so the subsumption basis is
 	// already populated when weaker shapes are considered.
@@ -527,7 +533,6 @@ func (e *engine) finish(q *cq.CQ, p cc.Projection) *candidate {
 		con:    cc.FromCQ("cand", q, p),
 		nconds: len(q.Conds),
 		natoms: len(q.Atoms),
-		sig:    canonSig(q, p),
 	}
 }
 

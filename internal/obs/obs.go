@@ -110,6 +110,12 @@ var (
 	// valuation below it, none of which could be a witness.
 	HeadCuts = NewCounter("relcomp_core_head_cuts_total",
 		"valuation subtrees cut at an already-answered head")
+	// NogoodJumps counts the nogoods the RCDP search drew from rejected
+	// valuations that skipped further valuations: each unwound the
+	// walk past the rejected leaf's slot, or restricted a slot's
+	// remaining values.
+	NogoodJumps = NewCounter("relcomp_core_nogood_jumps_total",
+		"rejected valuations whose nogood skipped further valuations")
 	// RecheckReused counts incremental rechecks answered from the cached
 	// verdict because the mutation passed the invisibility gate
 	// (core.Delta.WitnessReusable).

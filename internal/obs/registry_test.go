@@ -259,6 +259,7 @@ func TestEnginesMetricsRegistered(t *testing.T) {
 		"relcomp_relation_index_builds_total",
 		"relcomp_core_valuations_total",
 		"relcomp_core_head_cuts_total",
+		"relcomp_core_nogood_jumps_total",
 		"relcomp_core_pool_tasks_total",
 		"relcomp_core_pool_busy_nanoseconds_total",
 		"relcomp_core_pool_workers",

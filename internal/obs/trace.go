@@ -17,7 +17,8 @@ import (
 //
 //	check_start    check (rcdp|rcqp|bounded-rcdp|bounded-rcqp), workers
 //	disjunct_done  check=rcdp: disjunct index, valuations tried,
-//	               answered-head cuts (head_cuts), witness?
+//	               answered-head cuts (head_cuts), nogood jumps
+//	               (nogood_jumps), witness?
 //	tableau_build  a compiled-query cache miss (query name)
 //	pdm_build      a master-side projection p(Dm) cache miss (relation)
 //	gate_trip      a governance gate tripped (reason)

@@ -107,16 +107,6 @@ func ParseFacts(src string, schemas map[string]*relation.Schema) (*relation.Data
 	return d, nil
 }
 
-// identByte classifies every byte as isIdentRune classifies rune(b):
-// the query lexer reads identifiers byte by byte, so a UTF-8 byte is
-// classified as the Latin-1 character of the same number.
-var identByte = func() (t [256]bool) {
-	for i := range t {
-		t[i] = isIdentRune(rune(i))
-	}
-	return t
-}()
-
 // factScanner reads the tokens of a fact list as the query lexer does,
 // reporting each as its kind and the span of its text, so no token
 // text is copied.

@@ -223,7 +223,7 @@ func formatTerm(t query.Term) (string, error) {
 }
 
 // quoteIfNeeded quotes values the lexer could not re-read bare: empty
-// strings and values with non-identifier characters. The quote
+// strings and values with a byte outside identByte. The quote
 // character is chosen to avoid one embedded in the value; a value
 // containing both quote characters or a line break has no
 // representation in the grammar (callers holding such values cannot
@@ -233,8 +233,8 @@ func quoteIfNeeded(s string) string {
 		return `""`
 	}
 	bare := true
-	for _, r := range s {
-		if !isIdentRune(r) {
+	for i := 0; i < len(s); i++ {
+		if !identByte[s[i]] {
 			bare = false
 			break
 		}

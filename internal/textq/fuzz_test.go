@@ -64,6 +64,9 @@ func FuzzParseSchemas(f *testing.F) {
 	f.Add("rel R(a: {\"v 1\", 'v2'})\n")
 	f.Add("# comment\nrel R(a)")
 	f.Add("relx R(a)")
+	// A non-ASCII value whose UTF-8 bytes are not all identifier bytes
+	// must be formatted quoted.
+	f.Add(`rel 0(0:{"",'ݗ'})`)
 	f.Fuzz(func(t *testing.T, src string) {
 		ss, err := ParseSchemas(src)
 		if err != nil {
@@ -98,6 +101,7 @@ func FuzzParseDatabase(f *testing.F) {
 	f.Add("Supt(e0, sales, c1)")
 	f.Add("Nope(a).")
 	f.Add("# only a comment\n")
+	f.Add("Supt(e0, sales, 'café').\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		ss, err := ParseSchemas(fuzzSchemas)
 		if err != nil {

@@ -166,9 +166,9 @@ scan:
 		l.pos = i + 1
 		return t, nil
 	}
-	if isIdentRune(rune(c)) {
+	if identByte[c] {
 		i := l.pos
-		for i < len(l.src) && isIdentRune(rune(l.src[i])) {
+		for i < len(l.src) && identByte[l.src[i]] {
 			i++
 		}
 		t := token{kind: tokIdent, text: l.src[l.pos:i], pos: l.pos, line: l.line}
@@ -178,6 +178,17 @@ scan:
 	return token{}, l.errf("unexpected character %q", c)
 }
 
-func isIdentRune(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-'
-}
+// identByte is the one classifier of bare identifier text: the lexer,
+// the fact scanner and the formatter's quoteIfNeeded all read a value
+// byte by byte through it. A byte counts as the Latin-1 character of
+// the same number: letters, digits, '_' and '-' are identifier bytes.
+// A UTF-8 letter may thus be split across an identifier byte and a
+// non-identifier one (the © byte of "é"), so the formatter quotes every
+// value holding a byte outside the table instead of classifying runes.
+var identByte = func() (t [256]bool) {
+	for i := range t {
+		r := rune(i)
+		t[i] = unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-'
+	}
+	return t
+}()
