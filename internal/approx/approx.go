@@ -459,14 +459,16 @@ func fixedVars(q *cq.CQ) map[string]bool {
 // projectionValues returns the master-side p(Dm) values aligned with a
 // database position: for every constraint whose head variable occupies
 // pos in the constraint body, the Dm values of the corresponding
-// projection column. These are the values the containment constraints
-// allow at that position in any legal extension, so selections over
-// them are the ones with a chance of carving out a complete fragment.
+// projection column, read from the memoized p(Dm) and possibly
+// repeated. These are the values the containment constraints allow at
+// that position in any legal extension, so selections over them are
+// the ones with a chance of carving out a complete fragment.
 func (e *engine) projectionValues(pos position) []relation.Value {
 	if e.v == nil || e.dm == nil {
 		return nil
 	}
 	var out []relation.Value
+	vals := relation.Shared().Snapshot()
 	for _, c := range e.v.Constraints {
 		if c.Reverse || c.P.IsEmptySet() {
 			continue
@@ -475,16 +477,13 @@ func (e *engine) projectionValues(pos position) []relation.Value {
 		if !ok || len(cqc.Head) != len(c.P.Cols) {
 			continue
 		}
-		in := e.dm.Instance(c.P.Rel)
-		if in == nil {
-			continue
-		}
+		rhs := c.MasterIDs(e.dm)
 		for k, h := range cqc.Head {
 			if !h.IsVar || !occursAt(cqc, h.Name, pos) {
 				continue
 			}
-			for _, t := range in.Project([]int{c.P.Cols[k]}) {
-				out = append(out, t[0])
+			for i := 0; i < rhs.Len(); i++ {
+				out = append(out, vals[rhs.At(i)[k]])
 			}
 		}
 	}

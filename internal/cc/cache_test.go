@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cq"
+	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
@@ -150,5 +151,53 @@ func TestSatisfiedDeltaAgreesWithFullRandom(t *testing.T) {
 	if answers[true] == 0 || answers[false] == 0 || trips == 0 {
 		t.Fatalf("prepared checker coverage: %d satisfied, %d violated, %d gate trips; want all > 0",
 			answers[true], answers[false], trips)
+	}
+}
+
+// TestMasterProjectionHas pins the reuse-gate membership probe.
+func TestMasterProjectionHas(t *testing.T) {
+	_, dm := crmSchemas()
+	dm.MustAdd("DCust", "c1", "Ann", "908", "5550001")
+	phi := phi0()
+	if !phi.MasterProjectionHas(dm, relation.T("c1", "Zoe", "999", "0000000")) {
+		t.Fatal("projection (c1) should be present regardless of other columns")
+	}
+	if phi.MasterProjectionHas(dm, relation.T("c9", "Ann", "908", "5550001")) {
+		t.Fatal("projection (c9) should be absent")
+	}
+	if phi.MasterProjectionHas(dm, relation.Tuple{}) {
+		t.Fatal("short tuple should report false, not panic")
+	}
+	empty := New("e", phi.Q, EmptySet())
+	if empty.MasterProjectionHas(dm, relation.T("c1")) {
+		t.Fatal("empty-set projection has no members")
+	}
+}
+
+// TestMasterCacheAlternatingDm pins that p(Dm) lives on the master
+// instance: a constraint checked against two master databases in turn,
+// as the miner scores a candidate on each of its evidence pairs, builds
+// p(Dm) once per database and hits on every later switch. A second
+// constraint over the same projection shares the memo.
+func TestMasterCacheAlternatingDm(t *testing.T) {
+	_, dm1 := crmSchemas()
+	dm1.MustAdd("DCust", "c1", "Ann", "908", "5550001")
+	_, dm2 := crmSchemas()
+	dm2.MustAdd("DCust", "c2", "Eve", "973", "5550002")
+	phi := phi0()
+	first := map[*relation.Database]*relation.IDTupleSet{dm1: phi.MasterIDs(dm1), dm2: phi.MasterIDs(dm2)}
+	hits0, misses0 := obs.PDmHits.Value(), obs.PDmMisses.Value()
+	for i := 0; i < 6; i++ {
+		for _, dm := range []*relation.Database{dm1, dm2} {
+			if set := phi.MasterIDs(dm); set != first[dm] {
+				t.Fatalf("round %d: p(Dm) rebuilt on a switch of Dm", i)
+			}
+			if set := phi0().MasterIDs(dm); set != first[dm] {
+				t.Fatalf("round %d: a second constraint rebuilt p(Dm)", i)
+			}
+		}
+	}
+	if hits, misses := obs.PDmHits.Value()-hits0, obs.PDmMisses.Value()-misses0; hits != 24 || misses != 0 {
+		t.Fatalf("alternating Dm: %d hits, %d misses; want 24 hits, 0 misses", hits, misses)
 	}
 }

@@ -15,12 +15,10 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/cq"
 	"repro/internal/datalog"
 	"repro/internal/fo"
-	"repro/internal/obs"
 	"repro/internal/qlang"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -46,22 +44,6 @@ func (p Projection) IsEmptySet() bool { return p.Rel == "" }
 // Arity is the projection's output arity.
 func (p Projection) Arity() int { return len(p.Cols) }
 
-// Values returns the sorted distinct values occurring in the projected
-// columns of the master data.
-func (p Projection) Values(dm *relation.Database) []relation.Value {
-	seen := make(map[relation.Value]bool)
-	if !p.IsEmptySet() && dm != nil {
-		if in := dm.Instance(p.Rel); in != nil {
-			for _, t := range in.Project(p.Cols) {
-				for _, v := range t {
-					seen[v] = true
-				}
-			}
-		}
-	}
-	return relation.SortedValues(seen)
-}
-
 func (p Projection) String() string {
 	if p.IsEmptySet() {
 		return "∅"
@@ -84,77 +66,45 @@ type Constraint struct {
 	Reverse bool
 
 	ind *INDShape // non-nil when the constraint is an IND (set by NewIND or DetectIND)
-
-	// pcache memoizes the master-side projection p(Dm) of the last
-	// pdmSlots master instances, refilled round-robin from pnext. Dm
-	// is immutable during a Checker run, so the same set is recomputed
-	// thousands of times otherwise, and a caller that cycles over a
-	// few Dm's (the miner's evidence pairs) keeps each one warm. Slots
-	// key on the projected instance's identity and generation, so
-	// out-of-band mutation invalidates them.
-	pcache [pdmSlots]atomic.Pointer[projCache]
-	pnext  atomic.Uint32
 }
 
-// pdmSlots is the number of p(Dm) memo slots per constraint.
-const pdmSlots = 4
-
-// projCache is one memoized master-side projection p(Dm), as id tuples
-// over the shared dictionary; see masterCache.
-type projCache struct {
-	inst   *relation.Instance
-	gen    uint64
-	rhsIDs *relation.IDTupleSet
-}
-
-// masterCache returns the memoized p(Dm), keyed per (instance,
-// generation). Stores race benignly under concurrent checkers: every
-// store for one key holds the same set, and a lost or overwritten slot
-// merely recomputes later.
-func (c *Constraint) masterCache(dm *relation.Database) *projCache {
-	var in *relation.Instance
+// MasterIDs returns p(Dm) as id tuples over the shared dictionary: the
+// projection memoized by the master instance (Instance.ProjectIDSet),
+// or the empty set for ∅ and for a master relation Dm lacks. The set
+// is shared and must not be modified.
+func (c *Constraint) MasterIDs(dm *relation.Database) *relation.IDTupleSet {
 	if !c.P.IsEmptySet() && dm != nil {
-		in = dm.Instance(c.P.Rel)
-	}
-	var gen uint64
-	if in != nil {
-		gen = in.Generation()
-	}
-	if _, p := c.cachedProjection(in, gen); p != nil {
-		obs.PDmHits.Inc()
-		return p
-	}
-	obs.PDmMisses.Inc()
-	if obs.Tracing() {
-		obs.Emit("pdm_build", map[string]any{"constraint": c.Name, "rel": c.P.Rel})
-	}
-	pc := &projCache{inst: in, gen: gen}
-	if in == nil {
-		// Empty or absent master side: the id form is the empty set.
-		pc.rhsIDs = relation.NewIDTupleSet(c.P.Arity(), 0)
-	} else {
-		pc.rhsIDs = in.ProjectIDSet(c.P.Cols)
-	}
-	c.pcache[(c.pnext.Add(1)-1)%pdmSlots].Store(pc)
-	return pc
-}
-
-// cachedProjection returns the memo slot holding p(Dm) for instance in
-// at generation gen, and its entry (-1 and nil when no slot does).
-func (c *Constraint) cachedProjection(in *relation.Instance, gen uint64) (int, *projCache) {
-	for i := range c.pcache {
-		if p := c.pcache[i].Load(); p != nil && p.inst == in && p.gen == gen {
-			return i, p
+		if in := dm.Instance(c.P.Rel); in != nil {
+			return in.ProjectIDSet(c.P.Cols)
 		}
 	}
-	return -1, nil
+	return relation.NewIDTupleSet(c.P.Arity(), 0)
 }
 
-// MasterIDs returns p(Dm) as id tuples over the shared dictionary,
-// memoized per master instance and generation. The set is shared and
-// must not be modified.
-func (c *Constraint) MasterIDs(dm *relation.Database) *relation.IDTupleSet {
-	return c.masterCache(dm).rhsIDs
+// MasterProjectionHas reports whether the projection of t onto the
+// constraint's master-side columns is already present in p(Dm). This is
+// the membership probe behind the witness-reuse gate in internal/core:
+// a master insert whose projection is already in every affected
+// constraint's p(Dm) is extensionally invisible to the constraint.
+// Empty-set projections and tuples too short for the projection report
+// false.
+func (c *Constraint) MasterProjectionHas(dm *relation.Database, t relation.Tuple) bool {
+	if c.P.IsEmptySet() {
+		return false
+	}
+	dict := relation.Shared()
+	ids := make([]int32, len(c.P.Cols))
+	for i, col := range c.P.Cols {
+		if col < 0 || col >= len(t) {
+			return false
+		}
+		id, found := dict.ID(t[col])
+		if !found {
+			return false // a value outside the dictionary is in no p(Dm)
+		}
+		ids[i] = id
+	}
+	return c.MasterIDs(dm).Has(ids)
 }
 
 // New builds a containment constraint.
@@ -429,12 +379,13 @@ func (s *Set) SatisfiedDeltaGate(d, delta, dm *relation.Database, g *query.Gate)
 // closed D and one Dm and run for many deltas, as the decision
 // procedures do once per candidate valuation, each given as id rows
 // (cq.DeltaRows). Each monotone forward constraint holds one
-// cq.DeltaProbe per tableau of its query plus its id-keyed p(Dm) memo,
-// both resolved on the constraint's first use. A monotone reverse
-// constraint holds on every extension of a D that satisfies it, so it
-// is never evaluated; a non-monotone constraint cannot be checked
-// differentially, so SatisfiedGate refuses it (RCDP rejects such sets
-// before it searches).
+// cq.DeltaProbe per tableau of its query plus its p(Dm) id set, read
+// from the master instance's memo (MasterIDs); both are resolved on
+// the constraint's first use. A monotone reverse constraint holds on
+// every extension of a D that satisfies it, so it is never evaluated;
+// a non-monotone constraint cannot be checked differentially, so
+// SatisfiedGate refuses it (RCDP rejects such sets before it
+// searches).
 //
 // D and Dm must not change while the checker is in use — a check holds
 // its catalog entry's read lock for its whole run and mutations take
@@ -513,10 +464,10 @@ func (dc *DeltaChecker) satisfied(delta *cq.DeltaRows, db *relation.Database, g 
 	return true, nil
 }
 
-// prepare builds a monotone forward constraint's probes and resolves
-// its p(Dm) memo.
+// prepare builds a monotone forward constraint's probes and reads its
+// p(Dm) set.
 func (dc *DeltaChecker) prepare(x *deltaConstraint) {
-	rhs := x.c.masterCache(dc.dm).rhsIDs
+	rhs := x.c.MasterIDs(dc.dm)
 	x.leaf = func(head []int32) bool {
 		x.violated = !rhs.Has(head)
 		return !x.violated

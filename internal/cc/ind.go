@@ -2,6 +2,7 @@ package cc
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cq"
 	"repro/internal/qlang"
@@ -122,12 +123,12 @@ func (s *Set) BoundedColumns() (map[string]map[int]bool, bool) {
 // permitted by the intersection of all INDs of the set covering that
 // column, with found reporting whether any IND covers it. These are the
 // only values an extension tuple may take in that column while staying
-// partially closed.
+// partially closed. Each IND's values are read from its memoized p(Dm).
 func (s *Set) INDValueBound(dm *relation.Database, rel string, col int) (vals []relation.Value, found bool) {
 	if s == nil {
 		return nil, false
 	}
-	var sets []map[relation.Value]bool
+	var bound []int32 // ascending ids
 	for _, c := range s.Constraints {
 		shape, ok := c.IND()
 		if !ok || shape.Rel != rel {
@@ -137,29 +138,32 @@ func (s *Set) INDValueBound(dm *relation.Database, rel string, col int) (vals []
 			if sc != col {
 				continue
 			}
-			set := make(map[relation.Value]bool)
-			if !c.P.IsEmptySet() {
-				if in := dm.Instance(c.P.Rel); in != nil {
-					for _, t := range in.Project(c.P.Cols) {
-						set[t[hi]] = true
-					}
-				}
+			ids := distinctAt(c.MasterIDs(dm), hi)
+			if !found {
+				bound, found = ids, true
+				continue
 			}
-			sets = append(sets, set)
+			bound = slices.DeleteFunc(bound, func(id int32) bool {
+				_, in := slices.BinarySearch(ids, id)
+				return !in
+			})
 		}
 	}
-	if len(sets) == 0 {
+	if !found {
 		return nil, false
 	}
-	inter := sets[0]
-	for _, s2 := range sets[1:] {
-		next := make(map[relation.Value]bool)
-		for v := range inter {
-			if s2[v] {
-				next[v] = true
-			}
-		}
-		inter = next
+	vals = relation.Shared().Values(bound)
+	slices.Sort(vals)
+	return vals, true
+}
+
+// distinctAt returns the distinct ids at position i of the set's
+// tuples, ascending.
+func distinctAt(set *relation.IDTupleSet, i int) []int32 {
+	out := make([]int32, set.Len())
+	for k := range out {
+		out[k] = set.At(k)[i]
 	}
-	return relation.SortedValues(inter), true
+	slices.Sort(out)
+	return slices.Compact(out)
 }

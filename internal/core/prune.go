@@ -18,9 +18,9 @@ import (
 // The slot order is fixed, so a template becomes ground exactly when
 // its last slot is bound: the pruner is compiled once per (template,
 // IND) into the projected operands of that check, filed under that
-// slot, and probes the id-tuple p(Dm) memo of cc with no backtracking
-// state of its own. It is read-only after newINDPruner and shared by
-// every worker of a parallel search.
+// slot, and probes the master instance's id-tuple p(Dm) memo with no
+// backtracking state of its own. It is read-only after newINDPruner
+// and shared by every worker of a parallel search.
 type indPruner struct {
 	at [][]indProbe // by slot
 }

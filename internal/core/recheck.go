@@ -133,13 +133,13 @@ func (p *adomProbe) has(val relation.Value) bool {
 	return ok && relation.HasIDBit(p.bits, id)
 }
 
-// Apply applies the delta to its target database. Master-side
-// insert-only batches additionally extend the affected constraints'
-// p(Dm) memos in place (cc.Set.PatchMaster) instead of leaving them to
-// an O(|Dm|) rebuild; the relation layer patches posting-list indexes
-// the same way inside ApplyBatch. It returns the rows actually added
-// and removed. Like every mutation, Apply requires that no concurrent
-// reader observes the databases while it runs.
+// Apply applies the delta to its target database and returns the rows
+// actually added and removed. An insert batch extends the target
+// instances' posting indexes and p(Dm) memos instead of leaving them
+// to a rebuild (relation.Database.ApplyBatch). v is unused;
+// relperf/replay.go still passes it. Like every mutation, Apply
+// requires that no concurrent reader observes the databases while it
+// runs.
 func (dl *Delta) Apply(d, dm *relation.Database, v *cc.Set) (ins, del int, err error) {
 	if dl.Empty() {
 		return 0, 0, nil
@@ -151,27 +151,7 @@ func (dl *Delta) Apply(d, dm *relation.Database, v *cc.Set) (ins, del int, err e
 	if target == nil {
 		return 0, 0, fmt.Errorf("core: delta targets a nil database")
 	}
-	var preGens map[string]uint64
-	if dl.Master && dl.InsertOnly() && v != nil {
-		preGens = make(map[string]uint64, len(dl.Inserts))
-		for rel := range dl.Inserts {
-			if in := dm.Instance(rel); in != nil {
-				preGens[rel] = in.Generation()
-			}
-		}
-	}
-	ins, del, err = target.ApplyBatch(dl.Batch())
-	if err != nil {
-		return 0, 0, err
-	}
-	if preGens != nil {
-		patches := make(map[string]cc.MasterPatch, len(preGens))
-		for rel, gen := range preGens {
-			patches[rel] = cc.MasterPatch{PreGen: gen, Inserted: dl.Inserts[rel]}
-		}
-		v.PatchMaster(dm, patches)
-	}
-	return ins, del, nil
+	return target.ApplyBatch(dl.Batch())
 }
 
 // ResultReusable reports whether prev can stand in for a rerun on

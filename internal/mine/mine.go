@@ -538,7 +538,8 @@ func (e *engine) finish(q *cq.CQ, p cc.Projection) *candidate {
 
 // score evaluates the candidate's left-hand side on every pair as id
 // tuples and counts firings and holds: a pair holds when every answer
-// is in the constraint's memoized p(Dm).
+// is in p(Dm), memoized by the pair's master instance and shared by
+// every candidate over the same projection.
 func (e *engine) score(c *candidate) error {
 	ts, width := c.con.Q.Tableaux(), c.con.Q.Arity()
 	for _, p := range e.pairs {

@@ -1,12 +1,18 @@
 package mine
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"testing"
 
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/mdm"
+	"repro/internal/obs"
+	"repro/internal/relation"
 )
 
 // evidenceConfig is the base mining-evidence scenario: fully complete,
@@ -250,5 +256,75 @@ func TestParseEvidenceErrors(t *testing.T) {
 		if _, err := ParseEvidence(tc.src); err == nil {
 			t.Fatalf("%s: expected error", tc.name)
 		}
+	}
+}
+
+// TestMineBuildsEachProjectionOnce pins that p(Dm) is memoized on the
+// master instance, not per candidate constraint: one Mine call on
+// BenchmarkMine's evidence at Workers 1 reads at most one p(Dm) miss
+// per distinct (Dm instance, relation, columns). The keys are taken
+// from the run's pdm_build trace events; afterwards every key the run
+// built must be a hit, and the run's misses may not exceed their count.
+func TestMineBuildsEachProjectionOnce(t *testing.T) {
+	cfg := mdm.DefaultConfig()
+	cfg.DomesticCustomers = 8
+	cfg.InternationalCustomers = 3
+	cfg.SaturateSupport = true
+	cfg.UnregisteredDomestic = 2
+	var pairs []Pair
+	for _, s := range mdm.Evidence(cfg, 4) {
+		pairs = append(pairs, Pair{D: s.D, Dm: s.Dm})
+	}
+	var trace bytes.Buffer
+	prev := obs.SetTracer(obs.NewTracer(&trace))
+	hits0, misses0 := obs.PDmHits.Value(), obs.PDmMisses.Value()
+	_, err := Mine(context.Background(), pairs, Options{MaxCandidates: 256, Workers: 1})
+	hits, misses := obs.PDmHits.Value()-hits0, obs.PDmMisses.Value()-misses0
+	obs.SetTracer(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type projKey struct {
+		rel  string
+		cols string
+	}
+	built := make(map[projKey][]int)
+	sc := bufio.NewScanner(&trace)
+	for sc.Scan() {
+		var ev struct {
+			Ev   string `json:"ev"`
+			Rel  string `json:"rel"`
+			Cols []int  `json:"cols"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Ev == "pdm_build" {
+			built[projKey{ev.Rel, fmt.Sprint(ev.Cols)}] = ev.Cols
+		}
+	}
+	keys := 0
+	seen := make(map[*relation.Instance]bool)
+	for _, p := range pairs {
+		for _, rel := range p.Dm.Relations() {
+			in := p.Dm.Instance(rel)
+			if seen[in] {
+				continue
+			}
+			seen[in] = true
+			for k, cols := range built {
+				if k.rel != rel {
+					continue
+				}
+				h0 := obs.PDmHits.Value()
+				in.ProjectIDSet(cols)
+				keys += int(obs.PDmHits.Value() - h0)
+			}
+		}
+	}
+	t.Logf("one Mine call: %d p(Dm) hits, %d misses over %d distinct keys", hits, misses, keys)
+	if misses == 0 || misses > int64(keys) {
+		t.Fatalf("%d p(Dm) misses over %d distinct (Dm instance, relation, columns) keys; want at most one each", misses, keys)
 	}
 }

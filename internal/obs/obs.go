@@ -88,8 +88,8 @@ var (
 	// (projection evaluations over the master data).
 	PDmMisses = NewCounter("relcomp_cc_pdm_cache_misses_total",
 		"master-side projection cache misses")
-	// PDmPatches counts master-side projection memos extended in place
-	// by an insert-only master batch instead of rebuilt.
+	// PDmPatches counts master-side projections extended by an insert
+	// batch (on a copy) instead of rebuilt on their next use.
 	PDmPatches = NewCounter("relcomp_cc_pdm_cache_patches_total",
 		"master-side projection cache incremental patches")
 	// IndexBuilds counts posting-column index materializations in the

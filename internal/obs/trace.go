@@ -20,7 +20,7 @@ import (
 //	               answered-head cuts (head_cuts), nogood jumps
 //	               (nogood_jumps), witness?
 //	tableau_build  a compiled-query cache miss (query name)
-//	pdm_build      a master-side projection p(Dm) cache miss (relation)
+//	pdm_build      a master-side projection p(Dm) cache miss (rel, cols)
 //	gate_trip      a governance gate tripped (reason)
 //	pool_run       a parallel fan-out (tasks, workers)
 //	check_done     verdict, reason, valuations, join_rows, tuples

@@ -149,20 +149,25 @@ func sortedKeys(m map[string][]Tuple) []string {
 // current, the fresh rows are merged into the existing
 // rank permutation instead of leaving the whole index to a cold
 // rebuild: an insert-only batch never moves existing rows, so the old
-// permutation stays a sorted prefix-set of the new one.
+// permutation stays a sorted prefix-set of the new one. For the same
+// reason the live ProjectIDSet memo is extended by the fresh rows
+// instead of being rebuilt on its next use.
 func (in *Instance) insertBatch(ts []Tuple) int {
 	var old *postingSet
 	if ps := in.postings.Load(); ps != nil && ps.gen == in.gen {
 		old = ps
 	}
+	_, projs := in.liveProjections()
 	n0 := in.n
-	before := in.Len()
 	for _, t := range ts {
 		_ = in.Add(t) // pre-validated by ApplyBatch
 	}
-	added := in.Len() - before
-	if old != nil && added > 0 {
+	added := in.n - n0
+	if added > 0 && old != nil {
 		in.postings.Store(in.mergePostings(old, n0))
+	}
+	if added > 0 && len(projs) > 0 {
+		in.extendProjections(projs, n0)
 	}
 	return added
 }

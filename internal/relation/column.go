@@ -475,24 +475,3 @@ func (ix IDIndex) Distinct(c int) int {
 	}
 	return int(ix.ps.distinct[c])
 }
-
-// ProjectIDSet returns the distinct projections of the instance onto
-// cols as id tuples. Sets are comparable across instances because
-// every instance shares the process-wide dictionary — this is what the
-// p(Dm) memo in internal/cc holds.
-func (in *Instance) ProjectIDSet(cols []int) *IDTupleSet {
-	set := NewIDTupleSet(len(cols), in.n)
-	var ib [inlineArity]int32
-	ids := ib[:0]
-	if len(cols) > inlineArity {
-		ids = make([]int32, 0, len(cols))
-	}
-	for r := 0; r < in.n; r++ {
-		ids = ids[:0]
-		for _, c := range cols {
-			ids = append(ids, in.cols[c][r])
-		}
-		set.Add(ids)
-	}
-	return set
-}

@@ -275,6 +275,10 @@ type Instance struct {
 	// Mutating an instance while others read it remains forbidden,
 	// exactly as for the sorted cache.
 	postings atomic.Pointer[postingSet]
+
+	// projs publishes the ProjectIDSet memo (project.go) for the
+	// generation it records, under the same rules as postings.
+	projs atomic.Pointer[projMemo]
 }
 
 // NewInstance returns an empty instance of the schema.

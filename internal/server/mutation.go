@@ -21,8 +21,8 @@ import (
 // A catalog entry is a live completeness context, not a frozen
 // snapshot: POST /v1/catalog/{name}/insert and /delete apply a batch of
 // textq facts to the entry's resident database D (the default) or its
-// master data Dm, patching the relation indexes and cc p(Dm) memos in
-// place instead of rebuilding them. Entries registered with watched
+// master data Dm, extending the relation indexes and the p(Dm) memos
+// of the touched instances instead of rebuilding them. Entries registered with watched
 // queries maintain those queries' RCDP verdicts across mutations —
 // reusing a cached verdict when the core invisibility gate
 // (core.Delta.WitnessReusable) proves the batch cannot have changed it,

@@ -18,7 +18,7 @@
 //
 // Master data is meant to be registered once in the Catalog and
 // referenced by name: catalog entries pin the (Dm, V) pair plus the
-// database schemas, so the cc master-side p(Dm) memoization, the
+// database schemas, so the p(Dm) memos of the Dm instances, the
 // lazily built column indexes of Dm and the compiled-tableau cache of
 // parsed queries are all shared across the request stream instead of
 // being rebuilt per request.
