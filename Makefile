@@ -96,7 +96,9 @@ bench-smoke:
 # median-merged and compared against the committed BENCH_BASELINE.json
 # by scripts/bench_diff.go. The comparison is scale-normalized (see the
 # script), so it passes on any machine speed but fails when one
-# benchmark regresses >25% relative to the rest of the suite. Refresh
+# benchmark regresses >25% relative to the rest of the suite. The same
+# script fails when a record's join_rows or valuations, exact at
+# -workers 1, rose more than 1% over the baseline's. Refresh
 # the baseline after intentional performance changes with:
 #   go run ./scripts -baseline BENCH_BASELINE.json -write <runs...>
 bench-diff:

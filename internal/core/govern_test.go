@@ -143,10 +143,13 @@ func TestRCDPCtxBudgetTimeout(t *testing.T) {
 
 // TestRCDPCtxRowBudget: MaxJoinRows stops the scan with
 // unknown/join-rows at both worker counts, and the row counter reflects
-// at least the exhausted cap.
+// at least the exhausted cap. The cardinality cut of the join (see
+// internal/cq/card.go) settles each of e0's rows of the at-most-n
+// closure check at once, so the check reads n rows: twice the cap
+// keeps it over the cap.
 func TestRCDPCtxRowBudget(t *testing.T) {
-	q, d, dm, vset := completeFixture(5)
 	const capRows = 50
+	q, d, dm, vset := completeFixture(2 * capRows)
 	for _, workers := range []int{1, 8} {
 		ck := &Checker{Workers: workers, Budget: Budget{MaxJoinRows: capRows}}
 		r, err := ck.RCDPCtx(context.Background(), q, d, dm, vset)

@@ -116,6 +116,8 @@ type evalStats struct {
 	rows   int64 // candidate join rows enumerated
 	probes int64 // join steps answered from a column index
 	scans  int64 // join steps answered by a full instance scan
+	// cardCuts counts branches the cardinality cut pruned (card.go).
+	cardCuts int64
 }
 
 // flush charges the accumulated counts to the process-global metrics
@@ -125,6 +127,7 @@ func (es *evalStats) flush() {
 	obs.JoinRows.Add(es.rows)
 	obs.IndexProbes.Add(es.probes)
 	obs.FullScans.Add(es.scans)
+	obs.CardinalityCuts.Add(es.cardCuts)
 	*es = evalStats{}
 }
 

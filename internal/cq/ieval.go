@@ -40,6 +40,9 @@ type iplan struct {
 	headBound bool
 	// kinds classifies every template column (see ColKind).
 	kinds [][]ColKind
+	// cards are the groups of the cardinality cut (card.go); nil when
+	// the tableau has none.
+	cards []cardGroup
 }
 
 // buildIPlan compiles the tableau's terms into slots. It is cheap and
@@ -89,6 +92,7 @@ func (t *Tableau) buildIPlan() *iplan {
 		ip.unsat = ip.unsat || !bound(pair[0]) || !bound(pair[1])
 	}
 	ip.kinds = ip.columnKinds()
+	ip.cards = ip.cardGroups(t.Templates)
 	return ip
 }
 
@@ -146,6 +150,10 @@ type ijoin struct {
 	gs   *gateState
 	es   *evalStats
 	leaf func() bool
+
+	// The cardinality cut (card.go): cardAt holds, per group of
+	// ip.cards, the plan position that checks it; nil without groups.
+	cardAt []int
 
 	// The existential cut: cutAt is the plan position where every head
 	// slot is bound (-1: no cut, every binding is enumerated), hbuf
@@ -243,9 +251,13 @@ func (st *ijoin) next(f iframe) bool {
 	return st.run(f.order, f.k+1)
 }
 
-// run recursively matches template order[k], taking the existential
-// cut at its position.
+// run recursively matches template order[k], taking the cardinality
+// cut at the positions that check its groups and the existential cut
+// at its position.
 func (st *ijoin) run(order []int, k int) bool {
+	if st.cardAt != nil && st.cardinalityCut(k) {
+		return true
+	}
 	if k == st.cutAt {
 		return st.cut(order, k)
 	}
@@ -265,12 +277,13 @@ func (st *ijoin) match(order []int, k int) bool {
 	return st.enum(st.ixs[ti], st.ip.tmpls[ti], st.probeAt[ti], iframe{order: order, k: k})
 }
 
-// answers runs the plain join in plan order with the existential cut,
-// adding the head of every answer to set.
+// answers runs the plain join in plan order with the cardinality and
+// existential cuts, adding the head of every answer to set.
 func (st *ijoin) answers(order []int, set *relation.IDTupleSet) {
 	st.ans = set
 	st.hbuf = make([]int32, len(st.ip.head))
 	st.cutAt = st.ip.headPrefix(order)
+	st.cardAt = st.ip.cardPositions(order)
 	st.leaf = func() bool {
 		st.ans.Add(st.hbuf)
 		st.cutHit = true

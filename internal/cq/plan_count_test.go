@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cq"
+	"repro/internal/mdm"
 	"repro/internal/query"
 	"repro/internal/reductions"
 	"repro/internal/sat"
@@ -65,5 +66,29 @@ func TestForallExistsAnswerJoinRows(t *testing.T) {
 		if rows != tc.want {
 			t.Errorf("n = %d: Q(D) join rows = %d over %d instances, want %d", tc.n, rows, instances, tc.want)
 		}
+	}
+}
+
+// TestAtMostKClosureJoinRows pins the join rows of the precondition
+// (D, Dm) ⊨ φ₁ on a generated CRM-400 D, the check every serve-crm
+// request with its own D pays before the search. φ₁ (Example 2.1,
+// cc.AtMostK) self-joins four Supt atoms with pairwise-distinct
+// customers and is empty on D, so its join runs to the end. The
+// cardinality cut (card.go) settles each of the 120 Supt rows of the
+// first atom at once, since no employee holds the four rows the other
+// atoms need: 120 rows, where walking every permutation of each
+// employee's rows charged 1,920.
+func TestAtMostKClosureJoinRows(t *testing.T) {
+	s := mdm.Generate(mdm.Config{
+		Seed: 1, DomesticCustomers: 400, InternationalCustomers: 40, Employees: 40,
+		SupportPerEmployee: 3, MaxSupport: 3, Completeness: 1, ManageDepth: 4,
+	})
+	g := query.NewGate(context.Background(), 0, 0)
+	ok, err := mdm.Phi1(3).SatisfiedGate(s.D, s.Dm, g)
+	if err != nil || !ok {
+		t.Fatalf("φ₁ on the CRM-400 D: satisfied %v, %v; want satisfied", ok, err)
+	}
+	if rows := g.Rows(); rows != 120 {
+		t.Errorf("φ₁ closure check on the CRM-400 D: %d join rows, want 120", rows)
 	}
 }

@@ -60,7 +60,7 @@ var (
 	// batched: a one-shot evaluation charges them when it ends, a
 	// DeltaProbe when it is flushed — for an RCDP check, once per
 	// witness checker rather than once per valuation. The same holds
-	// for JoinRows, IndexProbes and FullScans.
+	// for JoinRows, IndexProbes, FullScans and CardinalityCuts.
 	Evals = NewCounter("relcomp_cq_evals_total",
 		"completed tableau join enumerations")
 	// JoinRows counts candidate join rows enumerated by the cq join
@@ -73,6 +73,12 @@ var (
 	// FullScans counts join steps that fell back to a full instance scan.
 	FullScans = NewCounter("relcomp_cq_full_scans_total",
 		"join steps answered by a full instance scan")
+	// CardinalityCuts counts plain-join branches the cardinality cut
+	// pruned: a bound key with fewer rows than the self-joined
+	// templates that need pairwise-distinct rows carrying it (see
+	// DESIGN.md, "Cardinality cut"). Batched like JoinRows.
+	CardinalityCuts = NewCounter("relcomp_cq_cardinality_cuts_total",
+		"plain-join branches pruned by the cardinality cut")
 	// TableauBuilds counts tableau compilations (compiled-query cache
 	// misses plus direct BuildTableau calls).
 	TableauBuilds = NewCounter("relcomp_cq_tableau_builds_total",

@@ -252,6 +252,7 @@ func TestEnginesMetricsRegistered(t *testing.T) {
 		"relcomp_cq_join_rows_total",
 		"relcomp_cq_index_probes_total",
 		"relcomp_cq_full_scans_total",
+		"relcomp_cq_cardinality_cuts_total",
 		"relcomp_cq_tableau_builds_total",
 		"relcomp_cq_compiled_lookups_total",
 		"relcomp_cc_pdm_cache_hits_total",

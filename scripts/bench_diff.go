@@ -25,6 +25,14 @@
 // run (a silently dropped benchmark fails the gate); new keys are
 // reported as notes and suggest a -write refresh.
 //
+// Work-count gate: relbench records the join rows and valuations of
+// each timed check, which are exact at -workers 1. When the baseline
+// holds a key's counts and every current run of that key ran at
+// -workers 1, the gate fails when either count rose more than
+// countTolerance (1%) over the baseline, naming the key and the
+// count. It times nothing, so it holds where every entry is under
+// -min-duration and the timing gate checks presence only.
+//
 // -write regenerates the baseline file from the inputs' medians
 // instead of diffing.
 package main
@@ -40,14 +48,23 @@ import (
 
 // record mirrors the relbench -json record shape; unknown fields are
 // ignored so relbench can grow columns without breaking the gate. The
-// work counts join_rows and valuations are among them: this gate
-// compares durations only.
+// work counts are pointers so that a baseline recorded without them
+// gates durations only.
 type record struct {
 	Table      string `json:"table"`
 	Name       string `json:"name"`
 	Param      int    `json:"param"`
+	Workers    int    `json:"workers"`
 	DurationNS int64  `json:"duration_ns"`
+	JoinRows   *int64 `json:"join_rows,omitempty"`
+	Valuations *int64 `json:"valuations,omitempty"`
 }
+
+// countTolerance is the rise of join_rows or valuations over the
+// baseline that the work-count gate allows. The counts are exact at
+// -workers 1, so any rise is a change in the work a check does; the
+// margin only spares a baseline recorded across a harmless rounding.
+const countTolerance = 0.01
 
 func (r record) key() string {
 	return fmt.Sprintf("%s|%s|%d", r.Table, r.Name, r.Param)
@@ -83,16 +100,23 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bench_diff:", err)
 		os.Exit(2)
 	}
-	if diff(baseline, baseOrder, current, *tolerance, *minDuration) {
+	failed := diff(baseline, baseOrder, current, *tolerance, *minDuration)
+	if diffCounts(baseline, baseOrder, current) {
+		failed = true
+	}
+	if failed {
 		os.Exit(1)
 	}
 }
 
 // medians loads every file and reduces duplicate keys to their median
-// duration, remembering first-appearance order and a representative
-// record per key.
+// duration and work counts, remembering first-appearance order and a
+// representative record per key. The representative's Workers is 1
+// only when every run of the key ran at -workers 1.
 func medians(paths []string) (map[string]record, []string, error) {
 	durs := make(map[string][]int64)
+	rows := make(map[string][]int64)
+	vals := make(map[string][]int64)
 	reps := make(map[string]record)
 	var order []string
 	for _, path := range paths {
@@ -106,21 +130,40 @@ func medians(paths []string) (map[string]record, []string, error) {
 		}
 		for _, r := range recs {
 			k := r.key()
-			if _, seen := durs[k]; !seen {
+			if rep, seen := reps[k]; !seen {
 				order = append(order, k)
 				reps[k] = r
+			} else if r.Workers != rep.Workers {
+				rep.Workers = 0
+				reps[k] = rep
 			}
 			durs[k] = append(durs[k], r.DurationNS)
+			if r.JoinRows != nil {
+				rows[k] = append(rows[k], *r.JoinRows)
+			}
+			if r.Valuations != nil {
+				vals[k] = append(vals[k], *r.Valuations)
+			}
 		}
 	}
 	out := make(map[string]record, len(durs))
 	for k, ds := range durs {
-		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 		r := reps[k]
-		r.DurationNS = ds[len(ds)/2]
+		r.DurationNS = *median(ds)
+		r.JoinRows, r.Valuations = median(rows[k]), median(vals[k])
 		out[k] = r
 	}
 	return out, order, nil
+}
+
+// median returns the median of xs (sorting them), nil when xs is
+// empty.
+func median(xs []int64) *int64 {
+	if len(xs) == 0 {
+		return nil
+	}
+	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+	return &xs[len(xs)/2]
 }
 
 func writeBaseline(path string, m map[string]record, order []string) error {
@@ -181,7 +224,44 @@ func diff(baseline map[string]record, baseOrder []string, current map[string]rec
 		}
 	}
 	if !failed {
-		fmt.Println("bench_diff: no regressions")
+		fmt.Println("bench_diff: no timing regressions")
 	}
+	return failed
+}
+
+// diffCounts reports (and returns true on) work counts of current that
+// rose more than countTolerance over baseline. Only keys whose baseline
+// holds the count and whose current runs all ran at -workers 1 are
+// compared: the parallel search's counts vary run to run.
+func diffCounts(baseline map[string]record, baseOrder []string, current map[string]record) bool {
+	failed := false
+	compared := 0
+	for _, k := range baseOrder {
+		b, c := baseline[k], current[k]
+		if c.Workers != 1 {
+			continue
+		}
+		for _, n := range []struct {
+			name      string
+			base, cur *int64
+		}{
+			{"join_rows", b.JoinRows, c.JoinRows},
+			{"valuations", b.Valuations, c.Valuations},
+		} {
+			if n.base == nil || n.cur == nil {
+				continue
+			}
+			compared++
+			if float64(*n.cur) > float64(*n.base)*(1+countTolerance) {
+				fmt.Printf("FAIL %s: %s %d -> %d (limit +%.0f%%)\n", k, n.name, *n.base, *n.cur, 100*countTolerance)
+				failed = true
+			}
+		}
+	}
+	fmt.Printf("bench_diff: %d work counts compared at -workers 1", compared)
+	if !failed {
+		fmt.Print(", none rose")
+	}
+	fmt.Println()
 	return failed
 }
