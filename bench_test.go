@@ -24,6 +24,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/approx"
 	"repro/internal/cc"
@@ -419,38 +420,61 @@ func BenchmarkEvalGateOverhead(b *testing.B) {
 }
 
 // BenchmarkObsOverhead measures the instrumentation tax of the obs
-// metrics layer: the same workloads with collection enabled (the
+// metrics layer: the same workload with collection enabled (the
 // default) and disabled (obs.SetEnabled(false) turns every counter
-// flush into a no-op, leaving only the dead branch). The acceptance
-// target is ≤ 5% on both the raw CQ evaluation hot path and a full
-// RCDP check; per-row costs are stack-local (see internal/obs), so the
-// difference is a handful of atomic adds per evaluation.
+// flush into a no-op, leaving only the dead branch). Each iteration
+// runs the workload once in each mode, alternating which mode goes
+// first, so a change in the host's speed during the run lands on both
+// modes alike. It reports the mean ns of one run per mode and their
+// ratio (enabled/disabled). The acceptance target is a ratio ≤ 1.05 on
+// both the raw CQ evaluation hot path and a full RCDP check; per-row
+// costs are stack-local (see internal/obs), so the difference is a
+// handful of atomic adds per evaluation.
 func BenchmarkObsOverhead(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"enabled", true}, {"disabled", false}} {
-		b.Run("eval/"+mode.name, func(b *testing.B) {
+	for _, w := range []struct {
+		name  string
+		setup func() func() error
+	}{
+		{"eval", func() func() error {
 			s, _ := crmScenario(500)
 			q := qlang.Underlying(mdm.Q0("908")).(*cq.CQ)
-			defer obs.SetEnabled(obs.SetEnabled(mode.on))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q.Eval(s.D)
-			}
-		})
-		b.Run("rcdp/"+mode.name, func(b *testing.B) {
+			return func() error { q.Eval(s.D); return nil }
+		}},
+		{"rcdp", func() func() error {
 			s, v := crmScenario(200)
 			q := mdm.Q0("908")
-			defer obs.SetEnabled(obs.SetEnabled(mode.on))
+			return func() error {
+				_, err := core.RCDPCtx(context.Background(), q, s.D, s.Dm, v)
+				return err
+			}
+		}},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			run := w.setup()
+			// One untimed run builds the indexes and memos, so neither
+			// mode pays for them.
+			if err := run(); err != nil {
+				b.Fatal(err)
+			}
+			defer obs.SetEnabled(obs.SetEnabled(true))
+			var spent [2]time.Duration // mode 0 enabled, mode 1 disabled
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RCDPCtx(context.Background(), q, s.D, s.Dm, v); err != nil {
-					b.Fatal(err)
+				for j := 0; j < 2; j++ {
+					mode := (i + j) % 2
+					obs.SetEnabled(mode == 0)
+					start := time.Now()
+					if err := run(); err != nil {
+						b.Fatal(err)
+					}
+					spent[mode] += time.Since(start)
 				}
 			}
+			on, off := float64(spent[0])/float64(b.N), float64(spent[1])/float64(b.N)
+			b.ReportMetric(on, "enabled-ns/run")
+			b.ReportMetric(off, "disabled-ns/run")
+			b.ReportMetric(on/off, "enabled/disabled")
 		})
 	}
 }

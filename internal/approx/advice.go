@@ -40,7 +40,7 @@ type Advice struct {
 	// Rounds is the number of witness rounds run.
 	Rounds int
 	// Flipped reports whether inserting every item into D was certified
-	// (via the incremental recheck path) to flip the verdict to
+	// (by an exact RCDP check of D plus the items) to flip the verdict to
 	// Complete. When false, the rounds or budget cap stopped the loop
 	// with the verdict still Incomplete (or governance answered
 	// Unknown); Final holds that last verdict.
@@ -54,9 +54,9 @@ type Advice struct {
 //
 // The loop is witness-driven: while the verdict is Incomplete, the
 // checker's counterexample witness Δ = μ(T) is recorded as advice and
-// inserted — into a private clone of D, never the caller's database —
-// through core.Checker.RecheckDeltaCtx, whose D-side delta always
-// takes the full re-verification path. Each round strictly grows Q(D')
+// inserted into a private clone of D (never the caller's database),
+// which core.Checker.RCDPCtx then checks again against the caller's Dm
+// (only read, never cloned). Each round strictly grows Q(D')
 // (the witness's NewTuple is an answer over D ∪ Δ that was missing
 // before), and the final Complete verdict, when reached, certifies the
 // whole batch: the advice is guaranteed to work because the checker
@@ -81,20 +81,15 @@ func Advise(ctx context.Context, q qlang.Query, d, dm *relation.Database, v *cc.
 		return adv, nil // nothing to flip: the verdict was never Incomplete
 	}
 
-	// RecheckDeltaCtx applies each delta in place; work on clones so the
-	// caller's databases stay untouched.
+	// Grow a private clone of D by each witness; the caller's D and Dm
+	// are only read, so Dm's p(Dm) memo stays warm across the rounds.
 	dc := d.Clone()
-	dmc := dm
-	if dm != nil {
-		dmc = dm.Clone()
-	}
 	for round := 1; round <= opts.maxRounds(); round++ {
 		if res.Extension == nil {
 			break // incomplete without a witness cannot happen; stop defensively
 		}
 		obs.AdviceRounds.Inc()
 		adv.Rounds = round
-		dl := &core.Delta{Inserts: make(map[string][]relation.Tuple)}
 		for _, rel := range res.Extension.Relations() {
 			for _, t := range res.Extension.Instance(rel).Tuples() {
 				adv.Items = append(adv.Items, AdviceItem{
@@ -103,10 +98,10 @@ func Advise(ctx context.Context, q qlang.Query, d, dm *relation.Database, v *cc.
 					Tuple:    t,
 					Fresh:    freshCount(t),
 				})
-				dl.Inserts[rel] = append(dl.Inserts[rel], t)
 			}
 		}
-		res, _, err = ck.RecheckDeltaCtx(ctx, q, dc, dmc, v, res, dl)
+		dc.UnionInto(res.Extension)
+		res, err = ck.RCDPCtx(ctx, q, dc, dm, v)
 		if err != nil {
 			return nil, fmt.Errorf("approx: advice round %d: %w", round, err)
 		}

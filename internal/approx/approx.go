@@ -12,8 +12,8 @@
 //   - Advise computes acquisition advice: a ranked set of candidate
 //     tuples, derived from the witness valuations the RCDP search
 //     already produces, whose insertion into D flips the verdict to
-//     Complete — each batch re-verified through the incremental
-//     core.Checker.RecheckDeltaCtx path.
+//     Complete — each batch re-verified by an exact RCDP check of D
+//     plus the batch.
 //
 // Both engines are correct by construction rather than heuristic:
 // every candidate they return has been certified by the existing

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cq"
+	"repro/internal/obs"
 	"repro/internal/qlang"
 	"repro/internal/relation"
 	"repro/internal/textq"
@@ -308,6 +309,43 @@ func TestAdviseFlipsVerdict(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestAdviseKeepsMasterMemo: Advise only reads the caller's Dm, so
+// after one warm check its rounds hit the p(Dm) memo on Dm itself (no
+// miss), and neither D nor Dm changes.
+func TestAdviseKeepsMasterMemo(t *testing.T) {
+	p := parseProblem(t, textq.ProblemSource{
+		Schemas:       crmSchemas,
+		MasterSchemas: crmMasterSchemas,
+		DB:            `Cust(c2, Bob, 01, 973, 5550002).`,
+		Master:        crmMaster,
+		Constraints:   crmConstraints,
+		Query:         `Q1(C) :- Supt(E, D, C), Cust(C, N, CC, A, P), E = e0, CC = 01, A = 908`,
+	})
+	d, dm := p.D, p.Dm
+	ck := &core.Checker{Workers: 1}
+	if _, err := ck.RCDPCtx(context.Background(), p.Q, d, dm, p.V); err != nil {
+		t.Fatal(err)
+	}
+	beforeD, beforeDm := textq.FormatDatabase(d), textq.FormatDatabase(dm)
+	misses0 := obs.PDmMisses.Value()
+	adv, err := Advise(context.Background(), p.Q, d, dm, p.V, Options{Checker: ck})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if adv.Rounds == 0 || !adv.Flipped {
+		t.Fatalf("advice ran no round or did not flip: %+v", adv)
+	}
+	if misses := obs.PDmMisses.Value() - misses0; misses != 0 {
+		t.Fatalf("Advise missed the p(Dm) memo %d times after a warm check, want 0", misses)
+	}
+	if after := textq.FormatDatabase(d); after != beforeD {
+		t.Fatalf("Advise mutated D:\nbefore %q\nafter  %q", beforeD, after)
+	}
+	if after := textq.FormatDatabase(dm); after != beforeDm {
+		t.Fatalf("Advise mutated Dm:\nbefore %q\nafter  %q", beforeDm, after)
+	}
 }
 
 // TestAdviseCompleteNoop: advice on an already-complete instance

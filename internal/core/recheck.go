@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/cc"
 	"repro/internal/obs"
@@ -33,6 +34,12 @@ import (
 // Deletions, D-side mutations, new projections and new values all fall
 // through to a full re-search (the relation and cc layers still patch
 // indexes and memos incrementally, so the cold path starts warm).
+//
+// The rule lives in two steps that every caller composes: Delta.Gate,
+// evaluated once per batch before it applies, and DeltaGate.Reuse,
+// asked per query after it applies. RecheckDeltaCtx is the one-query
+// composition; the serving layer's catalog gates a batch once for all
+// of its watched queries.
 
 // Delta is one mutation batch against a check's inputs: Master selects
 // the target database (false mutates D, true mutates Dm); Inserts and
@@ -56,34 +63,28 @@ func (dl *Delta) Empty() bool { return dl == nil || dl.Batch().Empty() }
 // InsertOnly reports whether the delta carries no deletions.
 func (dl *Delta) InsertOnly() bool { return dl == nil || dl.Batch().InsertOnly() }
 
-// WitnessReusable reports whether the delta is extensionally invisible
-// to the RCDP search for (Q, D, Dm, V): applying it cannot change the
-// verdict, the witness, or the order the search finds them in. It must
-// be evaluated on the PRE-apply state — the projection and active-domain
-// memberships it probes are the ones the cached verdict was computed
+// DeltaGate is the invisibility gate of one batch, evaluated once on
+// the PRE-apply state and then asked per query. It holds the two facts
+// of the reuse condition that do not depend on the query: whether the
+// batch is a master-side insert meeting condition 1, and which inserted
+// values lie outside Adom(D, Dm, V). Condition 2 holds for q when each
+// of those values is a constant of q.
+type DeltaGate struct {
+	contained bool
+	outside   []relation.Value
+}
+
+// Gate evaluates the delta's invisibility gate against (D, Dm, V). It
+// must run before the delta applies: the projections and the active
+// domain it reads are the ones the cached verdicts were computed
 // against.
-func (dl *Delta) WitnessReusable(q qlang.Query, d, dm *relation.Database, v *cc.Set) bool {
+func (dl *Delta) Gate(d, dm *relation.Database, v *cc.Set) DeltaGate {
 	if dl.Empty() {
-		return true
+		return DeltaGate{contained: true}
 	}
 	if !dl.Master || !dl.InsertOnly() || dm == nil {
-		return false
+		return DeltaGate{}
 	}
-	// Condition 2: every inserted value already occurs in Adom, so the
-	// universe (and with it every enumeration order) is unchanged.
-	probe := newAdomProbe(d, dm, q, v)
-	for _, ts := range dl.Inserts {
-		for _, t := range ts {
-			for _, val := range t {
-				if !probe.has(val) {
-					return false
-				}
-			}
-		}
-	}
-	// Condition 1: every affected constraint's master-side projection
-	// p(Dm) already contains the inserted tuples' projections, so no
-	// containment test, pruner bound or relevant-value feed moves.
 	if v != nil {
 		for _, c := range v.Constraints {
 			if c.P.IsEmptySet() {
@@ -91,46 +92,76 @@ func (dl *Delta) WitnessReusable(q qlang.Query, d, dm *relation.Database, v *cc.
 			}
 			for _, t := range dl.Inserts[c.P.Rel] {
 				if !c.MasterProjectionHas(dm, t) {
-					return false
+					return DeltaGate{}
 				}
 			}
+		}
+	}
+	// Probe the databases through their id bitsets and non-mutating
+	// dictionary lookups (never Intern, which would grow the dictionary
+	// as a side effect).
+	g := DeltaGate{contained: true}
+	dict := relation.Shared()
+	adom := dm.InternedIDs(d.InternedIDs(nil))
+	consts := v.Constants()
+	for _, ts := range dl.Inserts {
+		for _, t := range ts {
+			for _, val := range t {
+				if id, ok := dict.ID(val); ok && relation.HasIDBit(adom, id) {
+					continue
+				}
+				if !slices.Contains(consts, val) && !slices.Contains(g.outside, val) {
+					g.outside = append(g.outside, val)
+				}
+			}
+		}
+	}
+	return g
+}
+
+// invisible reports whether the gated batch is extensionally invisible
+// to the RCDP search for q: applying it cannot change the verdict, the
+// witness, or the order the search finds them in.
+func (g DeltaGate) invisible(q qlang.Query) bool {
+	if !g.contained {
+		return false
+	}
+	for _, val := range g.outside {
+		if !slices.Contains(q.Constants(), val) {
+			return false
 		}
 	}
 	return true
 }
 
-// adomProbe answers "is this value already in Adom(D, Dm, Q, V)?"
-// without mutating anything: the databases are probed through their id
-// bitsets and non-mutating dictionary lookups (never Intern, which
-// would grow the dictionary as a side effect), with the Q/V constants
-// held as strings.
-type adomProbe struct {
-	bits   []uint64
-	consts map[relation.Value]bool
-}
-
-func newAdomProbe(d, dm *relation.Database, q qlang.Query, v *cc.Set) *adomProbe {
-	p := &adomProbe{consts: make(map[relation.Value]bool)}
-	if q != nil {
-		for _, val := range q.Constants() {
-			p.consts[val] = true
+// Reuse decides, on the POST-apply state (D, Dm, V), whether prev still
+// answers q after the gated batch: prev must be reusable
+// (ResultReusable) and the batch invisible to q. A cached Incomplete
+// is reused only if its witness revalidates against the patched data
+// (D ∪ ext must still satisfy V): under the gate this cannot fail, so
+// it is a cheap guard against gate bugs that routes q to the cold path.
+// Every decision is counted in obs.RecheckReused or obs.RecheckCold.
+func (g DeltaGate) Reuse(q qlang.Query, prev *RCDPResult, d, dm *relation.Database, v *cc.Set) bool {
+	reuse := ResultReusable(prev) && g.invisible(q)
+	if reuse && prev.Verdict == VerdictIncomplete {
+		reuse = false
+		if prev.Extension != nil {
+			ok, err := v.SatisfiedDelta(d, prev.Extension, dm)
+			reuse = err == nil && ok
 		}
 	}
-	if v != nil {
-		for _, val := range v.Constants() {
-			p.consts[val] = true
-		}
+	if reuse {
+		obs.RecheckReused.Inc()
+	} else {
+		obs.RecheckCold.Inc()
 	}
-	p.bits = dm.InternedIDs(d.InternedIDs(nil))
-	return p
+	return reuse
 }
 
-func (p *adomProbe) has(val relation.Value) bool {
-	if p.consts[val] {
-		return true
-	}
-	id, ok := relation.Shared().ID(val)
-	return ok && relation.HasIDBit(p.bits, id)
+// WitnessReusable is the one-query form of the gate: whether dl,
+// evaluated on the PRE-apply state (D, Dm, V), is invisible to q.
+func (dl *Delta) WitnessReusable(q qlang.Query, d, dm *relation.Database, v *cc.Set) bool {
+	return dl.Gate(d, dm, v).invisible(q)
 }
 
 // Apply applies the delta to its target database and returns the rows
@@ -159,10 +190,9 @@ func (dl *Delta) Apply(d, dm *relation.Database, v *cc.Set) (ins, del int, err e
 // the exhausted dimension reproduces deterministically: the per-disjunct
 // valuation cap does (its claims go through the same deterministic
 // arbitration as witnesses), while wall-clock, cancellation and the
-// globally raced row/tuple gates do not. Exported for callers (the
-// serving layer's verdict cache) that gate many cached results on one
-// Delta and therefore cannot go through RecheckDeltaCtx, which applies
-// the delta as a side effect.
+// globally raced row/tuple gates do not. DeltaGate.Reuse asks it
+// first; it is exported for callers that keep cached results of their
+// own (relperf's mutation replay).
 func ResultReusable(prev *RCDPResult) bool {
 	if prev == nil {
 		return false
@@ -177,42 +207,24 @@ func ResultReusable(prev *RCDPResult) bool {
 }
 
 // RecheckDeltaCtx applies dl to (D, Dm) and decides RCDP for the
-// mutated state. When dl passes the invisibility gate (WitnessReusable,
-// evaluated before the batch applies) and prev is a reusable result for
-// the pre-batch state, the cached result is returned as-is — for a
-// cached Incomplete the witness is first cheaply revalidated against
-// the patched data as defense in depth. Otherwise it falls back to a
-// full RCDPCtx run over the (incrementally re-indexed) databases. The
-// boolean reports whether the cached result was reused.
+// mutated state: the delta's gate is evaluated before the batch
+// applies, and DeltaGate.Reuse decides after it whether prev stands.
+// Otherwise it falls back to a full RCDPCtx run over the
+// (incrementally re-indexed) databases. The boolean reports whether
+// the cached result was reused.
 //
 // Like RCDPCtx, a nil error with VerdictUnknown means governance
 // stopped the fallback search; an apply error leaves the databases
 // unchanged (ApplyBatch validates before it mutates).
 func (ck *Checker) RecheckDeltaCtx(ctx context.Context, q qlang.Query, d, dm *relation.Database,
 	v *cc.Set, prev *RCDPResult, dl *Delta) (*RCDPResult, bool, error) {
-	reuse := ResultReusable(prev) && dl.WitnessReusable(q, d, dm, v)
+	g := dl.Gate(d, dm, v)
 	if _, _, err := dl.Apply(d, dm, v); err != nil {
 		return nil, false, err
 	}
-	if reuse {
-		if prev.Verdict != VerdictIncomplete || ck.revalidateWitness(d, dm, v, prev) {
-			obs.RecheckReused.Inc()
-			return prev, true, nil
-		}
+	if g.Reuse(q, prev, d, dm, v) {
+		return prev, true, nil
 	}
-	obs.RecheckCold.Inc()
 	res, err := ck.RCDPCtx(ctx, q, d, dm, v)
 	return res, false, err
-}
-
-// revalidateWitness re-verifies a cached incompleteness witness against
-// the mutated data: D ∪ Δ must still satisfy V. Under the invisibility
-// gate this cannot fail; it is a cheap guard against gate bugs, and a
-// failure routes the check to the cold path.
-func (ck *Checker) revalidateWitness(d, dm *relation.Database, v *cc.Set, prev *RCDPResult) bool {
-	if prev.Extension == nil {
-		return false
-	}
-	ok, err := v.SatisfiedDelta(d, prev.Extension, dm)
-	return err == nil && ok
 }

@@ -309,6 +309,25 @@ func TestRecheckDeltaGate(t *testing.T) {
 		}
 	}
 
+	// A master insert whose only new value is a constant of Q is
+	// invisible to Q, whose Adom(D, Dm, Q, V) already holds the value,
+	// but not to a query without that constant. The name column is not
+	// projected by φ₀ (π[cid, ac]), so the containment half holds.
+	named := master.Clone()
+	named[1] = "nameQ"
+	qNamed := namedQ0("908", "nameQ")
+	constIns := &Delta{Master: true, Inserts: map[string][]relation.Tuple{mdm.DCust: {named}}}
+	if !constIns.WitnessReusable(qNamed, d, dm, set) {
+		t.Error("query-constant insert: WitnessReusable(Q with the constant) = false, want true")
+	}
+	if constIns.WitnessReusable(q, d, dm, set) {
+		t.Error("query-constant insert: WitnessReusable(Q without the constant) = true, want false")
+	}
+	if g := constIns.Gate(d, dm, set); !g.invisible(qNamed) || g.invisible(q) {
+		t.Errorf("query-constant insert: one gate says %v for Q with the constant and %v without, want true and false",
+			g.invisible(qNamed), g.invisible(q))
+	}
+
 	// The new-projection case must flip once the projection exists: after
 	// applying it, the same shape becomes invisible.
 	if _, _, err := (&Delta{Master: true,
@@ -384,4 +403,132 @@ func TestRecheckDeltaReusesVerdicts(t *testing.T) {
 	if got, didReuse, err = ck.RecheckDeltaCtx(context.Background(), qDone, d, dm, set, prevC, invisible()); err != nil || !didReuse || got != prevC {
 		t.Fatalf("complete verdict not reused: reuse=%v err=%v", didReuse, err)
 	}
+}
+
+// namedQ0 is mdm.Q0(ac) with the customer name selected as well, so
+// the name is a constant of the query.
+func namedQ0(ac, name string) qlang.Query {
+	return qlang.FromCQ(cq.New("Q0n", []query.Term{v("c")},
+		[]query.RelAtom{
+			query.Atom(mdm.Cust, v("c"), v("n"), v("cc"), v("a"), v("p")),
+			query.Atom(mdm.Supt, v("e"), v("d"), v("c")),
+		},
+		query.Eq(v("cc"), query.C("01")),
+		query.Eq(v("a"), query.C(ac)),
+		query.Eq(v("n"), query.C(name))))
+}
+
+// referenceInvisible is the gate restated over strings, for one query
+// at a time: the delta is a master-side insert, every inserted tuple's
+// projection occurs in each affected constraint's p(Dm), and every
+// inserted value occurs in D, in Dm, or among the constants of Q and V.
+func referenceInvisible(dl *Delta, q qlang.Query, d, dm *relation.Database, set *cc.Set) bool {
+	if dl.Empty() {
+		return true
+	}
+	if !dl.Master || !dl.InsertOnly() {
+		return false
+	}
+	key := func(t relation.Tuple) string { return fmt.Sprintf("%q", t) }
+	for _, c := range set.Constraints {
+		if c.P.IsEmptySet() {
+			continue
+		}
+		proj := make(map[string]bool)
+		for _, t := range dm.Instance(c.P.Rel).Project(c.P.Cols) {
+			proj[key(t)] = true
+		}
+		for _, t := range dl.Inserts[c.P.Rel] {
+			if !proj[key(t.Project(c.P.Cols))] {
+				return false
+			}
+		}
+	}
+	adom := make(map[relation.Value]bool)
+	for _, vals := range [][]relation.Value{d.ActiveDomain(), dm.ActiveDomain(), q.Constants(), set.Constants()} {
+		for _, val := range vals {
+			adom[val] = true
+		}
+	}
+	for _, ts := range dl.Inserts {
+		for _, t := range ts {
+			for _, val := range t {
+				if !adom[val] {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// TestDeltaGateMatchesPerQuery runs random master and database inserts
+// and deletes over the CRM scenario. At every step one gate, evaluated
+// once, must give each of several queries the answer of a separate
+// WitnessReusable call and of the string-level reference. Some inserted
+// values are constants of some queries only, so the gate must also
+// split its answer between queries.
+func TestDeltaGateMatchesPerQuery(t *testing.T) {
+	cfg := mdm.DefaultConfig()
+	cfg.DomesticCustomers = 12
+	cfg.Employees = 3
+	cfg.Completeness = 0.6
+	s := mdm.Generate(cfg)
+	d, dm := s.D, s.Dm
+	rng := rand.New(rand.NewSource(5))
+	invisible, split := 0, 0
+	for step := 0; step < 200; step++ {
+		// Constants unseen so far, drawn into both the queries and the
+		// delta: a value applied in one step is in Adom afterwards.
+		ac, emp, name, dept := fmt.Sprintf("0%d", step), fmt.Sprintf("x%d", step),
+			fmt.Sprintf("nameQ%d", step), fmt.Sprintf("dept%d", step)
+		queries := []qlang.Query{
+			mdm.Q0("908"), mdm.Q0(ac), mdm.Q1(emp, "201"), mdm.Q2("e00"), namedQ0("908", name),
+		}
+		// φ₀, φ₁ and a constraint with the constant dept, so that V's
+		// constants count as Adom too.
+		phiV := cc.FromCQ("phiV", cq.New("phiV", []query.Term{v("c")},
+			[]query.RelAtom{query.Atom(mdm.Supt, v("e"), v("d"), v("c"))},
+			query.Eq(v("d"), query.C(dept))), cc.Proj(mdm.DCust, 0))
+		set := cc.NewSet(mdm.Phi0(), mdm.Phi1(cfg.MaxSupport), phiV)
+		pool := []relation.Value{relation.Value(ac), relation.Value(emp), relation.Value(name),
+			relation.Value(dept), "fresh"}
+		dl := randomCRMDelta(rng, d, dm)
+		if rng.Intn(2) == 0 {
+			// A master row with one value swapped for a pool constant:
+			// contained unless the swapped column is projected.
+			rel := []string{mdm.DCust, mdm.ManageM}[rng.Intn(2)]
+			ts := dm.Instance(rel).Tuples()
+			tu := ts[rng.Intn(len(ts))].Clone()
+			tu[rng.Intn(len(tu))] = pool[rng.Intn(len(pool))]
+			dl = &Delta{Master: true, Inserts: map[string][]relation.Tuple{rel: {tu}}}
+		}
+		g := dl.Gate(d, dm, set)
+		seen := map[bool]bool{}
+		for i, q := range queries {
+			got := g.invisible(q)
+			if one := dl.WitnessReusable(q, d, dm, set); got != one {
+				t.Fatalf("step %d query %d: gate says %v, WitnessReusable %v (delta %+v)", step, i, got, one, dl)
+			}
+			if want := referenceInvisible(dl, q, d, dm, set); got != want {
+				t.Fatalf("step %d query %d: gate says %v, reference %v (delta %+v)", step, i, got, want, dl)
+			}
+			seen[got] = true
+			if got {
+				invisible++
+			}
+		}
+		if len(seen) == 2 {
+			split++
+		}
+		if _, _, err := dl.Apply(d, dm, set); err != nil {
+			t.Fatalf("step %d: apply: %v", step, err)
+		}
+	}
+	// The fixed seed makes the script deterministic: both answers, and
+	// gates that answer differently per query, must occur.
+	if invisible == 0 || split == 0 {
+		t.Fatalf("script produced %d invisible answers and %d split gates", invisible, split)
+	}
+	t.Logf("%d invisible answers, %d split gates", invisible, split)
 }

@@ -124,7 +124,7 @@ var (
 		"rejected valuations whose nogood skipped further valuations")
 	// RecheckReused counts incremental rechecks answered from the cached
 	// verdict because the mutation passed the invisibility gate
-	// (core.Delta.WitnessReusable).
+	// (core.DeltaGate.Reuse, which counts both outcomes).
 	RecheckReused = NewCounter("relcomp_core_recheck_reused_total",
 		"incremental rechecks answered from the cached verdict")
 	// RecheckCold counts incremental rechecks that fell back to a full
@@ -178,7 +178,7 @@ var (
 	ApproxCertified = NewCounterVec("relcomp_approx_certified_total",
 		"oracle-certified complete approximations", "kind")
 	// AdviceRounds counts witness-acquisition rounds of the advice loop
-	// (one RecheckDeltaCtx round trip each).
+	// (one RCDP check of the grown D each).
 	AdviceRounds = NewCounter("relcomp_approx_advice_rounds_total",
 		"acquisition-advice witness rounds")
 	// AdviceFlips counts advice batches certified to flip the verdict

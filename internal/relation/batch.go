@@ -42,27 +42,6 @@ func (b Batch) InsertOnly() bool {
 	return true
 }
 
-// Relations returns the sorted relation names the batch touches.
-func (b Batch) Relations() []string {
-	seen := make(map[string]bool)
-	for rel, ts := range b.Inserts {
-		if len(ts) > 0 {
-			seen[rel] = true
-		}
-	}
-	for rel, ts := range b.Deletes {
-		if len(ts) > 0 {
-			seen[rel] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for rel := range seen {
-		out = append(out, rel)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ApplyBatch applies a batch of insertions and deletions. The whole
 // batch is validated first — unknown relations, arity mismatches and
 // finite-domain violations on inserts are errors that leave the

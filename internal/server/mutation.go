@@ -25,7 +25,7 @@ import (
 // of the touched instances instead of rebuilding them. Entries registered with watched
 // queries maintain those queries' RCDP verdicts across mutations —
 // reusing a cached verdict when the core invisibility gate
-// (core.Delta.WitnessReusable) proves the batch cannot have changed it,
+// (core.Delta.Gate) proves the batch cannot have changed it,
 // and rerunning the check cold over the incrementally patched data
 // otherwise. GET /v1/catalog/{name}/verdicts reads (and optionally
 // long-polls) the maintained verdicts, so clients observe flips without
@@ -151,18 +151,19 @@ func (e *Entry) bump() {
 }
 
 // Mutate applies dl to the entry and maintains every watched verdict.
-// Each verdict is gated on the PRE-apply state — the projections and
-// active domain its cached result was computed against: verdicts the
-// invisibility gate proves untouched are reused (a cached Incomplete
-// witness is first cheaply revalidated as defense in depth), the rest
+// The batch's invisibility gate (core.Delta.Gate) is evaluated once, on
+// the PRE-apply state — the projections and active domain the cached
+// results were computed against — and after the batch applies,
+// core.DeltaGate.Reuse keeps each verdict it proves untouched; the rest
 // rerun cold over the incrementally patched data. An apply error (e.g.
 // arity mismatch) leaves the entry unchanged; a recheck error keeps the
 // batch applied (it already happened), resets that query's verdict to
 // stale and is reported, first in watch order, after the remaining
 // queries are maintained.
 //
-// Mutations run one at a time (e.maint). Each holds the write side of
-// e.mu twice, briefly: to gate and apply the batch, so no check sees it
+// Mutations run one at a time (e.maint), so the gate can run under the
+// read side of e.mu: nothing else changes the data it reads. The write
+// side is held twice, briefly: to apply the batch, so no check sees it
 // half applied, and to publish the new verdicts and version. The reuse
 // decisions and the cold rechecks run in between under the read side,
 // beside the entry's checks, spread over at most workers goroutines.
@@ -175,13 +176,13 @@ func (e *Entry) Mutate(ctx context.Context, ck *core.Checker, workers int, dl *c
 		return out, fmt.Errorf("catalog %q has no resident database", e.Name)
 	}
 	watched := make([]*watchedVerdict, len(e.watched))
-	gates := make([]bool, len(e.watched))
-	e.lock()
 	for i, src := range e.watched {
-		wv := e.verdicts[src]
-		watched[i] = wv
-		gates[i] = core.ResultReusable(wv.prev) && dl.WitnessReusable(wv.q, e.D, e.Dm, e.V)
+		watched[i] = e.verdicts[src]
 	}
+	e.rlock()
+	gate := dl.Gate(e.D, e.Dm, e.V)
+	e.mu.RUnlock()
+	e.lock()
 	var err error
 	out.ins, out.del, err = dl.Apply(e.D, e.Dm, e.V)
 	e.mu.Unlock()
@@ -196,13 +197,11 @@ func (e *Entry) Mutate(ctx context.Context, ck *core.Checker, workers int, dl *c
 	reused := make([]bool, len(watched))
 	var cold []*watchedVerdict
 	for i, wv := range watched {
-		if gates[i] && (wv.prev.Verdict != core.VerdictIncomplete || e.revalidate(wv.prev)) {
-			obs.RecheckReused.Inc()
+		if gate.Reuse(wv.q, wv.prev, e.D, e.Dm, e.V) {
 			reused[i] = true
 			out.reused++
 			continue
 		}
-		obs.RecheckCold.Inc()
 		out.rechecked++
 		cold = append(cold, wv)
 	}
@@ -265,18 +264,6 @@ func (e *Entry) checkAll(ctx context.Context, ck *core.Checker, workers int, wvs
 	run()
 	wg.Wait()
 	return results, errs
-}
-
-// revalidate re-verifies a cached incompleteness witness against the
-// mutated data (D ∪ ext must still satisfy V). Under the invisibility
-// gate this cannot fail; it is a cheap guard against gate bugs, and a
-// failure routes the query to the cold path.
-func (e *Entry) revalidate(prev *core.RCDPResult) bool {
-	if prev.Extension == nil {
-		return false
-	}
-	ok, err := e.V.SatisfiedDelta(e.D, prev.Extension, e.Dm)
-	return err == nil && ok
 }
 
 // verdictsSnapshot returns the current version, the channel the next
