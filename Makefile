@@ -171,9 +171,9 @@ vuln:
 
 # Native fuzz smoke: each fuzz target runs for a short budget (go test
 # accepts one -fuzz pattern per invocation), catching parser/formatter
-# regressions, server JSON-decoder panics or 5xx answers, and posting-set
-# builds that differ from the reference builder, without a long fuzz
-# session.
+# regressions, server JSON-decoder panics or 5xx answers, a request
+# decoder that disagrees with encoding/json, and posting-set builds that
+# differ from the reference builder, without a long fuzz session.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/textq/ -run='^$$' -fuzz=FuzzParseSchemas -fuzztime=$(FUZZTIME)
@@ -185,6 +185,7 @@ fuzz-smoke:
 	$(GO) test ./internal/mine/ -run='^$$' -fuzz=FuzzMineEvidence -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/relation/ -run='^$$' -fuzz=FuzzPostingSet -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/server/ -run='^$$' -fuzz=FuzzDecoders -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/server/ -run='^$$' -fuzz=FuzzDecodeBody -fuzztime=$(FUZZTIME)
 
 # Coverage floors for the decision-procedure packages (set ~2 points
 # under the measured coverage at the time the floor was introduced so

@@ -20,6 +20,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -787,5 +788,54 @@ func BenchmarkIndexBuild(b *testing.B) {
 		db := d.Clone()
 		b.StartTimer()
 		build(db)
+	}
+}
+
+// BenchmarkDecodeBody decodes one CRM-400 /v1/rcdp check body — the
+// shape serve-crm sends: a catalog name, crm400's D inline as a textq
+// fact list, and a query — read through a MaxBytesReader, with the
+// server's request decoder and with encoding/json's Decoder as the
+// server used it before (DisallowUnknownFields). Both must yield the
+// same request.
+func BenchmarkDecodeBody(b *testing.B) {
+	want := server.CheckRequest{
+		Catalog: "crm",
+		DB:      textq.FormatDatabase(mdm.Generate(crm400).D),
+		Query:   "Q0(C) :- Cust(C, N, CC, A, P), Supt(E, D, C), CC = 01, A = 908",
+	}
+	body, err := json.Marshal(want)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const limit = 16 << 20
+	for _, dec := range []struct {
+		name   string
+		decode func(r *http.Request, req *server.CheckRequest) error
+	}{
+		{"reader", func(r *http.Request, req *server.CheckRequest) error {
+			return server.DecodeRequest(nil, r, limit, req)
+		}},
+		{"encoding-json", func(r *http.Request, req *server.CheckRequest) error {
+			d := json.NewDecoder(http.MaxBytesReader(nil, r.Body, limit))
+			d.DisallowUnknownFields()
+			return d.Decode(req)
+		}},
+	} {
+		b.Run(dec.name, func(b *testing.B) {
+			rd := bytes.NewReader(body)
+			r := &http.Request{Body: io.NopCloser(rd), ContentLength: int64(len(body))}
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(body)
+				var req server.CheckRequest
+				if err := dec.decode(r, &req); err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 && req != want {
+					b.Fatalf("decoded a different request")
+				}
+			}
+		})
 	}
 }

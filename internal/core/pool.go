@@ -59,23 +59,28 @@ func (p *workerPool) run(tasks []func()) {
 	var next atomic.Int64
 	work := func() {
 		// Each participating goroutine — helper or caller — counts as one
-		// busy worker while it drains tasks. Task timing is charged in one
-		// atomic add per task, and skipped entirely when obs is disabled.
+		// busy worker while it drains tasks. With obs enabled it is timed
+		// once per drain, and charges its time and task count in one
+		// atomic add each when it returns.
 		obs.PoolWorkers.Add(1)
 		defer obs.PoolWorkers.Add(-1)
+		timed := obs.Enabled()
+		var start time.Time
+		if timed {
+			start = time.Now()
+		}
+		n := 0
 		for {
 			i := int(next.Add(1) - 1)
 			if i >= len(tasks) {
-				return
+				break
 			}
-			if obs.Enabled() {
-				start := time.Now()
-				tasks[i]()
-				obs.PoolBusyNS.Add(time.Since(start).Nanoseconds())
-				obs.PoolTasks.Inc()
-			} else {
-				tasks[i]()
-			}
+			tasks[i]()
+			n++
+		}
+		if timed {
+			obs.PoolBusyNS.Add(time.Since(start).Nanoseconds())
+			obs.PoolTasks.Add(int64(n))
 		}
 	}
 	var wg sync.WaitGroup

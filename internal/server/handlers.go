@@ -198,9 +198,7 @@ func handleAdmitted[Req any](s *Server, endpoint string, serve func(ctx context.
 		// the request waits for a worker slot; the expensive work
 		// (textq parsing, the check itself) stays inside the slot.
 		var req Req
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		if err := DecodeRequest(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
 			writeError(w, id, http.StatusBadRequest, "bad request body: %v", err)
 			return
 		}
@@ -553,9 +551,7 @@ func (s *Server) catalogHandler(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var req CatalogRequest
-		dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		if err := DecodeRequest(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
 			writeError(w, id, http.StatusBadRequest, "bad request body: %v", err)
 			return
 		}
