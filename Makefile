@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: ci build vet test relperf-test race bench bench-smoke bench-diff bench-workers fmt-check vuln fuzz-smoke cover-check doc-sync examples-build examples server-smoke cluster-smoke mutate-smoke approx-smoke mine-smoke
+.PHONY: ci build vet test relperf-test race bench bench-smoke bench-diff bench-workers fmt-check vuln fuzz-smoke cover-check doc-sync examples-build examples server-smoke cluster-smoke mutate-smoke approx-smoke mine-smoke loc
 
 ci: fmt-check vet build examples test relperf-test race bench-smoke bench-diff cover-check doc-sync fuzz-smoke vuln server-smoke cluster-smoke mutate-smoke approx-smoke mine-smoke
 
@@ -108,6 +108,13 @@ bench-diff:
 	/tmp/relbench-diff -quick -json -workers 1 > /tmp/relbench-d3.json
 	$(GO) run ./scripts -baseline BENCH_BASELINE.json /tmp/relbench-d1.json /tmp/relbench-d2.json /tmp/relbench-d3.json
 	rm -f /tmp/relbench-diff /tmp/relbench-d1.json /tmp/relbench-d2.json /tmp/relbench-d3.json
+
+# Non-test Go lines, the count ROADMAP's "non-test Go lines" criteria
+# use: every *.go file except *_test.go, outside relperf/ (its own
+# module) and .bench_build/. It prints the count only; ci does not
+# gate on it.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './relperf/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 # Sequential-vs-parallel series only (see EXPERIMENTS.md).
 bench-workers:

@@ -62,26 +62,23 @@ func detectIND(c *Constraint) *INDShape {
 		return nil
 	}
 	atom := t.Templates[0]
-	pos := make(map[string]int, len(atom.Args))
-	for i, a := range atom.Args {
+	for _, a := range atom.Args {
 		if !a.IsVar {
 			return nil
 		}
-		if _, dup := pos[a.Name]; dup {
+	}
+	vt := t.VarTable()
+	for _, sl := range vt.Slots {
+		if len(sl.Pos) > 1 {
 			return nil // repeated variable = selection, not a projection
 		}
-		pos[a.Name] = i
 	}
-	cols := make([]int, len(t.Head))
-	for i, h := range t.Head {
-		if !h.IsVar {
+	cols := make([]int, len(vt.Head))
+	for i, sl := range vt.Head {
+		if sl < 0 || len(vt.Slots[sl].Pos) == 0 {
 			return nil
 		}
-		p, ok := pos[h.Name]
-		if !ok {
-			return nil
-		}
-		cols[i] = p
+		cols[i] = vt.Slots[sl].Pos[0].Col
 	}
 	return &INDShape{Rel: atom.Rel, Cols: cols}
 }

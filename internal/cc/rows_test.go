@@ -56,10 +56,10 @@ func TestDeltaRowsMatchFullRecheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	slotOf := make(map[string]int, len(tab.Vars))
-	for i, name := range tab.Vars {
-		slotOf[name] = i
+	for i, sl := range tab.VarTable().Slots {
+		slotOf[sl.Name] = i
 	}
-	tpls := tab.SlotTemplates(slotOf, schemas)
+	tpls := tab.SlotTemplates(schemas)
 
 	rng := rand.New(rand.NewSource(83))
 	pick := func(xs []string) string { return xs[rng.Intn(len(xs))] }

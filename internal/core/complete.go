@@ -51,20 +51,17 @@ func completeDatabaseINDs(q qlang.Query, dm *relation.Database, v *cc.Set, schem
 	visited := 0
 
 	for _, t := range tableaux {
-		doms, ok := t.AsCQ().VarDomains(schemas)
+		doms, ok := t.Domains(schemas)
 		if !ok {
 			continue
 		}
-		occ := allVarOccurrences(t)
-		// Candidate values per variable.
-		cand := make(map[string][]relation.Value, len(t.Vars))
+		// Candidate values per slot.
+		slots := t.VarTable().Slots
+		cand := make([][]relation.Value, len(slots))
 		freshIdx := 0
-		for _, vn := range t.Vars {
-			vals, covered, err := candidateValues(u, v, dm, vn, doms[vn], occ[vn])
-			if err != nil {
-				return nil, visited, err
-			}
-			if !covered && doms[vn].Kind != relation.Finite {
+		for i, sl := range slots {
+			vals, covered := candidateValues(v, dm, doms[i], sl.Pos)
+			if !covered && doms[i].Kind != relation.Finite {
 				// Unconstrained infinite variable: head variables of a
 				// bounded disjunct never land here; body variables get
 				// one fresh value each (they stand for arbitrary data).
@@ -74,7 +71,7 @@ func completeDatabaseINDs(q qlang.Query, dm *relation.Database, v *cc.Set, schem
 				vals = []relation.Value{u.Fresh[freshIdx]}
 				freshIdx++
 			}
-			cand[vn] = vals
+			cand[i] = vals
 		}
 		if ok, err := groundTemplatesSatisfy(t, schemas, v, dm, gate); err != nil {
 			return nil, visited, err
@@ -130,26 +127,12 @@ func groundTemplatesSatisfy(t *cq.Tableau, schemas map[string]*relation.Schema, 
 	return v.SatisfiedGate(frag, dm, gate)
 }
 
-// allVarOccurrences maps every variable of the tableau to the
-// (relation, column) positions at which it occurs.
-func allVarOccurrences(t *cq.Tableau) map[string][]varPosition {
-	out := make(map[string][]varPosition)
-	for _, tpl := range t.Templates {
-		for col, arg := range tpl.Args {
-			if arg.IsVar {
-				out[arg.Name] = append(out[arg.Name], varPosition{Rel: tpl.Rel, Col: col})
-			}
-		}
-	}
-	return out
-}
-
 // candidateValues computes the admissible value set of a variable under
 // the IND bounds of V: the intersection of the per-column value bounds
 // at every covered position the variable occupies, further intersected
 // with its finite domain when applicable. covered reports whether any
 // position is IND-covered.
-func candidateValues(u *Universe, v *cc.Set, dm *relation.Database, name string, dom relation.Domain, occ []varPosition) ([]relation.Value, bool, error) {
+func candidateValues(v *cc.Set, dm *relation.Database, dom relation.Domain, occ []cq.Position) ([]relation.Value, bool) {
 	var sets [][]relation.Value
 	covered := false
 	for _, p := range occ {
@@ -162,7 +145,7 @@ func candidateValues(u *Universe, v *cc.Set, dm *relation.Database, name string,
 		sets = append(sets, dom.Values)
 	}
 	if len(sets) == 0 {
-		return nil, covered, nil
+		return nil, covered
 	}
 	cur := sets[0]
 	for _, s := range sets[1:] {
@@ -178,7 +161,7 @@ func candidateValues(u *Universe, v *cc.Set, dm *relation.Database, name string,
 		}
 		cur = next
 	}
-	return cur, covered, nil
+	return cur, covered
 }
 
 // MakeComplete extends an incomplete database D until it is complete

@@ -268,7 +268,7 @@ func TestRelevantValues(t *testing.T) {
 	vset := cc.NewSet(cc.FromCQ("phi", q, cc.Proj("DCust", 0)))
 
 	rv := computeRelevantValues(vset, d, dm).forQuery(qlang.FromCQ(q))
-	cands := relation.Shared().Values(rv.candidatesFor([]varPosition{{Rel: "Supt", Col: 2}}))
+	cands := relation.Shared().Values(rv.candidatesFor([]cq.Position{{Rel: "Supt", Col: 2}}))
 	has := func(val relation.Value) bool {
 		for _, x := range cands {
 			if x == val {

@@ -37,32 +37,17 @@ func inertPositions(v *cc.Set) map[string]map[int]bool {
 	}
 	for _, c := range v.Constraints {
 		for _, t := range c.Q.Tableaux() {
-			occ := make(map[string]int)
-			special := make(map[string]bool) // head or diseq variables
 			for _, tpl := range t.Templates {
-				for _, a := range tpl.Args {
-					if a.IsVar {
-						occ[a.Name]++
+				for col, a := range tpl.Args {
+					if !a.IsVar {
+						mark(tpl.Rel, col)
 					}
 				}
 			}
-			for _, h := range t.Head {
-				if h.IsVar {
-					special[h.Name] = true
-				}
-			}
-			for _, d := range t.Diseqs {
-				if d.L.IsVar {
-					special[d.L.Name] = true
-				}
-				if d.R.IsVar {
-					special[d.R.Name] = true
-				}
-			}
-			for _, tpl := range t.Templates {
-				for col, a := range tpl.Args {
-					if !a.IsVar || occ[a.Name] > 1 || special[a.Name] {
-						mark(tpl.Rel, col)
+			for _, sl := range t.VarTable().Slots {
+				if len(sl.Pos) > 1 || sl.Head || sl.Neq {
+					for _, p := range sl.Pos {
+						mark(p.Rel, p.Col)
 					}
 				}
 			}
@@ -71,49 +56,25 @@ func inertPositions(v *cc.Set) map[string]map[int]bool {
 	return constrained
 }
 
-// collapsibleVars returns the query-tableau variables that can be
-// pinned to dedicated fresh values: variables outside the tableau's
-// head and inequality conditions whose every template occurrence is at
-// an inert position of V. Only variables with an infinite admissible
-// domain are collapsed (finite-domain variables are already cheap and
-// their domains may exclude fresh values).
-func collapsibleVars(t *cq.Tableau, constrained map[string]map[int]bool, doms map[string]relation.Domain) []string {
-	special := make(map[string]bool)
-	for _, h := range t.Head {
-		if h.IsVar {
-			special[h.Name] = true
+// collapsibleVars returns the query-tableau slots that can be pinned to
+// dedicated fresh values, in slot order: variables outside the
+// tableau's head and inequality conditions whose every template
+// occurrence is at an inert position of V. Only variables with an
+// infinite admissible domain are collapsed (finite-domain variables are
+// already cheap and their domains may exclude fresh values).
+func collapsibleVars(slots []cq.Slot, constrained map[string]map[int]bool, doms []relation.Domain) []int {
+	var out []int
+next:
+	for i, sl := range slots {
+		if len(sl.Pos) == 0 || sl.Head || sl.Neq || doms[i].Kind != relation.Infinite {
+			continue
 		}
-	}
-	for _, d := range t.Diseqs {
-		if d.L.IsVar {
-			special[d.L.Name] = true
-		}
-		if d.R.IsVar {
-			special[d.R.Name] = true
-		}
-	}
-	blocked := make(map[string]bool)
-	seen := make(map[string]bool)
-	var order []string
-	for _, tpl := range t.Templates {
-		for col, a := range tpl.Args {
-			if !a.IsVar {
-				continue
-			}
-			if !seen[a.Name] {
-				seen[a.Name] = true
-				order = append(order, a.Name)
-			}
-			if special[a.Name] || constrained[tpl.Rel][col] {
-				blocked[a.Name] = true
+		for _, p := range sl.Pos {
+			if constrained[p.Rel][p.Col] {
+				continue next
 			}
 		}
-	}
-	var out []string
-	for _, v := range order {
-		if !blocked[v] && doms[v].Kind == relation.Infinite {
-			out = append(out, v)
-		}
+		out = append(out, i)
 	}
 	return out
 }

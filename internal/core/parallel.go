@@ -231,7 +231,7 @@ func (s *valuationSearch) branchTasks(pool *workerPool, ctl *raceCtl, bud *budge
 		}
 	}
 
-	if pool == nil || len(s.order) == 0 {
+	if pool == nil || len(s.slots) == 0 {
 		return []func(){launch(packKey(disjunct, 0), func(w *searchWorker) error { return w.rec(0, 0) })}
 	}
 	c := &s.cands[0]

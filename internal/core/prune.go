@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/cc"
 	"repro/internal/cq"
-	"repro/internal/query"
 	"repro/internal/relation"
 )
 
@@ -31,11 +30,10 @@ type indProbe struct {
 	allowed *relation.IDTupleSet // p(Dm); empty for ⊆ ∅
 }
 
-// newINDPruner compiles the pruner for the tableau under the slot
-// numbering slotOf; operand resolves a template term. It returns nil
-// when no IND of V applies to a template with variables (pruning would
-// be a no-op).
-func newINDPruner(t *cq.Tableau, slotOf map[string]int, operand func(query.Term) int32, v *cc.Set, dm *relation.Database) *indPruner {
+// newINDPruner compiles the pruner for the slot templates of a
+// tableau with nslots slots. It returns nil when no IND of V applies to
+// a template with variables (pruning would be a no-op).
+func newINDPruner(tpls *cq.SlotTemplates, nslots int, v *cc.Set, dm *relation.Database) *indPruner {
 	type indCheck struct {
 		cols    []int
 		allowed *relation.IDTupleSet
@@ -46,22 +44,21 @@ func newINDPruner(t *cq.Tableau, slotOf map[string]int, operand func(query.Term)
 			byRel[shape.Rel] = append(byRel[shape.Rel], indCheck{cols: shape.Cols, allowed: c.MasterIDs(dm)})
 		}
 	}
-	p := &indPruner{at: make([][]indProbe, len(slotOf))}
+	p := &indPruner{at: make([][]indProbe, nslots)}
 	relevant := false
-	for _, tpl := range t.Templates {
-		last := -1
-		for _, a := range tpl.Args {
-			if a.IsVar {
-				last = max(last, slotOf[a.Name])
-			}
+	for i := range tpls.Len() {
+		rel, args := tpls.Template(i)
+		last := int32(-1)
+		for _, op := range args {
+			last = max(last, op)
 		}
 		if last < 0 {
 			continue // ground from the start: never checked
 		}
-		for _, chk := range byRel[tpl.Rel] {
+		for _, chk := range byRel[rel] {
 			ops := make([]int32, len(chk.cols))
 			for k, col := range chk.cols {
-				ops[k] = operand(tpl.Args[col])
+				ops[k] = args[col]
 			}
 			p.at[last] = append(p.at[last], indProbe{ops: ops, allowed: chk.allowed})
 			relevant = true

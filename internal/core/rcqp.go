@@ -156,31 +156,6 @@ func (ck *QPChecker) RCQPCtx(ctx context.Context, q qlang.Query, dm *relation.Da
 	return res, nil
 }
 
-// headVarPositions returns, for each head variable of the tableau, the
-// (relation, column) positions at which it occurs in the templates.
-type varPosition struct {
-	Rel string
-	Col int
-}
-
-func headVarOccurrences(t *cq.Tableau) map[string][]varPosition {
-	out := make(map[string][]varPosition)
-	headVars := make(map[string]bool)
-	for _, h := range t.Head {
-		if h.IsVar {
-			headVars[h.Name] = true
-		}
-	}
-	for _, tpl := range t.Templates {
-		for col, arg := range tpl.Args {
-			if arg.IsVar && headVars[arg.Name] {
-				out[arg.Name] = append(out[arg.Name], varPosition{Rel: tpl.Rel, Col: col})
-			}
-		}
-	}
-	return out
-}
-
 // rcqpINDs implements Proposition 4.3 (extended per-disjunct to UCQ and
 // ∃FO⁺ as in the proof of Theorem 4.5(1)): RCQ(Q, Dm, V) is nonempty
 // iff every disjunct either (a) is bounded — each head variable with an
@@ -224,26 +199,19 @@ func (cfg QPChecker) rcqpINDs(q qlang.Query, dm *relation.Database, v *cc.Set, s
 		if !okT {
 			continue // unsatisfiable disjunct
 		}
-		occ := headVarOccurrences(t)
 		unbounded := ""
-		for _, h := range t.Head {
-			if !h.IsVar {
-				continue
+	head:
+		for _, sl := range t.VarTable().Head {
+			if sl < 0 || search.doms[sl].Kind == relation.Finite {
+				continue // a constant, or E3
 			}
-			if search.doms[h.Name].Kind == relation.Finite {
-				continue // E3
-			}
-			covered := false
-			for _, p := range occ[h.Name] {
+			for _, p := range search.slots[sl].Pos {
 				if bounded[p.Rel][p.Col] {
-					covered = true // E4
-					break
+					continue head // E4
 				}
 			}
-			if !covered {
-				unbounded = h.Name
-				break
-			}
+			unbounded = search.slots[sl].Name
+			break
 		}
 		if unbounded == "" {
 			continue // disjunct bounded
@@ -363,12 +331,12 @@ func (cfg QPChecker) rcqpGeneral(q qlang.Query, dm *relation.Database, v *cc.Set
 	// E1/E5: every head variable of every disjunct has a finite domain.
 	allFinite := true
 	for _, t := range tableaux {
-		doms, ok := t.AsCQ().VarDomains(schemas)
+		doms, ok := t.Domains(schemas)
 		if !ok {
 			continue
 		}
-		for _, h := range t.Head {
-			if h.IsVar && doms[h.Name].Kind != relation.Finite {
+		for _, sl := range t.VarTable().Head {
+			if sl >= 0 && doms[sl].Kind != relation.Finite {
 				allFinite = false
 				break
 			}

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"repro/internal/cc"
+	"repro/internal/cq"
 	"repro/internal/relation"
 )
 
@@ -39,10 +40,7 @@ type relevantValues struct {
 // on (V, D, Dm) alone; forQuery adds a query's constants.
 func computeRelevantValues(v *cc.Set, d, dm *relation.Database) *relevantValues {
 	// Union-find over positions.
-	type pos struct {
-		rel string
-		col int
-	}
+	type pos = cq.Position
 	parent := make(map[pos]pos)
 	var find func(p pos) pos
 	find = func(p pos) pos {
@@ -75,46 +73,45 @@ func computeRelevantValues(v *cc.Set, d, dm *relation.Database) *relevantValues 
 	if v != nil {
 		for _, c := range v.Constraints {
 			for _, t := range c.Q.Tableaux() {
-				varPos := make(map[string][]pos)
 				for _, tpl := range t.Templates {
-					for col, a := range tpl.Args {
-						p := pos{tpl.Rel, col}
-						find(p)
-						if a.IsVar {
-							varPos[a.Name] = append(varPos[a.Name], p)
-						}
+					for col := range tpl.Args {
+						find(pos{Rel: tpl.Rel, Col: col})
 					}
 				}
-				for _, ps := range varPos {
-					for i := 1; i < len(ps); i++ {
-						union(ps[0], ps[i])
+				vt := t.VarTable()
+				// first is a slot's first position: its group's anchor.
+				first := func(sl int) (pos, bool) {
+					if sl < 0 || len(vt.Slots[sl].Pos) == 0 {
+						return pos{}, false
+					}
+					return vt.Slots[sl].Pos[0], true
+				}
+				for _, sl := range vt.Slots {
+					for i := 1; i < len(sl.Pos); i++ {
+						union(sl.Pos[0], sl.Pos[i])
 					}
 				}
-				for _, dq := range t.Diseqs {
-					if dq.L.IsVar && dq.R.IsVar {
-						lp, rp := varPos[dq.L.Name], varPos[dq.R.Name]
-						if len(lp) > 0 && len(rp) > 0 {
-							union(lp[0], rp[0])
-						}
+				for _, dq := range vt.Diseqs {
+					lp, lok := first(dq[0])
+					rp, rok := first(dq[1])
+					if lok && rok {
+						union(lp, rp)
 					}
 				}
 				// Constraint head variables: the master projection's
 				// column values can be compared against the group.
 				if !c.P.IsEmptySet() && dm != nil {
 					if in := dm.Instance(c.P.Rel); in != nil {
-						for hi, h := range t.Head {
-							if !h.IsVar || hi >= len(c.P.Cols) {
-								continue
-							}
-							ps := varPos[h.Name]
-							if len(ps) == 0 {
+						for hi, sl := range vt.Head {
+							anchor, ok := first(sl)
+							if !ok || hi >= len(c.P.Cols) {
 								continue
 							}
 							var set []uint64
 							for _, id := range in.InternedCol(c.P.Cols[hi]) {
 								set = relation.SetIDBit(set, id)
 							}
-							feeds = append(feeds, feed{anchor: ps[0], set: set})
+							feeds = append(feeds, feed{anchor: anchor, set: set})
 						}
 					}
 				}
@@ -130,7 +127,7 @@ func computeRelevantValues(v *cc.Set, d, dm *relation.Database) *relevantValues 
 		for _, rel := range d.Relations() {
 			in := d.Instance(rel)
 			for col := 0; col < in.Schema.Arity(); col++ {
-				p := pos{rel, col}
+				p := pos{Rel: rel, Col: col}
 				if _, tracked := parent[p]; !tracked {
 					continue // position untouched by V: no outside comparisons
 				}
@@ -161,17 +158,17 @@ func computeRelevantValues(v *cc.Set, d, dm *relation.Database) *relevantValues 
 	sorted := make(map[pos][]int32)
 	for p := range parent {
 		root := find(p)
-		m := rv.perPosition[p.rel]
+		m := rv.perPosition[p.Rel]
 		if m == nil {
 			m = make(map[int][]int32)
-			rv.perPosition[p.rel] = m
+			rv.perPosition[p.Rel] = m
 		}
 		ids, done := sorted[root]
 		if set := groupSets[root]; !done && set != nil {
 			ids = dict.SortedIDs(set)
 			sorted[root] = ids
 		}
-		m[p.col] = ids
+		m[p.Col] = ids
 	}
 	rv.base = sortedConstIDs(v, func(int32) bool { return false })
 	return rv
@@ -192,7 +189,7 @@ func (rv *relevantValues) forQuery(q interface{ Constants() []relation.Value }) 
 // candidatesFor returns the restricted candidate ids (without the fresh
 // pool, which the search adds with its symmetry prefix) for a variable
 // occurring at the given positions, ascending by value.
-func (rv *relevantValues) candidatesFor(positions []varPosition) []int32 {
+func (rv *relevantValues) candidatesFor(positions []cq.Position) []int32 {
 	lists := make([][]int32, 0, len(positions)+1)
 	if len(rv.base) > 0 {
 		lists = append(lists, rv.base)

@@ -26,16 +26,15 @@ const unassigned int32 = -1
 // draws from adom(y), and μ must observe the tableau's inequality
 // conditions (that is, Q(μ(T_Q)) is nonempty).
 //
-// Variables are assigned in template-major order (the variables of
-// template 1 first, and so on) so that tuple templates become ground as
-// early as possible; an optional IND pruner then rejects partial
-// valuations whose ground templates already violate an inclusion
-// dependency of V — the backtracking realization of the Σ₂ᵖ
+// Variables are assigned in the tableau's slot order (cq.VarTable: the
+// variables of template 1 first, and so on) so that tuple templates
+// become ground as early as possible; an optional IND pruner then
+// rejects partial valuations whose ground templates already violate an
+// inclusion dependency of V — the backtracking realization of the Σ₂ᵖ
 // certificate guess of Theorem 3.6.
 //
-// The search runs on interned ids. Each variable gets a dense slot in
-// that order, and everything the recursion reads is compiled against
-// the slots once, in newValuationSearch: per-slot candidate id lists,
+// The search runs on interned ids. Everything the recursion reads is
+// compiled against the slots once, in newValuationSearch: per-slot candidate id lists,
 // the inequality conditions (each tested at the slot that completes
 // it), the IND pruner, the head and the templates. A valuation is an
 // []int32 slot array of shared-dictionary ids; a query.Binding is built
@@ -49,8 +48,8 @@ const unassigned int32 = -1
 type valuationSearch struct {
 	u     *Universe
 	t     *cq.Tableau
-	doms  map[string]relation.Domain
-	order []string // slot → variable
+	doms  []relation.Domain // by slot
+	slots []cq.Slot         // the tableau's numbering (cq.VarTable)
 
 	// cands holds each slot's candidate values.
 	cands []slotCandidates
@@ -101,7 +100,6 @@ type slotCandidates struct {
 // when ≥ 0, the complement ^id of a constant's id when < 0.
 type slotDiseq struct {
 	l, r int32
-	neg  bool
 }
 
 // operandID resolves an operand against a slot array.
@@ -113,7 +111,7 @@ func operandID(op int32, slots []int32) int32 {
 }
 
 func (d slotDiseq) holds(slots []int32) bool {
-	return (operandID(d.l, slots) == operandID(d.r, slots)) != d.neg
+	return operandID(d.l, slots) != operandID(d.r, slots)
 }
 
 // searchConfig selects the search reductions of newValuationSearch.
@@ -132,53 +130,37 @@ type searchConfig struct {
 	// rv, when non-nil, restricts infinite-domain variables to their
 	// relevant values (see relevant.go).
 	rv *relevantValues
-	// fixed, when non-nil, replaces the candidates of the variables it
-	// names with the given lists, tried in order, with no fresh pool.
-	fixed map[string][]relation.Value
+	// fixed, when non-nil, holds every slot's candidates, tried in
+	// order, with no fresh pool.
+	fixed [][]relation.Value
 	gate  *query.Gate
 }
 
-// newValuationSearch prepares a search over the tableau's variables.
-// Schema information is needed to determine each variable's admissible
-// domain; unsatisfiable tableaux yield ok=false.
+// newValuationSearch prepares a search over the tableau's variables in
+// the tableau's slot order (see cq.VarTable). Schema information is
+// needed to determine each variable's admissible domain; unsatisfiable
+// tableaux yield ok=false.
 func newValuationSearch(u *Universe, t *cq.Tableau, schemas map[string]*relation.Schema, cfg searchConfig) (*valuationSearch, bool) {
-	doms, ok := t.AsCQ().VarDomains(schemas)
+	doms, ok := t.Domains(schemas)
 	if !ok {
 		return nil, false
 	}
-	// Template-major variable order.
-	var order []string
-	slotOf := make(map[string]int, len(t.Vars))
-	add := func(name string) {
-		if _, seen := slotOf[name]; !seen {
-			slotOf[name] = len(order)
-			order = append(order, name)
-		}
-	}
-	for _, tpl := range t.Templates {
-		for _, a := range tpl.Args {
-			if a.IsVar {
-				add(a.Name)
-			}
-		}
-	}
-	for _, v := range t.Vars {
-		add(v)
-	}
+	vt := t.VarTable()
 	s := &valuationSearch{
-		u: u, t: t, doms: doms, order: order,
+		u: u, t: t, doms: doms, slots: vt.Slots,
 		naive: cfg.naive, gate: cfg.gate,
 	}
 	s.compileCandidates(cfg)
-	operand := func(tm query.Term) int32 {
-		if tm.IsVar {
-			return int32(slotOf[tm.Name])
+	// operand is a head or ≠ term under its slot sl (-1: a constant).
+	operand := func(sl int, tm query.Term) int32 {
+		if sl >= 0 {
+			return int32(sl)
 		}
 		return ^relation.Shared().Intern(tm.Val)
 	}
-	s.diseqsAt = make([][]slotDiseq, len(order))
-	for _, dq := range t.Diseqs {
-		d := slotDiseq{l: operand(dq.L), r: operand(dq.R), neg: dq.Neg}
+	s.diseqsAt = make([][]slotDiseq, len(vt.Slots))
+	for k, dq := range t.Diseqs {
+		d := slotDiseq{l: operand(vt.Diseqs[k][0], dq.L), r: operand(vt.Diseqs[k][1], dq.R)}
 		s.diseqs = append(s.diseqs, d)
 		if last := max(d.l, d.r); last >= 0 {
 			s.diseqsAt[last] = append(s.diseqsAt[last], d)
@@ -187,18 +169,18 @@ func newValuationSearch(u *Universe, t *cq.Tableau, schemas map[string]*relation
 	s.head = make([]int32, len(t.Head))
 	s.headAt = -1
 	for i, h := range t.Head {
-		s.head[i] = operand(h)
+		s.head[i] = operand(vt.Head[i], h)
 		s.headAt = max(s.headAt, int(s.head[i]))
 	}
-	s.tpls = t.SlotTemplates(slotOf, schemas)
+	s.tpls = t.SlotTemplates(schemas)
 	if !cfg.naive && cfg.v != nil {
-		s.pruner = newINDPruner(t, slotOf, operand, cfg.v, cfg.dm)
+		s.pruner = newINDPruner(s.tpls, len(vt.Slots), cfg.v, cfg.dm)
 	}
 	return s, true
 }
 
 // compileCandidates resolves every slot's candidate list once: a fixed
-// list when cfg names one, the dedicated fresh value of a collapsed
+// list when cfg gives them, the dedicated fresh value of a collapsed
 // variable, the finite domain, or else the relevant values (all of the
 // constants without rv) followed by the fresh pool.
 func (s *valuationSearch) compileCandidates(cfg searchConfig) {
@@ -210,43 +192,37 @@ func (s *valuationSearch) compileCandidates(cfg searchConfig) {
 		}
 		return out
 	}
-	var collapsed map[string]int32
-	var occ map[string][]varPosition
-	if !cfg.naive {
-		if cfg.constrained != nil {
-			// Dedicated fresh values come from the end of the pool; the
-			// symmetry-breaking prefix grows from the front, so the two
-			// never collide while the pool holds one value per variable.
-			idx := len(s.u.freshIDs)
-			for _, name := range collapsibleVars(s.t, cfg.constrained, s.doms) {
-				idx--
-				if idx < 0 {
-					break // pool too small: the rest search in full
-				}
-				if collapsed == nil {
-					collapsed = make(map[string]int32)
-				}
-				collapsed[name] = s.u.freshIDs[idx]
+	s.cands = make([]slotCandidates, len(s.slots))
+	if !cfg.naive && cfg.constrained != nil {
+		// Dedicated fresh values come from the end of the pool; the
+		// symmetry-breaking prefix grows from the front, so the two
+		// never collide while the pool holds one value per variable.
+		idx := len(s.u.freshIDs)
+		for _, sl := range collapsibleVars(s.slots, cfg.constrained, s.doms) {
+			if idx == 0 {
+				break // pool too small: the rest search in full
 			}
-		}
-		if cfg.rv != nil {
-			occ = allVarOccurrences(s.t)
+			idx--
+			s.cands[sl].base = []int32{s.u.freshIDs[idx]}
 		}
 	}
-	s.cands = make([]slotCandidates, len(s.order))
-	for i, name := range s.order {
+	rv := cfg.rv
+	if cfg.naive {
+		rv = nil
+	}
+	for i := range s.cands {
 		c := &s.cands[i]
-		if vals, ok := cfg.fixed[name]; ok {
-			c.base = ids(vals)
-		} else if id, ok := collapsed[name]; ok {
-			c.base = []int32{id}
-		} else if dom := s.doms[name]; dom.Kind == relation.Finite {
-			c.base = ids(dom.Values)
-		} else {
+		switch {
+		case cfg.fixed != nil:
+			c.base = ids(cfg.fixed[i])
+		case c.base != nil:
+			// collapsed above
+		case s.doms[i].Kind == relation.Finite:
+			c.base = ids(s.doms[i].Values)
+		case rv != nil:
+			c.base, c.fresh = rv.candidatesFor(s.slots[i].Pos), true
+		default:
 			c.base, c.fresh = s.u.constIDs, true
-			if occ != nil {
-				c.base = cfg.rv.candidatesFor(occ[name])
-			}
 		}
 	}
 }
@@ -268,7 +244,7 @@ func (s *valuationSearch) freshCandidates(c *slotCandidates, freshUsed int) []in
 // newWorker returns the per-goroutine state of one walk over the
 // search, every slot unassigned.
 func (s *valuationSearch) newWorker() *searchWorker {
-	w := &searchWorker{s: s, slots: make([]int32, len(s.order)), jump: noJump}
+	w := &searchWorker{s: s, slots: make([]int32, len(s.slots)), jump: noJump}
 	for i := range w.slots {
 		w.slots[i] = unassigned
 	}
@@ -279,10 +255,10 @@ func (s *valuationSearch) newWorker() *searchWorker {
 // slots — the only place a valuation leaves its id form.
 func (s *valuationSearch) binding(slots []int32) query.Binding {
 	vals := relation.Shared().Snapshot()
-	b := make(query.Binding, len(s.order))
-	for i, name := range s.order {
+	b := make(query.Binding, len(s.slots))
+	for i, sl := range s.slots {
 		if slots[i] != unassigned {
-			b[name] = vals[slots[i]]
+			b[sl.Name] = vals[slots[i]]
 		}
 	}
 	return b

@@ -105,7 +105,7 @@ func TestCardGroupsDetected(t *testing.T) {
 			if g.key < 0 {
 				key = string(tb.ip.consts[-g.key-1])
 			} else {
-				key = tb.Vars[g.key]
+				key = tb.VarTable().Slots[g.key].Name
 			}
 			got = append(got, fmt.Sprintf("{%d %d %s %d}", g.tmpl, g.col, key, g.need))
 		}

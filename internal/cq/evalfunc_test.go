@@ -23,7 +23,7 @@ func (t *Tableau) EvalFuncGate(d *relation.Database, g *query.Gate, fn func(quer
 	gs := gate(g)
 	es := evalStats{evals: 1}
 	st := t.isetup(d, gs, &es)
-	st.leaf = st.bindingLeaf(t.Vars, fn)
+	st.leaf = st.bindingLeaf(fn)
 	if !st.ip.unsat {
 		st.run(st.planOrder(), 0)
 	}
@@ -42,7 +42,7 @@ func (t *Tableau) EvalFuncDeltaGate(d, delta *relation.Database, g *query.Gate, 
 	es := evalStats{evals: 1}
 	st := t.isetup(d, gs, &es)
 	st.bindDelta(t, DeltaRowsOf(delta))
-	st.leaf = st.bindingLeaf(t.Vars, fn)
+	st.leaf = st.bindingLeaf(fn)
 	if !st.ip.unsat {
 		st.runDeltaAll(len(t.Templates))
 	}
@@ -64,13 +64,14 @@ func (t *Tableau) EvalFuncDeltaIDsGate(d, delta *relation.Database, g *query.Gat
 // reused map is refreshed from the slots at each leaf. Every slot a
 // template binds is bound there; slots of variables no template binds
 // (unsafe, unvalidated queries) stay out of the binding.
-func (st *ijoin) bindingLeaf(vars []string, fn func(query.Binding) bool) func() bool {
-	b := make(query.Binding, len(vars))
+func (st *ijoin) bindingLeaf(fn func(query.Binding) bool) func() bool {
+	slots := st.ip.vars.Slots
+	b := make(query.Binding, len(slots))
 	vals := relation.Shared().Snapshot() // the join interns nothing
 	return func() bool {
-		for s, name := range vars {
+		for s, sl := range slots {
 			if id := st.slots[s]; id >= 0 {
-				b[name] = vals[id]
+				b[sl.Name] = vals[id]
 			}
 		}
 		return fn(b)

@@ -3,6 +3,7 @@ package cq
 import (
 	"math/bits"
 	"slices"
+	"strings"
 
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -19,19 +20,21 @@ import (
 // differential tests in reference_test.go and cut_test.go check every
 // entry point against.
 
-// iterm is one compiled term: a non-negative value is an index into the
-// tableau's sorted Vars (a slot), a negative value encodes a constant
-// as -(index into iplan.consts)-1.
+// iterm is one compiled term: a non-negative value is a slot of the
+// tableau's VarTable, a negative value encodes a constant as
+// -(index into iplan.consts)-1.
 type iterm int32
 
-// iplan is the compiled slot plan of a tableau: templates, head and
-// inequality terms rewritten to variable slots and constant indexes.
-// Queries that passed CQ.Validate bind every variable in some template;
-// for hand-made unsafe ones the plan records what the variables no
-// template binds imply: an inequality over one can never be decided
-// true, so no binding satisfies the query (unsat), and a head over one
-// cannot be instantiated, so no answer tuple exists (!headBound).
+// iplan is the compiled slot plan of a tableau: its variable numbering
+// (vars) and the templates, head and inequality terms rewritten to
+// slots and constant indexes. Queries that passed CQ.Validate bind
+// every variable in some template; for hand-made unsafe ones the plan
+// records what the variables no template binds imply: an inequality
+// over one can never be decided true, so no binding satisfies the
+// query (unsat), and a head over one cannot be instantiated, so no
+// answer tuple exists (!headBound).
 type iplan struct {
+	vars      VarTable
 	consts    []relation.Value
 	tmpls     [][]iterm
 	head      []iterm
@@ -45,23 +48,26 @@ type iplan struct {
 	cards []cardGroup
 }
 
-// buildIPlan compiles the tableau's terms into slots. It is cheap and
-// deterministic, so it runs unconditionally at BuildTableau time.
+// buildIPlan numbers the tableau's variables (see VarTable) and
+// compiles its terms into slots. It is cheap and deterministic, so it
+// runs unconditionally at BuildTableau time.
 func (t *Tableau) buildIPlan() *iplan {
 	ip := &iplan{}
-	slot := make(map[string]int, len(t.Vars))
-	for i, v := range t.Vars {
-		slot[v] = i
+	vt := &ip.vars
+	slotOf := make(map[string]int)
+	slot := func(name string) int {
+		s, ok := slotOf[name]
+		if !ok {
+			s = len(vt.Slots)
+			slotOf[name] = s
+			vt.Slots = append(vt.Slots, Slot{Name: name})
+		}
+		return s
 	}
 	constIdx := make(map[relation.Value]int)
-	covered := make([]bool, len(t.Vars))
-	term := func(tm query.Term, cover bool) iterm {
+	term := func(tm query.Term) iterm {
 		if tm.IsVar {
-			s := slot[tm.Name]
-			if cover {
-				covered[s] = true
-			}
-			return iterm(s)
+			return iterm(slot(tm.Name))
 		}
 		ci, ok := constIdx[tm.Val]
 		if !ok {
@@ -71,25 +77,62 @@ func (t *Tableau) buildIPlan() *iplan {
 		}
 		return iterm(-ci - 1)
 	}
+	// slotOfTerm is a compiled term's slot, -1 for a constant.
+	slotOfTerm := func(tm iterm) int { return max(int(tm), -1) }
 	ip.tmpls = make([][]iterm, len(t.Templates))
 	for i, a := range t.Templates {
 		args := make([]iterm, len(a.Args))
 		for j, tm := range a.Args {
-			args[j] = term(tm, true)
+			args[j] = term(tm)
+			if s := slotOfTerm(args[j]); s >= 0 {
+				vt.Slots[s].Pos = append(vt.Slots[s].Pos, Position{Rel: a.Rel, Col: j})
+			}
 		}
 		ip.tmpls[i] = args
 	}
-	bound := func(tm iterm) bool { return tm < 0 || covered[tm] }
-	ip.head = make([]iterm, len(t.Head))
-	ip.headBound = true
-	for i, h := range t.Head {
-		ip.head[i] = term(h, false)
-		ip.headBound = ip.headBound && bound(ip.head[i])
+	// Template variables hold the first slots: a slot is bound by some
+	// template iff it lies below covered. The variables that only the
+	// head or a ≠ condition mention follow by name.
+	covered := iterm(len(vt.Slots))
+	for _, tm := range t.Head {
+		if tm.IsVar {
+			slot(tm.Name)
+		}
 	}
 	for _, dq := range t.Diseqs {
-		pair := [2]iterm{term(dq.L, false), term(dq.R, false)}
+		for _, tm := range [2]query.Term{dq.L, dq.R} {
+			if tm.IsVar {
+				slot(tm.Name)
+			}
+		}
+	}
+	rest := vt.Slots[covered:]
+	slices.SortFunc(rest, func(a, b Slot) int { return strings.Compare(a.Name, b.Name) })
+	for i, sl := range rest {
+		slotOf[sl.Name] = int(covered) + i
+	}
+	bound := func(tm iterm) bool { return tm < covered }
+	ip.head = make([]iterm, len(t.Head))
+	vt.Head = make([]int, len(t.Head))
+	ip.headBound = true
+	for i, h := range t.Head {
+		ip.head[i] = term(h)
+		ip.headBound = ip.headBound && bound(ip.head[i])
+		if vt.Head[i] = slotOfTerm(ip.head[i]); vt.Head[i] >= 0 {
+			vt.Slots[vt.Head[i]].Head = true
+		}
+	}
+	for _, dq := range t.Diseqs {
+		pair := [2]iterm{term(dq.L), term(dq.R)}
 		ip.diseqs = append(ip.diseqs, pair)
 		ip.unsat = ip.unsat || !bound(pair[0]) || !bound(pair[1])
+		sides := [2]int{slotOfTerm(pair[0]), slotOfTerm(pair[1])}
+		for _, s := range sides {
+			if s >= 0 {
+				vt.Slots[s].Neq = true
+			}
+		}
+		vt.Diseqs = append(vt.Diseqs, sides)
 	}
 	ip.kinds = ip.columnKinds()
 	ip.cards = ip.cardGroups(t.Templates)
@@ -173,7 +216,7 @@ func (t *Tableau) isetup(d *relation.Database, gs *gateState, es *evalStats) *ij
 	ip := t.plan()
 	dict := relation.Shared()
 	n := len(t.Templates)
-	nc, nv := len(ip.consts), len(t.Vars)
+	nc, nv := len(ip.consts), len(ip.vars.Slots)
 	// One backing array serves cids, slots and the (bounded by nv)
 	// trail.
 	ibuf := make([]int32, nc+nv, nc+2*nv)

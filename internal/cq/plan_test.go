@@ -24,11 +24,12 @@ func planFor(t *Tableau, d *relation.Database) []int {
 func costOf(t *testing.T, tb *Tableau, d *relation.Database, i int, boundVars ...string) (float64, int) {
 	t.Helper()
 	st := tb.isetup(d, nil, &evalStats{})
-	bound := make([]bool, len(tb.Vars))
+	slots := tb.VarTable().Slots
+	bound := make([]bool, len(slots))
 	for _, name := range boundVars {
 		found := false
-		for s, v := range tb.Vars {
-			if v == name {
+		for s, sl := range slots {
+			if sl.Name == name {
 				bound[s], found = true, true
 			}
 		}

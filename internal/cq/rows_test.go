@@ -64,10 +64,10 @@ func TestGroundMatchesApplyRandom(t *testing.T) {
 			continue
 		}
 		slotOf := make(map[string]int, len(tab.Vars))
-		for i, name := range tab.Vars {
-			slotOf[name] = i
+		for i, sl := range tab.VarTable().Slots {
+			slotOf[sl.Name] = i
 		}
-		tpls := tab.SlotTemplates(slotOf, schemas)
+		tpls := tab.SlotTemplates(schemas)
 		probe, err := BuildTableau(New("P", []query.Term{query.Var("U")}, []query.RelAtom{atom([]string{"U", "V"}), atom([]string{"U", "V"})}))
 		if err != nil {
 			continue
@@ -176,7 +176,7 @@ func TestGroundMissingRelation(t *testing.T) {
 	}
 	_, want := tab.NewFragment(schemas)
 	var rows DeltaRows
-	got := tab.SlotTemplates(map[string]int{"X": 0}, schemas).Ground(&rows, []int32{relation.Shared().Intern("a")})
+	got := tab.SlotTemplates(schemas).Ground(&rows, []int32{relation.Shared().Intern("a")})
 	if want == nil || got == nil || got.Error() != want.Error() {
 		t.Fatalf("Ground error %v, NewFragment error %v", got, want)
 	}

@@ -34,9 +34,69 @@ type Tableau struct {
 	Diseqs    []query.EqAtom  // remaining ≠ conditions (rewritten)
 	Vars      []string        // sorted distinct variables of the tableau
 
-	// ip is the compiled slot plan of the join engine (ieval.go); nil
-	// on hand-built tableaux, which compile it per evaluation.
+	// ip is the compiled slot plan of the join engine (ieval.go) with
+	// the tableau's variable numbering; nil on hand-built tableaux,
+	// which compile it per use.
 	ip *iplan
+}
+
+// Position is one (relation, column) position of a template.
+type Position struct {
+	Rel string
+	Col int
+}
+
+// Slot is one variable of a tableau under the tableau's numbering.
+type Slot struct {
+	Name string
+	// Pos lists the template positions the variable occupies, in
+	// template-major order; it is empty for a variable that only a
+	// hand-made unsafe query's head or ≠ condition mentions.
+	Pos  []Position
+	Head bool // the variable occurs in the head u_Q
+	Neq  bool // the variable occurs in a ≠ condition
+}
+
+// VarTable is the one numbering of a tableau's variables ("slots")
+// that the join engine, the valuation search and the analyses of V
+// share. Slots are numbered in template-major order of first
+// occurrence, so tuple templates become ground as early as possible in
+// a slot-order search; variables outside every template follow in name
+// order. Head and Diseqs restate u_Q and the ≠ conditions over slots:
+// a slot index, or -1 for a constant (whose value the tableau's own
+// Head and Diseqs hold at the same index). The table is compiled once
+// by BuildTableau and is read-only.
+type VarTable struct {
+	Slots  []Slot
+	Head   []int
+	Diseqs [][2]int
+}
+
+// VarTable returns the tableau's variable numbering.
+func (t *Tableau) VarTable() *VarTable { return &t.plan().vars }
+
+// Domains returns each slot's admissible domain: the intersection of
+// the attribute domains at its positions over the given schemas, or the
+// infinite domain when none is finite. ok is false when some slot's
+// admissible set is empty (the tableau is then unsatisfiable). It
+// agrees with CQ.VarDomains of AsCQ, slot by slot.
+func (t *Tableau) Domains(schemas map[string]*relation.Schema) (doms []relation.Domain, ok bool) {
+	slots := t.VarTable().Slots
+	doms = make([]relation.Domain, len(slots))
+	ok = true
+	for i, sl := range slots {
+		d := relation.InfiniteDomain()
+		for _, p := range sl.Pos {
+			if s := schemas[p.Rel]; s != nil && p.Col < s.Arity() {
+				d = intersectDomains(d, s.Attrs[p.Col].Domain)
+			}
+		}
+		doms[i] = d
+		if d.Kind == relation.Finite && len(d.Values) == 0 {
+			ok = false
+		}
+	}
+	return doms, ok
 }
 
 // ErrUnsatisfiable is returned by BuildTableau for queries whose
@@ -153,25 +213,15 @@ func BuildTableau(q *CQ) (*Tableau, error) {
 	}
 
 	t := &Tableau{Query: q}
-	varSeen := make(map[string]bool)
-	addVar := func(tm query.Term) {
-		if tm.IsVar && !varSeen[tm.Name] {
-			varSeen[tm.Name] = true
-			t.Vars = append(t.Vars, tm.Name)
-		}
-	}
 	for _, a := range q.Atoms {
 		na := a.Clone()
 		for i, arg := range na.Args {
 			na.Args[i] = uf.resolve(arg)
-			addVar(na.Args[i])
 		}
 		t.Templates = append(t.Templates, na)
 	}
 	for _, h := range q.Head {
-		nh := uf.resolve(h)
-		t.Head = append(t.Head, nh)
-		addVar(nh)
+		t.Head = append(t.Head, uf.resolve(h))
 	}
 	for _, c := range q.Conds {
 		if !c.Neg {
@@ -188,12 +238,13 @@ func BuildTableau(q *CQ) (*Tableau, error) {
 			return nil, &ErrUnsatisfiable{Reason: fmt.Sprintf("inequality %s != %s within one class", c.L, c.R)}
 		default:
 			t.Diseqs = append(t.Diseqs, query.EqAtom{L: l, R: r, Neg: true})
-			addVar(l)
-			addVar(r)
 		}
 	}
-	sort.Strings(t.Vars)
 	t.ip = t.buildIPlan()
+	for _, sl := range t.ip.vars.Slots {
+		t.Vars = append(t.Vars, sl.Name)
+	}
+	sort.Strings(t.Vars)
 	return t, nil
 }
 
@@ -244,8 +295,8 @@ outer:
 	return relation.NewDatabase(ss...), nil
 }
 
-// SlotTemplates is the tableau's templates compiled against a caller's
-// numbering of its variables ("slots"): Ground and AddInto instantiate
+// SlotTemplates is the tableau's templates compiled against its
+// variable numbering (see VarTable): Ground and AddInto instantiate
 // them from a slot array of shared-dictionary ids, with no Binding, no
 // Value and no interning per call. A compiled plan is read-only and may
 // be shared across goroutines.
@@ -272,12 +323,12 @@ type slotTemplate struct {
 	fin [][]uint64
 }
 
-// SlotTemplates compiles the templates for the slot numbering slotOf,
-// which must cover every template variable. Finite attribute domains
-// come from schemas; their values and the templates' constants are
-// interned here, once.
-func (t *Tableau) SlotTemplates(slotOf map[string]int, schemas map[string]*relation.Schema) *SlotTemplates {
+// SlotTemplates compiles the templates over the tableau's slots.
+// Finite attribute domains come from schemas; their values and the
+// templates' constants are interned here, once.
+func (t *Tableau) SlotTemplates(schemas map[string]*relation.Schema) *SlotTemplates {
 	dict := relation.Shared()
+	ip := t.plan()
 	st := &SlotTemplates{tpls: make([]slotTemplate, len(t.Templates))}
 	for i, a := range t.Templates {
 		tp := slotTemplate{name: a.Rel, rel: -1, args: make([]int32, len(a.Args)), fin: make([][]uint64, len(a.Args))}
@@ -295,11 +346,11 @@ func (t *Tableau) SlotTemplates(slotOf map[string]int, schemas map[string]*relat
 			}
 			st.relTpls[tp.rel]++
 		}
-		for c, arg := range a.Args {
-			if arg.IsVar {
-				tp.args[c] = int32(slotOf[arg.Name])
+		for c, tm := range ip.tmpls[i] {
+			if tm >= 0 {
+				tp.args[c] = int32(tm)
 			} else {
-				tp.args[c] = ^dict.Intern(arg.Val)
+				tp.args[c] = ^dict.Intern(ip.consts[-tm-1])
 			}
 			if s != nil && c < s.Arity() && s.Attrs[c].Domain.Kind == relation.Finite {
 				var set []uint64
@@ -444,44 +495,52 @@ func Satisfiable(q *CQ, schemas map[string]*relation.Schema) bool {
 	if err != nil {
 		return false
 	}
-	doms, ok := t.AsCQ().VarDomains(schemas)
+	doms, ok := t.Domains(schemas)
 	if !ok {
 		return false
 	}
 	// Constants already fixed by the tableau. Only finite-domain
-	// variables can fail; collect them with the diseq constraints that
-	// mention them.
-	var finVars []string
-	for _, v := range t.Vars {
-		if doms[v].Kind == relation.Finite {
-			finVars = append(finVars, v)
+	// variables can fail; search their values against the ≠ conditions.
+	var fin []int
+	for s, d := range doms {
+		if d.Kind == relation.Finite {
+			fin = append(fin, s)
 		}
 	}
-	if len(finVars) == 0 {
+	if len(fin) == 0 {
 		return true
 	}
-	sort.Strings(finVars)
-	assign := make(query.Binding)
+	vt := t.VarTable()
+	assign := make([]relation.Value, len(doms))
+	set := make([]bool, len(doms))
+	side := func(s int, tm query.Term) (relation.Value, bool) {
+		if s < 0 {
+			return tm.Val, true
+		}
+		return assign[s], set[s]
+	}
 	var solve func(i int) bool
 	solve = func(i int) bool {
-		if i == len(finVars) {
+		if i == len(fin) {
 			return true
 		}
-		v := finVars[i]
-		for _, val := range doms[v].Values {
-			assign[v] = val
-			ok := true
-			for _, d := range t.Diseqs {
-				if holds, known := d.Holds(assign); known && !holds {
-					ok = false
-					break
+		s := fin[i]
+		set[s] = true
+	vals:
+		for _, val := range doms[s].Values {
+			assign[s] = val
+			for k, d := range t.Diseqs {
+				l, lok := side(vt.Diseqs[k][0], d.L)
+				r, rok := side(vt.Diseqs[k][1], d.R)
+				if lok && rok && l == r {
+					continue vals
 				}
 			}
-			if ok && solve(i+1) {
+			if solve(i + 1) {
 				return true
 			}
-			delete(assign, v)
 		}
+		set[s] = false
 		return false
 	}
 	return solve(0)
